@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import (CertificateFailed, MinPrincipleViolated,
                      TubularWidthExceeded)
@@ -332,10 +333,17 @@ def _interp_ext(grid, ext_map, u_ext, p):
 
 
 def _nearest_sample(grid, bgeom, pts):
-    """Index of the locally nearest boundary sample for each point."""
+    """Index of the nearest boundary sample for each point.
+
+    Ties go to the lowest index, as in a dense argmin: the two nearest
+    samples from the k-d tree are compared by exact squared distance.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    d2 = ((pts[:, None, :] - bgeom.points[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    k = min(2, len(bgeom.points))
+    _, idx = cKDTree(bgeom.points).query(pts, k=k)
+    idx = np.sort(idx.reshape(len(pts), k), axis=1)
+    d2 = ((pts[:, None, :] - bgeom.points[idx]) ** 2).sum(axis=2)
+    return idx[np.arange(len(pts)), np.argmin(d2, axis=1)]
 
 
 def boundary_gradient_samples(spec, grid, u, bgeom):

@@ -11,8 +11,8 @@ Stencils are plain second-order central differences at interior nodes
 and Shortley-Weller one-sided corrected stencils (exact on quadratics
 along each axis) at boundary-adjacent nodes.  The distance field to
 the boundary is analytic for flat metrics and fast-swept first-order
-for general sigma.  Grids are immutable after build; stencil reads are
-pure per-node operations.
+(by anti-diagonals) for general sigma.  Grids are immutable after build;
+stencil reads are pure per-node operations.
 """
 
 import csv
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
 from .errors import EmptyDomain, InputError, StencilUnavailable
 from .geometry import inverse_metric_at, validate_chart_at
@@ -31,6 +32,8 @@ DIRICHLET_GHOST = 3
 
 # link directions: +x, -x, +y, -y
 DIR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+STEP_X = np.array([sx for sx, _ in DIR_STEPS])
+STEP_Y = np.array([sy for _, sy in DIR_STEPS])
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,6 @@ class GridDomain:
     link_theta: np.ndarray     # (L,) fractional crossing distance in (0, 1]
     link_points: np.ndarray    # (L, 2) boundary crossing coordinates
     link_index: dict           # (node, dir) -> link id
-    node_links: list           # per inside node, list of link ids
     eta: np.ndarray            # (L, 2) inward sigma-unit normal at crossings
     dist: np.ndarray           # (N,) sigma-distance to the boundary
     cell_frac: np.ndarray      # (N,) inside area fraction of each node cell
@@ -185,6 +187,8 @@ class GridDomain:
     sliver_points: np.ndarray = None   # corner cells touching the domain diagonally
     sliver_frac: np.ndarray = None
     sliver_nbrs: list = field(default_factory=list)
+    # GraphOperators built on this grid, keyed by (id(chart), n); freed with it
+    operators: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_inside(self):
@@ -275,46 +279,33 @@ def build_grid(domain, h, chart):
     validate_chart_at(chart, np.vstack([points, ghost_points]) if len(gx) else points)
 
     n_inside = len(ix)
-    neighbor_ext = -np.ones((n_inside, 4), dtype=int)
-    link_node, link_dir, link_theta, link_pts = [], [], [], []
-    node_links = [[] for _ in range(n_inside)]
-    for n in range(n_inside):
-        cx, cy = inside_ij[n]
-        for d, (sx, sy) in enumerate(DIR_STEPS):
-            jx, jy = cx + sx, cy + sy
-            if node_index[jy, jx] >= 0:
-                neighbor_ext[n, d] = node_index[jy, jx]
-                continue
-            g = ghost_index[jy, jx]
-            if g < 0:
-                raise StencilUnavailable(
-                    f"neighbor of inside node ({points[n,0]:.6g},{points[n,1]:.6g}) "
-                    "is outside without a ghost slot"
-                )
-            neighbor_ext[n, d] = n_inside + g
-            base = points[n]
-            step = np.array([sx, sy], dtype=float)
+    ext = _ext_index(node_index, ghost_index, n_inside)
+    neighbor_ext = ext[iy[:, None] + STEP_Y, ix[:, None] + STEP_X]
+    if np.any(neighbor_ext < 0):
+        n = int(np.nonzero(neighbor_ext < 0)[0][0])
+        raise StencilUnavailable(
+            f"neighbor of inside node ({points[n,0]:.6g},{points[n,1]:.6g}) "
+            "is outside without a ghost slot"
+        )
+    # one link per ghost neighbor, node-major and direction-minor
+    link_node, link_dir = np.nonzero(neighbor_ext >= n_inside)
+    link_theta = np.empty(len(link_node))
+    link_pts = np.empty((len(link_node), 2))
+    steps = np.array(DIR_STEPS, dtype=float)
+    for k, (n, d) in enumerate(zip(link_node, link_dir)):
+        base, step = points[n], steps[d]
 
-            def along(t):
-                return float(domain.sdf(base + t * step))
+        def along(t):
+            return float(domain.sdf(base + t * step))
 
-            fb = along(h)
-            if fb <= 0.0:
-                t_cross = h
-            else:
-                t_cross = brentq(along, 0.0, h, xtol=1e-13, rtol=1e-15)
-            theta = min(max(t_cross / h, 1e-12), 1.0)
-            link_index_id = len(link_node)
-            link_node.append(n)
-            link_dir.append(d)
-            link_theta.append(theta)
-            link_pts.append(base + t_cross * step)
-            node_links[n].append(link_index_id)
+        fb = along(h)
+        if fb <= 0.0:
+            t_cross = h
+        else:
+            t_cross = brentq(along, 0.0, h, xtol=1e-13, rtol=1e-15)
+        link_theta[k] = min(max(t_cross / h, 1e-12), 1.0)
+        link_pts[k] = base + t_cross * step
 
-    link_node = np.array(link_node, dtype=int)
-    link_dir = np.array(link_dir, dtype=int)
-    link_theta = np.array(link_theta, dtype=float)
-    link_pts = np.array(link_pts, dtype=float).reshape(-1, 2)
     link_index = {(int(n), int(d)): k
                   for k, (n, d) in enumerate(zip(link_node, link_dir))}
 
@@ -349,11 +340,17 @@ def build_grid(domain, h, chart):
         ghost_ij=ghost_ij, ghost_index=ghost_index,
         points=points, ghost_points=ghost_points, neighbor_ext=neighbor_ext,
         link_node=link_node, link_dir=link_dir, link_theta=link_theta,
-        link_points=link_pts, link_index=link_index, node_links=node_links,
+        link_points=link_pts, link_index=link_index,
         eta=eta, dist=dist, cell_frac=cell_frac, ghost_frac=ghost_frac,
         ghost_nbrs=ghost_nbrs, sliver_points=sliver_points,
         sliver_frac=sliver_frac, sliver_nbrs=sliver_nbrs,
     )
+
+
+def _ext_index(node_index, ghost_index, n_inside):
+    """(ny, nx) lattice -> extended id: inside id, n_inside + ghost id, or -1."""
+    return np.where(node_index >= 0, node_index,
+                    np.where(ghost_index >= 0, n_inside + ghost_index, -1))
 
 
 def _inward_sigma_normals(domain, chart, link_pts):
@@ -377,6 +374,10 @@ def distance_field(grid, chart):
 
     Analytic for flat charts; a first-order fast-sweeping eikonal
     solution of |grad d|_sigma = 1 with d = 0 on the boundary otherwise.
+    The sweep updates whole anti-diagonals (ix +- iy = const) at once in
+    each of its four orderings; every node reads the same neighbour
+    values as in a node-by-node row-major Gauss-Seidel sweep, so the
+    result is identical to that sweep's, bit for bit.
     """
     return _distance_field(grid.domain, chart, grid.points, grid.node_index,
                            grid.inside_ij, grid.h, grid.link_points,
@@ -385,76 +386,79 @@ def distance_field(grid, chart):
 
 def _fast_sweep(domain, chart, points, node_index, inside_ij, h, link_pts, link_node):
     n = len(points)
-    d = np.full(n, np.inf)
+    d = np.full(n + 1, np.inf)      # d[n] stands in for a missing neighbour
     siginv = inverse_metric_at(chart, points)
     sig = chart.metric_at(points)
 
     # freeze only boundary-adjacent nodes, at the local chord distance to
-    # nearby crossings; everything else starts open and is swept
+    # crossings within 2h (a padded ball query, then the exact test)
     frozen = np.zeros(n, dtype=bool)
     if len(link_pts):
-        for k in np.unique(link_node):
-            delta = link_pts - points[k]
-            euclid = np.hypot(delta[:, 0], delta[:, 1])
-            near = euclid <= 2.0 * h
-            dl = delta[near]
-            lens = np.sqrt(np.einsum("kj,jl,kl->k", dl, sig[k], dl))
-            d[k] = lens.min()
-            frozen[k] = True
+        ks = np.unique(link_node)
+        near_ids = cKDTree(link_pts).query_ball_point(points[ks], 2.0 * h * (1.0 + 1e-9))
+        for k, ids in zip(ks, near_ids):
+            delta = link_pts[np.sort(ids)] - points[k]
+            dl = delta[np.hypot(delta[:, 0], delta[:, 1]) <= 2.0 * h]
+            d[k] = np.sqrt(np.einsum("kj,jl,kl->k", dl, sig[k], dl)).min()
+        frozen[ks] = True
 
-    sweeps = []
-    for fx in (False, True):
-        for fy in (False, True):
-            key = (inside_ij[:, 0] * (-1 if fx else 1),
-                   inside_ij[:, 1] * (-1 if fy else 1))
-            sweeps.append(np.lexsort(key))
+    ix, iy = inside_ij[:, 0], inside_ij[:, 1]
+    nbr = node_index[iy[:, None] + STEP_Y, ix[:, None] + STEP_X]
+    nbr[nbr < 0] = n
+    s11, s12, s22 = siginv[:, 0, 0], siginv[:, 0, 1], siginv[:, 1, 1]
+    node_data = np.column_stack([
+        s11, s12, s22, h / np.sqrt(s11), h / np.sqrt(s22),
+        s11 + 2 * s12 + s22, s11 + 2 * -s12 + s22])
 
-    nbr_of = {}
-    for k in range(n):
-        cx, cy = inside_ij[k]
-        row = []
-        for axis, signs in ((0, ((1, 0), (-1, 0))), (1, ((0, 1), (0, -1)))):
-            ids = []
-            for sx, sy in signs:
-                j = node_index[cy + sy, cx + sx]
-                ids.append(int(j))
-            row.append(ids)
-        nbr_of[k] = row
+    # open nodes grouped by anti-diagonal: ix + iy for the (+,+) and (-,-)
+    # orderings, ix - iy for (+,-) and (-,+)
+    open_ids = np.nonzero(~frozen)[0]
+    families = []
+    for key in (ix + iy, ix - iy):
+        ids = open_ids[np.argsort(key[open_ids], kind="stable")]
+        cuts = np.nonzero(np.diff(key[ids]))[0] + 1
+        families.append([(i, nbr[i], node_data[i].T)
+                         for i in np.split(ids, cuts) if len(i)])
+    plus, minus = families
+    orderings = (plus, minus, minus[::-1], plus[::-1])
 
-    for _ in range(30):
-        change = 0.0
-        for ordering in sweeps:
-            for k in ordering:
-                if frozen[k]:
-                    continue
-                s11, s12, s22 = siginv[k, 0, 0], siginv[k, 0, 1], siginv[k, 1, 1]
-                xa = [d[j] for j in nbr_of[k][0] if j >= 0 and np.isfinite(d[j])]
-                ya = [d[j] for j in nbr_of[k][1] if j >= 0 and np.isfinite(d[j])]
-                cand = np.inf
-                if xa:
-                    cand = min(cand, min(xa) + h / np.sqrt(s11))
-                if ya:
-                    cand = min(cand, min(ya) + h / np.sqrt(s22))
-                if xa and ya:
-                    a = min(xa)
-                    b = min(ya)
-                    # upwind signs: gradient points away from the smaller side
-                    for sgn in (1.0, -1.0):
-                        s12e = s12 * sgn
-                        A = s11 + 2 * s12e + s22
-                        B = -2 * (s11 * a + s12e * (a + b) + s22 * b)
-                        C = s11 * a * a + 2 * s12e * a * b + s22 * b * b - h * h
-                        disc = B * B - 4 * A * C
-                        if disc >= 0 and A > 0:
-                            root = (-B + np.sqrt(disc)) / (2 * A)
-                            if root >= max(a, b):
-                                cand = min(cand, root)
-                if cand < d[k] - 1e-14:
-                    d[k] = cand
-                    change = max(change, 1.0)
-        if change == 0.0:
-            break
-    return d
+    with np.errstate(invalid="ignore"):
+        for _ in range(30):
+            change = False
+            for ordering in orderings:
+                for ids, nb, data in ordering:
+                    change |= _relax_diagonal(d, ids, nb, data, h)
+            if not change:
+                break
+    return d[:n].copy()
+
+
+def _relax_diagonal(d, ids, nb, data, h):
+    """One Gauss-Seidel update of the nodes `ids`, none adjacent to another.
+
+    The float operations are those of the scalar upwind update, in the
+    same order, so each node gets the value a node-by-node sweep gives.
+    """
+    s11, s12, s22, hx, hy, A_plus, A_minus = data
+    nd = d[nb]
+    a = np.minimum(nd[:, 0], nd[:, 1])
+    b = np.minimum(nd[:, 2], nd[:, 3])
+    cand = np.minimum(a + hx, b + hy)
+    both = np.isfinite(a) & np.isfinite(b)
+    top = np.maximum(a, b)
+    # upwind signs: gradient points away from the smaller side
+    for s12e, A in ((s12, A_plus), (-s12, A_minus)):
+        B = -2 * (s11 * a + s12e * (a + b) + s22 * b)
+        C = s11 * a * a + 2 * s12e * a * b + s22 * b * b - h * h
+        disc = B * B - 4 * A * C
+        root = (-B + np.sqrt(disc)) / (2 * A)
+        ok = both & (disc >= 0) & (A > 0) & (root >= top)
+        cand = np.where(ok, np.minimum(cand, root), cand)
+    better = cand < d[ids] - 1e-14
+    if not better.any():
+        return False
+    d[ids[better]] = cand[better]
+    return True
 
 
 def _cell_fractions(domain, P, cls, inside_ij, ghost_ij, h):

@@ -32,7 +32,7 @@ import scipy.sparse as sp
 
 from .errors import KGraphError
 from .geometry import christoffels_at, inverse_metric_at, kappa_vector_at
-from .grid import gradient_at
+from .grid import STEP_X, STEP_Y, _ext_index, gradient_at
 
 THETA_FLOOR = 1e-6  # ghost extrapolation keeps theta away from zero
 THETA_ELIM = 0.05   # below this, a node is pinned to boundary interpolation:
@@ -128,61 +128,38 @@ class GraphOperator:
         """
         grid = self.grid
         N = grid.num_inside
+        # per node, the link of smallest theta below THETA_ELIM (the first
+        # such link on ties)
+        small = np.nonzero(grid.link_theta < THETA_ELIM)[0]
+        small = small[np.lexsort((grid.link_theta[small], grid.link_node[small]))]
+        self.elim_nodes, first = np.unique(grid.link_node[small], return_index=True)
         self.elim_link = -np.ones(N, dtype=int)
-        best = np.full(N, THETA_ELIM)
-        for k in range(grid.num_links):
-            n = int(grid.link_node[k])
-            theta = float(grid.link_theta[k])
-            if theta < best[n]:
-                best[n] = theta
-                self.elim_link[n] = k
-        self.elim_nodes = np.nonzero(self.elim_link >= 0)[0]
+        self.elim_link[self.elim_nodes] = small[first]
         # constraint row: u_n interpolated along the closest link from the
         # crossing value and up to three inward neighbors (cubic when
         # available, so the exact solution's row residual is O(theta h^2)),
         # scaled by 1/h^2 to match the PDE row magnitudes
-        rows, cols, vals = [], [], []
-        prows, pcols, pvals = [], [], []
+        n = self.elim_nodes
+        k = self.elim_link[n]
+        inward = _walk_inward(grid, n, grid.link_dir[k], 3)
+        count = np.sum(inward >= 0, axis=1)
+        # weights on the crossing value and on inward nodes 1, 2, 3
+        coefs = _weights_by_branch(grid.link_theta[k], (
+            (count == 0, lambda t: (1.0, 0.0, 0.0, 0.0)),
+            (count == 1, lambda t: (1.0 / (1 + t), t / (1 + t), 0.0, 0.0)),
+            (count == 2, lambda t: (2.0 / ((1 + t) * (2 + t)), 2.0 * t / (1 + t),
+                                    -t / (2 + t), 0.0)),
+            (count == 3, lambda t: (6.0 / ((1 + t) * (2 + t) * (3 + t)),
+                                    3.0 * t / (1 + t), -3.0 * t / (2 + t), t / (3 + t))),
+        ))
         scale = 1.0 / grid.h ** 2
-        for n in self.elim_nodes:
-            k = self.elim_link[n]
-            th = float(grid.link_theta[k])
-            d = int(grid.link_dir[k])
-            sx, sy = ((1, 0), (-1, 0), (0, 1), (0, -1))[d]
-            cx, cy = grid.inside_ij[n]
-            inward = []
-            for step in (1, 2, 3):
-                jx, jy = cx - step * sx, cy - step * sy
-                j = grid.node_index[jy, jx] if 0 <= jx < grid.nx and 0 <= jy < grid.ny else -1
-                if j < 0:
-                    break
-                inward.append(int(j))
-            rows.append(n)
-            cols.append(n)
-            vals.append(scale)
-            if len(inward) == 3:
-                coefs = [6.0 / ((1 + th) * (2 + th) * (3 + th)),
-                         3.0 * th / (1 + th),
-                         -3.0 * th / (2 + th),
-                         th / (3 + th)]
-            elif len(inward) == 2:
-                coefs = [2.0 / ((1 + th) * (2 + th)),
-                         2.0 * th / (1 + th),
-                         -th / (2 + th)]
-            elif len(inward) == 1:
-                coefs = [1.0 / (1 + th), th / (1 + th)]
-            else:
-                coefs = [1.0]
-            prows.append(n)
-            pcols.append(int(k))
-            pvals.append(coefs[0] * scale)
-            for j, c in zip(inward, coefs[1:]):
-                rows.append(n)
-                cols.append(j)
-                vals.append(-c * scale)
+        used = np.arange(3) < count[:, None]
+        rows = np.concatenate([n, np.repeat(n, 3)[used.ravel()]])
+        cols = np.concatenate([n, inward[used]])
+        vals = np.concatenate([np.full(len(n), scale), -coefs[:, 1:][used] * scale])
         L = max(grid.num_links, 1)
         self._elim_J = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
-        self._elim_phi = sp.csr_matrix((pvals, (prows, pcols)), shape=(N, L))
+        self._elim_phi = sp.csr_matrix((coefs[:, 0] * scale, (n, k)), shape=(N, L))
         keep = np.ones(N)
         keep[self.elim_nodes] = 0.0
         self._keep_diag = sp.diags(keep)
@@ -192,202 +169,132 @@ class GraphOperator:
 
     def _ext_id_map(self):
         grid = self.grid
-        ext = np.array(grid.node_index, dtype=int)
-        gmask = grid.ghost_index >= 0
-        ext[gmask] = grid.num_inside + grid.ghost_index[gmask]
-        return ext
+        return _ext_index(grid.node_index, grid.ghost_index, grid.num_inside)
 
     def _build_extension(self):
+        """Ghost rows: per link, the polynomial through the crossing, the
+        node and up to two nodes behind it, evaluated at the ghost; a ghost
+        shared by several links takes the mean of their extrapolations."""
         grid = self.grid
         N, Ng, L = grid.num_inside, grid.num_ghost, grid.num_links
-        rows, cols, vals = list(range(N)), list(range(N)), [1.0] * N
-        brows, bcols, bvals = [], [], []
-        counts = np.zeros(Ng)
-        g_rows = {}
-
-        for k in range(L):
-            n = int(grid.link_node[k])
-            d = int(grid.link_dir[k])
-            theta = max(float(grid.link_theta[k]), THETA_FLOOR)
-            e = grid.neighbor_ext[n, d]
-            g = e - N
-            sx, sy = ((1, 0), (-1, 0), (0, 1), (0, -1))[d]
-            cx, cy = grid.inside_ij[n]
-            m = grid.node_index[cy - sy, cx - sx]
-            mm = -1
-            if 0 <= cy - 2 * sy < grid.ny and 0 <= cx - 2 * sx < grid.nx:
-                mm = grid.node_index[cy - 2 * sy, cx - 2 * sx]
-            entry = g_rows.setdefault(g, {"node": {}, "phi": {}})
-            if theta < THETA_ELIM:
-                # crossing nearly on the node: extrapolate past it without
-                # the 1/theta weights, treating the crossing as the sample
-                if m >= 0 and mm >= 0:
-                    cmm = 2.0 * (1.0 - theta) / (2.0 + theta)
-                    cm = -3.0 * (1.0 - theta) / (1.0 + theta)
-                    cp = 6.0 / ((2.0 + theta) * (1.0 + theta))
-                    entry["node"][int(mm)] = entry["node"].get(int(mm), 0.0) + cmm
-                    entry["node"][int(m)] = entry["node"].get(int(m), 0.0) + cm
-                elif m >= 0:
-                    cm = -(1.0 - theta) / (1.0 + theta)
-                    cp = 2.0 / (1.0 + theta)
-                    entry["node"][int(m)] = entry["node"].get(int(m), 0.0) + cm
-                else:
-                    cp = 1.0
-            elif m >= 0 and mm >= 0:
-                # cubic through (-2h, -h, 0, theta h), evaluated at +h
-                cmm = -(1.0 - theta) / (2.0 + theta)
-                cm = 3.0 * (1.0 - theta) / (1.0 + theta)
-                cn = -3.0 * (1.0 - theta) / theta
-                cp = 6.0 / ((2.0 + theta) * (1.0 + theta) * theta)
-                entry["node"][int(mm)] = entry["node"].get(int(mm), 0.0) + cmm
-                entry["node"][int(m)] = entry["node"].get(int(m), 0.0) + cm
-                entry["node"][n] = entry["node"].get(n, 0.0) + cn
-            elif m >= 0:
-                # quadratic through (-h, 0, theta h)
-                cm = (1.0 - theta) / (1.0 + theta)
-                cn = -2.0 * (1.0 - theta) / theta
-                cp = 2.0 / (theta * (1.0 + theta))
-                entry["node"][int(m)] = entry["node"].get(int(m), 0.0) + cm
-                entry["node"][n] = entry["node"].get(n, 0.0) + cn
-            else:
-                cp = 1.0 / theta
-                entry["node"][n] = entry["node"].get(n, 0.0) + (1.0 - 1.0 / theta)
-            entry["phi"][k] = entry["phi"].get(k, 0.0) + cp
-            counts[g] += 1.0
-
-        for g, entry in g_rows.items():
-            c = counts[g]
-            for j, v in entry["node"].items():
-                rows.append(N + g)
-                cols.append(j)
-                vals.append(v / c)
-            for k, v in entry["phi"].items():
-                brows.append(N + g)
-                bcols.append(k)
-                bvals.append(v / c)
-
+        node, link = grid.link_node, np.arange(L)
+        theta = np.maximum(grid.link_theta, THETA_FLOOR)
+        g = grid.neighbor_ext[node, grid.link_dir] - N
+        behind = _walk_inward(grid, node, grid.link_dir, 2)
+        m, mm = behind[:, 0], behind[:, 1]
+        low = theta < THETA_ELIM
+        two, one, none = (m >= 0) & (mm >= 0), (m >= 0) & (mm < 0), m < 0
+        # weights on (mm, m, node) and on the crossing value, per link
+        w = _weights_by_branch(theta, (
+            # crossing nearly on the node: extrapolate past it without the
+            # 1/theta weights, treating the crossing as the sample
+            (low & two, lambda t: (2.0 * (1.0 - t) / (2.0 + t), -3.0 * (1.0 - t) / (1.0 + t),
+                                   0.0, 6.0 / ((2.0 + t) * (1.0 + t)))),
+            (low & one, lambda t: (0.0, -(1.0 - t) / (1.0 + t), 0.0, 2.0 / (1.0 + t))),
+            (low & none, lambda t: (0.0, 0.0, 0.0, 1.0)),
+            # cubic through (-2h, -h, 0, theta h), evaluated at +h
+            (~low & two, lambda t: (-(1.0 - t) / (2.0 + t), 3.0 * (1.0 - t) / (1.0 + t),
+                                    -3.0 * (1.0 - t) / t,
+                                    6.0 / ((2.0 + t) * (1.0 + t) * t))),
+            # quadratic through (-h, 0, theta h)
+            (~low & one, lambda t: (0.0, (1.0 - t) / (1.0 + t), -2.0 * (1.0 - t) / t,
+                                    2.0 / (t * (1.0 + t)))),
+            (~low & none, lambda t: (0.0, 0.0, 1.0 - 1.0 / t, 1.0 / t)),
+        ))
+        c, cp = w[:, :3], w[:, 3]
+        # which of (mm, m, node) each branch above writes
+        used = np.column_stack([two, m >= 0, ~low]).ravel()
+        cols = np.column_stack([mm, m, node]).ravel()[used]
+        ghosts = np.repeat(g, 3)[used]
+        # sum per (ghost, node) in link order, then average over the
+        # ghost's links
+        keys, inv = np.unique(ghosts * N + cols, return_inverse=True)
+        sums = np.bincount(inv, weights=c.ravel()[used], minlength=len(keys))
+        counts = np.bincount(g, minlength=Ng).astype(float)
+        rows = np.concatenate([np.arange(N), N + keys // N])
+        cols = np.concatenate([np.arange(N), keys % N])
+        vals = np.concatenate([np.ones(N), sums / counts[keys // N]])
         self.P = sp.csr_matrix((vals, (rows, cols)), shape=(N + Ng, N))
-        self.B = sp.csr_matrix((bvals, (brows, bcols)), shape=(N + Ng, max(L, 1)))
+        self.B = sp.csr_matrix((cp / counts[g], (N + g, link)), shape=(N + Ng, max(L, 1)))
         self._L = L
 
     def _build_gradients(self):
         grid = self.grid
         N, Ng, h = grid.num_inside, grid.num_ghost, grid.h
-        rows, cols, vals = [], [], []
-        rows2, cols2, vals2 = [], [], []
-        for n in range(N):
-            ep, em = grid.neighbor_ext[n, 0], grid.neighbor_ext[n, 1]
-            rows += [n, n]
-            cols += [ep, em]
-            vals += [0.5 / h, -0.5 / h]
-            ep, em = grid.neighbor_ext[n, 2], grid.neighbor_ext[n, 3]
-            rows2 += [n, n]
-            cols2 += [ep, em]
-            vals2 += [0.5 / h, -0.5 / h]
-        self.Gx = sp.csr_matrix((vals, (rows, cols)), shape=(N, N + Ng))
-        self.Gy = sp.csr_matrix((vals2, (rows2, cols2)), shape=(N, N + Ng))
+        rows = np.repeat(np.arange(N), 2)
+        vals = np.tile([0.5 / h, -0.5 / h], N)
+        ext = grid.neighbor_ext
+        self.Gx = sp.csr_matrix((vals, (rows, ext[:, :2].ravel())), shape=(N, N + Ng))
+        self.Gy = sp.csr_matrix((vals, (rows, ext[:, 2:].ravel())), shape=(N, N + Ng))
 
     def _build_faces(self):
         grid = self.grid
         N, Ng, h = grid.num_inside, grid.num_ghost, grid.h
         ext = self._ext_id_map()
+        index = grid.node_index
 
-        fx_ids, fy_ids = {}, {}
-        for n in range(N):
-            cx, cy = grid.inside_ij[n]
-            for key in ((cx, cy), (cx - 1, cy)):
-                fx_ids.setdefault(key, len(fx_ids))
-            for key in ((cx, cy), (cx, cy - 1)):
-                fy_ids.setdefault(key, len(fy_ids))
-        Fx, Fy = len(fx_ids), len(fy_ids)
+        # faces are the lattice edges touching an inside node; an x face
+        # (fx, fy) joins lattice points (fx, fy) and (fx + 1, fy), a y face
+        # (fx, fy) joins (fx, fy) and (fx, fy + 1)
+        fx_x, fy_x = _faces(index[:, :-1], index[:, 1:])
+        fx_y, fy_y = _faces(index[:-1, :], index[1:, :])
+        Fx, Fy = len(fx_x), len(fx_y)
         self.n_faces = Fx + Fy
 
-        def tangential_weights(e_lo, e_hi, behind_lo, behind_hi):
-            """Face value of a nodal field from its two sides.
+        def normal_and_average(fx, fy, sx, sy):
+            """Normal difference and tangential face value per face.
 
             Both sides inside: midpoint average.  One side a ghost:
             linear extrapolation from the inside node and the next node
             behind it (falls back to the inside value alone).
             """
-            if e_lo < N and e_hi < N:
-                return [(e_lo, 0.5), (e_hi, 0.5)]
-            if e_lo < N:
-                back = behind_lo
-                if back >= 0 and back < N:
-                    return [(e_lo, 1.5), (back, -0.5)]
-                return [(e_lo, 1.0)]
-            back = behind_hi
-            if back >= 0 and back < N:
-                return [(e_hi, 1.5), (back, -0.5)]
-            return [(e_hi, 1.0)]
+            F = len(fx)
+            e_lo, e_hi = ext[fy, fx], ext[fy + sy, fx + sx]
+            D = sp.csr_matrix(
+                (np.tile([1.0 / h, -1.0 / h], F),
+                 (np.repeat(np.arange(F), 2), np.column_stack([e_hi, e_lo]).ravel())),
+                shape=(F, N + Ng))
+            lo_in = e_lo < N
+            both = lo_in & (e_hi < N)
+            near = np.where(lo_in, e_lo, e_hi)
+            back = np.where(lo_in, _lattice_at(index, fx - sx, fy - sy),
+                            _lattice_at(index, fx + 2 * sx, fy + 2 * sy))
+            first = np.where(both, 0.5, np.where(back >= 0, 1.5, 1.0))
+            second = np.where(both, 0.5, -0.5)
+            used = np.column_stack([np.ones(F, dtype=bool), both | (back >= 0)]).ravel()
+            A = sp.csr_matrix(
+                (np.column_stack([first, second]).ravel()[used],
+                 (np.repeat(np.arange(F), 2)[used],
+                  np.column_stack([near, np.where(both, e_hi, back)]).ravel()[used])),
+                shape=(F, N))
+            return D, A
 
-        # normal differences and tangential averaging per face
-        nrows, ncols, nvals = [], [], []
-        arows, acols, avals = [], [], []
-        mid = np.empty((Fx + Fy, 2))
-        axis = np.empty(Fx + Fy, dtype=int)
-        for (fx, fy), fid in fx_ids.items():
-            eL, eR = ext[fy, fx], ext[fy, fx + 1]
-            nrows += [fid, fid]
-            ncols += [eR, eL]
-            nvals += [1.0 / h, -1.0 / h]
-            wts = tangential_weights(
-                eL, eR,
-                grid.node_index[fy, fx - 1] if fx >= 1 else -1,
-                grid.node_index[fy, fx + 2] if fx + 2 < grid.nx else -1,
-            )
-            for e, w in wts:
-                arows.append(fid)
-                acols.append(e)
-                avals.append(w)
-            mid[fid] = (grid.x_origin + (fx + 0.5) * h, grid.y_origin + fy * h)
-            axis[fid] = 0
-        nrows2, ncols2, nvals2 = [], [], []
-        arows2, acols2, avals2 = [], [], []
-        for (fx, fy), fid0 in fy_ids.items():
-            fid = Fx + fid0
-            eB, eT = ext[fy, fx], ext[fy + 1, fx]
-            nrows2 += [fid0, fid0]
-            ncols2 += [eT, eB]
-            nvals2 += [1.0 / h, -1.0 / h]
-            wts = tangential_weights(
-                eB, eT,
-                grid.node_index[fy - 1, fx] if fy >= 1 else -1,
-                grid.node_index[fy + 2, fx] if fy + 2 < grid.ny else -1,
-            )
-            for e, w in wts:
-                arows2.append(fid0)
-                acols2.append(e)
-                avals2.append(w)
-            mid[fid] = (grid.x_origin + fx * h, grid.y_origin + (fy + 0.5) * h)
-            axis[fid] = 1
-
-        Dx_norm = sp.csr_matrix((nvals, (nrows, ncols)), shape=(Fx, N + Ng))
-        Dy_norm = sp.csr_matrix((nvals2, (nrows2, ncols2)), shape=(Fy, N + Ng))
-        Avg_x = sp.csr_matrix((avals, (arows, acols)), shape=(Fx, N))
-        Avg_y = sp.csr_matrix((avals2, (arows2, acols2)), shape=(Fy, N))
-
+        Dx_norm, Avg_x = normal_and_average(fx_x, fy_x, 1, 0)
+        Dy_norm, Avg_y = normal_and_average(fx_y, fy_y, 0, 1)
         self.Mq1 = sp.vstack([Dx_norm, Avg_y @ self.Gx]).tocsr()
         self.Mq2 = sp.vstack([Avg_x @ self.Gy, Dy_norm]).tocsr()
+        mid = np.concatenate([
+            np.column_stack([grid.x_origin + (fx_x + 0.5) * h, grid.y_origin + fy_x * h]),
+            np.column_stack([grid.x_origin + fx_y * h, grid.y_origin + (fy_y + 0.5) * h]),
+        ])
         self.face_mid = mid
-        self.face_axis = axis
+        self.face_axis = np.repeat([0, 1], [Fx, Fy])
 
         # divergence: difference of the four face fluxes per node
-        drows, dcols, dvals = [], [], []
+        face_x = -np.ones(index.shape, dtype=int)
+        face_x[fy_x, fx_x] = np.arange(Fx)
+        face_y = -np.ones(index.shape, dtype=int)
+        face_y[fy_y, fx_y] = Fx + np.arange(Fy)
+        cx, cy = grid.inside_ij[:, 0], grid.inside_ij[:, 1]
         sig = self.chart.metric_at(grid.points)
         sqrt_det_node = np.sqrt(sig[:, 0, 0] * sig[:, 1, 1] - sig[:, 0, 1] ** 2)
-        for n in range(N):
-            cx, cy = grid.inside_ij[n]
-            c = 1.0 / (h * sqrt_det_node[n])
-            for fid, s in ((fx_ids[(cx, cy)], +1.0), (fx_ids[(cx - 1, cy)], -1.0)):
-                drows.append(n)
-                dcols.append(fid)
-                dvals.append(s * c)
-            for fid0, s in ((fy_ids[(cx, cy)], +1.0), (fy_ids[(cx, cy - 1)], -1.0)):
-                drows.append(n)
-                dcols.append(Fx + fid0)
-                dvals.append(s * c)
-        self.Div = sp.csr_matrix((dvals, (drows, dcols)), shape=(N, Fx + Fy))
+        c = 1.0 / (h * sqrt_det_node)
+        self.Div = sp.csr_matrix(
+            ((c[:, None] * np.array([1.0, -1.0, 1.0, -1.0])).ravel(),
+             (np.repeat(np.arange(N), 4),
+              np.column_stack([face_x[cy, cx], face_x[cy, cx - 1],
+                               face_y[cy, cx], face_y[cy - 1, cx]]).ravel())),
+            shape=(N, Fx + Fy))
 
         # face chart data
         self.face_siginv = inverse_metric_at(self.chart, mid)
@@ -632,17 +539,61 @@ class GraphOperator:
         return out
 
 
-_OP_CACHE = {}
+def _lattice_at(index, ix, iy):
+    """index[iy, ix] per entry, or -1 where (ix, iy) is off the lattice."""
+    ny, nx = index.shape
+    ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+    out = -np.ones(np.shape(ix), dtype=int)
+    out[ok] = index[iy[ok], ix[ok]]
+    return out
+
+
+def _weights_by_branch(t, branches):
+    """(len(t), 4) weights; each (mask, formula) fills the rows of its mask
+    with formula(t[mask]), a tuple of four arrays or scalars."""
+    out = np.zeros((len(t), 4))
+    for sel, formula in branches:
+        ts = t[sel]
+        out[sel] = np.column_stack(np.broadcast_arrays(ts, *formula(ts))[1:])
+    return out
+
+
+def _walk_inward(grid, nodes, dirs, depth):
+    """Inside ids 1..depth steps from `nodes` against link directions `dirs`.
+
+    Column s holds the node s + 1 steps back, or -1 from the first step
+    that leaves the inside set on.
+    """
+    sx, sy = STEP_X[dirs], STEP_Y[dirs]
+    cx, cy = grid.inside_ij[nodes, 0], grid.inside_ij[nodes, 1]
+    out = np.stack([_lattice_at(grid.node_index, cx - s * sx, cy - s * sy)
+                    for s in range(1, depth + 1)], axis=-1)
+    return np.where(np.cumprod(out >= 0, axis=1) > 0, out, -1)
+
+
+def _faces(lo, hi):
+    """Lattice coords of the faces between index views `lo` and `hi`.
+
+    A face exists where either side is inside.  Faces are numbered in
+    the order a node-by-node scan first meets them: each node names the
+    face on its high side, then the one on its low side.
+    """
+    fy, fx = np.nonzero((lo >= 0) | (hi >= 0))
+    first_seen = np.where(lo[fy, fx] >= 0, 2 * lo[fy, fx], 2 * hi[fy, fx] + 1)
+    order = np.argsort(first_seen)
+    return fx[order], fy[order]
 
 
 def _get_operator(chart, grid, n=2):
-    key = (id(chart), id(grid), n)
-    op = _OP_CACHE.get(key)
-    if op is None or op.chart is not chart or op.grid is not grid:
-        if len(_OP_CACHE) > 32:
-            _OP_CACHE.clear()
+    """The GraphOperator of (chart, grid, n), built once per grid.
+
+    Memoized on the grid, so an operator is freed with its grid.
+    """
+    key = (id(chart), n)
+    op = grid.operators.get(key)
+    if op is None or op.chart is not chart:
         op = GraphOperator(chart, grid, n=n)
-        _OP_CACHE[key] = op
+        grid.operators[key] = op
     return op
 
 

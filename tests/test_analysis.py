@@ -188,6 +188,25 @@ class TestGradientBarrier:
         assert err.value.node is not None
 
 
+class TestNearestSample:
+    def test_matches_dense_argmin_with_ties(self):
+        from types import SimpleNamespace
+        from kgraph.analysis import _nearest_sample
+
+        rng = np.random.default_rng(21)
+        upper = rng.uniform(-1.0, 1.0, size=(40, 2))
+        upper[:, 1] = np.abs(upper[:, 1]) + 0.05
+        # mirror pairs (x, y), (x, -y): points on y = 0 tie exactly
+        samples = np.concatenate([upper, upper * [1.0, -1.0]])[rng.permutation(80)]
+        on_axis = np.column_stack([rng.uniform(-1.0, 1.0, 200), np.zeros(200)])
+        pts = np.concatenate([on_axis, rng.uniform(-1.2, 1.2, size=(200, 2))])
+        d2 = ((pts[:, None, :] - samples[None, :, :]) ** 2).sum(axis=2)
+        ties = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1) > 1
+        assert ties.sum() >= 150
+        feet = _nearest_sample(None, SimpleNamespace(points=samples), pts)
+        assert np.array_equal(feet, np.argmin(d2, axis=1))
+
+
 class TestFlux:
     def test_flat_graph_exact_zero(self, euclid):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)

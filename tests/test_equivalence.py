@@ -1,0 +1,271 @@
+"""Array-assembled setup against the per-node loops it replaced.
+
+Sweep: `grid.dist` from the anti-diagonal fast sweep must equal, bit for
+bit, the row-major Gauss-Seidel loop kept below as an oracle.
+
+Operator: the residual and a Jacobian-vector product on a fixed smooth
+field must match `tests/data/operator_*.npz`, which hold the values the
+per-node / per-face loop assembly of `GraphOperator` produced.  Run this
+file as a script to rewrite those references from the installed kgraph.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import kgraph as kg
+from kgraph.geometry import inverse_metric_at
+from kgraph.operator import _get_operator
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+# ---------------------------------------------------------------------------
+# sweep oracle: one node at a time, rows of lattice order, four orderings
+
+def row_major_sweep(domain, chart, points, node_index, inside_ij, h, link_pts, link_node):
+    n = len(points)
+    d = np.full(n, np.inf)
+    siginv = inverse_metric_at(chart, points)
+    sig = chart.metric_at(points)
+
+    frozen = np.zeros(n, dtype=bool)
+    if len(link_pts):
+        for k in np.unique(link_node):
+            delta = link_pts - points[k]
+            euclid = np.hypot(delta[:, 0], delta[:, 1])
+            near = euclid <= 2.0 * h
+            dl = delta[near]
+            lens = np.sqrt(np.einsum("kj,jl,kl->k", dl, sig[k], dl))
+            d[k] = lens.min()
+            frozen[k] = True
+
+    sweeps = []
+    for fx in (False, True):
+        for fy in (False, True):
+            key = (inside_ij[:, 0] * (-1 if fx else 1),
+                   inside_ij[:, 1] * (-1 if fy else 1))
+            sweeps.append(np.lexsort(key))
+
+    nbr_of = {}
+    for k in range(n):
+        cx, cy = inside_ij[k]
+        nbr_of[k] = [[int(node_index[cy, cx + 1]), int(node_index[cy, cx - 1])],
+                     [int(node_index[cy + 1, cx]), int(node_index[cy - 1, cx])]]
+
+    for _ in range(30):
+        change = 0.0
+        for ordering in sweeps:
+            for k in ordering:
+                if frozen[k]:
+                    continue
+                s11, s12, s22 = siginv[k, 0, 0], siginv[k, 0, 1], siginv[k, 1, 1]
+                xa = [d[j] for j in nbr_of[k][0] if j >= 0 and np.isfinite(d[j])]
+                ya = [d[j] for j in nbr_of[k][1] if j >= 0 and np.isfinite(d[j])]
+                cand = np.inf
+                if xa:
+                    cand = min(cand, min(xa) + h / np.sqrt(s11))
+                if ya:
+                    cand = min(cand, min(ya) + h / np.sqrt(s22))
+                if xa and ya:
+                    a = min(xa)
+                    b = min(ya)
+                    for sgn in (1.0, -1.0):
+                        s12e = s12 * sgn
+                        A = s11 + 2 * s12e + s22
+                        B = -2 * (s11 * a + s12e * (a + b) + s22 * b)
+                        C = s11 * a * a + 2 * s12e * a * b + s22 * b * b - h * h
+                        disc = B * B - 4 * A * C
+                        if disc >= 0 and A > 0:
+                            root = (-B + np.sqrt(disc)) / (2 * A)
+                            if root >= max(a, b):
+                                cand = min(cand, root)
+                if cand < d[k] - 1e-14:
+                    d[k] = cand
+                    change = max(change, 1.0)
+        if change == 0.0:
+            break
+    return d
+
+
+def _chart(name, metric):
+    return kg.SubmersionChart(
+        name=name, metric=metric,
+        f=lambda P: np.ones(np.asarray(P).shape[:-1]),
+        delta=lambda P: np.zeros(np.asarray(P).shape[:-1] + (2,)),
+        ric_lower=0.0, flat_metric=False)
+
+
+def _curved_exp(P):
+    P = np.asarray(P)
+    out = np.zeros(P.shape[:-1] + (2, 2))
+    out[..., 0, 0] = np.exp(2.0 * P[..., 0])
+    out[..., 1, 1] = 1.0
+    return out
+
+
+def _aniso41(P):
+    P = np.asarray(P)
+    out = np.zeros(P.shape[:-1] + (2, 2))
+    out[..., 0, 0] = 4.0
+    out[..., 1, 1] = 1.0
+    return out
+
+
+def _sheared(P):
+    P = np.asarray(P)
+    out = np.zeros(P.shape[:-1] + (2, 2))
+    out[..., 0, 0] = 1.5 + 0.5 * P[..., 0]
+    out[..., 0, 1] = out[..., 1, 0] = 0.4 + 0.2 * P[..., 1]
+    out[..., 1, 1] = 1.0 + 0.3 * P[..., 1] ** 2
+    return out
+
+
+SWEEP_CASES = {
+    "curved-exp-disk": (_curved_exp, kg.Disk((0.0, 0.0), 0.5), 1.0 / 32),
+    "aniso41-unit-square": (_aniso41, kg.Rectangle(0.0, 0.0, 1.0, 1.0), 1.0 / 32),
+    "sheared-offcentre-disk": (_sheared, kg.Disk((0.03, -0.02), 0.45), 1.0 / 32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_matches_row_major_oracle(case):
+    metric, domain, h = SWEEP_CASES[case]
+    chart = _chart(case, metric)
+    grid = kg.build_grid(domain, h, chart)
+    oracle = row_major_sweep(domain, chart, grid.points, grid.node_index,
+                             grid.inside_ij, grid.h, grid.link_points, grid.link_node)
+    assert np.all(np.isfinite(oracle))
+    assert np.array_equal(grid.dist, oracle)
+    assert np.array_equal(kg.distance_field(grid, chart), oracle)
+
+
+# ---------------------------------------------------------------------------
+# operator references
+
+def _cap(P):
+    P = np.asarray(P, dtype=float)
+    return -np.sqrt(1.0 - P[..., 0] ** 2 - P[..., 1] ** 2)
+
+
+def _saddle(P):
+    P = np.asarray(P, dtype=float)
+    return 0.5 * P[..., 0] * P[..., 1]
+
+
+def _strip(rows, top):
+    """`rows` lattice rows; the bottom edge lies on a lattice row (theta 1
+    below), the top edge `top` * h above the top row."""
+    return kg.Rectangle(-0.2, 0.1, 0.2, 0.1 + (rows + top) / 48)
+
+
+OPERATOR_CASES = {   # chart factory, domain, h, H, phi
+    "euclid48_offcentre": (kg.euclidean, kg.Disk((0.0137, -0.0219), 0.5), 1.0 / 48, 1.0, _cap),
+    "heis48": (kg.heisenberg, kg.Disk((0.0, 0.0), 1.0), 1.0 / 48, 0.0, _saddle),
+    "euclid96_centred": (kg.euclidean, kg.Disk((0.0, 0.0), 0.5), 1.0 / 96, 1.0, _cap),
+    # a ghost shared by a pinned node's small-theta link and an unpinned node
+    "euclid48_r041": (kg.euclidean, kg.Disk((0.0, 0.0), 0.41), 1.0 / 48, 1.0, _cap),
+    # strips one to three rows high reach the extrapolation and
+    # elimination stencils that have fewer than three nodes behind them
+    "euclid48_strip1_half": (kg.euclidean, _strip(1, 0.5), 1.0 / 48, 1.0, _cap),
+    "euclid48_strip1_near": (kg.euclidean, _strip(1, 0.02), 1.0 / 48, 1.0, _cap),
+    "euclid48_strip2_near": (kg.euclidean, _strip(2, 0.02), 1.0 / 48, 1.0, _cap),
+    "euclid48_strip3_near": (kg.euclidean, _strip(3, 0.02), 1.0 / 48, 1.0, _cap),
+}
+
+
+def _fields(points):
+    x, y = points[:, 0], points[:, 1]
+    u = 0.3 * np.sin(2 * x) * np.cos(y) + 0.2 * x * y + 0.1 * np.cos(3 * y) - 0.8
+    v = np.cos(x + 2 * y) + 0.5 * x
+    return u, v
+
+
+def operator_values(case):
+    factory, domain, h, H, phi = OPERATOR_CASES[case]
+    chart = factory()
+    grid = kg.build_grid(domain, h, chart)
+    spec = kg.ProblemSpec(chart=chart, domain=domain, H=H, phi=phi)
+    op = _get_operator(chart, grid, spec.n)
+    u, v = _fields(grid.points)
+    phi_vals = spec.phi_links(grid)
+    residual = op.residual(u, phi_vals, spec.H_nodes(grid))
+    jv = op.jacobian(u, phi_vals) @ v
+    return op, {"residual": residual, "jv": jv}
+
+
+def _rel_err(new, ref):
+    return float(np.max(np.abs(new - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
+def test_operator_matches_reference(case):
+    ref = np.load(DATA / f"operator_{case}.npz")
+    _, got = operator_values(case)
+    for key in ("residual", "jv"):
+        assert got[key].shape == ref[key].shape
+        assert _rel_err(got[key], ref[key]) <= 1e-14, key
+
+
+def test_centred_reference_covers_small_theta_and_shared_ghosts():
+    op, _ = operator_values("euclid96_centred")
+    grid = op.grid
+    assert len(op.elim_nodes) > 0
+    ghost_links = np.bincount(grid.neighbor_ext[grid.link_node, grid.link_dir]
+                              - grid.num_inside)
+    assert ghost_links.max() >= 2
+    small = grid.link_theta < 0.05
+    assert np.any(ghost_links[grid.neighbor_ext[grid.link_node[small],
+                                                grid.link_dir[small]]
+                              - grid.num_inside] >= 2)
+
+
+def _nodes_behind(grid, node, d):
+    """Inside nodes in a row behind `node`, against direction `d`, up to 3."""
+    sx, sy = ((1, 0), (-1, 0), (0, 1), (0, -1))[d]
+    cx, cy = grid.inside_ij[node]
+    count = 0
+    while count < 3 and grid.node_index[cy - (count + 1) * sy, cx - (count + 1) * sx] >= 0:
+        count += 1
+    return count
+
+
+def test_r041_reference_shares_a_small_theta_ghost_with_an_unpinned_node():
+    op, _ = operator_values("euclid48_r041")
+    grid = op.grid
+    ghost = grid.neighbor_ext[grid.link_node, grid.link_dir]
+    unpinned = ~np.isin(grid.link_node, op.elim_nodes)
+    small = np.nonzero(grid.link_theta < 0.05)[0]
+    assert any(np.isin(ghost[k], ghost[unpinned])
+               and _nodes_behind(grid, grid.link_node[k], grid.link_dir[k]) >= 2
+               for k in small)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_strip_reference_pins_top_row(rows):
+    op, _ = operator_values(f"euclid48_strip{rows}_near")
+    grid = op.grid
+    # every top-row node is pinned along its +y link, rows - 1 nodes deep
+    assert len(op.elim_nodes) == len(np.unique(grid.inside_ij[:, 0]))
+    for n in op.elim_nodes:
+        assert grid.link_dir[op.elim_link[n]] == 2
+        assert _nodes_behind(grid, n, 2) == rows - 1
+
+
+@pytest.mark.parametrize("case, behind", [("euclid48_strip1_half", 0),
+                                          ("euclid48_strip2_near", 1)])
+def test_strip_reference_extrapolates_unpinned_short_links(case, behind):
+    op, _ = operator_values(case)
+    grid = op.grid
+    unpinned = np.nonzero(~np.isin(grid.link_node, op.elim_nodes))[0]
+    assert any(_nodes_behind(grid, grid.link_node[k], grid.link_dir[k]) == behind
+               for k in unpinned)
+
+
+if __name__ == "__main__":
+    DATA.mkdir(exist_ok=True)
+    for name in sorted(OPERATOR_CASES):
+        _, values = operator_values(name)
+        np.savez_compressed(DATA / f"operator_{name}.npz", **values)
+        print(name, {k: v.shape for k, v in values.items()})

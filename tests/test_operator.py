@@ -269,6 +269,31 @@ class TestJacobian:
         assert np.abs(Jv[deep]).max() < 1e-9
 
 
+class TestOperatorMemo:
+    def test_same_object_per_chart_grid_n(self, euclid, heis):
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
+        op = _get_operator(euclid, grid, 2)
+        assert _get_operator(euclid, grid, 2) is op
+        assert _get_operator(euclid, grid, 3) is not op
+        assert _get_operator(heis, grid, 2) is not op
+        other = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
+        assert _get_operator(euclid, other, 2) is not op
+        assert _get_operator(euclid, grid, 2) is op
+
+    def test_operator_freed_with_grid(self, euclid):
+        import gc
+        import weakref
+
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
+        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
+        kg.residual(spec, grid, np.zeros(grid.num_inside))
+        ref = weakref.ref(_get_operator(euclid, grid, 2))
+        assert ref() is not None
+        del grid
+        gc.collect()
+        assert ref() is None
+
+
 class TestAreaFunctional:
     def test_flat_square(self, euclid):
         grid = kg.build_grid(kg.Rectangle(0, 0, 1, 1), 1.0 / 16, euclid)
