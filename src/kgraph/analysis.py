@@ -19,8 +19,8 @@ from scipy.spatial import cKDTree
 
 from .errors import (CertificateFailed, MinPrincipleViolated,
                      TubularWidthExceeded)
-from .geometry import christoffels_at, inverse_metric_at, kappa_vector_at
-from .grid import Rectangle, integrate
+from .geometry import _eig_bounds_2x2, christoffels_at, kappa_vector_at
+from .grid import Rectangle, _inward_sigma_normals, integrate
 from .operator import _get_operator
 
 CURVE_DT = 2e-4          # parameter differencing step, scaled by period/(2 pi)
@@ -81,17 +81,6 @@ def _sigma_normalize(chart, points, vectors):
     return vectors / norm[..., None]
 
 
-def _inward_normal(chart, points, tangents):
-    # counterclockwise parametrization: rotating the tangent by +90
-    # degrees gives the Euclidean inward covector
-    m = np.stack([-tangents[..., 1], tangents[..., 0]], axis=-1)
-    m = m / np.linalg.norm(m, axis=-1, keepdims=True)
-    siginv = inverse_metric_at(chart, points)
-    v = np.einsum("...ij,...j->...i", siginv, m)
-    norm = np.sqrt(np.einsum("...i,...i->...", m, v))
-    return v / norm[..., None]
-
-
 def _curve_H_cyl(chart, p_minus, p0, p_plus, dt, eta, n=2, h_fd=GEOM_H_FD):
     """Cylinder curvature from three nearby curve points and the inward normal.
 
@@ -131,9 +120,13 @@ def boundary_geometry(chart, domain, samples=64, n=2, h_fd=GEOM_H_FD):
     ppp = domain.boundary_point(ts + 2 * dt)
 
     cp = (pp - pm) / (2.0 * dt)
-    eta = _inward_normal(chart, p0, cp)
-    eta_m = _inward_normal(chart, pm, (p0 - pmm) / (2.0 * dt))
-    eta_p = _inward_normal(chart, pp, (ppp - p0) / (2.0 * dt))
+    normals = []
+    for p, t in ((p0, cp), (pm, (p0 - pmm) / (2.0 * dt)), (pp, (ppp - p0) / (2.0 * dt))):
+        # counterclockwise parametrization: rotating the tangent by +90
+        # degrees gives the Euclidean inward covector
+        m = np.stack([-t[..., 1], t[..., 0]], axis=-1)
+        normals.append(_inward_sigma_normals(chart, p, m / np.linalg.norm(m, axis=-1)[:, None]))
+    eta, eta_m, eta_p = normals
 
     H_cyl, H_gamma, kap = _curve_H_cyl(chart, pm, p0, pp, dt, eta, n=n, h_fd=h_fd)
 
@@ -297,39 +290,28 @@ def riccati_evolution(chart, domain, eps_max, deps, samples=64, n=2,
 # ---------------------------------------------------------------------------
 # interpolation helpers
 
-def _interp_vector(grid, gx, gy, p):
-    """Bilinear interpolation of a nodal vector field; None when the
-    containing cell has a non-inside corner."""
-    h = grid.h
-    sx = (p[0] - grid.x_origin) / h
-    sy = (p[1] - grid.y_origin) / h
-    ix, iy = int(np.floor(sx)), int(np.floor(sy))
-    tx, ty = sx - ix, sy - iy
-    ids = (grid.node_index[iy, ix], grid.node_index[iy, ix + 1],
-           grid.node_index[iy + 1, ix], grid.node_index[iy + 1, ix + 1])
-    if min(ids) < 0:
-        return None
-    w = ((1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty)
-    return np.array([sum(wk * gx[i] for wk, i in zip(w, ids)),
-                     sum(wk * gy[i] for wk, i in zip(w, ids))])
+def _bilinear(grid, id_map, values, pts):
+    """Bilinear interpolation at `pts` (S, 2) of the rows of `values`
+    (M, k) laid on the lattice by `id_map` ((ny, nx) -> row, or -1).
 
-
-def _interp_ext(grid, ext_map, u_ext, p):
-    """Bilinear interpolation over the ghost-extended lattice."""
-    h = grid.h
-    sx = (p[0] - grid.x_origin) / h
-    sy = (p[1] - grid.y_origin) / h
-    ix, iy = int(np.floor(sx)), int(np.floor(sy))
+    Returns (S, k) values and an (S,) mask of the points whose four cell
+    corners all carry a row; elsewhere the value is the mean of the
+    corners that do, NaN where none does.
+    """
+    sx = (pts[:, 0] - grid.x_origin) / grid.h
+    sy = (pts[:, 1] - grid.y_origin) / grid.h
+    ix, iy = np.floor(sx).astype(int), np.floor(sy).astype(int)
     tx, ty = sx - ix, sy - iy
-    ids = (ext_map[iy, ix], ext_map[iy, ix + 1],
-           ext_map[iy + 1, ix], ext_map[iy + 1, ix + 1])
-    if min(ids) < 0:
-        good = [(i, v) for i, v in enumerate(ids) if v >= 0]
-        if not good:
-            raise CertificateFailed(f"no data near boundary point ({p[0]:.4g}, {p[1]:.4g})")
-        return float(np.mean([u_ext[v] for _, v in good]))
-    w = ((1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty)
-    return float(sum(wk * u_ext[i] for wk, i in zip(w, ids)))
+    ids = np.stack([id_map[iy, ix], id_map[iy, ix + 1],
+                    id_map[iy + 1, ix], id_map[iy + 1, ix + 1]], axis=1)
+    w = np.stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty], axis=1)
+    have = ids >= 0
+    vals = np.where(have[..., None], values[ids], 0.0)
+    complete = have.all(axis=1)
+    with np.errstate(invalid="ignore"):
+        mean = vals.sum(axis=1) / have.sum(axis=1)[:, None]
+    out = sum(w[:, c, None] * vals[:, c] for c in range(4))
+    return np.where(complete[:, None], out, mean), complete
 
 
 def _nearest_sample(grid, bgeom, pts):
@@ -368,23 +350,27 @@ def boundary_gradient_samples(spec, grid, u, bgeom):
 
     op = _get_operator(chart, grid, spec.n)
     u_ext = op.extend(np.asarray(u, dtype=float), spec.phi_links(grid))
-    gx = op.Gx @ u_ext
-    gy = op.Gy @ u_ext
-    ext_map = op._ext_id_map()
+    grad = np.column_stack([op.Gx @ u_ext, op.Gy @ u_ext])
 
     a, b = 1.5 * h, 2.5 * h   # gradient sample depths; cells there avoid ghosts
-    norm_deriv = np.empty(len(phi0))
-    for k, (y, eta) in enumerate(zip(bgeom.points, bgeom.eta)):
-        g1 = _interp_vector(grid, gx, gy, y + a * eta)
-        g2 = _interp_vector(grid, gx, gy, y + b * eta)
-        if g1 is not None and g2 is not None:
-            # linear extrapolation of the eta component back to the boundary
-            d1, d2 = g1 @ eta, g2 @ eta
-            norm_deriv[k] = (b * d1 - a * d2) / (b - a)
-        else:
-            u1 = _interp_ext(grid, ext_map, u_ext, y + h * eta)
-            u2 = _interp_ext(grid, ext_map, u_ext, y + 2.0 * h * eta)
-            norm_deriv[k] = (-3.0 * phi0[k] + 4.0 * u1 - u2) / (2.0 * h)
+    y, eta = bgeom.points, bgeom.eta
+    g1, ok1 = _bilinear(grid, grid.node_index, grad, y + a * eta)
+    g2, ok2 = _bilinear(grid, grid.node_index, grad, y + b * eta)
+    # linear extrapolation of the eta component back to the boundary
+    d1 = g1[:, 0] * eta[:, 0] + g1[:, 1] * eta[:, 1]
+    d2 = g2[:, 0] * eta[:, 0] + g2[:, 1] * eta[:, 1]
+    norm_deriv = (b * d1 - a * d2) / (b - a)
+    fallback = np.nonzero(~(ok1 & ok2))[0]
+    if len(fallback):
+        # values one and two spacings inward, interleaved per sample
+        depth = np.array([h, 2.0 * h])[:, None]
+        pts = (y[fallback, None] + depth * eta[fallback, None]).reshape(-1, 2)
+        vals, _ = _bilinear(grid, op._ext_id_map(), u_ext[:, None], pts)
+        if np.any(np.isnan(vals)):
+            p = pts[np.argmax(np.isnan(vals[:, 0]))]
+            raise CertificateFailed(f"no data near boundary point ({p[0]:.4g}, {p[1]:.4g})")
+        u1, u2 = vals.reshape(-1, 2).T
+        norm_deriv[fallback] = (-3.0 * phi0[fallback] + 4.0 * u1 - u2) / (2.0 * h)
     grad_norm = np.sqrt(norm_deriv ** 2 + tang_deriv ** 2)
     return grad_norm, norm_deriv, tang_deriv
 
@@ -406,11 +392,8 @@ class HeightCertificate:
 def _sigma_diameter_bound(chart, grid):
     if chart.flat_metric:
         return grid.domain.diameter_euclid()
-    sig = chart.metric_at(grid.points)
-    tr = sig[:, 0, 0] + sig[:, 1, 1]
-    disc = np.sqrt((sig[:, 0, 0] - sig[:, 1, 1]) ** 2 / 4 + sig[:, 0, 1] ** 2)
-    lam_max = np.max(tr / 2 + disc)
-    return grid.domain.diameter_euclid() * float(np.sqrt(lam_max))
+    _, lam = _eig_bounds_2x2(chart.metric_at(grid.points))
+    return grid.domain.diameter_euclid() * float(np.sqrt(np.max(lam)))
 
 
 def height_barrier(C, A, d):

@@ -73,6 +73,11 @@ def _eig_bounds_2x2(sig):
     return half_tr - disc, half_tr + disc
 
 
+def _sqrt_det(sig):
+    """sqrt(det sigma) pointwise: the sigma area element."""
+    return np.sqrt(sig[..., 0, 0] * sig[..., 1, 1] - sig[..., 0, 1] ** 2)
+
+
 def inverse_metric_at(chart, x):
     """Pointwise inverse metric sigma^ij; raises NonPositiveDefinite."""
     sig = chart.metric_at(x)

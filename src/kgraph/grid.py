@@ -11,19 +11,21 @@ Stencils are plain second-order central differences at interior nodes
 and Shortley-Weller one-sided corrected stencils (exact on quadratics
 along each axis) at boundary-adjacent nodes.  The distance field to
 the boundary is analytic for flat metrics and fast-swept first-order
-(by anti-diagonals) for general sigma.  Grids are immutable after build;
-stencil reads are pure per-node operations.
+(by anti-diagonals) for general sigma.  Grids are immutable after build.
+Stencils are array code over node-id arrays, with the per-node
+`gradient_at` and `hessian_at` as thin wrappers.
 """
 
 import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 from .errors import EmptyDomain, InputError, StencilUnavailable
-from .geometry import inverse_metric_at, validate_chart_at
+from .geometry import _sqrt_det, inverse_metric_at, validate_chart_at
 
 OUTSIDE = 0
 INTERIOR = 1
@@ -178,15 +180,15 @@ class GridDomain:
     link_dir: np.ndarray       # (L,) direction code 0..3
     link_theta: np.ndarray     # (L,) fractional crossing distance in (0, 1]
     link_points: np.ndarray    # (L, 2) boundary crossing coordinates
-    link_index: dict           # (node, dir) -> link id
     eta: np.ndarray            # (L, 2) inward sigma-unit normal at crossings
     dist: np.ndarray           # (N,) sigma-distance to the boundary
     cell_frac: np.ndarray      # (N,) inside area fraction of each node cell
     ghost_frac: np.ndarray     # (Ng,) inside area fraction of ghost cells
-    ghost_nbrs: list = field(default_factory=list)  # per ghost, inside node ids
-    sliver_points: np.ndarray = None   # corner cells touching the domain diagonally
-    sliver_frac: np.ndarray = None
-    sliver_nbrs: list = field(default_factory=list)
+    sliver_points: np.ndarray  # (Ns, 2) corner cells touching the domain diagonally
+    sliver_frac: np.ndarray    # (Ns,)
+    outer_mean: object         # (Ng + Ns, N) sparse: each ghost's mean over its
+                               # inside axis neighbours, then each sliver's over
+                               # its inside axis and diagonal neighbours
     # GraphOperators built on this grid, keyed by (id(chart), n); freed with it
     operators: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -306,33 +308,22 @@ def build_grid(domain, h, chart):
         link_theta[k] = min(max(t_cross / h, 1e-12), 1.0)
         link_pts[k] = base + t_cross * step
 
-    link_index = {(int(n), int(d)): k
-                  for k, (n, d) in enumerate(zip(link_node, link_dir))}
-
     # re-tag nodes whose links all landed at theta == 1 exactly are still
     # boundary-adjacent; classification already reflects axis-neighbor status
 
-    eta = _inward_sigma_normals(domain, chart, link_pts)
+    eta = _inward_sigma_normals(chart, link_pts, domain.inward_normal_euclid(link_pts))
     dist = _distance_field(domain, chart, points, node_index, inside_ij, h, link_pts, link_node)
     cell_frac, ghost_frac, sliver_ij, sliver_frac = _cell_fractions(
         domain, P, cls, inside_ij, ghost_ij, h)
 
-    def inside_neighbors(cx, cy, diagonals=False):
-        steps = list(DIR_STEPS)
-        if diagonals:
-            steps += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-        nbrs = []
-        for sx, sy in steps:
-            if 0 <= cy + sy < ny and 0 <= cx + sx < nx:
-                j = node_index[cy + sy, cx + sx]
-                if j >= 0:
-                    nbrs.append(int(j))
-        return nbrs
-
-    ghost_nbrs = [inside_neighbors(cx, cy) for cx, cy in ghost_ij]
-    sliver_nbrs = [inside_neighbors(cx, cy, diagonals=True) for cx, cy in sliver_ij]
-    sliver_points = (P[sliver_ij[:, 1], sliver_ij[:, 0]]
-                     if len(sliver_ij) else np.zeros((0, 2)))
+    cells = np.vstack([ghost_ij, sliver_ij])
+    nbrs = np.stack([_lattice_at(node_index, cells[:, 0] + sx, cells[:, 1] + sy)
+                     for sx, sy in DIR_STEPS + ((1, 1), (1, -1), (-1, 1), (-1, -1))], axis=1)
+    nbrs[:len(ghost_ij), 4:] = -1
+    has = nbrs >= 0
+    rows = np.nonzero(has)[0]
+    outer_mean = sp.csr_matrix((1.0 / has.sum(axis=1)[rows], (rows, nbrs[has])),
+                               shape=(len(cells), n_inside))
 
     return GridDomain(
         domain=domain, h=h, x_origin=x_origin, y_origin=y_origin, nx=nx, ny=ny,
@@ -340,10 +331,10 @@ def build_grid(domain, h, chart):
         ghost_ij=ghost_ij, ghost_index=ghost_index,
         points=points, ghost_points=ghost_points, neighbor_ext=neighbor_ext,
         link_node=link_node, link_dir=link_dir, link_theta=link_theta,
-        link_points=link_pts, link_index=link_index,
+        link_points=link_pts,
         eta=eta, dist=dist, cell_frac=cell_frac, ghost_frac=ghost_frac,
-        ghost_nbrs=ghost_nbrs, sliver_points=sliver_points,
-        sliver_frac=sliver_frac, sliver_nbrs=sliver_nbrs,
+        sliver_points=P[sliver_ij[:, 1], sliver_ij[:, 0]], sliver_frac=sliver_frac,
+        outer_mean=outer_mean,
     )
 
 
@@ -353,12 +344,11 @@ def _ext_index(node_index, ghost_index, n_inside):
                     np.where(ghost_index >= 0, n_inside + ghost_index, -1))
 
 
-def _inward_sigma_normals(domain, chart, link_pts):
-    if len(link_pts) == 0:
-        return np.zeros((0, 2))
-    m = domain.inward_normal_euclid(link_pts)        # Euclidean inward covector
-    siginv = inverse_metric_at(chart, link_pts)
-    v = np.einsum("...ij,...j->...i", siginv, m)     # sigma-orthogonal to boundary
+def _inward_sigma_normals(chart, points, m):
+    """Inward sigma-unit normals at boundary `points` from the unit
+    Euclidean inward covectors `m` there: m raised by sigma^{-1}, which
+    is sigma-orthogonal to the boundary, then sigma-normalised."""
+    v = np.einsum("...ij,...j->...i", inverse_metric_at(chart, points), m)
     norm = np.sqrt(np.einsum("...i,...i->...", m, v))
     return v / norm[..., None]
 
@@ -481,95 +471,97 @@ def _cell_fractions(domain, P, cls, inside_ij, ghost_ij, h):
             out[mid] = np.mean(domain.sdf(probe) < 0.0, axis=1)
         return out
 
-    iy, ix = inside_ij[:, 1], inside_ij[:, 0]
-    frac_inside = frac_for(P[iy, ix])
-    if len(ghost_ij):
-        gy, gx = ghost_ij[:, 1], ghost_ij[:, 0]
-        frac_ghost = frac_for(P[gy, gx])
-    else:
-        frac_ghost = np.zeros(0)
+    frac_inside = frac_for(P[inside_ij[:, 1], inside_ij[:, 0]])
+    frac_ghost = frac_for(P[ghost_ij[:, 1], ghost_ij[:, 0]])
 
     # corner slivers: outside, non-ghost cells that still overlap the domain
     # (diagonal contact only); needed so node cells tile the domain exactly
-    ny, nx = cls.shape
     sy, sx = np.nonzero(cls == OUTSIDE)
     near = np.abs(domain.sdf(P[sy, sx])) < 0.7072 * h
     sy, sx = sy[near], sx[near]
-    sliver_ij = []
-    sliver_frac = []
-    if len(sx):
-        fr = frac_for(P[sy, sx])
-        keep = fr > 0.0
-        sliver_ij = np.stack([sx[keep], sy[keep]], axis=1)
-        sliver_frac = fr[keep]
-    return frac_inside, frac_ghost, np.asarray(sliver_ij, dtype=int).reshape(-1, 2), \
-        np.asarray(sliver_frac, dtype=float)
+    frac = frac_for(P[sy, sx])
+    keep = frac > 0.0
+    return frac_inside, frac_ghost, np.stack([sx[keep], sy[keep]], axis=1), frac[keep]
 
 
 # ---------------------------------------------------------------------------
-# per-node stencils (Shortley-Weller corrected at the boundary)
+# stencils (Shortley-Weller corrected at the boundary)
 
-def _axis_samples(grid, values, node, axis, boundary_values):
-    """Spacings and values to the right/left of `node` along `axis`.
+def _stencils(grid, values, nodes, boundary_values=None, cross=False):
+    """Axis derivatives du, d2u (each (len(nodes), 2)) at the inside ids
+    `nodes`, and with `cross` the mixed second derivative.
 
-    Returns (a, u_plus, b, u_minus) where a, b are spacings; either side
-    may be None when no sample exists.
+    Along an axis, each side's sample is the inside neighbour, or the
+    crossing value at theta h when `boundary_values` is given.  Two
+    samples give the Shortley-Weller stencil; one gives the one-sided
+    difference, second order when the node two steps along that side is
+    inside.  The mixed term is the 4-corner difference, else the
+    difference of the y-derivatives at the x-neighbours, else of one of
+    them against the node's own.  Raises StencilUnavailable at the first
+    node without a stencil.
     """
-    n_inside = grid.num_inside
-    d_plus = 0 if axis == 0 else 2
-    d_minus = d_plus + 1
-    out = []
-    for d in (d_plus, d_minus):
-        e = grid.neighbor_ext[node, d]
-        if e < n_inside:
-            out.append((grid.h, values[e]))
-        else:
-            link = grid.link_index.get((int(node), int(d)))
-            if boundary_values is not None and link is not None:
-                out.append((grid.link_theta[link] * grid.h, boundary_values[link]))
-            else:
-                out.append(None)
-    return out[0], out[1]
+    values = np.asarray(values, dtype=float)
+    nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
+    N, h, k = grid.num_inside, grid.h, len(nodes)
+    if boundary_values is not None:
+        boundary_values = np.asarray(boundary_values, dtype=float)
+        link_key = 4 * grid.link_node + grid.link_dir   # ascending: links are node-major
+    ix, iy = grid.inside_ij[nodes, 0], grid.inside_ij[nodes, 1]
+    # one row per (node, axis): the nodes along x, along y, then with
+    # `cross` their +x and -x neighbours along y
+    ids, axis = np.concatenate([nodes, nodes]), np.repeat([0, 1], k)
+    if cross:
+        jx = np.concatenate([grid.node_index[iy, ix + 1], grid.node_index[iy, ix - 1]])
+        ids, axis = np.concatenate([ids, np.maximum(jx, 0)]), np.concatenate([axis, [1] * 2 * k])
 
+    sides = []
+    for d in (2 * axis, 2 * axis + 1):
+        e = grid.neighbor_ext[ids, d]
+        has = e < N
+        a = np.full(len(ids), h)
+        u = values[np.where(has, e, ids)]
+        if boundary_values is not None:
+            link = np.searchsorted(link_key, 4 * ids[~has] + d[~has])
+            a[~has] = grid.link_theta[link] * h
+            u[~has] = boundary_values[link]
+            has[:] = True
+        sides.append((has, a, u))
+    (hp, a, up), (hm, b, um) = sides
+    u0 = values[ids]
+    sign = np.where(hp, 1, -1)
+    a1, u1 = np.where(hp, a, b), np.where(hp, up, um)
+    j2 = _lattice_at(grid.node_index, grid.inside_ij[ids, 0] + 2 * sign * (axis == 0),
+                     grid.inside_ij[ids, 1] + 2 * sign * (axis == 1))
+    u2 = values[j2]
+    far = (j2 >= 0) & (np.abs(a1 - h) < 1e-12 * h)
+    both = hp & hm
+    du = np.where(both, (up * b * b - um * a * a + u0 * (a * a - b * b)) / (a * b * (a + b)),
+                  np.where(far, sign * (-3.0 * u0 + 4.0 * u1 - u2) / (2.0 * h),
+                           sign * (u1 - u0) / a1))
+    d2u = np.where(both, 2.0 * (up * b + um * a - u0 * (a + b)) / (a * b * (a + b)),
+                   np.where(far, (u2 - 2.0 * u1 + u0) / h ** 2, 0.0))
+    ok = hp | hm
+    for ax in (0, 1):
+        bad = ~ok[ax * k:(ax + 1) * k]
+        if bad.any():
+            x, y = grid.points[nodes[bad][0]]
+            raise StencilUnavailable(f"no stencil along axis {ax} at node ({x:.6g}, {y:.6g})")
+    axis_du, axis_d2u = du[:2 * k].reshape(2, k).T, d2u[:2 * k].reshape(2, k).T
+    if not cross:
+        return axis_du, axis_d2u, None
 
-def _second_interior_sample(grid, values, node, axis, sign):
-    """Value two steps along `axis` in direction `sign`, if inside."""
-    cx, cy = grid.inside_ij[node]
-    jx = cx + (2 * sign if axis == 0 else 0)
-    jy = cy + (2 * sign if axis == 1 else 0)
-    if 0 <= jx < grid.nx and 0 <= jy < grid.ny:
-        j = grid.node_index[jy, jx]
-        if j >= 0:
-            return values[j]
-    return None
-
-
-def _axis_derivatives(grid, values, node, axis, boundary_values):
-    plus, minus = _axis_samples(grid, values, node, axis, boundary_values)
-    u0 = values[node]
-    if plus is not None and minus is not None:
-        a, up = plus
-        b, um = minus
-        du = (up * b * b - um * a * a + u0 * (a * a - b * b)) / (a * b * (a + b))
-        d2u = 2.0 * (up * b + um * a - u0 * (a + b)) / (a * b * (a + b))
-        return du, d2u
-    # one-sided fallback (no Dirichlet data supplied on the missing side)
-    side = plus if plus is not None else minus
-    if side is None:
-        x, y = grid.points[node]
-        raise StencilUnavailable(
-            f"no stencil along axis {axis} at node ({x:.6g}, {y:.6g})"
-        )
-    sign = 1 if plus is not None else -1
-    a, u1 = side
-    u2 = _second_interior_sample(grid, values, node, axis, sign)
-    if u2 is not None and abs(a - grid.h) < 1e-12 * grid.h:
-        du = sign * (-3.0 * u0 + 4.0 * u1 - u2) / (2.0 * grid.h)
-        d2u = (u2 - 2.0 * u1 + u0) / grid.h ** 2
-    else:
-        du = sign * (u1 - u0) / a
-        d2u = 0.0
-    return du, d2u
+    jpp, jpm, jmp, jmm = (grid.node_index[iy + sy, ix + sx]
+                          for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+    full = np.min([jpp, jpm, jmp, jmm], axis=0) >= 0
+    (gy, gp, gm), (okp, okm) = du[k:].reshape(3, k), (ok[2 * k:] & (jx >= 0)).reshape(2, k)
+    found = full | okp | okm
+    if not found.all():
+        x, y = grid.points[nodes[~found][0]]
+        raise StencilUnavailable(f"no cross stencil at node ({x:.6g}, {y:.6g})")
+    dxy = np.where(full, (values[jpp] - values[jpm] - values[jmp] + values[jmm]) / (4.0 * h * h),
+                   np.where(okp & okm, (gp - gm) / (2.0 * h),
+                            np.where(okp, (gp - gy) / h, -(gm - gy) / h)))
+    return axis_du, axis_d2u, dxy
 
 
 def gradient_at(grid, values, node, boundary_values=None):
@@ -578,48 +570,23 @@ def gradient_at(grid, values, node, boundary_values=None):
     Second-order central at interior nodes; Shortley-Weller one-sided
     corrected using the boundary crossing values when supplied.
     """
-    values = np.asarray(values, dtype=float)
-    gx, _ = _axis_derivatives(grid, values, node, 0, boundary_values)
-    gy, _ = _axis_derivatives(grid, values, node, 1, boundary_values)
-    return np.array([gx, gy])
+    du, _, _ = _stencils(grid, values, node, boundary_values)
+    return du[0]
 
 
 def hessian_at(grid, values, node, boundary_values=None):
     """Symmetric matrix of second partials at an inside node."""
-    values = np.asarray(values, dtype=float)
-    _, dxx = _axis_derivatives(grid, values, node, 0, boundary_values)
-    _, dyy = _axis_derivatives(grid, values, node, 1, boundary_values)
-    dxy = _cross_derivative(grid, values, node, boundary_values)
-    return np.array([[dxx, dxy], [dxy, dyy]])
+    _, d2u, dxy = _stencils(grid, values, node, boundary_values, cross=True)
+    return np.array([[d2u[0, 0], dxy[0]], [dxy[0], d2u[0, 1]]])
 
 
-def _cross_derivative(grid, values, node, boundary_values):
-    cx, cy = grid.inside_ij[node]
-    h = grid.h
-    jpp = grid.node_index[cy + 1, cx + 1]
-    jpm = grid.node_index[cy - 1, cx + 1]
-    jmp = grid.node_index[cy + 1, cx - 1]
-    jmm = grid.node_index[cy - 1, cx - 1]
-    if min(jpp, jpm, jmp, jmm) >= 0:
-        return (values[jpp] - values[jpm] - values[jmp] + values[jmm]) / (4.0 * h * h)
-    # fall back to differencing the y-gradient across x-neighbors
-    sides = []
-    for sx in (1, -1):
-        j = grid.node_index[cy, cx + sx]
-        if j >= 0:
-            try:
-                gy, _ = _axis_derivatives(grid, values, j, 1, boundary_values)
-                sides.append((sx, gy))
-            except StencilUnavailable:
-                pass
-    gy0, _ = _axis_derivatives(grid, values, node, 1, boundary_values)
-    if len(sides) == 2:
-        return (sides[0][1] - sides[1][1]) / (2.0 * h)
-    if len(sides) == 1:
-        sx, gy = sides[0]
-        return sx * (gy - gy0) / h
-    x, y = grid.points[node]
-    raise StencilUnavailable(f"no cross stencil at node ({x:.6g}, {y:.6g})")
+def _lattice_at(index, ix, iy):
+    """index[iy, ix] per entry, or -1 where (ix, iy) is off the lattice."""
+    ny, nx = index.shape
+    ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+    out = -np.ones(np.shape(ix), dtype=int)
+    out[ok] = index[iy[ok], ix[ok]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -634,27 +601,12 @@ def integrate(grid, values, chart):
     accurate at the boundary, second-order inside.
     """
     values = grid.check_field(values, "integrand")
-    h2 = grid.h ** 2
-
-    def sqrt_det(pts):
-        sig = chart.metric_at(pts)
-        return np.sqrt(sig[..., 0, 0] * sig[..., 1, 1] - sig[..., 0, 1] ** 2)
-
-    total = np.sum(values * sqrt_det(grid.points) * grid.cell_frac) * h2
-    if grid.num_ghost:
-        gmask = grid.ghost_frac > 0.0
-        if np.any(gmask):
-            gvals = np.array([
-                np.mean(values[nbrs]) if nbrs else 0.0
-                for g, nbrs in enumerate(grid.ghost_nbrs) if gmask[g]
-            ])
-            gpts = grid.ghost_points[gmask]
-            total += np.sum(gvals * sqrt_det(gpts) * grid.ghost_frac[gmask]) * h2
-    if grid.sliver_points is not None and len(grid.sliver_points):
-        svals = np.array([np.mean(values[nbrs]) if nbrs else 0.0
-                          for nbrs in grid.sliver_nbrs])
-        total += np.sum(svals * sqrt_det(grid.sliver_points) * grid.sliver_frac) * h2
-    return float(total)
+    cell_values = np.concatenate([values, grid.outer_mean @ values])
+    frac = np.concatenate([grid.cell_frac, grid.ghost_frac, grid.sliver_frac])
+    pts = np.vstack([grid.points, grid.ghost_points, grid.sliver_points])
+    covered = frac > 0.0
+    area = _sqrt_det(chart.metric_at(pts[covered])) * frac[covered] * grid.h ** 2
+    return float(np.sum(cell_values[covered] * area))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import KGraphError
-from .geometry import christoffels_at, inverse_metric_at, kappa_vector_at
-from .grid import STEP_X, STEP_Y, _ext_index, gradient_at
+from .geometry import _sqrt_det, christoffels_at, inverse_metric_at, kappa_vector_at
+from .grid import STEP_X, STEP_Y, _ext_index, _lattice_at, gradient_at
 
 THETA_FLOOR = 1e-6  # ghost extrapolation keeps theta away from zero
 THETA_ELIM = 0.05   # below this, a node is pinned to boundary interpolation:
@@ -115,8 +115,8 @@ class GraphOperator:
         self._find_eliminated()
         self._build_extension()
         self._build_gradients()
-        self._build_faces()
         self._node_geometry()
+        self._build_faces()
 
     def _find_eliminated(self):
         """Nodes hugging the boundary (min link theta < THETA_ELIM).
@@ -286,9 +286,7 @@ class GraphOperator:
         face_y = -np.ones(index.shape, dtype=int)
         face_y[fy_y, fx_y] = Fx + np.arange(Fy)
         cx, cy = grid.inside_ij[:, 0], grid.inside_ij[:, 1]
-        sig = self.chart.metric_at(grid.points)
-        sqrt_det_node = np.sqrt(sig[:, 0, 0] * sig[:, 1, 1] - sig[:, 0, 1] ** 2)
-        c = 1.0 / (h * sqrt_det_node)
+        c = 1.0 / (h * self.node_sqrt_det)
         self.Div = sp.csr_matrix(
             ((c[:, None] * np.array([1.0, -1.0, 1.0, -1.0])).ravel(),
              (np.repeat(np.arange(N), 4),
@@ -298,8 +296,7 @@ class GraphOperator:
 
         # face chart data
         self.face_siginv = inverse_metric_at(self.chart, mid)
-        fsig = self.chart.metric_at(mid)
-        self.face_sqrt_det = np.sqrt(fsig[:, 0, 0] * fsig[:, 1, 1] - fsig[:, 0, 1] ** 2)
+        self.face_sqrt_det = _sqrt_det(self.chart.metric_at(mid))
         self.face_f = self.chart.f_at(mid)
         self.face_tilt = np.sqrt(self.face_f)[:, None] * self.chart.delta_at(mid)
 
@@ -311,9 +308,7 @@ class GraphOperator:
         self.node_f = self.chart.f_at(pts)
         self.node_tilt = np.sqrt(self.node_f)[:, None] * self.chart.delta_at(pts)
         self.node_kappa = kappa_vector_at(self.chart, pts, grid.h)
-        self.node_sqrt_det = np.sqrt(
-            self.node_sig[:, 0, 0] * self.node_sig[:, 1, 1] - self.node_sig[:, 0, 1] ** 2
-        )
+        self.node_sqrt_det = _sqrt_det(self.node_sig)
 
     # -- pointwise states ------------------------------------------------
 
@@ -413,31 +408,25 @@ class GraphOperator:
         H0 = np.zeros(N)
         reach = 4
         stride = 2 * reach + 1
-        color = (grid.inside_ij[:, 0] % stride) * stride + grid.inside_ij[:, 1] % stride
-        by_cell = {}
-        for n in range(N):
-            cx, cy = grid.inside_ij[n]
-            by_cell[(cx, cy)] = n
+        ix, iy = grid.inside_ij[:, 0], grid.inside_ij[:, 1]
+        color = (ix % stride) * stride + iy % stride
         rows, cols, vals = [], [], []
-        for c in range(stride * stride):
-            members = np.nonzero(color == c)[0]
-            if len(members) == 0:
-                continue
-            e = np.zeros(N)
-            e[members] = 1.0
+        for c in np.unique(color):
+            e = (color == c).astype(float)
             rp = self.residual(u + eps * e, phi_vals, H0)
             rm = self.residual(u - eps * e, phi_vals, H0)
             d = (rp - rm) / (2.0 * eps)
-            for k in members:
-                cx, cy = grid.inside_ij[k]
-                for dx in range(-reach, reach + 1):
-                    for dy in range(-reach, reach + 1):
-                        j = by_cell.get((cx + dx, cy + dy))
-                        if j is not None and d[j] != 0.0:
-                            rows.append(j)
-                            cols.append(k)
-                            vals.append(d[j])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
+            # each row j sees the one column of this color within reach
+            j = np.nonzero(d)[0]
+            k = _lattice_at(grid.node_index,
+                            ix[j] + (c // stride - ix[j] + reach) % stride - reach,
+                            iy[j] + (c % stride - iy[j] + reach) % stride - reach)
+            j, k = j[k >= 0], k[k >= 0]
+            rows.append(j)
+            cols.append(k)
+            vals.append(d[j])
+        return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(N, N))
 
     def laplace_lift(self, phi_vals):
         """Discrete harmonic extension of the boundary data.
@@ -497,7 +486,6 @@ class GraphOperator:
         N = grid.num_inside
         u_ext = self.extend(u, phi_vals)
         c, up, W = self._node_state(u_ext)
-        interior = grid.interior_mask
         out = np.full(N, np.nan)
 
         h = grid.h
@@ -514,38 +502,28 @@ class GraphOperator:
             step[a] = h
             dt[:, a, :] = (tilt(grid.points + step) - tilt(grid.points - step)) / (2 * h)
 
-        idx = np.nonzero(interior)[0]
+        idx = np.nonzero(grid.interior_mask)[0]
         Hv = self.n * np.asarray(H_vals, dtype=float)
-        for n in idx:
-            cx, cy = grid.inside_ij[n]
-            up_c = u_ext[ext_id[cy, cx + 1]]
-            um_c = u_ext[ext_id[cy, cx - 1]]
-            vp_c = u_ext[ext_id[cy + 1, cx]]
-            vm_c = u_ext[ext_id[cy - 1, cx]]
-            u0 = u_ext[n]
-            uxx = (up_c - 2 * u0 + um_c) / h ** 2
-            uyy = (vp_c - 2 * u0 + vm_c) / h ** 2
-            uxy = (u_ext[ext_id[cy + 1, cx + 1]] - u_ext[ext_id[cy - 1, cx + 1]]
-                   - u_ext[ext_id[cy + 1, cx - 1]] + u_ext[ext_id[cy - 1, cx - 1]]) / (4 * h ** 2)
-            hess = np.array([[uxx, uxy], [uxy, uyy]])
-            duhat = hess + dt[n]            # [i, k] = d_i hat_u_k
-            M = duhat.T - np.einsum("lki,l->ki", gam[n], c[n])  # [k, i]
-            if gamma_mode == "symmetrized":
-                M = 0.5 * (M + M.T)
-            A = (W[n] ** 2) * self.node_siginv[n] - np.outer(up[n], up[n])
-            kup = self.node_kappa[n] @ up[n]
-            out[n] = (np.einsum("ik,ki->", A, M)
-                      - (self.node_f[n] + W[n] ** 2) * kup) / W[n] ** 3 - Hv[n]
+        cx, cy = grid.inside_ij[idx, 0], grid.inside_ij[idx, 1]
+
+        def at(sx, sy):
+            return u_ext[ext_id[cy + sy, cx + sx]]
+
+        u0 = u_ext[idx]
+        uxx = (at(1, 0) - 2 * u0 + at(-1, 0)) / h ** 2
+        uyy = (at(0, 1) - 2 * u0 + at(0, -1)) / h ** 2
+        uxy = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h ** 2)
+        hess = np.stack([uxx, uxy, uxy, uyy], axis=-1).reshape(-1, 2, 2)
+        duhat = hess + dt[idx]            # [n, i, k] = d_i hat_u_k
+        M = duhat.transpose(0, 2, 1) - np.einsum("nlki,nl->nki", gam[idx], c[idx])  # [n, k, i]
+        if gamma_mode == "symmetrized":
+            M = 0.5 * (M + M.transpose(0, 2, 1))
+        W2 = W[idx] ** 2
+        A = W2[:, None, None] * self.node_siginv[idx] - np.einsum("ni,nj->nij", up[idx], up[idx])
+        kup = np.einsum("ni,ni->n", self.node_kappa[idx], up[idx])
+        out[idx] = (np.einsum("nik,nki->n", A, M)
+                    - (self.node_f[idx] + W2) * kup) / W[idx] ** 3 - Hv[idx]
         return out
-
-
-def _lattice_at(index, ix, iy):
-    """index[iy, ix] per entry, or -1 where (ix, iy) is off the lattice."""
-    ny, nx = index.shape
-    ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-    out = -np.ones(np.shape(ix), dtype=int)
-    out[ok] = index[iy[ok], ix[ok]]
-    return out
 
 
 def _weights_by_branch(t, branches):

@@ -5,8 +5,16 @@ bit, the row-major Gauss-Seidel loop kept below as an oracle.
 
 Operator: the residual and a Jacobian-vector product on a fixed smooth
 field must match `tests/data/operator_*.npz`, which hold the values the
-per-node / per-face loop assembly of `GraphOperator` produced.  Run this
-file as a script to rewrite those references from the installed kgraph.
+per-node / per-face loop assembly of `GraphOperator` produced.
+
+Stencils, oracles and boundary gathers: `gradient_at`, `hessian_at`,
+`residual_nondivergence`, `jacobian_fd`, `boundary_gradient_samples`,
+`integrate`, the boundary normals and `Div` must match
+`tests/data/{stencils,nondiv,jacfd,boundary}_*.npz`, written by the
+per-node code these became array code of, together with their inputs.
+
+Run this file as a script to rewrite every reference from the installed
+kgraph.
 """
 
 from pathlib import Path
@@ -15,6 +23,7 @@ import numpy as np
 import pytest
 
 import kgraph as kg
+from kgraph.analysis import boundary_gradient_samples
 from kgraph.geometry import inverse_metric_at
 from kgraph.operator import _get_operator
 
@@ -263,9 +272,198 @@ def test_strip_reference_extrapolates_unpinned_short_links(case, behind):
                for k in unpinned)
 
 
+# ---------------------------------------------------------------------------
+# per-node stencils, the oracles and the boundary gathers: references in
+# tests/data/{stencils,nondiv,jacfd,boundary}_*.npz hold the values of the
+# per-node loops these became array code of, with the input fields they
+# were computed from
+
+STENCIL_CASES = {   # chart factory, domain, h
+    "euclid20_offcentre": (kg.euclidean, kg.Disk((0.0137, -0.0219), 0.5), 1.0 / 20),
+    "aniso41_square25": (lambda: _chart("aniso41", _aniso41),
+                         kg.Rectangle(0.0, 0.0, 1.0, 1.0), 1.0 / 25),
+    "heis16": (kg.heisenberg, kg.Disk((0.0, 0.0), 1.0), 1.0 / 16),
+    # two rows: one-sided along y with no second sample behind
+    "euclid48_strip2": (kg.euclidean, _strip(2, 0.5), 1.0 / 48),
+    # three nodes in an L: no x stencil, no y stencil, no cross stencil
+    "euclid20_three_nodes": (kg.euclidean, kg.Disk((0.0, 0.37 / 20), 1.02 / 20), 1.0 / 20),
+}
+
+
+def stencil_values(case, u=None, bv=None):
+    """gradient_at and hessian_at at every node, with and without crossing
+    values; NaN and the StencilUnavailable message where a node has none."""
+    factory, domain, h = STENCIL_CASES[case]
+    grid = kg.build_grid(domain, h, factory())
+    u = _fields(grid.points)[0] if u is None else u
+    bv = _fields(grid.link_points)[0] if bv is None else bv
+    out = {"u": u, "bv": bv, "eta": grid.eta}
+    for tag, data in (("", None), ("_bv", bv)):
+        for name, stencil, shape in (("grad", kg.gradient_at, (2,)),
+                                     ("hess", kg.hessian_at, (2, 2))):
+            vals = np.full((grid.num_inside,) + shape, np.nan)
+            errors = []
+            for n in range(grid.num_inside):
+                try:
+                    vals[n] = stencil(grid, u, n, boundary_values=data)
+                    errors.append("")
+                except kg.StencilUnavailable as exc:
+                    errors.append(str(exc))
+            out[name + tag] = vals
+            out[name + tag + "_error"] = np.array(errors)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+def test_stencils_match_reference(case):
+    ref = np.load(DATA / f"stencils_{case}.npz")
+    got = stencil_values(case, ref["u"], ref["bv"])
+    for key in ref.files:
+        assert np.array_equal(got[key], ref[key], equal_nan=ref[key].dtype.kind == "f"), key
+
+
+def test_stencil_references_cover_every_branch():
+    """Without crossing values: nodes lacking each kind of stencil, and
+    one-sided second differences with no sample behind (d2u = 0).  With
+    them every axis stencil exists; only the cross term can be missing."""
+    refs = {case: np.load(DATA / f"stencils_{case}.npz") for case in STENCIL_CASES}
+    errors = {key: np.concatenate([ref[key] for ref in refs.values()])
+              for key in ("grad_error", "hess_error", "grad_bv_error", "hess_bv_error")}
+    assert any(e.startswith("no stencil along axis 0") for e in errors["grad_error"])
+    assert any(e.startswith("no stencil along axis 1") for e in errors["grad_error"])
+    assert any(e.startswith("no cross stencil") for e in errors["hess_error"])
+    assert not any(errors["grad_bv_error"])
+    assert all(e == "" or e.startswith("no cross stencil") for e in errors["hess_bv_error"])
+    assert np.any(refs["euclid48_strip2"]["hess"][:, 1, 1] == 0.0)
+
+
+ORACLE_CASES = {   # chart factory, domain, h, phi
+    "heis16": (kg.heisenberg, kg.Disk((0.0, 0.0), 1.0), 1.0 / 16, _saddle),
+    "heis32": (kg.heisenberg, kg.Disk((0.0, 0.0), 1.0), 1.0 / 32, _saddle),
+    "warped32": (lambda: kg.warped("1 + x^2 / 4", ric_lower=0.0, name="warped-mild"),
+                 kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, _saddle),
+    "euclid64": (kg.euclidean, kg.Disk((0.0, 0.0), 0.5), 1.0 / 64, _cap),
+    "euclid48_offcentre": (kg.euclidean, kg.Disk((0.0137, -0.0219), 0.5), 1.0 / 48, _cap),
+    "euclid96_centred": (kg.euclidean, kg.Disk((0.0, 0.0), 0.5), 1.0 / 96, _cap),
+}
+NONDIV_CASES = ("heis16", "heis32", "warped32", "euclid64")
+JACFD_CASES = ("heis16", "euclid48_offcentre", "euclid96_centred")
+
+
+def _oracle_setup(case, ref=None):
+    factory, domain, h, phi = ORACLE_CASES[case]
+    chart = factory()
+    grid = kg.build_grid(domain, h, chart)
+    op = _get_operator(chart, grid, 2)
+    if ref is None:
+        return op, _fields(grid.points)[0], phi(grid.link_points)
+    return op, ref["u"], ref["phi"]
+
+
+def nondiv_values(case, ref=None):
+    op, u, phi = _oracle_setup(case, ref)
+    H = np.full(op.grid.num_inside, 0.5)
+    return {"u": u, "phi": phi,
+            "full": op.residual_nondivergence(u, phi, H, gamma_mode="full"),
+            "symmetrized": op.residual_nondivergence(u, phi, H, gamma_mode="symmetrized")}
+
+
+def jacfd_values(case, ref=None):
+    op, u, phi = _oracle_setup(case, ref)
+    J = op.jacobian_fd(u, phi)
+    return {"u": u, "phi": phi, "data": J.data, "indices": J.indices, "indptr": J.indptr}
+
+
+@pytest.mark.parametrize("case", NONDIV_CASES)
+def test_residual_nondivergence_matches_reference(case):
+    ref = np.load(DATA / f"nondiv_{case}.npz")
+    got = nondiv_values(case, ref)
+    for key in ("full", "symmetrized"):
+        interior = np.isfinite(ref[key])
+        assert np.array_equal(np.isfinite(got[key]), interior), key
+        assert _rel_err(got[key][interior], ref[key][interior]) <= 1e-13, key
+
+
+@pytest.mark.parametrize("case", JACFD_CASES)
+def test_jacobian_fd_matches_reference(case):
+    ref = np.load(DATA / f"jacfd_{case}.npz")
+    got = jacfd_values(case, ref)
+    for key in ("indptr", "indices", "data"):
+        assert np.array_equal(got[key], ref[key]), key
+
+
+BOUNDARY_CASES = {   # problem factory, h
+    "cap64": (lambda: (kg.euclidean(), kg.Disk((0.0, 0.0), 0.5), 1.0, _cap), 1.0 / 64),
+    "curved_exp64": (lambda: (_chart("curved-exp", _curved_exp), kg.Disk((0.0, 0.0), 0.5),
+                              0.0, _saddle), 1.0 / 64),
+    # samples near the corners fall back to one-sided value differencing
+    "aniso41_rect64": (lambda: (_chart("aniso41", _aniso41), kg.Rectangle(-0.3, -0.2, 0.4, 0.3),
+                                0.0, _saddle), 1.0 / 64),
+}
+
+
+def gather_values(case, ref=None):
+    """Boundary gradient samples, integrals, boundary normals and Div."""
+    make, h = BOUNDARY_CASES[case]
+    chart, domain, H, phi = make()
+    grid = kg.build_grid(domain, h, chart)
+    spec = kg.ProblemSpec(chart=chart, domain=domain, H=H, phi=phi)
+    u, v = _fields(grid.points) if ref is None else (ref["u"], ref["v"])
+    bgeom = kg.boundary_geometry(chart, domain, samples=max(64, grid.num_links))
+    grad_norm, normal, tangential = boundary_gradient_samples(spec, grid, u, bgeom)
+    Div = _get_operator(chart, grid, 2).Div
+    return {"u": u, "v": v, "grad_norm": grad_norm, "normal": normal,
+            "tangential": tangential,
+            "integrals": np.array([kg.integrate(grid, w, chart)
+                                   for w in (u, v, np.ones(grid.num_inside))]),
+            "eta": grid.eta, "bgeom_eta": bgeom.eta, "bgeom_eta_minus": bgeom.eta_minus,
+            "bgeom_eta_plus": bgeom.eta_plus, "div_data": Div.data,
+            "div_indices": Div.indices, "div_indptr": Div.indptr}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_boundary_gathers_match_reference(case):
+    ref = np.load(DATA / f"boundary_{case}.npz")
+    got = gather_values(case, ref)
+    for key in ("grad_norm", "normal", "tangential", "integrals"):
+        assert got[key].shape == ref[key].shape
+        assert _rel_err(got[key], ref[key]) <= 1e-14, key
+    for key in ("eta", "bgeom_eta", "bgeom_eta_minus", "bgeom_eta_plus",
+                "div_data", "div_indices", "div_indptr"):
+        assert np.array_equal(got[key], ref[key]), key
+
+
+def test_boundary_reference_reaches_the_fallback():
+    """Some rectangle samples have an incomplete gradient cell, and some of
+    those an incomplete cell of the ghost-extended field as well."""
+    make, h = BOUNDARY_CASES["aniso41_rect64"]
+    chart, domain, _, _ = make()
+    grid = kg.build_grid(domain, h, chart)
+    ext = _get_operator(chart, grid, 2)._ext_id_map()
+    bgeom = kg.boundary_geometry(chart, domain, samples=max(64, grid.num_links))
+
+    def complete(id_map, depth):
+        p = bgeom.points + depth * h * bgeom.eta
+        ix = np.floor((p[:, 0] - grid.x_origin) / h).astype(int)
+        iy = np.floor((p[:, 1] - grid.y_origin) / h).astype(int)
+        return np.min([id_map[iy + sy, ix + sx] for sx in (0, 1) for sy in (0, 1)], axis=0) >= 0
+
+    fallback = ~(complete(grid.node_index, 1.5) & complete(grid.node_index, 2.5))
+    assert 0 < np.sum(fallback) < len(fallback)
+    assert np.any(fallback & ~complete(ext, 1.0))
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     for name in sorted(OPERATOR_CASES):
         _, values = operator_values(name)
         np.savez_compressed(DATA / f"operator_{name}.npz", **values)
         print(name, {k: v.shape for k, v in values.items()})
+    references = [("stencils", STENCIL_CASES, stencil_values),
+                  ("nondiv", NONDIV_CASES, nondiv_values),
+                  ("jacfd", JACFD_CASES, jacfd_values),
+                  ("boundary", BOUNDARY_CASES, gather_values)]
+    for prefix, cases, values_of in references:
+        for name in sorted(cases):
+            np.savez_compressed(DATA / f"{prefix}_{name}.npz", **values_of(name))
+            print(prefix, name)
