@@ -565,12 +565,13 @@ class FluxResult:
         return abs(self.imbalance) / (abs(self.boundary) + abs(self.bulk) + 1.0)
 
 
-def flux_balance(spec, grid, u, bgeom=None):
+def flux_balance(spec, grid, u, bgeom=None, _state=None):
     """Boundary flux of <Y, nu> against the bulk flux of n H <Y, N>.
 
     Both sides are expressed in base data: the boundary integrand is
     -f^{-1/2} hat_u(eta) / W per sigma arclength, the bulk integrand is
     n H (1/W) times the graph area element W f^{-1/2} per sigma area.
+    `_state` is `op.state` of u when the caller already has it.
     """
     chart = spec.chart
     u = grid.check_field(np.asarray(u, dtype=float), "u")
@@ -590,7 +591,9 @@ def flux_balance(spec, grid, u, bgeom=None):
     boundary = float(np.sum(-uhat_eta / (W_b * np.sqrt(f_b)) * bgeom.weights))
 
     op = _get_operator(chart, grid, spec.n)
-    state = op.state(u, spec.phi_links(grid), spec.H_nodes(grid))
+    state = _state
+    if state is None:
+        state = op.state(u, spec.phi_links(grid), spec.H_nodes(grid))
     H_vals = spec.H_nodes(grid)
     f_n = op.node_f
     # n H <Y, N> times the graph area element relative to sqrt(sigma) dx
@@ -615,19 +618,23 @@ class ThetaReport:
     passed: bool
 
 
-def theta_field(spec, grid, u, band_cells=1.5, slack=1e-6, require_pass=True):
+def theta_field(spec, grid, u, band_cells=1.5, slack=1e-6, require_pass=True,
+                _state=None):
     """Angle function Theta = <N, Y> = 1/W with its minimum location.
 
     For constant H the minimum must sit within one cell of the
     boundary, up to `slack`.  Both the 1/W normalization and the
     fiber-scaled f/W variant are reported; the minimum principle is
-    checked on 1/W.
+    checked on 1/W.  `_state` is `op.state` of u when the caller
+    already has it.
     """
     if not spec.H_is_constant(grid):
         raise ValueError("theta minimum principle applies to constant H only")
     u = grid.check_field(np.asarray(u, dtype=float), "u")
     op = _get_operator(spec.chart, grid, spec.n)
-    state = op.state(u, spec.phi_links(grid), spec.H_nodes(grid))
+    state = _state
+    if state is None:
+        state = op.state(u, spec.phi_links(grid), spec.H_nodes(grid))
     theta = 1.0 / state.W
     theta_scaled = op.node_f / state.W
     gap = float(np.max(np.abs(theta_scaled - theta)))
@@ -744,7 +751,7 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
             rep.items[name] = {"passed": False, "skipped": True,
                                "reason": "hypothesis check failed"}
 
-    flux = flux_balance(spec, grid, u, bgeom=bgeom)
+    flux = flux_balance(spec, grid, u, bgeom=bgeom, _state=state)
     flux_tol = max(1e-2, 5.0 * grid.h)
     rep.items["flux"] = {
         "passed": bool(flux.relative <= flux_tol),
@@ -755,7 +762,7 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
 
     if spec.H_is_constant(grid):
         try:
-            th = theta_field(spec, grid, u)
+            th = theta_field(spec, grid, u, _state=state)
             rep.items["theta"] = {
                 "passed": th.passed, "min_value": th.min_value,
                 "min_point": list(th.min_point),

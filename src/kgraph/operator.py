@@ -26,11 +26,13 @@ H = +1/R.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .errors import KGraphError
+from .errors import KGraphError, SingularJacobian
 from .geometry import _sqrt_det, christoffels_at, inverse_metric_at, kappa_vector_at
 from .grid import STEP_X, STEP_Y, _ext_index, _lattice_at, gradient_at
 
@@ -38,6 +40,10 @@ THETA_FLOOR = 1e-6  # ghost extrapolation keeps theta away from zero
 THETA_ELIM = 0.05   # below this, a node is pinned to boundary interpolation:
                     # extrapolation weights ~ 1/theta would otherwise amplify
                     # fp noise past any reasonable Newton tolerance
+LINEAR_TOL = 1e-6   # relative residual a sparse solve must reach: direct LU
+                    # gives ~1e-14 on healthy states, so a large one flags a
+                    # numerically singular matrix
+ND_LEAF = 32        # nested-dissection parts this small are not split further
 
 
 @dataclass(frozen=True)
@@ -435,8 +441,6 @@ class GraphOperator:
         machinery; used to warm-start Newton with boundary-compatible
         iterates so the saturating flux never sees the raw data jump.
         """
-        import scipy.sparse.linalg as spla
-
         if getattr(self, "_lap_T", None) is None:
             coef = []
             for m in range(2):
@@ -446,12 +450,63 @@ class GraphOperator:
                 coef.append(self.face_sqrt_det * sig_am)
             T = self.Div @ (sp.diags(coef[0]) @ self.Mq1 + sp.diags(coef[1]) @ self.Mq2)
             self._lap_T = T.tocsr()
-            self._lap_A = (T @ self.P).tocsc()
+            self._lap_A = (T @ self.P).tocsr()
         rhs = -(self._lap_T @ (self.B @ np.asarray(phi_vals, dtype=float)))
-        lift = spla.spsolve(self._lap_A, rhs)
-        if not np.all(np.isfinite(lift)):
-            raise KGraphError("harmonic lift solve returned non-finite values")
-        return lift
+        return self._solve(self._lap_A, rhs)
+
+    @cached_property
+    def _nd_order(self):
+        """Nested-dissection order of the inside nodes (George 1973).
+
+        Each part is bisected across its longer lattice axis by one
+        lattice line, the separator, which is numbered after both
+        halves.  The 3x3 interior stencil does not reach across the
+        line, so eliminating the halves first confines most LU fill to
+        them.
+        """
+        ij = self.grid.inside_ij
+        order = []
+
+        def split(idx):
+            if len(idx) <= ND_LEAF:
+                order.append(idx)
+                return
+            part = ij[idx]
+            lo, hi = part.min(axis=0), part.max(axis=0)
+            axis = int(np.argmax(hi - lo))
+            c = part[:, axis]
+            mid = (lo[axis] + hi[axis]) // 2
+            split(idx[c < mid])
+            split(idx[c > mid])
+            order.append(idx[c == mid])
+
+        split(np.arange(len(ij)))
+        return np.concatenate(order)
+
+    def _solve(self, A, rhs, tol=LINEAR_TOL):
+        """x with A x = rhs for an (N, N) sparse A over the inside nodes.
+
+        Sparse LU of A permuted symmetrically by `_nd_order`, with
+        SuperLU's threshold partial pivoting.  Raises SingularJacobian
+        when the factorization breaks down, or when x is not finite or
+        leaves a relative residual above `tol`.
+        """
+        p = self._nd_order
+        rhs = np.asarray(rhs, dtype=float)
+        try:
+            lu = spla.splu(A[p][:, p].tocsc(), permc_spec="NATURAL")
+        except RuntimeError as exc:
+            raise SingularJacobian(f"sparse factorization failed: {exc}") from None
+        x = np.empty_like(rhs)
+        x[p] = lu.solve(rhs[p])
+        if not np.all(np.isfinite(x)):
+            raise SingularJacobian("linear solve returned non-finite values")
+        denom = np.linalg.norm(rhs)
+        if denom > 0:
+            rel = np.linalg.norm(A @ x - rhs) / denom
+            if rel > tol:
+                raise SingularJacobian(f"linear solve relative residual {rel:.2e}")
+        return x
 
     def state(self, u, phi_vals, H_vals):
         u_ext = self.extend(u, phi_vals)

@@ -14,10 +14,9 @@ import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import (ContinuationStalled, DivergedIterates, SingularJacobian)
-from .operator import _eval_data, _get_operator
+from .operator import LINEAR_TOL, _eval_data, _get_operator
 
 SCHEMA_VERSION = 1
 
@@ -31,7 +30,7 @@ class SolveConfig:
     max_step_sup: float = 2.0      # per-iteration sup-norm step cap
     dsigma_init: float = 0.25
     dsigma_min: float = 2.0 ** -10
-    linear_tol: float = 1e-12      # relative residual required of linear solves
+    linear_tol: float = LINEAR_TOL  # relative residual required of linear solves
     diverge_sup: float = 1e6       # iterate blow-up guard
     try_direct: bool = True        # attempt sigma = 1 before walking the path
     scale_phi: bool = True         # continuation scales phi together with H
@@ -65,23 +64,6 @@ class _NewtonFailure(Exception):
     """Internal: one continuation step did not converge."""
 
 
-def _linear_solve(J, rhs, cfg):
-    try:
-        s = spla.spsolve(J.tocsc(), rhs)
-    except RuntimeError as exc:
-        raise SingularJacobian(f"sparse factorization failed: {exc}") from None
-    if not np.all(np.isfinite(s)):
-        raise SingularJacobian("linear solve returned non-finite values")
-    denom = np.linalg.norm(rhs)
-    if denom > 0:
-        rel = np.linalg.norm(J @ s - rhs) / denom
-        # direct factorization reaches ~1e-14 on healthy states; a large
-        # relative residual flags a numerically singular linearization
-        if rel > 1e-6:
-            raise SingularJacobian(f"linear solve relative residual {rel:.2e}")
-    return s
-
-
 def newton_solve(op, u0, phi_vals, H_vals, cfg, monitor=None):
     """Damped Newton on the residual; returns (u, iterations, history).
 
@@ -104,7 +86,7 @@ def newton_solve(op, u0, phi_vals, H_vals, cfg, monitor=None):
             J = op.jacobian_fd(u, phi_vals)
         else:
             J = op.jacobian(u, phi_vals)
-        s = _linear_solve(J, -r, cfg)
+        s = op._solve(J, -r, cfg.linear_tol)
         m0 = float(r @ r)
         accepted = False
         fallback = None

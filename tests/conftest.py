@@ -66,6 +66,23 @@ def warp():
 
 
 @pytest.fixture(scope="session")
+def curved():
+    """sigma = diag(e^{2x}, 1): the curved-exp chart."""
+    def metric(P):
+        P = np.asarray(P)
+        out = np.zeros(P.shape[:-1] + (2, 2))
+        out[..., 0, 0] = np.exp(2.0 * P[..., 0])
+        out[..., 1, 1] = 1.0
+        return out
+
+    return kg.SubmersionChart(
+        name="curved-exp", metric=metric,
+        f=lambda P: np.ones(np.asarray(P).shape[:-1]),
+        delta=lambda P: np.zeros(np.asarray(P).shape[:-1] + (2,)),
+        ric_lower=0.0, flat_metric=False)
+
+
+@pytest.fixture(scope="session")
 def cap_64(euclid):
     return _solve_case("cap-64", euclid, kg.Disk((0.0, 0.0), 0.5), 1.0,
                        cap_trace(), 1.0 / 64)

@@ -5,6 +5,7 @@ import pytest
 
 import kgraph as kg
 from kgraph.errors import CertificateFailed, MinPrincipleViolated, TubularWidthExceeded
+from kgraph.operator import _get_operator
 from conftest import cap_trace, saddle
 
 CAP = cap_trace()
@@ -300,3 +301,18 @@ class TestVerify:
         payload = kg.verify(cap_64.spec, cap_64.grid, cap_64.u).to_json_dict()
         assert payload["schema"] == 1
         assert payload["passed"] is True
+
+    def test_state_evaluated_once(self, cap_64, monkeypatch):
+        # verify hands its one op.state to the flux and theta checks,
+        # which give what they give when called on their own
+        spec, grid, u = cap_64.spec, cap_64.grid, cap_64.u
+        op = _get_operator(spec.chart, grid, spec.n)
+        calls = []
+        state = op.state
+        monkeypatch.setattr(op, "state", lambda *a: calls.append(a) or state(*a))
+        items = kg.verify(spec, grid, u).items
+        assert len(calls) == 1
+        monkeypatch.undo()
+        flux = kg.flux_balance(spec, grid, u)
+        assert (items["flux"]["boundary"], items["flux"]["bulk"]) == (flux.boundary, flux.bulk)
+        assert items["theta"]["min_value"] == kg.theta_field(spec, grid, u).min_value

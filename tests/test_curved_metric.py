@@ -13,22 +13,6 @@ import kgraph as kg
 
 
 @pytest.fixture(scope="module")
-def curved():
-    def metric(P):
-        P = np.asarray(P)
-        out = np.zeros(P.shape[:-1] + (2, 2))
-        out[..., 0, 0] = np.exp(2.0 * P[..., 0])
-        out[..., 1, 1] = 1.0
-        return out
-
-    return kg.SubmersionChart(
-        name="curved-exp", metric=metric,
-        f=lambda P: np.ones(np.asarray(P).shape[:-1]),
-        delta=lambda P: np.zeros(np.asarray(P).shape[:-1] + (2,)),
-        ric_lower=0.0, flat_metric=False)
-
-
-@pytest.fixture(scope="module")
 def solved(curved):
     dom = kg.Disk((0.0, 0.0), 0.5)
     grid = kg.build_grid(dom, 1.0 / 32, curved)

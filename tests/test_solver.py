@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import kgraph as kg
-from kgraph.errors import ContinuationStalled
+from kgraph.errors import ContinuationStalled, SingularJacobian
 from kgraph.operator import _get_operator
 from kgraph.solver import newton_solve
 from conftest import cap_trace, saddle, smooth_random_field
@@ -185,6 +187,103 @@ class TestContinuation:
             sols.append(u)
         for a in sols[1:]:
             assert np.abs(a - sols[0]).max() <= 1e-8
+
+
+def _wave(P):
+    return 0.2 * np.sin(2 * np.asarray(P)[..., 1])
+
+
+LINEAR_CASES = {   # chart fixture, disk radius, h, H, phi
+    "euclid-cap-64": ("euclid", 0.5, 1.0 / 64, 1.0, CAP),
+    "heis-saddle-48": ("heis", 1.0, 1.0 / 48, 0.0, saddle),
+    "curved-exp-64": ("curved", 0.5, 1.0 / 64, 0.0, _wave),
+}
+
+
+def _at_lift(request, case):
+    """(op, J, rhs, phi): the Newton system at the harmonic lift."""
+    chart_name, radius, h, H, phi = LINEAR_CASES[case]
+    chart = request.getfixturevalue(chart_name)
+    grid = kg.build_grid(kg.Disk((0.0, 0.0), radius), h, chart)
+    op = _get_operator(chart, grid, 2)
+    phi_vals = phi(grid.link_points)
+    lift = op.laplace_lift(phi_vals)
+    J = op.jacobian(lift, phi_vals)
+    rhs = -op.residual(lift, phi_vals, np.full(grid.num_inside, float(H)))
+    return op, J, rhs, phi_vals
+
+
+def _rel(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+class TestLinearSolve:
+    """Every sparse LU goes through `GraphOperator._solve`, which factors
+    in one nested-dissection order per operator."""
+
+    @pytest.mark.parametrize("case", sorted(LINEAR_CASES))
+    def test_ordered_solve_matches_spsolve(self, request, case):
+        op, J, rhs, _ = _at_lift(request, case)
+        assert _rel(op._solve(J, rhs), spla.spsolve(J.tocsc(), rhs)) <= 1e-10
+
+    @pytest.mark.parametrize("case", sorted(LINEAR_CASES))
+    def test_lift_matches_spsolve(self, request, case):
+        op, _, _, phi_vals = _at_lift(request, case)
+        rhs = -(op._lap_T @ (op.B @ phi_vals))
+        ref = spla.spsolve(op._lap_A.tocsc(), rhs)
+        assert _rel(op.laplace_lift(phi_vals), ref) <= 1e-10
+
+    def test_order_is_built_once_per_operator(self, euclid):
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
+        op = _get_operator(euclid, grid, 2)
+        phi = CAP(grid.link_points)
+        H = np.ones(grid.num_inside)
+        newton_solve(op, op.laplace_lift(phi), phi, H, kg.SolveConfig())
+        order = op._nd_order
+        assert np.array_equal(np.sort(order), np.arange(grid.num_inside))
+        newton_solve(op, np.zeros(grid.num_inside), phi, H, kg.SolveConfig())
+        assert op._nd_order is order
+        # the top-level separator, the middle lattice column of the
+        # square bounding box, comes last
+        ix = grid.inside_ij[:, 0]
+        mid = (ix.min() + ix.max()) // 2
+        last = order[-int(np.sum(ix == mid)):]
+        assert np.all(ix[last] == mid)
+
+    def test_order_fills_less_than_colamd(self, request):
+        op, J, _, _ = _at_lift(request, "euclid-cap-64")
+        p = op._nd_order
+        nd = spla.splu(J[p][:, p].tocsc(), permc_spec="NATURAL")
+        colamd = spla.splu(J.tocsc())
+        assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+    def test_zeroed_row_is_singular(self, request, monkeypatch):
+        op, J, rhs, phi_vals = _at_lift(request, "euclid-cap-64")
+        keep = np.ones(J.shape[0])
+        keep[J.shape[0] // 2] = 0.0
+        J0 = (sp.diags(keep) @ J).tocsr()
+        with pytest.raises(SingularJacobian, match="factorization failed"):
+            op._solve(J0, rhs)
+        # newton_solve lets it through to the continuation
+        monkeypatch.setattr(op, "jacobian", lambda u, phi: J0)
+        with pytest.raises(SingularJacobian):
+            newton_solve(op, np.zeros(J.shape[0]), phi_vals,
+                         np.ones(J.shape[0]), kg.SolveConfig())
+
+    def test_non_finite_rhs_is_singular(self, request):
+        op, J, rhs, _ = _at_lift(request, "euclid-cap-64")
+        rhs[7] = np.nan
+        with pytest.raises(SingularJacobian, match="non-finite"):
+            op._solve(J, rhs)
+
+    def test_linear_tol_is_read(self, euclid):
+        # healthy solves reach ~1e-14, so a 1e-20 bound must refuse them
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
+        op = _get_operator(euclid, grid, 2)
+        phi = CAP(grid.link_points)
+        with pytest.raises(SingularJacobian, match="relative residual"):
+            newton_solve(op, op.laplace_lift(phi), phi, np.ones(grid.num_inside),
+                         kg.SolveConfig(linear_tol=1e-20))
 
 
 class TestReport:
