@@ -21,7 +21,7 @@ from .errors import (CertificateFailed, MinPrincipleViolated,
                      TubularWidthExceeded)
 from .geometry import _eig_bounds_2x2, christoffels_at, kappa_vector_at
 from .grid import Rectangle, _inward_sigma_normals, integrate
-from .operator import _get_operator
+from .operator import _get_operator, _is_constant
 
 CURVE_DT = 2e-4          # parameter differencing step, scaled by period/(2 pi)
 GEOM_H_FD = 1e-3         # chart differencing step for boundary geometry
@@ -165,16 +165,18 @@ class HypothesisVerdict:
         return out
 
 
-def hypothesis_check(spec, bgeom, grid=None):
+def hypothesis_check(spec, bgeom, grid=None, _H_vals=None):
     """Checks sup|H| <= inf H_cyl, H_cyl > 0 and the Ricci lower bound.
 
     The three inequalities are reported with their numeric slack; the
-    verdict is their conjunction.
+    verdict is their conjunction.  `_H_vals` is `spec.H_nodes(grid)`
+    when the caller already has it.
     """
     H_bdry = np.abs(spec.H_at(bgeom.points))
     sup_H = float(np.max(H_bdry))
     if grid is not None:
-        sup_H = max(sup_H, float(np.max(np.abs(spec.H_nodes(grid)))))
+        H_vals = spec.H_nodes(grid) if _H_vals is None else _H_vals
+        sup_H = max(sup_H, float(np.max(np.abs(H_vals))))
     inf_c = bgeom.inf_H_cyl
     n = bgeom.n
     ric = float(spec.chart.ric_lower)
@@ -328,7 +330,7 @@ def _nearest_sample(grid, bgeom, pts):
     return idx[np.arange(len(pts)), np.argmin(d2, axis=1)]
 
 
-def boundary_gradient_samples(spec, grid, u, bgeom):
+def boundary_gradient_samples(spec, grid, u, bgeom, _phi_vals=None):
     """sup-norm data of grad u along the boundary.
 
     The normal derivative comes from the nodal gradient field (itself
@@ -336,7 +338,8 @@ def boundary_gradient_samples(spec, grid, u, bgeom):
     extrapolated linearly back to the boundary; the tangential
     derivative comes from the boundary data.  Falls back to one-sided
     value differencing where the interpolation cells are incomplete.
-    Returns (grad_norms, normal_derivs, tangential_derivs).
+    Returns (grad_norms, normal_derivs, tangential_derivs).  `_phi_vals`
+    is `spec.phi_links(grid)` when the caller already has it.
     """
     chart = spec.chart
     h = grid.h
@@ -349,7 +352,8 @@ def boundary_gradient_samples(spec, grid, u, bgeom):
     tang_deriv = dphi_dt / speed            # derivative along the sigma-unit tangent
 
     op = _get_operator(chart, grid, spec.n)
-    u_ext = op.extend(np.asarray(u, dtype=float), spec.phi_links(grid))
+    phi_vals = spec.phi_links(grid) if _phi_vals is None else _phi_vals
+    u_ext = op.extend(np.asarray(u, dtype=float), phi_vals)
     grad = np.column_stack([op.Gx @ u_ext, op.Gy @ u_ext])
 
     a, b = 1.5 * h, 2.5 * h   # gradient sample depths; cells there avoid ghosts
@@ -401,17 +405,19 @@ def height_barrier(C, A, d):
     return np.exp(C * A) / C * (1.0 - np.exp(-C * np.asarray(d, dtype=float)))
 
 
-def height_barrier_certificate(spec, grid, u, bgeom=None, band=None, ladder=None):
+def height_barrier_certificate(spec, grid, u, bgeom=None, band=None, ladder=None,
+                               _phi_vals=None):
     """Smallest ladder constant whose distance barrier encloses u.
 
     Checks phi_sup + h(d) >= u and phi_inf - h(d) <= u pointwise (on
     the whole domain for flat charts, on the distance band `band`
     otherwise), and independently the crude bound
     sup|u| <= sup h + sup|phi|.  Raises CertificateFailed when the
-    ladder is exhausted.
+    ladder is exhausted.  `_phi_vals` is `spec.phi_links(grid)` when the
+    caller already has it.
     """
     u = grid.check_field(np.asarray(u, dtype=float), "u")
-    phi_vals = spec.phi_links(grid)
+    phi_vals = spec.phi_links(grid) if _phi_vals is None else _phi_vals
     phi_sup = float(np.max(phi_vals))
     phi_inf = float(np.min(phi_vals))
     d = grid.dist
@@ -485,7 +491,7 @@ def _extension_condition(spec, bgeom):
 
 
 def boundary_gradient_certificate(spec, grid, u, params=None, bgeom=None,
-                                  eps=None, ladder=None):
+                                  eps=None, ladder=None, _samples=None):
     """Logarithmic barrier certificate for the boundary gradient.
 
     Verifies phi_ext + psi(d) >= u and phi_ext - psi(d) <= u on the
@@ -493,6 +499,8 @@ def boundary_gradient_certificate(spec, grid, u, params=None, bgeom=None,
     linear tilt is substituted when the strict extension condition
     fails).  Reports sup |grad u| on the boundary and the bound implied
     by psi'(0) = mu K.  Searches (K, C) ladders when params is None.
+    `_samples` is `boundary_gradient_samples` of u on bgeom when the
+    caller already has it.
     """
     u = grid.check_field(np.asarray(u, dtype=float), "u")
     if bgeom is None:
@@ -519,7 +527,9 @@ def boundary_gradient_certificate(spec, grid, u, params=None, bgeom=None,
         phi_ext = phi_feet + slope[feet] * d[band]
         slope_sup = float(np.max(np.abs(slope)))
 
-    grad_norm, _, tang = boundary_gradient_samples(spec, grid, u, bgeom)
+    if _samples is None:
+        _samples = boundary_gradient_samples(spec, grid, u, bgeom)
+    grad_norm, _, tang = _samples
     sup_grad = float(np.max(grad_norm))
     tol = 1e-9 * (1.0 + np.max(np.abs(u)))
 
@@ -565,13 +575,15 @@ class FluxResult:
         return abs(self.imbalance) / (abs(self.boundary) + abs(self.bulk) + 1.0)
 
 
-def flux_balance(spec, grid, u, bgeom=None, _state=None):
+def flux_balance(spec, grid, u, bgeom=None, _state=None, _samples=None, _H_vals=None):
     """Boundary flux of <Y, nu> against the bulk flux of n H <Y, N>.
 
     Both sides are expressed in base data: the boundary integrand is
     -f^{-1/2} hat_u(eta) / W per sigma arclength, the bulk integrand is
     n H (1/W) times the graph area element W f^{-1/2} per sigma area.
-    `_state` is `op.state` of u when the caller already has it.
+    `_state` (`op.state` of u), `_samples` (`boundary_gradient_samples`
+    of u on bgeom) and `_H_vals` (`spec.H_nodes(grid)`) are for a caller
+    that already has them.
     """
     chart = spec.chart
     u = grid.check_field(np.asarray(u, dtype=float), "u")
@@ -579,7 +591,9 @@ def flux_balance(spec, grid, u, bgeom=None, _state=None):
         bgeom = boundary_geometry(chart, spec.domain,
                                   samples=max(64, grid.num_links), n=spec.n)
 
-    _, norm_deriv, tang_deriv = boundary_gradient_samples(spec, grid, u, bgeom)
+    if _samples is None:
+        _samples = boundary_gradient_samples(spec, grid, u, bgeom)
+    _, norm_deriv, tang_deriv = _samples
     f_b = chart.f_at(bgeom.points)
     tilt = np.sqrt(f_b)[:, None] * chart.delta_at(bgeom.points)
     sig = chart.metric_at(bgeom.points)
@@ -591,10 +605,10 @@ def flux_balance(spec, grid, u, bgeom=None, _state=None):
     boundary = float(np.sum(-uhat_eta / (W_b * np.sqrt(f_b)) * bgeom.weights))
 
     op = _get_operator(chart, grid, spec.n)
+    H_vals = spec.H_nodes(grid) if _H_vals is None else _H_vals
     state = _state
     if state is None:
-        state = op.state(u, spec.phi_links(grid), spec.H_nodes(grid))
-    H_vals = spec.H_nodes(grid)
+        state = op.state(u, spec.phi_links(grid), H_vals)
     f_n = op.node_f
     # n H <Y, N> times the graph area element relative to sqrt(sigma) dx
     integrand = spec.n * H_vals * (1.0 / state.W) * (state.W / np.sqrt(f_n))
@@ -619,22 +633,23 @@ class ThetaReport:
 
 
 def theta_field(spec, grid, u, band_cells=1.5, slack=1e-6, require_pass=True,
-                _state=None):
+                _state=None, _H_vals=None):
     """Angle function Theta = <N, Y> = 1/W with its minimum location.
 
     For constant H the minimum must sit within one cell of the
     boundary, up to `slack`.  Both the 1/W normalization and the
     fiber-scaled f/W variant are reported; the minimum principle is
-    checked on 1/W.  `_state` is `op.state` of u when the caller
-    already has it.
+    checked on 1/W.  `_state` (`op.state` of u) and `_H_vals`
+    (`spec.H_nodes(grid)`) are for a caller that already has them.
     """
-    if not spec.H_is_constant(grid):
+    H_vals = spec.H_nodes(grid) if _H_vals is None else _H_vals
+    if not _is_constant(H_vals):
         raise ValueError("theta minimum principle applies to constant H only")
     u = grid.check_field(np.asarray(u, dtype=float), "u")
     op = _get_operator(spec.chart, grid, spec.n)
     state = _state
     if state is None:
-        state = op.state(u, spec.phi_links(grid), spec.H_nodes(grid))
+        state = op.state(u, spec.phi_links(grid), H_vals)
     theta = 1.0 / state.W
     theta_scaled = op.node_f / state.W
     gap = float(np.max(np.abs(theta_scaled - theta)))
@@ -679,13 +694,18 @@ class VerifyReport:
 
 
 def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
-    """Run every applicable certificate on a solved field."""
-    from .operator import residual as residual_of
+    """Run every applicable certificate on a solved field.
 
+    The problem data on the grid, the operator state and the boundary
+    gradient samples are evaluated once and handed to every check.
+    """
     rep = VerifyReport()
     u = grid.check_field(np.asarray(u, dtype=float), "u")
+    op = _get_operator(spec.chart, grid, spec.n)
+    H_vals = spec.H_nodes(grid)
+    phi_vals = spec.phi_links(grid)
 
-    r = residual_of(spec, grid, u)
+    r = op.residual(u, phi_vals, H_vals)
     res_inf = float(np.max(np.abs(r)))
     rep.items["residual"] = {
         "passed": bool(res_inf <= 2.0 * newton_tol),
@@ -693,8 +713,7 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
         "tolerance": 2.0 * newton_tol,
     }
 
-    op = _get_operator(spec.chart, grid, spec.n)
-    state = op.state(u, spec.phi_links(grid), spec.H_nodes(grid))
+    state = op.state(u, phi_vals, H_vals)
     rng = np.random.default_rng(rng_seed)
     xi = rng.normal(size=(8, 2))
     quad = np.einsum("nij,ki,kj->nk", state.A, xi, xi)
@@ -708,13 +727,15 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
 
     bgeom = boundary_geometry(spec.chart, spec.domain,
                               samples=max(64, grid.num_links), n=spec.n)
-    hypo = hypothesis_check(spec, bgeom, grid=grid)
+    hypo = hypothesis_check(spec, bgeom, grid=grid, _H_vals=H_vals)
+    samples = boundary_gradient_samples(spec, grid, u, bgeom, _phi_vals=phi_vals)
     rep.items["hypothesis"] = dict(hypo.as_dict(), passed=hypo.passed,
                                    advisory=True)
 
     if hypo.passed:
         try:
-            hc = height_barrier_certificate(spec, grid, u, bgeom=bgeom)
+            hc = height_barrier_certificate(spec, grid, u, bgeom=bgeom,
+                                            _phi_vals=phi_vals)
             rep.items["height_barrier"] = {
                 "passed": True, "C": hc.C, "A": hc.A,
                 "min_margin": float(np.min(hc.margin)),
@@ -724,7 +745,8 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
         except CertificateFailed as exc:
             rep.items["height_barrier"] = {"passed": False, "reason": str(exc)}
         try:
-            gc = boundary_gradient_certificate(spec, grid, u, bgeom=bgeom)
+            gc = boundary_gradient_certificate(spec, grid, u, bgeom=bgeom,
+                                               _samples=samples)
             rep.items["gradient_barrier"] = {
                 "passed": True, "K": gc.params.K, "C": gc.params.C,
                 "mu": gc.params.mu, "extension": gc.extension,
@@ -751,7 +773,8 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
             rep.items[name] = {"passed": False, "skipped": True,
                                "reason": "hypothesis check failed"}
 
-    flux = flux_balance(spec, grid, u, bgeom=bgeom, _state=state)
+    flux = flux_balance(spec, grid, u, bgeom=bgeom, _state=state,
+                        _samples=samples, _H_vals=H_vals)
     flux_tol = max(1e-2, 5.0 * grid.h)
     rep.items["flux"] = {
         "passed": bool(flux.relative <= flux_tol),
@@ -760,9 +783,9 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
         "tolerance": flux_tol,
     }
 
-    if spec.H_is_constant(grid):
+    if _is_constant(H_vals):
         try:
-            th = theta_field(spec, grid, u, _state=state)
+            th = theta_field(spec, grid, u, _state=state, _H_vals=H_vals)
             rep.items["theta"] = {
                 "passed": th.passed, "min_value": th.min_value,
                 "min_point": list(th.min_point),

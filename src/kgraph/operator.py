@@ -79,8 +79,11 @@ class ProblemSpec:
         return vals
 
     def H_is_constant(self, grid, tol=1e-12):
-        vals = self.H_nodes(grid)
-        return float(np.ptp(vals)) <= tol * (1.0 + float(np.max(np.abs(vals))))
+        return _is_constant(self.H_nodes(grid), tol)
+
+
+def _is_constant(vals, tol=1e-12):
+    return float(np.ptp(vals)) <= tol * (1.0 + float(np.max(np.abs(vals))))
 
 
 def _eval_data(data, points):
@@ -166,9 +169,8 @@ class GraphOperator:
         L = max(grid.num_links, 1)
         self._elim_J = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
         self._elim_phi = sp.csr_matrix((coefs[:, 0] * scale, (n, k)), shape=(N, L))
-        keep = np.ones(N)
-        keep[self.elim_nodes] = 0.0
-        self._keep_diag = sp.diags(keep)
+        self._keep = np.ones(N)
+        self._keep[self.elim_nodes] = 0.0
         self._elim_any = len(self.elim_nodes) > 0
 
     # -- assembly of constant sparse operators --------------------------
@@ -369,6 +371,33 @@ class GraphOperator:
         """The curvature operator Q[u] alone (no H subtraction)."""
         return self.residual(u, phi_vals, np.zeros(self.grid.num_inside))
 
+    def _linear_coefficients(self, u, phi_vals):
+        """Coefficients of the residual's linearization at u.
+
+        Returns (face, low): per face, the flux derivative along Mq1
+        (m = 0) and Mq2 (m = 1), sqrt(det sigma) A^{axis m} / W^3 with A
+        the quasilinear coefficient matrix; per node, the lower-order
+        term's derivative along Gx and Gy.  `jacobian` assembles them and
+        `jacobian_action` applies them, so both use one formula.
+        """
+        u_ext = self.extend(u, phi_vals)
+        _, up_f, W_f = self._face_state(u_ext)
+        sig_f = self.face_siginv
+        alpha = self.face_axis
+        up_alpha = np.take_along_axis(up_f, alpha[:, None], axis=1)[:, 0]
+        W2 = W_f * W_f
+        face = []
+        for m in range(2):
+            sig_am = np.take_along_axis(sig_f[:, :, m], alpha[:, None], axis=1)[:, 0]
+            A_am = W2 * sig_am - up_alpha * up_f[:, m]
+            face.append(self.face_sqrt_det * A_am / (W_f * W2))
+
+        _, up_n, W_n = self._node_state(u_ext)
+        kup = np.einsum("ni,ni->n", self.node_kappa, up_n)
+        ksig = np.einsum("ni,nim->nm", self.node_kappa, self.node_siginv)
+        low = [-(ksig[:, m] / W_n - kup * up_n[:, m] / W_n ** 3) for m in range(2)]
+        return face, low
+
     def jacobian(self, u, phi_vals):
         """Analytic sparse Jacobian of `residual` in u at fixed phi.
 
@@ -377,30 +406,33 @@ class GraphOperator:
         linearization is inherited from the pointwise inequality
         f |xi|^2 <= A xi xi <= W^2 |xi|^2.
         """
-        u_ext = self.extend(u, phi_vals)
-        c_f, up_f, W_f = self._face_state(u_ext)
-        sig_f = self.face_siginv
-        alpha = self.face_axis
-        up_alpha = np.take_along_axis(up_f, alpha[:, None], axis=1)[:, 0]
-        W2 = W_f * W_f
-        coef = []
-        for m in range(2):
-            sig_am = np.take_along_axis(sig_f[:, :, m], alpha[:, None], axis=1)[:, 0]
-            A_am = W2 * sig_am - up_alpha * up_f[:, m]
-            coef.append(self.face_sqrt_det * A_am / (W_f * W2))
-        flux_part = (sp.diags(coef[0]) @ self.Mq1 + sp.diags(coef[1]) @ self.Mq2)
-
-        c_n, up_n, W_n = self._node_state(u_ext)
-        kup = np.einsum("ni,ni->n", self.node_kappa, up_n)
-        low_coef = []
-        for m in range(2):
-            ksig = np.einsum("ni,nim->nm", self.node_kappa, self.node_siginv)[:, m]
-            low_coef.append(-(ksig / W_n - kup * up_n[:, m] / W_n ** 3))
-        low_part = sp.diags(low_coef[0]) @ self.Gx + sp.diags(low_coef[1]) @ self.Gy
+        face, low = self._linear_coefficients(u, phi_vals)
+        flux_part = (sp.diags(face[0]) @ self.Mq1 + sp.diags(face[1]) @ self.Mq2)
+        low_part = sp.diags(low[0]) @ self.Gx + sp.diags(low[1]) @ self.Gy
         J = ((self.Div @ flux_part + low_part) @ self.P).tocsr()
         if self._elim_any:
-            J = (self._keep_diag @ J + self._elim_J).tocsr()
+            J = (sp.diags(self._keep) @ J + self._elim_J).tocsr()
         return J
+
+    def jacobian_action(self, u, phi_vals):
+        """`jacobian(u, phi_vals)` as a LinearOperator, never assembled.
+
+        Each product costs a handful of sparse matvecs with the fixed
+        incidence matrices.
+        """
+        face, low = self._linear_coefficients(u, phi_vals)
+
+        def matvec(v):
+            v = np.ravel(v)
+            e = self.P @ v
+            out = (self.Div @ (face[0] * (self.Mq1 @ e) + face[1] * (self.Mq2 @ e))
+                   + low[0] * (self.Gx @ e) + low[1] * (self.Gy @ e))
+            if self._elim_any:
+                out = self._keep * out + self._elim_J @ v
+            return out
+
+        N = self.grid.num_inside
+        return spla.LinearOperator((N, N), matvec=matvec, dtype=float)
 
     def jacobian_fd(self, u, phi_vals, eps=1e-6):
         """Colored central finite-difference Jacobian; the trusted oracle.
@@ -434,12 +466,14 @@ class GraphOperator:
         return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                              shape=(N, N))
 
-    def laplace_lift(self, phi_vals):
+    def laplace_lift(self, phi_vals, _lu_slot=None):
         """Discrete harmonic extension of the boundary data.
 
         Solves the linear metric Laplacian with the same ghost
         machinery; used to warm-start Newton with boundary-compatible
         iterates so the saturating flux never sees the raw data jump.
+        `_lu_slot`, a dict, receives the Laplacian's factorization under
+        "lu" for a caller that reuses it.
         """
         if getattr(self, "_lap_T", None) is None:
             coef = []
@@ -452,7 +486,7 @@ class GraphOperator:
             self._lap_T = T.tocsr()
             self._lap_A = (T @ self.P).tocsr()
         rhs = -(self._lap_T @ (self.B @ np.asarray(phi_vals, dtype=float)))
-        return self._solve(self._lap_A, rhs)
+        return self._solve(self._lap_A, rhs, lu_slot=_lu_slot)
 
     @cached_property
     def _nd_order(self):
@@ -483,29 +517,25 @@ class GraphOperator:
         split(np.arange(len(ij)))
         return np.concatenate(order)
 
-    def _solve(self, A, rhs, tol=LINEAR_TOL):
+    def _solve(self, A, rhs, tol=LINEAR_TOL, lu_slot=None):
         """x with A x = rhs for an (N, N) sparse A over the inside nodes.
 
         Sparse LU of A permuted symmetrically by `_nd_order`, with
         SuperLU's threshold partial pivoting.  Raises SingularJacobian
         when the factorization breaks down, or when x is not finite or
-        leaves a relative residual above `tol`.
+        leaves a relative residual above `tol`.  `lu_slot`, a dict,
+        receives the factorization under "lu".
         """
-        p = self._nd_order
         rhs = np.asarray(rhs, dtype=float)
-        try:
-            lu = spla.splu(A[p][:, p].tocsc(), permc_spec="NATURAL")
-        except RuntimeError as exc:
-            raise SingularJacobian(f"sparse factorization failed: {exc}") from None
-        x = np.empty_like(rhs)
-        x[p] = lu.solve(rhs[p])
+        lu = _Factorization(A, self._nd_order)
+        if lu_slot is not None:
+            lu_slot["lu"] = lu
+        x = lu.solve(rhs)
         if not np.all(np.isfinite(x)):
             raise SingularJacobian("linear solve returned non-finite values")
-        denom = np.linalg.norm(rhs)
-        if denom > 0:
-            rel = np.linalg.norm(A @ x - rhs) / denom
-            if rel > tol:
-                raise SingularJacobian(f"linear solve relative residual {rel:.2e}")
+        rel = _relative_residual(A, x, rhs)
+        if rel > tol:
+            raise SingularJacobian(f"linear solve relative residual {rel:.2e}")
         return x
 
     def state(self, u, phi_vals, H_vals):
@@ -579,6 +609,36 @@ class GraphOperator:
         out[idx] = (np.einsum("nik,nki->n", A, M)
                     - (self.node_f[idx] + W2) * kup) / W[idx] ** 3 - Hv[idx]
         return out
+
+
+class _Factorization:
+    """Sparse LU of an (N, N) matrix permuted symmetrically by `order`.
+
+    `solve` takes and returns vectors in the original node order.
+    """
+
+    def __init__(self, A, order):
+        try:
+            self._lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL")
+        except RuntimeError as exc:
+            raise SingularJacobian(f"sparse factorization failed: {exc}") from None
+        self._order = order
+
+    def solve(self, rhs):
+        x = np.empty_like(rhs)
+        x[self._order] = self._lu.solve(rhs[self._order])
+        return x
+
+
+def _relative_residual(A, x, rhs):
+    """|A x - rhs| / |rhs|, 0 for a zero rhs; not finite when x is not.
+
+    A is a sparse matrix or a LinearOperator.
+    """
+    denom = np.linalg.norm(rhs)
+    if denom == 0:
+        return 0.0
+    return float(np.linalg.norm(A @ x - rhs) / denom)
 
 
 def _weights_by_branch(t, branches):

@@ -16,9 +16,11 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import (ContinuationStalled, DivergedIterates, SingularJacobian)
-from .operator import LINEAR_TOL, _eval_data, _get_operator
+from .operator import LINEAR_TOL, _eval_data, _get_operator, _relative_residual
 
 SCHEMA_VERSION = 1
+KRYLOV_MAX = 12   # GMRES iterations a Newton step spends on a reused LU
+                  # before it refactors
 
 
 @dataclass
@@ -64,15 +66,72 @@ class _NewtonFailure(Exception):
     """Internal: one continuation step did not converge."""
 
 
-def newton_solve(op, u0, phi_vals, H_vals, cfg, monitor=None):
+def _gmres(A, M, b, tol, maxiter):
+    """x = M y with |A x - b| <= tol |b|, by GMRES on A M; None on a miss.
+
+    Preconditioning from the right keeps the minimized residual the true
+    one.  Classical Gram-Schmidt, applied twice, orthogonalizes against
+    all earlier vectors with two dense products per pass.  No restarts:
+    at most `maxiter` applications of A M.
+    """
+    beta = np.linalg.norm(b)
+    V = np.empty((maxiter + 1, len(b)))
+    H = np.zeros((maxiter + 1, maxiter))
+    g = np.zeros(maxiter + 1)
+    V[0] = b / beta
+    g[0] = beta
+    for k in range(maxiter):
+        w = A @ M(V[k])
+        for _ in range(2):
+            c = V[:k + 1] @ w
+            w -= c @ V[:k + 1]
+            H[:k + 1, k] += c
+        H[k + 1, k] = np.linalg.norm(w)
+        if not np.isfinite(H[k + 1, k]):
+            return None
+        y = np.linalg.lstsq(H[:k + 2, :k + 1], g[:k + 2], rcond=None)[0]
+        if (np.linalg.norm(H[:k + 2, :k + 1] @ y - g[:k + 2]) <= tol * beta
+                or H[k + 1, k] == 0.0):
+            return M(y @ V[:k + 1])
+        V[k + 1] = w / H[k + 1, k]
+    return None
+
+
+def _newton_step(op, u, phi_vals, r, cfg, lu_slot):
+    """Newton direction s with |J s + r| <= cfg.linear_tol |r|.
+
+    The factorization in `lu_slot["lu"]`, when there is one, is reused
+    as a preconditioner for GMRES on the matrix-free Jacobian.  When
+    KRYLOV_MAX iterations miss the tolerance, the assembled Jacobian is
+    factored and its LU replaces the old one.  The finite-difference
+    oracle Jacobian is factored afresh at every step.
+    """
+    rhs = -r
+    if cfg.fd_jacobian:
+        lu_slot["lu"] = None
+        return op._solve(op.jacobian_fd(u, phi_vals), rhs, cfg.linear_tol)
+    lu = lu_slot["lu"]
+    if lu is not None:
+        J = op.jacobian_action(u, phi_vals)
+        s = _gmres(J, lu.solve, rhs, cfg.linear_tol, KRYLOV_MAX)
+        if s is not None and _relative_residual(J, s, rhs) <= cfg.linear_tol:
+            return s
+    # drop the old LU before the new one is made: one at a time
+    lu_slot["lu"] = lu = None
+    return op._solve(op.jacobian(u, phi_vals), rhs, cfg.linear_tol, lu_slot=lu_slot)
+
+
+def newton_solve(op, u0, phi_vals, H_vals, cfg, monitor=None, _lu_slot=None):
     """Damped Newton on the residual; returns (u, iterations, history).
 
     Accepted steps pass Armijo decrease on the squared 2-norm and,
     whenever attainable, strictly reduce the sup norm as well (on
     nominal warm starts every step does; far-field starts may take
     merit-only steps).  `monitor(u_candidate)` may veto a step (used
-    for the functional descent certificate).
+    for the functional descent certificate).  `_lu_slot`, a dict, carries
+    one factorization in and out under "lu" (see `_newton_step`).
     """
+    lu_slot = {"lu": None} if _lu_slot is None else _lu_slot
     u = np.array(u0, dtype=float)
     r = op.residual(u, phi_vals, H_vals)
     history = [float(np.max(np.abs(r)))]
@@ -82,11 +141,7 @@ def newton_solve(op, u0, phi_vals, H_vals, cfg, monitor=None):
             return u, it, history
         if np.max(np.abs(u)) > cfg.diverge_sup:
             raise DivergedIterates(f"sup|u| exceeded {cfg.diverge_sup:g}")
-        if getattr(cfg, "fd_jacobian", False):
-            J = op.jacobian_fd(u, phi_vals)
-        else:
-            J = op.jacobian(u, phi_vals)
-        s = op._solve(J, -r, cfg.linear_tol)
+        s = _newton_step(op, u, phi_vals, r, cfg, lu_slot)
         m0 = float(r @ r)
         accepted = False
         fallback = None
@@ -129,12 +184,12 @@ def newton_solve(op, u0, phi_vals, H_vals, cfg, monitor=None):
     )
 
 
-def minimal_initial_graph(spec, grid, cfg=None):
+def minimal_initial_graph(spec, grid, cfg=None, _lu_slot=None):
     """Minimal graph with zero boundary values: the continuation start.
 
     Newton on the H = 0 problem from u = 0, with the fiber-weighted
     area functional enforced as a strict descent certificate along
-    accepted steps.
+    accepted steps.  `_lu_slot` is handed to `newton_solve`.
     """
     cfg = cfg or SolveConfig()
     op = _get_operator(spec.chart, grid, spec.n)
@@ -151,7 +206,7 @@ def minimal_initial_graph(spec, grid, cfg=None):
 
     try:
         u, _, _ = newton_solve(op, zeros_nodes, zeros_links, zeros_nodes, cfg,
-                               monitor=descent)
+                               monitor=descent, _lu_slot=_lu_slot)
     except _NewtonFailure as exc:
         raise ContinuationStalled(
             f"minimal graph solve failed: {exc}", sigma=0.0
@@ -180,76 +235,83 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
     report = SolveReport(h=grid.h, geometry=spec.chart.name,
                          domain=spec.domain.describe(), hypothesis=hypo)
 
-    if u0 is not None:
-        # a supplied start is tapered to zero over a few cells at the
-        # boundary: its values there conflict with the Dirichlet data and
-        # would push the ghost extrapolation into the saturated regime
-        taper = np.clip(grid.dist / (3.0 * grid.h), 0.0, 1.0)
-        u = np.asarray(u0, dtype=float) * taper
-    else:
-        u = minimal_initial_graph(spec, grid, cfg)
+    # one sparse factorization, reused by every Newton step that can
+    lu_slot = {"lu": None}
+    try:
+        # boundary-compatible predictor: harmonic lift of the data-scale jump
+        # keeps Newton iterates out of the saturated-slope regime near the
+        # boundary; with unscaled phi the full lift is applied at once.  Its
+        # LU is the first the solve carries
+        lift = op.laplace_lift(phi_target, _lu_slot=lu_slot) if np.any(phi_target) else None
 
-    # boundary-compatible predictor: harmonic lift of the data-scale jump
-    # keeps Newton iterates out of the saturated-slope regime near the
-    # boundary; with unscaled phi the full lift is applied at once
-    lift = op.laplace_lift(phi_target) if np.any(phi_target) else None
-    sigma_of_u = 0.0  # any u0 is treated as a sigma = 0 start
-    lift_state = {"applied": 0.0}
+        if u0 is not None:
+            # a supplied start is tapered to zero over a few cells at the
+            # boundary: its values there conflict with the Dirichlet data and
+            # would push the ghost extrapolation into the saturated regime
+            taper = np.clip(grid.dist / (3.0 * grid.h), 0.0, 1.0)
+            u = np.asarray(u0, dtype=float) * taper
+        else:
+            u = minimal_initial_graph(spec, grid, cfg, _lu_slot=lu_slot)
+        sigma_of_u = 0.0  # any u0 is treated as a sigma = 0 start
+        lift_state = {"applied": 0.0}
 
-    def attempt(u_from, sigma, sigma_from):
-        Hs = sigma * H_target
-        ps = sigma * phi_target if cfg.scale_phi else phi_target
-        u_start = u_from
-        if lift is not None:
-            data_scale = sigma if cfg.scale_phi else 1.0
-            u_start = u_from + (data_scale - lift_state["applied"]) * lift
-        result = newton_solve(op, u_start, ps, Hs, cfg)
-        if lift is not None:
-            lift_state["applied"] = sigma if cfg.scale_phi else 1.0
-        return result, ps, Hs
+        def attempt(u_from, sigma, sigma_from):
+            Hs = sigma * H_target
+            ps = sigma * phi_target if cfg.scale_phi else phi_target
+            u_start = u_from
+            if lift is not None:
+                data_scale = sigma if cfg.scale_phi else 1.0
+                u_start = u_from + (data_scale - lift_state["applied"]) * lift
+            result = newton_solve(op, u_start, ps, Hs, cfg, _lu_slot=lu_slot)
+            if lift is not None:
+                lift_state["applied"] = sigma if cfg.scale_phi else 1.0
+            return result, ps, Hs
 
-    def book(sigma, u_new, iters, history, ps):
-        report.sigma_path.append(float(sigma))
-        report.newton_iters.append(int(iters))
-        report.residual_final = float(history[-1])
-        report.sup_u.append(float(np.max(np.abs(u_new))))
-        state = op.state(u_new, ps, H_target)
-        du = np.sqrt(np.einsum("ni,ni->n", state.u_hat_down, state.u_hat_up))
-        report.sup_du.append(float(np.max(du)))
-        if cfg.record_fields:
-            report.fields.append(u_new.copy())
+        def book(sigma, u_new, iters, history, ps):
+            report.sigma_path.append(float(sigma))
+            report.newton_iters.append(int(iters))
+            report.residual_final = float(history[-1])
+            report.sup_u.append(float(np.max(np.abs(u_new))))
+            state = op.state(u_new, ps, H_target)
+            du = np.sqrt(np.einsum("ni,ni->n", state.u_hat_down, state.u_hat_up))
+            report.sup_du.append(float(np.max(du)))
+            if cfg.record_fields:
+                report.fields.append(u_new.copy())
 
-    if cfg.try_direct:
-        try:
-            (u_new, iters, history), ps, _ = attempt(u, 1.0, sigma_of_u)
-            book(1.0, u_new, iters, history, ps)
-            report.converged = True
-            return u_new, report
-        except (_NewtonFailure, SingularJacobian, DivergedIterates):
-            pass
+        if cfg.try_direct:
+            try:
+                (u_new, iters, history), ps, _ = attempt(u, 1.0, sigma_of_u)
+                book(1.0, u_new, iters, history, ps)
+                report.converged = True
+                return u_new, report
+            except (_NewtonFailure, SingularJacobian, DivergedIterates):
+                pass
 
-    sigma = sigma_of_u
-    dsigma = cfg.dsigma_init
-    while sigma < 1.0:
-        target = min(1.0, sigma + dsigma)
-        try:
-            (u_new, iters, history), ps, _ = attempt(u, target, sigma)
-        except (_NewtonFailure, SingularJacobian, DivergedIterates):
-            dsigma *= 0.5
-            if dsigma < cfg.dsigma_min:
-                report.stalled_at = float(sigma)
-                raise ContinuationStalled(
-                    f"continuation stalled at sigma = {sigma:.6g}",
-                    sigma=sigma, report=report, hypothesis=hypo,
-                )
-            continue
-        u = u_new
-        sigma = target
-        book(sigma, u, iters, history, ps)
-        if iters <= 3:
-            dsigma = min(2.0 * dsigma, 1.0)
-    report.converged = True
-    return u, report
+        sigma = sigma_of_u
+        dsigma = cfg.dsigma_init
+        while sigma < 1.0:
+            target = min(1.0, sigma + dsigma)
+            try:
+                (u_new, iters, history), ps, _ = attempt(u, target, sigma)
+            except (_NewtonFailure, SingularJacobian, DivergedIterates):
+                dsigma *= 0.5
+                if dsigma < cfg.dsigma_min:
+                    report.stalled_at = float(sigma)
+                    raise ContinuationStalled(
+                        f"continuation stalled at sigma = {sigma:.6g}",
+                        sigma=sigma, report=report, hypothesis=hypo,
+                    )
+                continue
+            u = u_new
+            sigma = target
+            book(sigma, u, iters, history, ps)
+            if iters <= 3:
+                dsigma = min(2.0 * dsigma, 1.0)
+        report.converged = True
+        return u, report
+    finally:
+        # a raised exception keeps this frame alive; the LU must not
+        lu_slot["lu"] = None
 
 
 @dataclass

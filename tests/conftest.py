@@ -23,6 +23,21 @@ def saddle(P):
     return 0.5 * P[..., 0] * P[..., 1]
 
 
+def curved_exp_u(P):
+    """u* = sin(2y)/5 + x^2/10, the manufactured curved-exp solution."""
+    x, y = np.asarray(P)[..., 0], np.asarray(P)[..., 1]
+    return np.sin(2 * y) / 5 + x ** 2 / 10
+
+
+def curved_exp_H(P):
+    """H* = Q[u*] / 2 on the curved-exp chart (sympy, simplified)."""
+    x, y = np.asarray(P)[..., 0], np.asarray(P)[..., 1]
+    s2, c2, e2 = np.sin(2 * y), np.cos(2 * y), np.exp(2 * x)
+    return ((-4 * x ** 2 * s2 - 4 * x * c2 ** 2 - 25 * x - 100 * e2 * s2
+             + 4 * c2 ** 2 + 25) * np.exp(x)
+            / (2 * (x ** 2 + 4 * e2 * c2 ** 2 + 25 * e2) ** 1.5))
+
+
 def smooth_random_field(points, rng, scale=0.3):
     x, y = points[:, 0], points[:, 1]
     a = rng.normal(size=6)

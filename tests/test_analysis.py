@@ -1,12 +1,18 @@
 """Cylinder geometry, Riccati curves, barriers, flux, angle function."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import kgraph as kg
+import kgraph.analysis as kan
 from kgraph.errors import CertificateFailed, MinPrincipleViolated, TubularWidthExceeded
 from kgraph.operator import _get_operator
-from conftest import cap_trace, saddle
+from conftest import cap_trace, curved_exp_H, curved_exp_u, saddle
+
+DATA = Path(__file__).resolve().parent / "data"
 
 CAP = cap_trace()
 
@@ -316,3 +322,74 @@ class TestVerify:
         flux = kg.flux_balance(spec, grid, u)
         assert (items["flux"]["boundary"], items["flux"]["bulk"]) == (flux.boundary, flux.bulk)
         assert items["theta"]["min_value"] == kg.theta_field(spec, grid, u).min_value
+
+
+VERIFY_CASES = {   # chart fixture, H, phi; Disk((0, 0), 0.5) at h = 1/64
+    "cap64": ("euclid", 1.0, cap_trace()),
+    "curved_exp64": ("curved", curved_exp_H, curved_exp_u),
+}
+
+
+def _verify_case(request, case):
+    """(spec, grid, reference): `verify_<case>.npz` holds a solved u and
+    the verify.json the code wrote before verify shared its evaluations."""
+    chart_name, H, phi = VERIFY_CASES[case]
+    chart = request.getfixturevalue(chart_name)
+    grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 64, chart)
+    spec = kg.ProblemSpec(chart=chart, domain=grid.domain, H=H, phi=phi)
+    return spec, grid, np.load(DATA / f"verify_{case}.npz")
+
+
+def _assert_json_close(got, ref, path="verify"):
+    """Equal JSON trees, floats to 1e-12 relative (the exp in the curved
+    chart may round differently on another CPU)."""
+    if isinstance(ref, dict):
+        assert sorted(got) == sorted(ref), path
+        for key in ref:
+            _assert_json_close(got[key], ref[key], f"{path}.{key}")
+    elif isinstance(ref, list):
+        assert len(got) == len(ref), path
+        for k, (a, b) in enumerate(zip(got, ref)):
+            _assert_json_close(a, b, f"{path}[{k}]")
+    elif isinstance(ref, float):
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-300), path
+    else:
+        assert got == ref, path
+
+
+class TestVerifyEvaluatesOnce:
+    @pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+    def test_json_matches_reference(self, request, case):
+        spec, grid, ref = _verify_case(request, case)
+        got = kg.verify(spec, grid, ref["u"]).to_json_dict()
+        _assert_json_close(got, json.loads(str(ref["json"])))
+
+    @pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+    def test_data_and_samples_evaluated_once(self, request, case, monkeypatch):
+        spec, grid, ref = _verify_case(request, case)
+        u = ref["u"]
+        calls = {"samples": 0, "H_nodes": 0, "phi_links": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(kan, "boundary_gradient_samples",
+                            counted("samples", kan.boundary_gradient_samples))
+        monkeypatch.setattr(kg.ProblemSpec, "H_nodes", counted("H_nodes", kg.ProblemSpec.H_nodes))
+        monkeypatch.setattr(kg.ProblemSpec, "phi_links",
+                            counted("phi_links", kg.ProblemSpec.phi_links))
+        items = kg.verify(spec, grid, u).items
+        assert calls == {"samples": 1, "H_nodes": 1, "phi_links": 1}
+        monkeypatch.undo()
+
+        # the gradient and flux items are what the standalone calls give
+        gc = kg.boundary_gradient_certificate(spec, grid, u)
+        grad = items["gradient_barrier"]
+        assert (grad["K"], grad["C"], grad["sup_grad_boundary"], grad["bound"],
+                grad["min_margin"]) == (gc.params.K, gc.params.C, gc.sup_grad_boundary,
+                                        gc.bound, float(np.min(gc.margin)))
+        flux = kg.flux_balance(spec, grid, u)
+        assert (items["flux"]["boundary"], items["flux"]["bulk"]) == (flux.boundary, flux.bulk)

@@ -6,6 +6,7 @@ import pytest
 import kgraph as kg
 from kgraph.operator import _get_operator
 from conftest import cap_trace, smooth_random_field
+from test_equivalence import OPERATOR_CASES, _fields
 
 CAP = cap_trace()
 
@@ -267,6 +268,28 @@ class TestJacobian:
         # nodes at least three cells from the boundary see no ghost column
         deep = grid.dist >= 3.5 * grid.h
         assert np.abs(Jv[deep]).max() < 1e-9
+
+
+class TestJacobianAction:
+    """The matrix-free action shares `jacobian`'s coefficients, so it is
+    the assembled product up to the order of the sums."""
+
+    @pytest.mark.parametrize("case", sorted(OPERATOR_CASES) + ["curved_exp48"])
+    def test_matches_assembled_product(self, curved, case):
+        if case == "curved_exp48":
+            chart, domain, h, phi = curved, kg.Disk((0.0, 0.0), 0.5), 1.0 / 48, CAP
+        else:
+            factory, domain, h, _, phi = OPERATOR_CASES[case]
+            chart = factory()
+        grid = kg.build_grid(domain, h, chart)
+        op = _get_operator(chart, grid, 2)
+        u, v = _fields(grid.points)
+        phi_vals = phi(grid.link_points)
+        action = op.jacobian_action(u, phi_vals)
+        assert action.shape == (grid.num_inside,) * 2 and action.dtype == float
+        ref = op.jacobian(u, phi_vals) @ v
+        got = action @ v
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestOperatorMemo:

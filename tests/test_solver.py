@@ -1,15 +1,19 @@
 """Newton continuation solver, comparison checks, reports."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import kgraph as kg
+import kgraph.operator as kop
+import kgraph.solver as ksolver
 from kgraph.errors import ContinuationStalled, SingularJacobian
-from kgraph.operator import _get_operator
+from kgraph.operator import _Factorization, _get_operator
 from kgraph.solver import newton_solve
-from conftest import cap_trace, saddle, smooth_random_field
+from conftest import cap_trace, curved_exp_H, curved_exp_u, saddle, smooth_random_field
 
 CAP = cap_trace()
 
@@ -284,6 +288,129 @@ class TestLinearSolve:
         with pytest.raises(SingularJacobian, match="relative residual"):
             newton_solve(op, op.laplace_lift(phi), phi, np.ones(grid.num_inside),
                          kg.SolveConfig(linear_tol=1e-20))
+
+
+class _Broken:
+    """A preconditioner whose solve is not linear (it adds 1e-3 |v| to
+    every entry) or not finite."""
+
+    def __init__(self, lu, kind):
+        self.lu, self.kind = lu, kind
+
+    def solve(self, v):
+        if self.kind == "not finite":
+            return np.full_like(v, np.nan)
+        return self.lu.solve(v) + 1e-3 * np.linalg.norm(v)
+
+
+REUSE_CASES = {   # chart fixture, H, phi, sparse factorizations at h = 1/64
+    "euclid-cap": ("euclid", 1.0, CAP, 1),
+    "curved-exp": ("curved", curved_exp_H, curved_exp_u, 2),
+}
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Counts every sparse factorization kgraph makes."""
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(kop.spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    return calls
+
+
+def _reuse_problem(request, case):
+    chart_name, H, phi, _ = REUSE_CASES[case]
+    chart = request.getfixturevalue(chart_name)
+    grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 64, chart)
+    return kg.ProblemSpec(chart=chart, domain=grid.domain, H=H, phi=phi), grid
+
+
+class TestFactorizationReuse:
+    """One LU per solve: Newton steps run GMRES preconditioned by the
+    factorization the solve carries, and refactor only on a miss."""
+
+    @pytest.mark.parametrize("case", sorted(REUSE_CASES))
+    def test_factorizations_per_solve(self, request, case, splu_calls):
+        spec, grid = _reuse_problem(request, case)
+        _, report = kg.solve_dirichlet(spec, grid)
+        assert report.converged
+        assert len(splu_calls) == REUSE_CASES[case][3]
+
+    @pytest.mark.parametrize("case", sorted(REUSE_CASES))
+    def test_every_step_meets_linear_tol(self, request, case, monkeypatch):
+        # against the assembled Jacobian, not the action GMRES used
+        spec, grid = _reuse_problem(request, case)
+        steps = []
+        step = ksolver._newton_step
+
+        def recording(op, u, phi_vals, r, cfg, lu_slot):
+            s = step(op, u, phi_vals, r, cfg, lu_slot)
+            steps.append((op, u.copy(), phi_vals, r, s))
+            return s
+
+        monkeypatch.setattr(ksolver, "_newton_step", recording)
+        cfg = kg.SolveConfig()
+        kg.solve_dirichlet(spec, grid, cfg)
+        assert len(steps) >= 3
+        for op, u, phi_vals, r, s in steps:
+            J = op.jacobian(u, phi_vals)
+            assert np.linalg.norm(J @ s + r) <= cfg.linear_tol * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("kind", ["identity", "not linear", "not finite"])
+    def test_wrong_preconditioner_refactors(self, request, splu_calls, kind):
+        # the identity leaves GMRES short of the tolerance; a nonlinear
+        # one makes its residual estimate wrong, which the true-residual
+        # check catches
+        op, J, rhs, phi_vals = _at_lift(request, "euclid-cap-64")
+        slot = {"lu": None}
+        lift = op.laplace_lift(phi_vals, _lu_slot=slot)
+        if kind == "identity":
+            wrong = _Factorization(sp.identity(J.shape[0], format="csr"), op._nd_order)
+        else:
+            wrong = _Broken(slot["lu"], kind)
+        slot["lu"] = wrong
+        splu_calls.clear()
+        s = ksolver._newton_step(op, lift, phi_vals, -rhs, kg.SolveConfig(), slot)
+        assert len(splu_calls) == 1
+        assert isinstance(slot["lu"], _Factorization) and slot["lu"] is not wrong
+        assert _rel(s, spla.spsolve(J.tocsc(), rhs)) <= 1e-10
+
+    def test_fd_jacobian_factors_every_step(self, euclid, splu_calls, monkeypatch):
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
+        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
+        op = _get_operator(euclid, grid, 2)
+        fd_calls = []
+        jacobian_fd = op.jacobian_fd
+        monkeypatch.setattr(op, "jacobian_fd",
+                            lambda *a: fd_calls.append(1) or jacobian_fd(*a))
+        _, report = kg.solve_dirichlet(spec, grid, kg.SolveConfig(fd_jacobian=True))
+        assert report.converged
+        assert len(fd_calls) == sum(report.newton_iters) >= 3
+        assert len(splu_calls) == len(fd_calls) + 1   # and the lift's
+
+    @pytest.mark.parametrize("H", [1.0, 10.0])
+    def test_no_factorization_outlives_the_solve(self, euclid, monkeypatch, H):
+        # H = 10 stalls; the exception then keeps the solve's frames alive
+        refs, alive_at_birth = [], []
+        init = _Factorization.__init__
+
+        def tracked(self, *args):
+            alive_at_birth.append(sum(ref() is not None for ref in refs))
+            init(self, *args)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(_Factorization, "__init__", tracked)
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 24, euclid)
+        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=H, phi=CAP)
+        if H > 1.0:
+            with pytest.raises(ContinuationStalled) as err:
+                kg.solve_dirichlet(spec, grid)
+            assert err.value.report is not None
+        else:
+            kg.solve_dirichlet(spec, grid)
+        assert refs
+        assert max(alive_at_birth) == 0   # never two at once
+        assert all(ref() is None for ref in refs)
 
 
 class TestReport:
