@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 from .errors import EmptyDomain, InputError, StencilUnavailable
@@ -255,9 +254,10 @@ def build_grid(domain, h, chart):
     """Build a classified grid for `domain` at spacing `h` under `chart`.
 
     Boundary crossings are located by root-finding the domain's signed
-    distance along grid axes.  sigma positive-definiteness and f > 0
-    are checked at every inside and ghost node here, before anything
-    else can run.
+    distance along grid axes, for all links at once, bit for bit as one
+    scipy `brentq` call per link would (`_brentq_lanes`).  sigma positive-
+    definiteness and f > 0 are checked at every inside and ghost node
+    here, before anything else can run.
     """
     if h <= 0:
         raise InputError("grid spacing h must be positive")
@@ -291,25 +291,14 @@ def build_grid(domain, h, chart):
         )
     # one link per ghost neighbor, node-major and direction-minor
     link_node, link_dir = np.nonzero(neighbor_ext >= n_inside)
-    link_theta = np.empty(len(link_node))
-    link_pts = np.empty((len(link_node), 2))
-    steps = np.array(DIR_STEPS, dtype=float)
-    for k, (n, d) in enumerate(zip(link_node, link_dir)):
-        base, step = points[n], steps[d]
-
-        def along(t):
-            return float(domain.sdf(base + t * step))
-
-        fb = along(h)
-        if fb <= 0.0:
-            t_cross = h
-        else:
-            t_cross = brentq(along, 0.0, h, xtol=1e-13, rtol=1e-15)
-        link_theta[k] = min(max(t_cross / h, 1e-12), 1.0)
-        link_pts[k] = base + t_cross * step
-
-    # re-tag nodes whose links all landed at theta == 1 exactly are still
-    # boundary-adjacent; classification already reflects axis-neighbor status
+    base, step = points[link_node], np.array(DIR_STEPS, dtype=float)[link_dir]
+    t_cross = np.full(len(link_node), h, dtype=float)
+    fb = domain.sdf(base + t_cross[:, None] * step)
+    cut = np.nonzero(fb > 0.0)[0]
+    _brentq_lanes(lambda t, k: domain.sdf(base[k] + t[:, None] * step[k]),
+                  cut, 0.0, h, fb[cut], t_cross, xtol=1e-13, rtol=1e-15)
+    link_theta = np.minimum(np.maximum(t_cross / h, 1e-12), 1.0)
+    link_pts = base + t_cross[:, None] * step
 
     eta = _inward_sigma_normals(chart, link_pts, domain.inward_normal_euclid(link_pts))
     dist = _distance_field(domain, chart, points, node_index, inside_ij, h, link_pts, link_node)
@@ -336,6 +325,46 @@ def build_grid(domain, h, chart):
         sliver_points=P[sliver_ij[:, 1], sliver_ij[:, 0]], sliver_frac=sliver_frac,
         outer_mean=outer_mean,
     )
+
+
+def _brentq_lanes(f, lanes, xa, xb, fb, out, xtol, rtol, maxiter=100):
+    """Write to out[k] the root in [xa, xb] of f(., k) for each lane k of
+    `lanes`, given f(xa, k) < 0 < f(xb, k) = fb.  A lockstep port of
+    scipy's `brentq.c`: each lane runs its float operations in its order,
+    so the roots are those of `scipy.optimize.brentq(f, xa, xb, xtol, rtol)`."""
+    n = len(lanes)
+    xpre, xcur, xblk, spre, scur = np.full(n, xa), np.full(n, xb), *np.zeros((3, n))
+    fpre, fcur, fblk = f(xpre, lanes), fb, np.zeros(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(maxiter):
+            new = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk, fblk, spre, scur = np.where(new, [xpre, fpre, xcur - xpre, xcur - xpre],
+                                              [xblk, fblk, spre, scur])
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk, fpre, fcur, fblk = np.where(
+                swap, [xcur, xblk, xcur, fcur, fblk, fcur], [xpre, xcur, xblk, fpre, fcur, fblk])
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0) | (np.abs(sbis) < delta)
+            out[lanes[done]] = xcur[done]
+            if done.all():
+                return
+            lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[~done] for v in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                                   delta, sbis))
+            # secant, or inverse quadratic once xpre has left the bracket
+            # end; bisection unless that step is short enough
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+            spre, scur = np.where(short, [scur, stry], sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            fcur = f(xcur, lanes)
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations")
 
 
 def _ext_index(node_index, ghost_index, n_inside):
@@ -366,8 +395,9 @@ def distance_field(grid, chart):
     solution of |grad d|_sigma = 1 with d = 0 on the boundary otherwise.
     The sweep updates whole anti-diagonals (ix +- iy = const) at once in
     each of its four orderings; every node reads the same neighbour
-    values as in a node-by-node row-major Gauss-Seidel sweep, so the
-    result is identical to that sweep's, bit for bit.
+    values as in a node-by-node row-major Gauss-Seidel sweep, and one
+    Jacobi check stands in for that sweep's last pass, which changes
+    nothing, so the result is identical to that sweep's, bit for bit.
     """
     return _distance_field(grid.domain, chart, grid.points, grid.node_index,
                            grid.inside_ij, grid.h, grid.link_points,
@@ -418,17 +448,16 @@ def _fast_sweep(domain, chart, points, node_index, inside_ij, h, link_pts, link_
             for ordering in orderings:
                 for ids, nb, data in ordering:
                     change |= _relax_diagonal(d, ids, nb, data, h)
-            if not change:
+            # a pass changes something iff a candidate on the current d is better
+            if not change or not np.any(_upwind_candidates(
+                    d, nbr[open_ids], node_data[open_ids].T, h) < d[open_ids] - 1e-14):
                 break
     return d[:n].copy()
 
 
-def _relax_diagonal(d, ids, nb, data, h):
-    """One Gauss-Seidel update of the nodes `ids`, none adjacent to another.
-
-    The float operations are those of the scalar upwind update, in the
-    same order, so each node gets the value a node-by-node sweep gives.
-    """
+def _upwind_candidates(d, nb, data, h):
+    """Each node's upwind update from d[nb], with the float operations of
+    the scalar update in the same order."""
     s11, s12, s22, hx, hy, A_plus, A_minus = data
     nd = d[nb]
     a = np.minimum(nd[:, 0], nd[:, 1])
@@ -444,11 +473,15 @@ def _relax_diagonal(d, ids, nb, data, h):
         root = (-B + np.sqrt(disc)) / (2 * A)
         ok = both & (disc >= 0) & (A > 0) & (root >= top)
         cand = np.where(ok, np.minimum(cand, root), cand)
+    return cand
+
+
+def _relax_diagonal(d, ids, nb, data, h):
+    """Gauss-Seidel update of the nodes `ids`, none adjacent; True if any changed."""
+    cand = _upwind_candidates(d, nb, data, h)
     better = cand < d[ids] - 1e-14
-    if not better.any():
-        return False
     d[ids[better]] = cand[better]
-    return True
+    return better.any()
 
 
 def _cell_fractions(domain, P, cls, inside_ij, ghost_ij, h):

@@ -25,6 +25,7 @@ Euclidean base the lower spherical cap u = -sqrt(R^2 - r^2) has
 H = +1/R.
 """
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,11 +116,15 @@ class GraphOperator:
     Assembles the residual Q[u] - n H and its analytic sparse Jacobian
     from a fixed set of sparse incidence matrices, so repeated Newton
     calls only pay pointwise nonlinear work.
+
+    The grid owns its operators (`_get_operator` memoizes them there) and
+    `op.grid` is a weak proxy, so a dropped grid frees them at once.  An
+    operator lives as long as its grid: keep the grid, not only the op.
     """
 
     def __init__(self, chart, grid, n=2):
         self.chart = chart
-        self.grid = grid
+        self.grid = weakref.proxy(grid)
         self.n = n
         self._find_eliminated()
         self._build_extension()

@@ -1,7 +1,11 @@
 """Array-assembled setup against the per-node loops it replaced.
 
 Sweep: `grid.dist` from the anti-diagonal fast sweep must equal, bit for
-bit, the row-major Gauss-Seidel loop kept below as an oracle.
+bit, the row-major Gauss-Seidel loop kept below as an oracle, and run one
+pass fewer than it: the oracle's last pass, which changes nothing.
+
+Crossings: `link_theta` and `link_points` must equal, bit for bit, those
+of one `scipy.optimize.brentq` call per link, the loop kept below.
 
 Operator: the residual and a Jacobian-vector product on a fixed smooth
 field must match `tests/data/operator_*.npz`, which hold the values the
@@ -21,8 +25,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import kgraph as kg
+from kgraph import grid as kgrid
 from kgraph.analysis import boundary_gradient_samples
 from kgraph.geometry import inverse_metric_at
 from kgraph.operator import _get_operator
@@ -34,6 +42,8 @@ DATA = Path(__file__).resolve().parent / "data"
 # sweep oracle: one node at a time, rows of lattice order, four orderings
 
 def row_major_sweep(domain, chart, points, node_index, inside_ij, h, link_pts, link_node):
+    """The distance field, and the passes run, the last of them changing
+    nothing."""
     n = len(points)
     d = np.full(n, np.inf)
     siginv = inverse_metric_at(chart, points)
@@ -63,7 +73,7 @@ def row_major_sweep(domain, chart, points, node_index, inside_ij, h, link_pts, l
         nbr_of[k] = [[int(node_index[cy, cx + 1]), int(node_index[cy, cx - 1])],
                      [int(node_index[cy + 1, cx]), int(node_index[cy - 1, cx])]]
 
-    for _ in range(30):
+    for passes in range(1, 31):
         change = 0.0
         for ordering in sweeps:
             for k in ordering:
@@ -95,7 +105,7 @@ def row_major_sweep(domain, chart, points, node_index, inside_ij, h, link_pts, l
                     change = max(change, 1.0)
         if change == 0.0:
             break
-    return d
+    return d, passes
 
 
 def _chart(name, metric):
@@ -131,23 +141,154 @@ def _sheared(P):
     return out
 
 
+def _rotating(P):
+    """sigma = R(t) diag(1, 25) R(t)^T with t = 3 (x + y / 2): the slow
+    direction turns across the domain, so information needs several
+    passes to get round."""
+    P = np.asarray(P)
+    t = 3.0 * (P[..., 0] + P[..., 1] / 2)
+    c, s = np.cos(t), np.sin(t)
+    out = np.empty(P.shape[:-1] + (2, 2))
+    out[..., 0, 0] = c * c + 25.0 * s * s
+    out[..., 0, 1] = out[..., 1, 0] = -24.0 * c * s
+    out[..., 1, 1] = s * s + 25.0 * c * c
+    return out
+
+
 SWEEP_CASES = {
     "curved-exp-disk": (_curved_exp, kg.Disk((0.0, 0.0), 0.5), 1.0 / 32),
+    # its last changing pass moves d by under 1e-7, so a convergence test
+    # coarser than the update's own stops a pass early
+    "curved-exp-disk-24": (_curved_exp, kg.Disk((0.0, 0.0), 0.5), 1.0 / 24),
     "aniso41-unit-square": (_aniso41, kg.Rectangle(0.0, 0.0, 1.0, 1.0), 1.0 / 32),
     "sheared-offcentre-disk": (_sheared, kg.Disk((0.03, -0.02), 0.45), 1.0 / 32),
+    "rotating-offcentre-disk": (_rotating, kg.Disk((0.03, -0.02), 0.45), 1.0 / 32),
+    "rotating-unit-square": (_rotating, kg.Rectangle(0.0, 0.0, 1.0, 1.0), 1.0 / 32),
 }
 
 
-@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-def test_sweep_matches_row_major_oracle(case):
+def _sweep_case(case):
     metric, domain, h = SWEEP_CASES[case]
     chart = _chart(case, metric)
     grid = kg.build_grid(domain, h, chart)
     oracle = row_major_sweep(domain, chart, grid.points, grid.node_index,
                              grid.inside_ij, grid.h, grid.link_points, grid.link_node)
+    return chart, grid, oracle
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_matches_row_major_oracle(case):
+    chart, grid, (oracle, _) = _sweep_case(case)
     assert np.all(np.isfinite(oracle))
     assert np.array_equal(grid.dist, oracle)
     assert np.array_equal(kg.distance_field(grid, chart), oracle)
+
+
+@pytest.fixture
+def sweep_counts(monkeypatch):
+    """Gauss-Seidel passes and Jacobi checks of the next `_fast_sweep`: the
+    node updates of `_relax_diagonal` over four times the open nodes, and
+    the `_upwind_candidates` calls that no `_relax_diagonal` made."""
+    relaxed, candidates = [], []
+    relax, upwind = kgrid._relax_diagonal, kgrid._upwind_candidates
+
+    def counting_relax(d, ids, *args):
+        relaxed.append(len(ids))
+        return relax(d, ids, *args)
+
+    def counting_upwind(*args):
+        candidates.append(1)
+        return upwind(*args)
+
+    monkeypatch.setattr(kgrid, "_relax_diagonal", counting_relax)
+    monkeypatch.setattr(kgrid, "_upwind_candidates", counting_upwind)
+
+    def counts(grid):
+        n_open = grid.num_inside - len(np.unique(grid.link_node))
+        return sum(relaxed) / (4 * n_open), len(candidates) - len(relaxed)
+    return counts
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_skips_the_confirming_pass(case, sweep_counts):
+    # the oracle's last pass changes nothing; a Jacobi check after each
+    # changing pass replaces it
+    _, grid, (_, oracle_passes) = _sweep_case(case)
+    passes, checks = sweep_counts(grid)
+    assert passes == oracle_passes - 1
+    assert checks == passes
+
+
+@pytest.mark.parametrize("case", ["rotating-offcentre-disk", "rotating-unit-square"])
+def test_rotating_metric_needs_several_passes(case):
+    # so the Jacobi check also answers "keep sweeping"
+    assert _sweep_case(case)[2][1] >= 3
+
+
+def test_curved_exp_disk_sweeps_twice(sweep_counts):
+    _, grid, _ = _sweep_case("curved-exp-disk")
+    assert sweep_counts(grid) == (2.0, 2)
+
+
+# ---------------------------------------------------------------------------
+# link crossings: the per-link scipy brentq loop build_grid ran before
+
+def _strip(rows, top):
+    """`rows` lattice rows; the bottom edge lies on a lattice row (theta 1
+    below), the top edge `top` * h above the top row."""
+    return kg.Rectangle(-0.2, 0.1, 0.2, 0.1 + (rows + top) / 48)
+
+
+def brentq_crossings(domain, grid):
+    h = grid.h
+    theta = np.empty(grid.num_links)
+    points = np.empty((grid.num_links, 2))
+    steps = np.array(((1, 0), (-1, 0), (0, 1), (0, -1)), dtype=float)
+    for k, (n, d) in enumerate(zip(grid.link_node, grid.link_dir)):
+        base, step = grid.points[n], steps[d]
+
+        def along(t):
+            return float(domain.sdf(base + t * step))
+
+        t = h if along(h) <= 0.0 else brentq(along, 0.0, h, xtol=1e-13, rtol=1e-15)
+        theta[k] = min(max(t / h, 1e-12), 1.0)
+        points[k] = base + t * step
+    return theta, points
+
+
+def _assert_crossings_match_brentq(domain, h):
+    grid = kg.build_grid(domain, h, kg.euclidean())
+    theta, points = brentq_crossings(domain, grid)
+    assert grid.num_links > 0
+    assert np.array_equal(grid.link_theta, theta)
+    assert np.array_equal(grid.link_points, points)
+
+
+CROSSING_CASES = {   # domain, h
+    **{f"centred-cap-{n}": (kg.Disk((0.0, 0.0), 0.5), 1.0 / n) for n in (64, 192, 256, 512)},
+    "offcentre-disk-48": (kg.Disk((0.0137, -0.0219), 0.5), 1.0 / 48),
+    "unit-square-25": (kg.Rectangle(0.0, 0.0, 1.0, 1.0), 1.0 / 25),
+    "rectangle-64": (kg.Rectangle(-0.3, -0.2, 0.4, 0.3), 1.0 / 64),
+    **{f"strip{rows}-{top}": (_strip(rows, top), 1.0 / 48)
+       for rows in (1, 2, 3) for top in (0.5, 0.02)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CROSSING_CASES))
+def test_crossings_match_brentq(case):
+    _assert_crossings_match_brentq(*CROSSING_CASES[case])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([12, 16, 20, 25]),
+       offset=st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                        st.floats(0.0, 1.0, exclude_max=True)),
+       multiple=st.integers(3, 9),
+       nudge=st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6]))
+def test_crossings_match_brentq_near_lattice_radii(n, offset, multiple, nudge):
+    h = 1.0 / n
+    centre = (offset[0] * h, offset[1] * h)
+    _assert_crossings_match_brentq(kg.Disk(centre, (multiple + nudge) * h), h)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +302,6 @@ def _cap(P):
 def _saddle(P):
     P = np.asarray(P, dtype=float)
     return 0.5 * P[..., 0] * P[..., 1]
-
-
-def _strip(rows, top):
-    """`rows` lattice rows; the bottom edge lies on a lattice row (theta 1
-    below), the top edge `top` * h above the top row."""
-    return kg.Rectangle(-0.2, 0.1, 0.2, 0.1 + (rows + top) / 48)
 
 
 OPERATOR_CASES = {   # chart factory, domain, h, H, phi
@@ -192,6 +327,7 @@ def _fields(points):
 
 
 def operator_values(case):
+    # the grid is returned with its operator, which lives only as long as it
     factory, domain, h, H, phi = OPERATOR_CASES[case]
     chart = factory()
     grid = kg.build_grid(domain, h, chart)
@@ -201,7 +337,7 @@ def operator_values(case):
     phi_vals = spec.phi_links(grid)
     residual = op.residual(u, phi_vals, spec.H_nodes(grid))
     jv = op.jacobian(u, phi_vals) @ v
-    return op, {"residual": residual, "jv": jv}
+    return grid, op, {"residual": residual, "jv": jv}
 
 
 def _rel_err(new, ref):
@@ -211,15 +347,14 @@ def _rel_err(new, ref):
 @pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
 def test_operator_matches_reference(case):
     ref = np.load(DATA / f"operator_{case}.npz")
-    _, got = operator_values(case)
+    _, _, got = operator_values(case)
     for key in ("residual", "jv"):
         assert got[key].shape == ref[key].shape
         assert _rel_err(got[key], ref[key]) <= 1e-14, key
 
 
 def test_centred_reference_covers_small_theta_and_shared_ghosts():
-    op, _ = operator_values("euclid96_centred")
-    grid = op.grid
+    grid, op, _ = operator_values("euclid96_centred")
     assert len(op.elim_nodes) > 0
     ghost_links = np.bincount(grid.neighbor_ext[grid.link_node, grid.link_dir]
                               - grid.num_inside)
@@ -241,8 +376,7 @@ def _nodes_behind(grid, node, d):
 
 
 def test_r041_reference_shares_a_small_theta_ghost_with_an_unpinned_node():
-    op, _ = operator_values("euclid48_r041")
-    grid = op.grid
+    grid, op, _ = operator_values("euclid48_r041")
     ghost = grid.neighbor_ext[grid.link_node, grid.link_dir]
     unpinned = ~np.isin(grid.link_node, op.elim_nodes)
     small = np.nonzero(grid.link_theta < 0.05)[0]
@@ -253,8 +387,7 @@ def test_r041_reference_shares_a_small_theta_ghost_with_an_unpinned_node():
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_strip_reference_pins_top_row(rows):
-    op, _ = operator_values(f"euclid48_strip{rows}_near")
-    grid = op.grid
+    grid, op, _ = operator_values(f"euclid48_strip{rows}_near")
     # every top-row node is pinned along its +y link, rows - 1 nodes deep
     assert len(op.elim_nodes) == len(np.unique(grid.inside_ij[:, 0]))
     for n in op.elim_nodes:
@@ -265,8 +398,7 @@ def test_strip_reference_pins_top_row(rows):
 @pytest.mark.parametrize("case, behind", [("euclid48_strip1_half", 0),
                                           ("euclid48_strip2_near", 1)])
 def test_strip_reference_extrapolates_unpinned_short_links(case, behind):
-    op, _ = operator_values(case)
-    grid = op.grid
+    grid, op, _ = operator_values(case)
     unpinned = np.nonzero(~np.isin(grid.link_node, op.elim_nodes))[0]
     assert any(_nodes_behind(grid, grid.link_node[k], grid.link_dir[k]) == behind
                for k in unpinned)
@@ -351,25 +483,26 @@ JACFD_CASES = ("heis16", "euclid48_offcentre", "euclid96_centred")
 
 
 def _oracle_setup(case, ref=None):
+    # the grid is returned with its operator, which lives only as long as it
     factory, domain, h, phi = ORACLE_CASES[case]
     chart = factory()
     grid = kg.build_grid(domain, h, chart)
     op = _get_operator(chart, grid, 2)
     if ref is None:
-        return op, _fields(grid.points)[0], phi(grid.link_points)
-    return op, ref["u"], ref["phi"]
+        return grid, op, _fields(grid.points)[0], phi(grid.link_points)
+    return grid, op, ref["u"], ref["phi"]
 
 
 def nondiv_values(case, ref=None):
-    op, u, phi = _oracle_setup(case, ref)
-    H = np.full(op.grid.num_inside, 0.5)
+    grid, op, u, phi = _oracle_setup(case, ref)
+    H = np.full(grid.num_inside, 0.5)
     return {"u": u, "phi": phi,
             "full": op.residual_nondivergence(u, phi, H, gamma_mode="full"),
             "symmetrized": op.residual_nondivergence(u, phi, H, gamma_mode="symmetrized")}
 
 
 def jacfd_values(case, ref=None):
-    op, u, phi = _oracle_setup(case, ref)
+    grid, op, u, phi = _oracle_setup(case, ref)
     J = op.jacobian_fd(u, phi)
     return {"u": u, "phi": phi, "data": J.data, "indices": J.indices, "indptr": J.indptr}
 
@@ -456,7 +589,7 @@ def test_boundary_reference_reaches_the_fallback():
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     for name in sorted(OPERATOR_CASES):
-        _, values = operator_values(name)
+        _, _, values = operator_values(name)
         np.savez_compressed(DATA / f"operator_{name}.npz", **values)
         print(name, {k: v.shape for k, v in values.items()})
     references = [("stencils", STENCIL_CASES, stencil_values),

@@ -205,7 +205,8 @@ LINEAR_CASES = {   # chart fixture, disk radius, h, H, phi
 
 
 def _at_lift(request, case):
-    """(op, J, rhs, phi): the Newton system at the harmonic lift."""
+    """(grid, op, J, rhs, phi): the Newton system at the harmonic lift; the
+    grid comes along because the operator lives only as long as it."""
     chart_name, radius, h, H, phi = LINEAR_CASES[case]
     chart = request.getfixturevalue(chart_name)
     grid = kg.build_grid(kg.Disk((0.0, 0.0), radius), h, chart)
@@ -214,7 +215,7 @@ def _at_lift(request, case):
     lift = op.laplace_lift(phi_vals)
     J = op.jacobian(lift, phi_vals)
     rhs = -op.residual(lift, phi_vals, np.full(grid.num_inside, float(H)))
-    return op, J, rhs, phi_vals
+    return grid, op, J, rhs, phi_vals
 
 
 def _rel(x, ref):
@@ -227,12 +228,12 @@ class TestLinearSolve:
 
     @pytest.mark.parametrize("case", sorted(LINEAR_CASES))
     def test_ordered_solve_matches_spsolve(self, request, case):
-        op, J, rhs, _ = _at_lift(request, case)
+        grid, op, J, rhs, _ = _at_lift(request, case)
         assert _rel(op._solve(J, rhs), spla.spsolve(J.tocsc(), rhs)) <= 1e-10
 
     @pytest.mark.parametrize("case", sorted(LINEAR_CASES))
     def test_lift_matches_spsolve(self, request, case):
-        op, _, _, phi_vals = _at_lift(request, case)
+        grid, op, _, _, phi_vals = _at_lift(request, case)
         rhs = -(op._lap_T @ (op.B @ phi_vals))
         ref = spla.spsolve(op._lap_A.tocsc(), rhs)
         assert _rel(op.laplace_lift(phi_vals), ref) <= 1e-10
@@ -255,14 +256,14 @@ class TestLinearSolve:
         assert np.all(ix[last] == mid)
 
     def test_order_fills_less_than_colamd(self, request):
-        op, J, _, _ = _at_lift(request, "euclid-cap-64")
+        grid, op, J, _, _ = _at_lift(request, "euclid-cap-64")
         p = op._nd_order
         nd = spla.splu(J[p][:, p].tocsc(), permc_spec="NATURAL")
         colamd = spla.splu(J.tocsc())
         assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
 
     def test_zeroed_row_is_singular(self, request, monkeypatch):
-        op, J, rhs, phi_vals = _at_lift(request, "euclid-cap-64")
+        grid, op, J, rhs, phi_vals = _at_lift(request, "euclid-cap-64")
         keep = np.ones(J.shape[0])
         keep[J.shape[0] // 2] = 0.0
         J0 = (sp.diags(keep) @ J).tocsr()
@@ -275,7 +276,7 @@ class TestLinearSolve:
                          np.ones(J.shape[0]), kg.SolveConfig())
 
     def test_non_finite_rhs_is_singular(self, request):
-        op, J, rhs, _ = _at_lift(request, "euclid-cap-64")
+        grid, op, J, rhs, _ = _at_lift(request, "euclid-cap-64")
         rhs[7] = np.nan
         with pytest.raises(SingularJacobian, match="non-finite"):
             op._solve(J, rhs)
@@ -361,7 +362,7 @@ class TestFactorizationReuse:
         # the identity leaves GMRES short of the tolerance; a nonlinear
         # one makes its residual estimate wrong, which the true-residual
         # check catches
-        op, J, rhs, phi_vals = _at_lift(request, "euclid-cap-64")
+        grid, op, J, rhs, phi_vals = _at_lift(request, "euclid-cap-64")
         slot = {"lu": None}
         lift = op.laplace_lift(phi_vals, _lu_slot=slot)
         if kind == "identity":
