@@ -20,12 +20,12 @@ from .geometry import (
     section_gradient_s_at, warped,
 )
 from .grid import (
-    Disk, GridDomain, Rectangle, build_grid, distance_field, gradient_at,
-    hessian_at, integrate, read_field_csv, write_field_csv,
+    Disk, GridDomain, Rectangle, build_grid, distance_field, integrate,
+    read_field_csv, write_field_csv,
 )
 from .operator import (
     GraphOperator, OperatorState, ProblemSpec, area_functional, jacobian,
-    operator_state, quasilinear_coeffs, residual, u_hat, w_of,
+    operator_state, residual,
 )
 from .solver import (
     ComparisonResult, SolveConfig, SolveReport, comparison_check,

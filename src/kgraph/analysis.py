@@ -34,7 +34,6 @@ LADDER = [2.0 ** k for k in range(0, 21)]
 @dataclass
 class BoundaryGeometry:
     params: np.ndarray       # (S,)
-    dparam: np.ndarray       # (S,) parameter weight of each sample
     points: np.ndarray       # (S, 2)
     points_minus: np.ndarray  # (S, 2) at t - dt
     points_plus: np.ndarray  # (S, 2) at t + dt
@@ -135,7 +134,7 @@ def boundary_geometry(chart, domain, samples=64, n=2, h_fd=GEOM_H_FD):
     weights = speed * dts
 
     return BoundaryGeometry(
-        params=ts, dparam=dts, points=p0, points_minus=pm, points_plus=pp,
+        params=ts, points=p0, points_minus=pm, points_plus=pp,
         dt=dt, tangents=cp, eta=eta, eta_minus=eta_m, eta_plus=eta_p,
         H_gamma=H_gamma, kappa=kap, H_cyl=H_cyl, weights=weights, n=n,
     )
@@ -608,7 +607,7 @@ def flux_balance(spec, grid, u, bgeom=None, _state=None, _samples=None, _H_vals=
     H_vals = spec.H_nodes(grid) if _H_vals is None else _H_vals
     state = _state
     if state is None:
-        state = op.state(u, spec.phi_links(grid), H_vals)
+        state = op.state(u, spec.phi_links(grid))
     f_n = op.node_f
     # n H <Y, N> times the graph area element relative to sqrt(sigma) dx
     integrand = spec.n * H_vals * (1.0 / state.W) * (state.W / np.sqrt(f_n))
@@ -649,7 +648,7 @@ def theta_field(spec, grid, u, band_cells=1.5, slack=1e-6, require_pass=True,
     op = _get_operator(spec.chart, grid, spec.n)
     state = _state
     if state is None:
-        state = op.state(u, spec.phi_links(grid), H_vals)
+        state = op.state(u, spec.phi_links(grid))
     theta = 1.0 / state.W
     theta_scaled = op.node_f / state.W
     gap = float(np.max(np.abs(theta_scaled - theta)))
@@ -713,7 +712,7 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
         "tolerance": 2.0 * newton_tol,
     }
 
-    state = op.state(u, phi_vals, H_vals)
+    state = op.state(u, phi_vals)
     rng = np.random.default_rng(rng_seed)
     xi = rng.normal(size=(8, 2))
     quad = np.einsum("nij,ki,kj->nk", state.A, xi, xi)

@@ -97,15 +97,17 @@ def inverse_metric_at(chart, x):
     return inv
 
 
-def _partials_of_metric(chart, x, h_fd):
-    """d_a sigma_ij by central differences, shape (..., 2, 2, 2), index [a,i,j]."""
+def _central_partials(F, x, h_fd):
+    """d_a F(x) for a = 0, 1 by central differences with step h_fd.  The
+    index a follows x's point axes: shape x.shape[:-1] + (2,) + F's."""
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape[:-1] + (2, 2, 2))
-    for a in range(2):
-        step = np.zeros(2)
-        step[a] = h_fd
-        out[..., a, :, :] = (chart.metric_at(x + step) - chart.metric_at(x - step)) / (2.0 * h_fd)
-    return out
+    return np.stack([(F(x + step) - F(x - step)) / (2.0 * h_fd) for step in h_fd * np.eye(2)],
+                    axis=x.ndim - 1)
+
+
+def _tilt(chart, x):
+    """The section tilt f^{1/2} delta_i pointwise."""
+    return np.sqrt(chart.f_at(x))[..., None] * chart.delta_at(x)
 
 
 def christoffels_at(chart, x, h_fd):
@@ -117,7 +119,7 @@ def christoffels_at(chart, x, h_fd):
     if h_fd <= 0:
         raise ValueError("h_fd must be positive")
     inv = inverse_metric_at(chart, x)
-    dsig = _partials_of_metric(chart, x, h_fd)  # [a, i, j] = d_a sigma_ij
+    dsig = _central_partials(chart.metric_at, x, h_fd)  # [a, i, j] = d_a sigma_ij
     # bracket[l,i,j] = d_i sigma_jl + d_j sigma_il - d_l sigma_ij
     bracket = (np.einsum("...ijl->...lij", dsig)
                + np.einsum("...jil->...lij", dsig)
@@ -129,14 +131,7 @@ def kappa_vector_at(chart, x, h_fd):
     """Covector kappa_i = d_i f / (2 f): the horizontal part of the fiber acceleration."""
     if h_fd <= 0:
         raise ValueError("h_fd must be positive")
-    x = np.asarray(x, dtype=float)
-    f0 = chart.f_at(x)
-    out = np.empty(x.shape[:-1] + (2,))
-    for a in range(2):
-        step = np.zeros(2)
-        step[a] = h_fd
-        out[..., a] = (chart.f_at(x + step) - chart.f_at(x - step)) / (2.0 * h_fd)
-    return out / (2.0 * f0[..., None])
+    return _central_partials(chart.f_at, x, h_fd) / (2.0 * chart.f_at(x)[..., None])
 
 
 def gamma_at(chart, x, h_fd):
@@ -147,25 +142,15 @@ def gamma_at(chart, x, h_fd):
     """
     if h_fd <= 0:
         raise ValueError("h_fd must be positive")
-    x = np.asarray(x, dtype=float)
-
-    def g(points):
-        return np.sqrt(chart.f_at(points))[..., None] * chart.delta_at(points)
-
     # D[a, b] = d_a (f^{1/2} delta_b)
-    D = np.empty(x.shape[:-1] + (2, 2))
-    for a in range(2):
-        step = np.zeros(2)
-        step[a] = h_fd
-        D[..., a, :] = (g(x + step) - g(x - step)) / (2.0 * h_fd)
+    D = _central_partials(lambda p: _tilt(chart, p), x, h_fd)
     # gamma[k, j] = D[j, k] - D[k, j]
     return np.swapaxes(D, -1, -2) - D
 
 
 def section_gradient_s_at(chart, x):
     """Covector D_i(s) = -f^{1/2} delta_i; exact pointwise, no differencing."""
-    x = np.asarray(x, dtype=float)
-    return -np.sqrt(chart.f_at(x))[..., None] * chart.delta_at(x)
+    return -_tilt(chart, x)
 
 
 def validate_chart_at(chart, points, what="grid node"):

@@ -7,13 +7,12 @@ the fractional crossing theta in (0, 1] to the true boundary recorded
 per link; DIRICHLET_GHOST nodes are outside nodes touching an inside
 node along an axis (the slots where Dirichlet data enters stencils).
 
-Stencils are plain second-order central differences at interior nodes
-and Shortley-Weller one-sided corrected stencils (exact on quadratics
-along each axis) at boundary-adjacent nodes.  The distance field to
-the boundary is analytic for flat metrics and fast-swept first-order
-(by anti-diagonals) for general sigma.  Grids are immutable after build.
-Stencils are array code over node-id arrays, with the per-node
-`gradient_at` and `hessian_at` as thin wrappers.
+The grid holds geometry only: lattice maps, crossings, inward normals,
+the distance field and quadrature weights.  Derivatives of node fields
+are the operator's (`GraphOperator.Gx`/`Gy` over the ghost-extended
+field).  The distance field to the boundary is analytic for flat
+metrics and fast-swept first-order (by anti-diagonals) for general
+sigma.  Grids are immutable after build.
 """
 
 import csv
@@ -209,9 +208,6 @@ class GridDomain:
         mask[self.link_node] = False
         return mask
 
-    def node_point(self, node):
-        return self.points[node]
-
     def check_field(self, values, name="field"):
         values = np.asarray(values, dtype=float)
         if values.shape[0] != self.num_inside:
@@ -373,6 +369,15 @@ def _ext_index(node_index, ghost_index, n_inside):
                     np.where(ghost_index >= 0, n_inside + ghost_index, -1))
 
 
+def _lattice_at(index, ix, iy):
+    """index[iy, ix] per entry, or -1 where (ix, iy) is off the lattice."""
+    ny, nx = index.shape
+    ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+    out = -np.ones(np.shape(ix), dtype=int)
+    out[ok] = index[iy[ok], ix[ok]]
+    return out
+
+
 def _inward_sigma_normals(chart, points, m):
     """Inward sigma-unit normals at boundary `points` from the unit
     Euclidean inward covectors `m` there: m raised by sigma^{-1}, which
@@ -515,111 +520,6 @@ def _cell_fractions(domain, P, cls, inside_ij, ghost_ij, h):
     frac = frac_for(P[sy, sx])
     keep = frac > 0.0
     return frac_inside, frac_ghost, np.stack([sx[keep], sy[keep]], axis=1), frac[keep]
-
-
-# ---------------------------------------------------------------------------
-# stencils (Shortley-Weller corrected at the boundary)
-
-def _stencils(grid, values, nodes, boundary_values=None, cross=False):
-    """Axis derivatives du, d2u (each (len(nodes), 2)) at the inside ids
-    `nodes`, and with `cross` the mixed second derivative.
-
-    Along an axis, each side's sample is the inside neighbour, or the
-    crossing value at theta h when `boundary_values` is given.  Two
-    samples give the Shortley-Weller stencil; one gives the one-sided
-    difference, second order when the node two steps along that side is
-    inside.  The mixed term is the 4-corner difference, else the
-    difference of the y-derivatives at the x-neighbours, else of one of
-    them against the node's own.  Raises StencilUnavailable at the first
-    node without a stencil.
-    """
-    values = np.asarray(values, dtype=float)
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
-    N, h, k = grid.num_inside, grid.h, len(nodes)
-    if boundary_values is not None:
-        boundary_values = np.asarray(boundary_values, dtype=float)
-        link_key = 4 * grid.link_node + grid.link_dir   # ascending: links are node-major
-    ix, iy = grid.inside_ij[nodes, 0], grid.inside_ij[nodes, 1]
-    # one row per (node, axis): the nodes along x, along y, then with
-    # `cross` their +x and -x neighbours along y
-    ids, axis = np.concatenate([nodes, nodes]), np.repeat([0, 1], k)
-    if cross:
-        jx = np.concatenate([grid.node_index[iy, ix + 1], grid.node_index[iy, ix - 1]])
-        ids, axis = np.concatenate([ids, np.maximum(jx, 0)]), np.concatenate([axis, [1] * 2 * k])
-
-    sides = []
-    for d in (2 * axis, 2 * axis + 1):
-        e = grid.neighbor_ext[ids, d]
-        has = e < N
-        a = np.full(len(ids), h)
-        u = values[np.where(has, e, ids)]
-        if boundary_values is not None:
-            link = np.searchsorted(link_key, 4 * ids[~has] + d[~has])
-            a[~has] = grid.link_theta[link] * h
-            u[~has] = boundary_values[link]
-            has[:] = True
-        sides.append((has, a, u))
-    (hp, a, up), (hm, b, um) = sides
-    u0 = values[ids]
-    sign = np.where(hp, 1, -1)
-    a1, u1 = np.where(hp, a, b), np.where(hp, up, um)
-    j2 = _lattice_at(grid.node_index, grid.inside_ij[ids, 0] + 2 * sign * (axis == 0),
-                     grid.inside_ij[ids, 1] + 2 * sign * (axis == 1))
-    u2 = values[j2]
-    far = (j2 >= 0) & (np.abs(a1 - h) < 1e-12 * h)
-    both = hp & hm
-    du = np.where(both, (up * b * b - um * a * a + u0 * (a * a - b * b)) / (a * b * (a + b)),
-                  np.where(far, sign * (-3.0 * u0 + 4.0 * u1 - u2) / (2.0 * h),
-                           sign * (u1 - u0) / a1))
-    d2u = np.where(both, 2.0 * (up * b + um * a - u0 * (a + b)) / (a * b * (a + b)),
-                   np.where(far, (u2 - 2.0 * u1 + u0) / h ** 2, 0.0))
-    ok = hp | hm
-    for ax in (0, 1):
-        bad = ~ok[ax * k:(ax + 1) * k]
-        if bad.any():
-            x, y = grid.points[nodes[bad][0]]
-            raise StencilUnavailable(f"no stencil along axis {ax} at node ({x:.6g}, {y:.6g})")
-    axis_du, axis_d2u = du[:2 * k].reshape(2, k).T, d2u[:2 * k].reshape(2, k).T
-    if not cross:
-        return axis_du, axis_d2u, None
-
-    jpp, jpm, jmp, jmm = (grid.node_index[iy + sy, ix + sx]
-                          for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
-    full = np.min([jpp, jpm, jmp, jmm], axis=0) >= 0
-    (gy, gp, gm), (okp, okm) = du[k:].reshape(3, k), (ok[2 * k:] & (jx >= 0)).reshape(2, k)
-    found = full | okp | okm
-    if not found.all():
-        x, y = grid.points[nodes[~found][0]]
-        raise StencilUnavailable(f"no cross stencil at node ({x:.6g}, {y:.6g})")
-    dxy = np.where(full, (values[jpp] - values[jpm] - values[jmp] + values[jmm]) / (4.0 * h * h),
-                   np.where(okp & okm, (gp - gm) / (2.0 * h),
-                            np.where(okp, (gp - gy) / h, -(gm - gy) / h)))
-    return axis_du, axis_d2u, dxy
-
-
-def gradient_at(grid, values, node, boundary_values=None):
-    """Covector (d_x u, d_y u) at an inside node.
-
-    Second-order central at interior nodes; Shortley-Weller one-sided
-    corrected using the boundary crossing values when supplied.
-    """
-    du, _, _ = _stencils(grid, values, node, boundary_values)
-    return du[0]
-
-
-def hessian_at(grid, values, node, boundary_values=None):
-    """Symmetric matrix of second partials at an inside node."""
-    _, d2u, dxy = _stencils(grid, values, node, boundary_values, cross=True)
-    return np.array([[d2u[0, 0], dxy[0]], [dxy[0], d2u[0, 1]]])
-
-
-def _lattice_at(index, ix, iy):
-    """index[iy, ix] per entry, or -1 where (ix, iy) is off the lattice."""
-    ny, nx = index.shape
-    ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-    out = -np.ones(np.shape(ix), dtype=int)
-    out[ok] = index[iy[ok], ix[ok]]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ Euclidean base the lower spherical cap u = -sqrt(R^2 - r^2) has
 H = +1/R.
 """
 
+import numbers
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,9 +34,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import KGraphError, SingularJacobian
-from .geometry import _sqrt_det, christoffels_at, inverse_metric_at, kappa_vector_at
-from .grid import STEP_X, STEP_Y, _ext_index, _lattice_at, gradient_at
+from .errors import InputError, KGraphError, SingularJacobian
+from .geometry import (_central_partials, _sqrt_det, _tilt, christoffels_at,
+                       inverse_metric_at, kappa_vector_at)
+from .grid import STEP_X, STEP_Y, _ext_index, _lattice_at
 
 THETA_FLOOR = 1e-6  # ghost extrapolation keeps theta away from zero
 THETA_ELIM = 0.05   # below this, a node is pinned to boundary interpolation:
@@ -51,8 +53,9 @@ ND_LEAF = 32        # nested-dissection parts this small are not split further
 class ProblemSpec:
     """A Dirichlet problem: chart, domain, prescribed H, boundary data phi.
 
-    H may be a constant, a callable over points, or a node array;
-    phi a constant, a callable over boundary points, or a link array.
+    H may be a constant, a callable over points, or a node array; phi a
+    constant or a callable over boundary points, since it is evaluated
+    at crossings and at boundary samples alike.
     """
 
     chart: object
@@ -60,6 +63,11 @@ class ProblemSpec:
     H: object = 0.0
     phi: object = 0.0
     n: int = 2
+
+    def __post_init__(self):
+        if not (callable(self.phi) or isinstance(self.phi, numbers.Real)):
+            raise InputError("phi must be a number or a callable over boundary points, "
+                             f"not {type(self.phi).__name__}")
 
     def H_nodes(self, grid):
         vals = _eval_data(self.H, grid.points)
@@ -78,9 +86,6 @@ class ProblemSpec:
         if not np.all(np.isfinite(vals)):
             raise KGraphError("boundary data phi is not finite on the boundary")
         return vals
-
-    def H_is_constant(self, grid, tol=1e-12):
-        return _is_constant(self.H_nodes(grid), tol)
 
 
 def _is_constant(vals, tol=1e-12):
@@ -107,7 +112,6 @@ class OperatorState:
     u_hat_down: np.ndarray  # (N, 2) covariant
     W: np.ndarray           # (N,)
     A: np.ndarray           # (N, 2, 2) quasilinear coefficients
-    B: np.ndarray           # (N,) n H W^3
 
 
 class GraphOperator:
@@ -252,7 +256,6 @@ class GraphOperator:
         fx_x, fy_x = _faces(index[:, :-1], index[:, 1:])
         fx_y, fy_y = _faces(index[:-1, :], index[1:, :])
         Fx, Fy = len(fx_x), len(fx_y)
-        self.n_faces = Fx + Fy
 
         def normal_and_average(fx, fy, sx, sy):
             """Normal difference and tangential face value per face.
@@ -290,7 +293,6 @@ class GraphOperator:
             np.column_stack([grid.x_origin + (fx_x + 0.5) * h, grid.y_origin + fy_x * h]),
             np.column_stack([grid.x_origin + fx_y * h, grid.y_origin + (fy_y + 0.5) * h]),
         ])
-        self.face_mid = mid
         self.face_axis = np.repeat([0, 1], [Fx, Fy])
 
         # divergence: difference of the four face fluxes per node
@@ -543,12 +545,11 @@ class GraphOperator:
             raise SingularJacobian(f"linear solve relative residual {rel:.2e}")
         return x
 
-    def state(self, u, phi_vals, H_vals):
+    def state(self, u, phi_vals):
         u_ext = self.extend(u, phi_vals)
         c, up, W = self._node_state(u_ext)
         A = (W * W)[:, None, None] * self.node_siginv - np.einsum("ni,nj->nij", up, up)
-        B = self.n * np.asarray(H_vals, dtype=float) * W ** 3
-        return OperatorState(u_hat_up=up, u_hat_down=c, W=W, A=A, B=B)
+        return OperatorState(u_hat_up=up, u_hat_down=c, W=W, A=A)
 
     def functional(self, u, phi_vals, fiber_weighted=False):
         """Integral of W (optionally of W / sqrt(f)) against sqrt(sigma).
@@ -583,14 +584,7 @@ class GraphOperator:
         gam = christoffels_at(self.chart, grid.points, h)
 
         # d_i tilt_k by central differences of the chart tilt
-        def tilt(points):
-            return np.sqrt(self.chart.f_at(points))[..., None] * self.chart.delta_at(points)
-
-        dt = np.empty((N, 2, 2))
-        for a in range(2):
-            step = np.zeros(2)
-            step[a] = h
-            dt[:, a, :] = (tilt(grid.points + step) - tilt(grid.points - step)) / (2 * h)
+        dt = _central_partials(lambda p: _tilt(self.chart, p), grid.points, h)
 
         idx = np.nonzero(grid.interior_mask)[0]
         Hv = self.n * np.asarray(H_vals, dtype=float)
@@ -698,23 +692,6 @@ def _get_operator(chart, grid, n=2):
 # ---------------------------------------------------------------------------
 # spec-level convenience functions
 
-def u_hat(chart, grid, u, node, boundary_values=None):
-    """Contravariant tilted gradient hat_u^j at one node."""
-    g = gradient_at(grid, u, node, boundary_values)
-    x = grid.points[node]
-    tilt = np.sqrt(chart.f_at(x)) * chart.delta_at(x)
-    siginv = inverse_metric_at(chart, x)
-    return siginv @ (g + tilt)
-
-
-def w_of(chart, uhat_up, x):
-    """Graph slope W = sqrt(f + |hat_u|^2) from a contravariant hat_u."""
-    sig = chart.metric_at(x)
-    uhat_up = np.asarray(uhat_up, dtype=float)
-    quad = np.einsum("...i,...ij,...j->...", uhat_up, sig, uhat_up)
-    return np.sqrt(chart.f_at(x) + quad)
-
-
 def residual(spec, grid, u, H=None, phi=None):
     """Q[u] - n H over inside nodes for a problem spec."""
     op = _get_operator(spec.chart, grid, spec.n)
@@ -730,23 +707,10 @@ def jacobian(spec, grid, u, phi=None):
     return op.jacobian(np.asarray(u, dtype=float), phi_vals)
 
 
-def quasilinear_coeffs(spec, grid, u, node, boundary_values=None):
-    """(A^{ij}, lower-order scalar) at one interior node."""
-    chart = spec.chart
-    up = u_hat(chart, grid, u, node, boundary_values)
-    x = grid.points[node]
-    W = w_of(chart, up, x)
-    siginv = inverse_metric_at(chart, x)
-    A = W * W * siginv - np.outer(up, up)
-    kap = kappa_vector_at(chart, x, grid.h)
-    f = chart.f_at(x)
-    lower = -(f + W * W) * float(kap @ up)
-    return A, lower
-
-
 def operator_state(spec, grid, u):
+    """Tilted gradient (both index positions), W and A^{ij} at every inside node."""
     op = _get_operator(spec.chart, grid, spec.n)
-    return op.state(np.asarray(u, dtype=float), spec.phi_links(grid), spec.H_nodes(grid))
+    return op.state(np.asarray(u, dtype=float), spec.phi_links(grid))
 
 
 def area_functional(spec, grid, u):

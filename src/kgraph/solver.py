@@ -252,10 +252,9 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
             u = np.asarray(u0, dtype=float) * taper
         else:
             u = minimal_initial_graph(spec, grid, cfg, _lu_slot=lu_slot)
-        sigma_of_u = 0.0  # any u0 is treated as a sigma = 0 start
         lift_state = {"applied": 0.0}
 
-        def attempt(u_from, sigma, sigma_from):
+        def attempt(u_from, sigma):
             Hs = sigma * H_target
             ps = sigma * phi_target if cfg.scale_phi else phi_target
             u_start = u_from
@@ -265,14 +264,14 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
             result = newton_solve(op, u_start, ps, Hs, cfg, _lu_slot=lu_slot)
             if lift is not None:
                 lift_state["applied"] = sigma if cfg.scale_phi else 1.0
-            return result, ps, Hs
+            return result, ps
 
         def book(sigma, u_new, iters, history, ps):
             report.sigma_path.append(float(sigma))
             report.newton_iters.append(int(iters))
             report.residual_final = float(history[-1])
             report.sup_u.append(float(np.max(np.abs(u_new))))
-            state = op.state(u_new, ps, H_target)
+            state = op.state(u_new, ps)
             du = np.sqrt(np.einsum("ni,ni->n", state.u_hat_down, state.u_hat_up))
             report.sup_du.append(float(np.max(du)))
             if cfg.record_fields:
@@ -280,19 +279,19 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
 
         if cfg.try_direct:
             try:
-                (u_new, iters, history), ps, _ = attempt(u, 1.0, sigma_of_u)
+                (u_new, iters, history), ps = attempt(u, 1.0)
                 book(1.0, u_new, iters, history, ps)
                 report.converged = True
                 return u_new, report
             except (_NewtonFailure, SingularJacobian, DivergedIterates):
                 pass
 
-        sigma = sigma_of_u
+        sigma = 0.0  # any u0 is treated as a sigma = 0 start
         dsigma = cfg.dsigma_init
         while sigma < 1.0:
             target = min(1.0, sigma + dsigma)
             try:
-                (u_new, iters, history), ps, _ = attempt(u, target, sigma)
+                (u_new, iters, history), ps = attempt(u, target)
             except (_NewtonFailure, SingularJacobian, DivergedIterates):
                 dsigma *= 0.5
                 if dsigma < cfg.dsigma_min:

@@ -92,6 +92,12 @@ class TestSolve:
         assert main(["solve", cfg, "--out", str(tmp_path)]) == 1
         assert "[problem] H" in capsys.readouterr().err
 
+    def test_non_finite_H_exit_1(self, tmp_path, capsys):
+        cfg = write(tmp_path, "ln.cfg", TRIVIAL_CONFIG.replace("H = 0", "H = ln(x)"))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "H is not finite at node (" in capsys.readouterr().err
+
     def test_disabled_geometry(self, tmp_path, capsys):
         cfg = write(tmp_path, "hopf.cfg",
                     TRIVIAL_CONFIG.replace("builtin = euclidean", "builtin = hopf"))

@@ -11,14 +11,16 @@ Operator: the residual and a Jacobian-vector product on a fixed smooth
 field must match `tests/data/operator_*.npz`, which hold the values the
 per-node / per-face loop assembly of `GraphOperator` produced.
 
-Stencils, oracles and boundary gathers: `gradient_at`, `hessian_at`,
-`residual_nondivergence`, `jacobian_fd`, `boundary_gradient_samples`,
-`integrate`, the boundary normals and `Div` must match
-`tests/data/{stencils,nondiv,jacfd,boundary}_*.npz`, written by the
+Oracles and boundary gathers: `residual_nondivergence`, `jacobian_fd`,
+`boundary_gradient_samples`, `integrate`, the boundary normals and `Div`
+must match `tests/data/{nondiv,jacfd,boundary}_*.npz`, written by the
 per-node code these became array code of, together with their inputs.
+`grid.eta` must equal, bit for bit, the normals stored in
+`tests/data/stencils_*.npz`, which were written with a per-node stencil
+routine that no longer exists; they are kept as they are.
 
-Run this file as a script to rewrite every reference from the installed
-kgraph.
+Run this file as a script to rewrite the operator, nondivergence,
+Jacobian and boundary references from the installed kgraph.
 """
 
 from pathlib import Path
@@ -405,68 +407,26 @@ def test_strip_reference_extrapolates_unpinned_short_links(case, behind):
 
 
 # ---------------------------------------------------------------------------
-# per-node stencils, the oracles and the boundary gathers: references in
-# tests/data/{stencils,nondiv,jacfd,boundary}_*.npz hold the values of the
-# per-node loops these became array code of, with the input fields they
-# were computed from
+# the oracles and the boundary gathers: references in
+# tests/data/{nondiv,jacfd,boundary}_*.npz hold the values of the per-node
+# loops these became array code of, with the input fields they were
+# computed from; tests/data/stencils_*.npz also hold grid.eta
 
 STENCIL_CASES = {   # chart factory, domain, h
     "euclid20_offcentre": (kg.euclidean, kg.Disk((0.0137, -0.0219), 0.5), 1.0 / 20),
     "aniso41_square25": (lambda: _chart("aniso41", _aniso41),
                          kg.Rectangle(0.0, 0.0, 1.0, 1.0), 1.0 / 25),
     "heis16": (kg.heisenberg, kg.Disk((0.0, 0.0), 1.0), 1.0 / 16),
-    # two rows: one-sided along y with no second sample behind
     "euclid48_strip2": (kg.euclidean, _strip(2, 0.5), 1.0 / 48),
-    # three nodes in an L: no x stencil, no y stencil, no cross stencil
     "euclid20_three_nodes": (kg.euclidean, kg.Disk((0.0, 0.37 / 20), 1.02 / 20), 1.0 / 20),
 }
 
 
-def stencil_values(case, u=None, bv=None):
-    """gradient_at and hessian_at at every node, with and without crossing
-    values; NaN and the StencilUnavailable message where a node has none."""
-    factory, domain, h = STENCIL_CASES[case]
-    grid = kg.build_grid(domain, h, factory())
-    u = _fields(grid.points)[0] if u is None else u
-    bv = _fields(grid.link_points)[0] if bv is None else bv
-    out = {"u": u, "bv": bv, "eta": grid.eta}
-    for tag, data in (("", None), ("_bv", bv)):
-        for name, stencil, shape in (("grad", kg.gradient_at, (2,)),
-                                     ("hess", kg.hessian_at, (2, 2))):
-            vals = np.full((grid.num_inside,) + shape, np.nan)
-            errors = []
-            for n in range(grid.num_inside):
-                try:
-                    vals[n] = stencil(grid, u, n, boundary_values=data)
-                    errors.append("")
-                except kg.StencilUnavailable as exc:
-                    errors.append(str(exc))
-            out[name + tag] = vals
-            out[name + tag + "_error"] = np.array(errors)
-    return out
-
-
 @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
-def test_stencils_match_reference(case):
-    ref = np.load(DATA / f"stencils_{case}.npz")
-    got = stencil_values(case, ref["u"], ref["bv"])
-    for key in ref.files:
-        assert np.array_equal(got[key], ref[key], equal_nan=ref[key].dtype.kind == "f"), key
-
-
-def test_stencil_references_cover_every_branch():
-    """Without crossing values: nodes lacking each kind of stencil, and
-    one-sided second differences with no sample behind (d2u = 0).  With
-    them every axis stencil exists; only the cross term can be missing."""
-    refs = {case: np.load(DATA / f"stencils_{case}.npz") for case in STENCIL_CASES}
-    errors = {key: np.concatenate([ref[key] for ref in refs.values()])
-              for key in ("grad_error", "hess_error", "grad_bv_error", "hess_bv_error")}
-    assert any(e.startswith("no stencil along axis 0") for e in errors["grad_error"])
-    assert any(e.startswith("no stencil along axis 1") for e in errors["grad_error"])
-    assert any(e.startswith("no cross stencil") for e in errors["hess_error"])
-    assert not any(errors["grad_bv_error"])
-    assert all(e == "" or e.startswith("no cross stencil") for e in errors["hess_bv_error"])
-    assert np.any(refs["euclid48_strip2"]["hess"][:, 1, 1] == 0.0)
+def test_eta_matches_stencils_reference(case):
+    factory, domain, h = STENCIL_CASES[case]
+    eta = np.load(DATA / f"stencils_{case}.npz")["eta"]
+    assert np.array_equal(kg.build_grid(domain, h, factory()).eta, eta)
 
 
 ORACLE_CASES = {   # chart factory, domain, h, phi
@@ -592,8 +552,7 @@ if __name__ == "__main__":
         _, _, values = operator_values(name)
         np.savez_compressed(DATA / f"operator_{name}.npz", **values)
         print(name, {k: v.shape for k, v in values.items()})
-    references = [("stencils", STENCIL_CASES, stencil_values),
-                  ("nondiv", NONDIV_CASES, nondiv_values),
+    references = [("nondiv", NONDIV_CASES, nondiv_values),
                   ("jacfd", JACFD_CASES, jacfd_values),
                   ("boundary", BOUNDARY_CASES, gather_values)]
     for prefix, cases, values_of in references:

@@ -1,4 +1,4 @@
-"""Grid classification, stencils, distance, quadrature, field I/O."""
+"""Grid classification, the operator gradient, distance, quadrature, field I/O."""
 
 import heapq
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import kgraph as kg
-from kgraph.errors import EmptyDomain, InputError, StencilUnavailable
+from kgraph.errors import EmptyDomain, InputError
 from kgraph.grid import BOUNDARY_ADJACENT, DIRICHLET_GHOST, INTERIOR
+from kgraph.operator import THETA_ELIM, _get_operator, _walk_inward
 
 
 def aniso_chart():
@@ -153,15 +154,11 @@ class TestDistance:
         fronts = np.sort(np.stack([2 * x, 2 * (1 - x), y, 1 - y], axis=1), axis=1)
         unambiguous = fronts[:, 1] - fronts[:, 0] > 4 * h
         band = (grid.dist <= 0.35 * grid.dist.max()) & grid.interior_mask & unambiguous
-        worst = 0.0
-        for n in np.nonzero(band)[0]:
-            try:
-                g = kg.gradient_at(grid, grid.dist, n)
-            except StencilUnavailable:
-                continue
-            val = np.sqrt(g @ siginv[n] @ g)
-            worst = max(worst, abs(val - 1.0))
-        assert worst <= 0.1
+        # central differences: interior nodes have all four neighbours inside
+        d = grid.dist[grid.neighbor_ext[band]]
+        g = np.stack([d[:, 0] - d[:, 1], d[:, 2] - d[:, 3]], axis=-1) / (2 * h)
+        val = np.sqrt(np.einsum("ni,nij,nj->n", g, siginv[band], g))
+        assert np.abs(val - 1.0).max() <= 0.1
 
     def test_distance_field_function_matches(self, euclid):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.7), 0.1, euclid)
@@ -179,81 +176,58 @@ class TestDistance:
 
 
 class TestStencils:
+    """The operator's gradient: central differences over the ghost extension."""
+
+    @staticmethod
+    def gradient(chart, grid, field):
+        op = _get_operator(chart, grid, 2)
+        u_ext = op.extend(field(grid.points), field(grid.link_points))
+        return np.stack([op.Gx @ u_ext, op.Gy @ u_ext], axis=-1)
+
     def test_linear_exactness(self, euclid):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 0.125, euclid)
-        u = 3.0 * grid.points[:, 0] - 2.0 * grid.points[:, 1]
+        g = self.gradient(euclid, grid, lambda P: 3.0 * P[..., 0] - 2.0 * P[..., 1])
         for n in np.nonzero(grid.interior_mask)[0][::7]:
-            g = kg.gradient_at(grid, u, n)
-            assert np.abs(g - [3.0, -2.0]).max() < 1e-12
-
-    def test_quadratic_hessian_exact(self, euclid):
-        grid = kg.build_grid(kg.Rectangle(-1, -1, 1, 1), 0.25, euclid)
-        P = grid.points
-        u = P[:, 0] ** 2 + 0.5 * P[:, 0] * P[:, 1]
-        for n in np.nonzero(grid.interior_mask)[0][::5]:
-            Hm = kg.hessian_at(grid, u, n)
-            assert np.abs(Hm - np.array([[2.0, 0.5], [0.5, 0.0]])).max() < 1e-10
-
-    def test_boundary_adjacent_quadratic_with_data(self, euclid):
-        # Shortley-Weller axis stencils stay exact on quadratics when the
-        # crossing values are supplied
-        grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 0.25, euclid)
-
-        def field(P):
-            P = np.asarray(P)
-            return P[..., 0] ** 2 - 2.0 * P[..., 1] ** 2 + P[..., 0]
-
-        u = field(grid.points)
-        bv = field(grid.link_points)
-        for n in grid.link_node[::3]:
-            g = kg.gradient_at(grid, u, int(n), boundary_values=bv)
-            x, y = grid.points[n]
-            assert np.abs(g - [2 * x + 1, -4 * y]).max() < 1e-9
-            Hm = kg.hessian_at(grid, u, int(n), boundary_values=bv)
-            assert abs(Hm[0, 0] - 2.0) < 1e-8
-            assert abs(Hm[1, 1] + 4.0) < 1e-8
+            assert np.abs(g[n] - [3.0, -2.0]).max() < 1e-12
 
     def test_gradient_convergence_ratio(self, euclid):
         errs = []
         for h in (0.1, 0.05):
             grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), h, euclid)
-            P = grid.points
-            u = np.sin(P[:, 0]) * np.cos(P[:, 1])
-            worst = 0.0
-            for n in np.nonzero(grid.interior_mask)[0]:
-                g = kg.gradient_at(grid, u, n)
-                exact = np.array([np.cos(P[n, 0]) * np.cos(P[n, 1]),
-                                  -np.sin(P[n, 0]) * np.sin(P[n, 1])])
-                worst = max(worst, np.abs(g - exact).max())
-            errs.append(worst)
+            g = self.gradient(euclid, grid, lambda P: np.sin(P[..., 0]) * np.cos(P[..., 1]))
+            P = grid.points[grid.interior_mask]
+            exact = np.stack([np.cos(P[:, 0]) * np.cos(P[:, 1]),
+                              -np.sin(P[:, 0]) * np.sin(P[:, 1])], axis=-1)
+            errs.append(np.abs(g[grid.interior_mask] - exact).max())
         assert 3.5 < errs[0] / errs[1] < 4.5
 
-    def test_hessian_convergence_ratio(self, euclid):
-        # measured where the full 9-point neighborhood exists (the mixed
-        # term falls back to one-sided differencing of gradients otherwise)
-        errs = []
-        for h in (0.1, 0.05):
-            grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), h, euclid)
-            P = grid.points
-            u = np.sin(P[:, 0]) * np.cos(P[:, 1])
-            worst = 0.0
-            for n in np.nonzero(grid.interior_mask)[0]:
-                cx, cy = grid.inside_ij[n]
-                corners = [grid.node_index[cy + sy, cx + sx]
-                           for sx in (-1, 1) for sy in (-1, 1)]
-                if min(corners) < 0:
-                    continue
-                Hm = kg.hessian_at(grid, u, n)
-                s, c = np.sin(P[n, 0]) * np.cos(P[n, 1]), np.cos(P[n, 0]) * np.sin(P[n, 1])
-                exact = np.array([[-s, -c], [-c, -s]])
-                worst = max(worst, np.abs(Hm - exact).max())
-            errs.append(worst)
-        assert 3.5 < errs[0] / errs[1] < 4.5
-
-    def test_stencil_unavailable_without_data(self, euclid):
-        grid = kg.build_grid(kg.Rectangle(0, 0, 1, 1), 0.5, euclid)
-        with pytest.raises(StencilUnavailable):
-            kg.gradient_at(grid, np.zeros(1), 0)
+    @pytest.mark.parametrize("domain, h, eligible", [
+        (kg.Disk((0.0, 0.0), 1.0), 1.0 / 4, 20),
+        (kg.Disk((0.0137, -0.0219), 0.5), 1.0 / 48, 126),
+        (kg.Disk((0.0, 0.0), 0.5), 1.0 / 96, 262),
+    ], ids=["unit_disk4", "offcentre48", "centred96"])
+    def test_exact_on_quadratics_at_the_boundary(self, euclid, domain, h, eligible):
+        """At boundary-adjacent nodes whose ghost neighbours are fed only by
+        quadratic-exact extrapolations (theta >= THETA_ELIM with a node
+        behind, or theta < THETA_ELIM with two).  The nodes left out see a
+        ghost extrapolated to first order only, and are off by up to 0.6."""
+        grid = kg.build_grid(domain, h, euclid)
+        behind = _walk_inward(grid, grid.link_node, grid.link_dir, 2) >= 0
+        exact_link = np.where(grid.link_theta >= THETA_ELIM, behind[:, 0], behind[:, 1])
+        ghost = grid.neighbor_ext[grid.link_node, grid.link_dir] - grid.num_inside
+        exact_ghost = np.ones(grid.num_ghost, dtype=bool)
+        np.logical_and.at(exact_ghost, ghost, exact_link)
+        N = grid.num_inside
+        ext = grid.neighbor_ext
+        ok = np.all((ext < N) | exact_ghost[np.maximum(ext - N, 0)], axis=1)
+        nodes = np.unique(grid.link_node)
+        nodes = nodes[ok[nodes]]
+        assert len(nodes) == eligible
+        g = self.gradient(euclid, grid, lambda P: P[..., 0] ** 2 - 2.0 * P[..., 1] ** 2
+                          + 0.5 * P[..., 0] * P[..., 1] + P[..., 0])
+        x, y = grid.points[nodes, 0], grid.points[nodes, 1]
+        exact = np.stack([2 * x + 0.5 * y + 1, -4 * y + 0.5 * x], axis=-1)
+        assert np.abs(g[nodes] - exact).max() < 1e-11
 
 
 class TestIntegrate:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kgraph as kg
+from kgraph.errors import InputError
 from kgraph.operator import _get_operator
 from conftest import cap_trace, smooth_random_field
 from test_equivalence import OPERATOR_CASES, _fields
@@ -26,34 +27,75 @@ def aniso_chart():
         ric_lower=0.0, flat_metric=False)
 
 
+def linear_state(chart, grid, a, b):
+    """operator_state of u = a x + b y, with the same function as phi."""
+    def field(P):
+        P = np.asarray(P)
+        return a * P[..., 0] + b * P[..., 1]
+
+    spec = kg.ProblemSpec(chart=chart, domain=grid.domain, phi=field)
+    return kg.operator_state(spec, grid, field(grid.points))
+
+
+def nearest(grid, x):
+    return int(np.argmin(np.sum((grid.points - x) ** 2, axis=1)))
+
+
 class TestUhatAndW:
     def test_euclid_identity(self, euclid):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 0.125, euclid)
-        u = 0.3 * grid.points[:, 0] - 0.4 * grid.points[:, 1]
-        n = int(np.argmin(np.sum(grid.points ** 2, axis=1)))
-        up = kg.u_hat(euclid, grid, u, n)
-        assert np.allclose(up, [0.3, -0.4], atol=1e-12)
-        assert kg.w_of(euclid, up, grid.points[n]) == pytest.approx(np.sqrt(1.25))
+        state = linear_state(euclid, grid, 0.3, -0.4)
+        n = nearest(grid, [0.0, 0.0])
+        assert np.allclose(state.u_hat_up[n], [0.3, -0.4], atol=1e-12)
+        assert state.W[n] == pytest.approx(np.sqrt(1.25))
 
     def test_heisenberg_zero_graph(self, heis):
         grid = kg.build_grid(kg.Disk((1.0, 2.0), 0.3), 0.1, heis)
-        n = int(np.argmin(np.sum((grid.points - [1.0, 2.0]) ** 2, axis=1)))
+        n = nearest(grid, [1.0, 2.0])
         assert np.allclose(grid.points[n], [1.0, 2.0], atol=1e-12)
-        up = kg.u_hat(heis, grid, np.zeros(grid.num_inside), n)
-        assert np.allclose(up, [1.0, -0.5], atol=1e-12)
-        assert kg.w_of(heis, up, grid.points[n]) == pytest.approx(1.5)
+        state = linear_state(heis, grid, 0.0, 0.0)
+        assert np.allclose(state.u_hat_up[n], [1.0, -0.5], atol=1e-12)
+        assert state.W[n] == pytest.approx(1.5)
 
     def test_index_raising(self):
         chart = aniso_chart()
         grid = kg.build_grid(kg.Rectangle(-1, -1, 1, 1), 0.25, chart)
-        u = 2.0 * grid.points[:, 0] + 3.0 * grid.points[:, 1]
-        n = int(np.argmin(np.sum(grid.points ** 2, axis=1)))
-        up = kg.u_hat(chart, grid, u, n)
-        assert np.allclose(up, [0.5, 3.0], atol=1e-12)
+        state = linear_state(chart, grid, 2.0, 3.0)
+        n = nearest(grid, [0.0, 0.0])
+        assert np.allclose(state.u_hat_up[n], [0.5, 3.0], atol=1e-12)
 
     def test_w_examples(self, euclid):
-        assert kg.w_of(euclid, [0.0, 0.0], (0.0, 0.0)) == pytest.approx(1.0)
-        assert kg.w_of(euclid, [3.0, 4.0], (0.2, 0.2)) == pytest.approx(np.sqrt(26.0))
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 0.1, euclid)
+        assert linear_state(euclid, grid, 0.0, 0.0).W[nearest(grid, [0.0, 0.0])] \
+            == pytest.approx(1.0)
+        n = nearest(grid, [0.2, 0.2])
+        assert np.allclose(grid.points[n], [0.2, 0.2], atol=1e-12)
+        assert linear_state(euclid, grid, 3.0, 4.0).W[n] == pytest.approx(np.sqrt(26.0))
+
+
+class TestProblemSpec:
+    def test_array_phi_rejected(self, euclid):
+        # the cap at 1/32 has as many links as boundary samples (124), so a
+        # link array would pass for sample values without an error
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
+        bgeom = kg.boundary_geometry(euclid, grid.domain, samples=max(64, grid.num_links))
+        assert grid.num_links == len(bgeom.points) == 124
+        with pytest.raises(InputError, match="phi must be a number or a callable"):
+            kg.ProblemSpec(chart=euclid, domain=grid.domain, phi=CAP(grid.link_points))
+        with pytest.raises(InputError):
+            kg.ProblemSpec(chart=euclid, domain=grid.domain, phi="0.5")
+
+    def test_number_and_callable_phi_accepted(self, euclid):
+        domain = kg.Disk((0.0, 0.0), 0.5)
+        for phi in (0, 0.5, np.float64(-1.0), CAP):
+            assert kg.ProblemSpec(chart=euclid, domain=domain, phi=phi).phi is phi
+
+    def test_link_array_override_still_accepted(self, euclid):
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
+        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
+        u = CAP(grid.points)
+        r = kg.residual(spec, grid, u, phi=CAP(grid.link_points))
+        assert np.array_equal(r, kg.residual(spec, grid, u))
 
 
 class TestResidual:
@@ -137,19 +179,12 @@ class TestResidual:
 class TestQuasilinearCoeffs:
     def test_flat_zero_gradient(self, euclid):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 0.25, euclid)
-        n = int(np.argmin(np.sum(grid.points ** 2, axis=1)))
-        A, low = kg.quasilinear_coeffs(
-            kg.ProblemSpec(chart=euclid, domain=grid.domain), grid,
-            np.zeros(grid.num_inside), n)
+        A = linear_state(euclid, grid, 0.0, 0.0).A[nearest(grid, [0.0, 0.0])]
         assert np.allclose(A, np.eye(2), atol=1e-12)
-        assert low == pytest.approx(0.0)
 
     def test_slope_three_four(self, euclid):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 0.25, euclid)
-        u = 3.0 * grid.points[:, 0] + 4.0 * grid.points[:, 1]
-        n = int(np.argmin(np.sum(grid.points ** 2, axis=1)))
-        A, _ = kg.quasilinear_coeffs(
-            kg.ProblemSpec(chart=euclid, domain=grid.domain), grid, u, n)
+        A = linear_state(euclid, grid, 3.0, 4.0).A[nearest(grid, [0.0, 0.0])]
         assert np.allclose(A, [[17.0, -12.0], [-12.0, 10.0]], atol=1e-10)
         eig = np.linalg.eigvalsh(A)
         assert np.allclose(sorted(eig), [1.0, 26.0], atol=1e-10)
@@ -187,7 +222,6 @@ class TestState:
         sig = heis.metric_at(grid.points)
         down = np.einsum("nij,nj->ni", sig, state.u_hat_up)
         assert np.abs(down - state.u_hat_down).max() < 1e-12
-        assert np.abs(state.B - 2 * 0.3 * state.W ** 3).max() < 1e-12
 
 
 class TestJacobian:
