@@ -16,6 +16,7 @@ sigma.  Grids are immutable after build.
 """
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,9 @@ DIRICHLET_GHOST = 3
 DIR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 STEP_X = np.array([sx for sx, _ in DIR_STEPS])
 STEP_Y = np.array([sy for _, sy in DIR_STEPS])
+
+# the eikonal sweep evaluates runs of at most this many anti-diagonals at once
+SWEEP_RUN_MAX = 64
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +401,13 @@ def distance_field(grid, chart):
     """Distance to the boundary in the sigma metric, per inside node.
 
     Analytic for flat charts; a first-order fast-sweeping eikonal
-    solution of |grad d|_sigma = 1 with d = 0 on the boundary otherwise.
-    The sweep updates whole anti-diagonals (ix +- iy = const) at once in
-    each of its four orderings; every node reads the same neighbour
-    values as in a node-by-node row-major Gauss-Seidel sweep, and one
-    Jacobi check stands in for that sweep's last pass, which changes
-    nothing, so the result is identical to that sweep's, bit for bit.
+    solution of |grad d|_sigma = 1 with d = 0 on the boundary otherwise
+    (`_fast_sweep`).  Its result is that of a node-by-node row-major
+    Gauss-Seidel sweep, bit for bit: nodes on one anti-diagonal
+    (ix +- iy = const) never read each other, so a diagonal is updated at
+    once; runs of diagonals are evaluated together, and only the first
+    one that changes is applied, since no diagonal before it changed
+    anything it reads.
     """
     return _distance_field(grid.domain, chart, grid.points, grid.node_index,
                            grid.inside_ij, grid.h, grid.link_points,
@@ -410,83 +415,115 @@ def distance_field(grid, chart):
 
 
 def _fast_sweep(domain, chart, points, node_index, inside_ij, h, link_pts, link_node):
+    """Fast-sweeping eikonal distance (Zhao 2005), equal bit for bit to
+    `tests/test_equivalence.row_major_sweep`.
+
+    Boundary-adjacent nodes are frozen at their sigma chord length to
+    the nearest crossing within 2h.  Each pass runs the four orderings
+    (+,+), (+,-), (-,+), (-,-) by anti-diagonals (`_sweep_pass`); after a
+    pass that changed something, one Jacobi evaluation of every open
+    node decides whether another pass would, in place of the row-major
+    sweep's last pass, which changes nothing.
+    """
     n = len(points)
     d = np.full(n + 1, np.inf)      # d[n] stands in for a missing neighbour
     siginv = inverse_metric_at(chart, points)
-    sig = chart.metric_at(points)
 
     # freeze only boundary-adjacent nodes, at the local chord distance to
-    # crossings within 2h (a padded ball query, then the exact test)
+    # crossings within 2h: a padded ball query, then the exact test and
+    # the sigma length per (node, crossing) pair, the least per node
     frozen = np.zeros(n, dtype=bool)
     if len(link_pts):
         ks = np.unique(link_node)
-        near_ids = cKDTree(link_pts).query_ball_point(points[ks], 2.0 * h * (1.0 + 1e-9))
-        for k, ids in zip(ks, near_ids):
-            delta = link_pts[np.sort(ids)] - points[k]
-            dl = delta[np.hypot(delta[:, 0], delta[:, 1]) <= 2.0 * h]
-            d[k] = np.sqrt(np.einsum("kj,jl,kl->k", dl, sig[k], dl)).min()
+        near = cKDTree(link_pts).query_ball_point(points[ks], 2.0 * h * (1.0 + 1e-9))
+        rows = np.repeat(ks, [len(ids) for ids in near])
+        delta = link_pts[np.concatenate(near).astype(int)] - points[rows]
+        keep = np.hypot(delta[:, 0], delta[:, 1]) <= 2.0 * h
+        rows, dl = rows[keep], delta[keep]
+        sig = chart.metric_at(points)[rows]
+        np.minimum.at(d, rows, np.sqrt(np.einsum("kj,kjl,kl->k", dl, sig, dl)))
         frozen[ks] = True
 
     ix, iy = inside_ij[:, 0], inside_ij[:, 1]
     nbr = node_index[iy[:, None] + STEP_Y, ix[:, None] + STEP_X]
     nbr[nbr < 0] = n
     s11, s12, s22 = siginv[:, 0, 0], siginv[:, 0, 1], siginv[:, 1, 1]
-    node_data = np.column_stack([
-        s11, s12, s22, h / np.sqrt(s11), h / np.sqrt(s22),
-        s11 + 2 * s12 + s22, s11 + 2 * -s12 + s22])
+    s12e = np.stack([s12, -s12])                    # both upwind signs
+    A = s11 + 2 * s12e + s22
+    # where A <= 0 the quadratic has no upwind root: a NaN divisor makes
+    # the root NaN, which the upwind test in `_upwind_candidates` drops
+    coef = np.vstack([s11, s22, h / np.sqrt(s11), h / np.sqrt(s22),
+                      s12e, 2 * s12e, 4 * A, np.where(A > 0, 2 * A, np.nan)])
 
-    # open nodes grouped by anti-diagonal: ix + iy for the (+,+) and (-,-)
-    # orderings, ix - iy for (+,-) and (-,+)
+    # the (+,+) and (+,-) orderings laid out contiguously, anti-diagonal
+    # (ix + iy, ix - iy = const) after anti-diagonal; the (-,+) and (-,-)
+    # orderings read the same arrays backwards
     open_ids = np.nonzero(~frozen)[0]
-    families = []
+    layouts = []
     for key in (ix + iy, ix - iy):
         ids = open_ids[np.argsort(key[open_ids], kind="stable")]
-        cuts = np.nonzero(np.diff(key[ids]))[0] + 1
-        families.append([(i, nbr[i], node_data[i].T)
-                         for i in np.split(ids, cuts) if len(i)])
-    plus, minus = families
-    orderings = (plus, minus, minus[::-1], plus[::-1])
+        starts = np.unique(np.r_[0, np.nonzero(np.diff(key[ids]))[0] + 1, len(ids)])
+        layouts.append((ids, nbr[ids].T.copy(), coef[:, ids], starts))
+    layouts += [(ids[::-1], nb[:, ::-1], cf[:, ::-1], starts[-1] - starts[::-1])
+                for ids, nb, cf, starts in layouts[::-1]]
 
+    every = layouts[0][:3]      # all open nodes
     with np.errstate(invalid="ignore"):
         for _ in range(30):
-            change = False
-            for ordering in orderings:
-                for ids, nb, data in ordering:
-                    change |= _relax_diagonal(d, ids, nb, data, h)
             # a pass changes something iff a candidate on the current d is better
-            if not change or not np.any(_upwind_candidates(
-                    d, nbr[open_ids], node_data[open_ids].T, h) < d[open_ids] - 1e-14):
+            if not _sweep_pass(d, layouts, h) or not _upwind_candidates(d, *every, h)[1].any():
                 break
     return d[:n].copy()
 
 
-def _upwind_candidates(d, nb, data, h):
-    """Each node's upwind update from d[nb], with the float operations of
-    the scalar update in the same order."""
-    s11, s12, s22, hx, hy, A_plus, A_minus = data
+def _sweep_pass(d, layouts, h):
+    """One Gauss-Seidel pass over the four orderings, a run of
+    anti-diagonals per kernel call; True if any node changed.
+
+    A run is evaluated on the current d.  Its diagonals before the first
+    one with a better candidate change nothing in Gauss-Seidel either,
+    and that one reads nothing that changed, so its updates are exactly
+    Gauss-Seidel's; the candidates after it are discarded.  Runs double
+    while they change nothing and restart at one diagonal after a change.
+    """
+    changed = False
+    for ids, nb, coef, starts in layouts:
+        starts, k, run, last = starts.tolist(), 0, 1, len(starts) - 1
+        while k < last:
+            lo, hi = starts[k], starts[min(k + run, last)]
+            cand, better = _upwind_candidates(d, ids[lo:hi], nb[:, lo:hi], coef[:, lo:hi], h)
+            first = better.argmax()
+            if not better[first]:
+                k, run = k + run, min(2 * run, SWEEP_RUN_MAX)
+                continue
+            k = bisect_right(starts, lo + first)    # past the diagonal of `first`
+            end = starts[k] - lo
+            better = better[:end]
+            d[ids[lo:lo + end][better]] = cand[:end][better]
+            changed, run = True, 1
+    return changed
+
+
+def _upwind_candidates(d, ids, nb, coef, h):
+    """Each node's upwind update from d[nb], both s12 signs at once, with
+    the float operations of the scalar update in the same order; and
+    where it improves d[ids]."""
+    s11, s22, hx, hy = coef[:4]
+    s12e, s12e2, A4, A2 = coef[4:6], coef[6:8], coef[8:10], coef[10:]
     nd = d[nb]
-    a = np.minimum(nd[:, 0], nd[:, 1])
-    b = np.minimum(nd[:, 2], nd[:, 3])
-    cand = np.minimum(a + hx, b + hy)
-    both = np.isfinite(a) & np.isfinite(b)
-    top = np.maximum(a, b)
-    # upwind signs: gradient points away from the smaller side
-    for s12e, A in ((s12, A_plus), (-s12, A_minus)):
-        B = -2 * (s11 * a + s12e * (a + b) + s22 * b)
-        C = s11 * a * a + 2 * s12e * a * b + s22 * b * b - h * h
-        disc = B * B - 4 * A * C
-        root = (-B + np.sqrt(disc)) / (2 * A)
-        ok = both & (disc >= 0) & (A > 0) & (root >= top)
-        cand = np.where(ok, np.minimum(cand, root), cand)
-    return cand
-
-
-def _relax_diagonal(d, ids, nb, data, h):
-    """Gauss-Seidel update of the nodes `ids`, none adjacent; True if any changed."""
-    cand = _upwind_candidates(d, nb, data, h)
-    better = cand < d[ids] - 1e-14
-    d[ids[better]] = cand[better]
-    return better.any()
+    a = np.minimum(nd[0], nd[1])
+    b = np.minimum(nd[2], nd[3])
+    s11a, s22b = s11 * a, s22 * b
+    # B = -2 (s11 a + s12e (a + b) + s22 b); -B = nB and B * B = nB * nB exactly
+    nB = 2 * (s11a + s12e * (a + b) + s22b)
+    C = s11a * a + s12e2 * a * b + s22b * b - h * h
+    root = (nB + np.sqrt(nB * nB - A4 * C)) / A2
+    # upwind: a root counts only at or above both neighbours; NaN roots
+    # (negative discriminant, A <= 0) add nothing, nor does a missing
+    # neighbour, where the bound is inf
+    root = np.where(root >= np.maximum(a, b), root, np.inf)
+    cand = np.minimum(np.minimum(a + hx, b + hy), np.minimum(root[0], root[1]))
+    return cand, cand < d[ids] - 1e-14
 
 
 def _cell_fractions(domain, P, cls, inside_ij, ghost_ij, h):

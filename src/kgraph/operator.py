@@ -503,26 +503,36 @@ class GraphOperator:
         lattice line, the separator, which is numbered after both
         halves.  The 3x3 interior stencil does not reach across the
         line, so eliminating the halves first confines most LU fill to
-        them.
+        them.  Every part of one level is bisected at once.  A part is
+        known by its first position in the order: its low half keeps it,
+        the high half starts after the low half, the separator after
+        both.  Nodes in a leaf or a separator keep build order.
         """
-        ij = self.grid.inside_ij
-        order = []
-
-        def split(idx):
-            if len(idx) <= ND_LEAF:
-                order.append(idx)
-                return
-            part = ij[idx]
-            lo, hi = part.min(axis=0), part.max(axis=0)
-            axis = int(np.argmax(hi - lo))
-            c = part[:, axis]
-            mid = (lo[axis] + hi[axis]) // 2
-            split(idx[c < mid])
-            split(idx[c > mid])
-            order.append(idx[c == mid])
-
-        split(np.arange(len(ij)))
-        return np.concatenate(order)
+        ix, iy = self.grid.inside_ij.T
+        n = len(ix)
+        start = np.zeros(n, dtype=int)          # first position of each node's part
+        live = np.arange(n)                     # nodes in parts still to split
+        while True:
+            s = start[live]
+            live = live[np.bincount(s, minlength=n)[s] > ND_LEAF]
+            if not len(live):
+                return np.argsort(start, kind="stable")
+            s, x, y = start[live], ix[live], iy[live]
+            box = []                            # per part, by its start
+            for c in (x, y):
+                lo, hi = np.full(n, np.iinfo(int).max), np.zeros(n, dtype=int)
+                np.minimum.at(lo, s, c)
+                np.maximum.at(hi, s, c)
+                box += [lo, hi]
+            x0, x1, y0, y1 = box
+            on_y = y1 - y0 > x1 - x0                   # the longer axis, x on ties
+            mid = np.where(on_y, y0 + y1, x0 + x1)[s] // 2
+            c = np.where(on_y[s], y, x)
+            low, high = c < mid, c > mid
+            n_low = np.bincount(s[low], minlength=n)[s]
+            n_high = np.bincount(s[high], minlength=n)[s]
+            start[live] = s + np.where(low, 0, np.where(high, n_low, n_low + n_high))
+            live = live[low | high]
 
     def _solve(self, A, rhs, tol=LINEAR_TOL, lu_slot=None):
         """x with A x = rhs for an (N, N) sparse A over the inside nodes.

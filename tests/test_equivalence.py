@@ -189,34 +189,35 @@ def test_sweep_matches_row_major_oracle(case):
 @pytest.fixture
 def sweep_counts(monkeypatch):
     """Gauss-Seidel passes and Jacobi checks of the next `_fast_sweep`: the
-    node updates of `_relax_diagonal` over four times the open nodes, and
-    the `_upwind_candidates` calls that no `_relax_diagonal` made."""
-    relaxed, candidates = [], []
-    relax, upwind = kgrid._relax_diagonal, kgrid._upwind_candidates
+    `_sweep_pass` calls, and the `_upwind_candidates` calls made outside
+    them."""
+    passes, checks, in_pass = [], [], []
+    sweep_pass, upwind = kgrid._sweep_pass, kgrid._upwind_candidates
 
-    def counting_relax(d, ids, *args):
-        relaxed.append(len(ids))
-        return relax(d, ids, *args)
+    def counting_pass(*args):
+        passes.append(1)
+        in_pass.append(True)
+        try:
+            return sweep_pass(*args)
+        finally:
+            in_pass.pop()
 
     def counting_upwind(*args):
-        candidates.append(1)
+        if not in_pass:
+            checks.append(1)
         return upwind(*args)
 
-    monkeypatch.setattr(kgrid, "_relax_diagonal", counting_relax)
+    monkeypatch.setattr(kgrid, "_sweep_pass", counting_pass)
     monkeypatch.setattr(kgrid, "_upwind_candidates", counting_upwind)
-
-    def counts(grid):
-        n_open = grid.num_inside - len(np.unique(grid.link_node))
-        return sum(relaxed) / (4 * n_open), len(candidates) - len(relaxed)
-    return counts
+    return lambda: (len(passes), len(checks))
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_skips_the_confirming_pass(case, sweep_counts):
     # the oracle's last pass changes nothing; a Jacobi check after each
     # changing pass replaces it
-    _, grid, (_, oracle_passes) = _sweep_case(case)
-    passes, checks = sweep_counts(grid)
+    _, _, (_, oracle_passes) = _sweep_case(case)
+    passes, checks = sweep_counts()
     assert passes == oracle_passes - 1
     assert checks == passes
 
@@ -228,8 +229,35 @@ def test_rotating_metric_needs_several_passes(case):
 
 
 def test_curved_exp_disk_sweeps_twice(sweep_counts):
-    _, grid, _ = _sweep_case("curved-exp-disk")
-    assert sweep_counts(grid) == (2.0, 2)
+    _sweep_case("curved-exp-disk")
+    assert sweep_counts() == (2.0, 2)
+
+
+def test_look_ahead_calls_the_kernel_less_than_once_per_diagonal(monkeypatch):
+    # runs of diagonals that change nothing cost one kernel call, so the
+    # sweep, Jacobi checks included, makes fewer calls than the diagonals
+    # its passes relax
+    chart, grid, (_, oracle_passes) = _sweep_case("curved-exp-disk")
+    calls = []
+    upwind = kgrid._upwind_candidates
+    monkeypatch.setattr(kgrid, "_upwind_candidates",
+                        lambda *args: calls.append(1) or upwind(*args))
+    kg.distance_field(grid, chart)
+    ix, iy = grid.inside_ij[~np.isin(np.arange(grid.num_inside), grid.link_node)].T
+    diagonals = 2 * (len(np.unique(ix + iy)) + len(np.unique(ix - iy)))
+    assert len(calls) < (oracle_passes - 1) * diagonals
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(12, 20),
+       centre=st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+       radius=st.floats(0.3, 0.5))
+def test_sweep_matches_row_major_oracle_on_offcentre_disks(n, centre, radius):
+    chart = _chart("rotating", _rotating)
+    grid = kg.build_grid(kg.Disk(centre, radius), 1.0 / n, chart)
+    oracle, _ = row_major_sweep(grid.domain, chart, grid.points, grid.node_index,
+                                grid.inside_ij, grid.h, grid.link_points, grid.link_node)
+    assert np.array_equal(grid.dist, oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,30 @@ class TestStencils:
         assert np.abs(g[nodes] - exact).max() < 1e-11
 
 
+    def test_quadratic_extrapolation_below_theta_one(self, euclid):
+        """Two rows under an edge h / 2 above the top one: each top-row +y
+        link has theta = 0.5 and exactly one node behind it, and alone
+        feeds its ghost, so the ghost is the quadratic through (-h, 0,
+        theta h) evaluated at +h, exact for u quadratic along y."""
+        h = 1.0 / 48
+        grid = kg.build_grid(kg.Rectangle(-0.2, 0.1, 0.2, 0.1 + 2.5 / 48), h, euclid)
+        top = np.nonzero(grid.link_dir == 2)[0]
+        assert len(top) == len(np.unique(grid.inside_ij[:, 0]))
+        assert np.allclose(grid.link_theta[top], 0.5)
+        behind = _walk_inward(grid, grid.link_node[top], 2, 2)
+        assert np.all((behind[:, 0] >= 0) & (behind[:, 1] < 0))
+        ghost = grid.neighbor_ext[grid.link_node[top], 2] - grid.num_inside
+        links_per_ghost = np.bincount(
+            grid.neighbor_ext[grid.link_node, grid.link_dir] - grid.num_inside)
+        assert np.all(links_per_ghost[ghost] == 1)
+
+        def u(P):
+            x, y = P[..., 0], P[..., 1]
+            return 1.0 + 3.0 * y - 40.0 * y ** 2 + 0.5 * x * y + x ** 2
+
+        u_ext = _get_operator(euclid, grid, 2).extend(u(grid.points), u(grid.link_points))
+        assert np.abs(u_ext[grid.num_inside + ghost] - u(grid.ghost_points[ghost])).max() <= 1e-11
+
 class TestIntegrate:
     def test_unit_square(self, euclid):
         grid = kg.build_grid(kg.Rectangle(0, 0, 1, 1), 1.0 / 16, euclid)

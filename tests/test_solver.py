@@ -1,6 +1,7 @@
 """Newton continuation solver, comparison checks, reports."""
 
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -220,6 +221,46 @@ def _at_lift(request, case):
 
 def _rel(x, ref):
     return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+def nd_order_recursive(ij):
+    """Nested dissection one part at a time, as `_nd_order` once did:
+    halves first (low, then high), then the separator line."""
+    order = []
+
+    def split(idx):
+        if len(idx) <= kop.ND_LEAF:
+            order.append(idx)
+            return
+        part = ij[idx]
+        lo, hi = part.min(axis=0), part.max(axis=0)
+        axis = int(np.argmax(hi - lo))
+        c = part[:, axis]
+        mid = (lo[axis] + hi[axis]) // 2
+        split(idx[c < mid])
+        split(idx[c > mid])
+        order.append(idx[c == mid])
+
+    split(np.arange(len(ij)))
+    return np.concatenate(order)
+
+
+ND_CASES = {   # domain, h
+    **{f"cap-{n}": (kg.Disk((0.0, 0.0), 0.5), 1.0 / n) for n in (64, 128, 192, 256)},
+    "offcentre-disk-48": (kg.Disk((0.0137, -0.0219), 0.5), 1.0 / 48),
+    "rectangle-64": (kg.Rectangle(-0.3, -0.2, 0.4, 0.3), 1.0 / 64),
+    **{f"strip{rows}": (kg.Rectangle(-0.2, 0.1, 0.2, 0.1 + (rows + 0.5) / 48), 1.0 / 48)
+       for rows in (1, 2, 3)},
+    # one row with more lattice columns than nodes, split along x only
+    "wide-strip": (kg.Rectangle(-0.5, 0.1, 0.5, 0.1 + 1.5 / 48), 1.0 / 48),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ND_CASES))
+def test_nd_order_matches_recursive_dissection(case, euclid):
+    grid = kg.build_grid(*ND_CASES[case], euclid)
+    order = kop.GraphOperator._nd_order.func(SimpleNamespace(grid=grid))
+    assert np.array_equal(order, nd_order_recursive(grid.inside_ij))
 
 
 class TestLinearSolve:
