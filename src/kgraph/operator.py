@@ -527,8 +527,8 @@ class GraphOperator:
             x0, x1, y0, y1 = box
             on_y = y1 - y0 > x1 - x0                   # the longer axis, x on ties
             mid = np.where(on_y, y0 + y1, x0 + x1)[s] // 2
-            c = np.where(on_y[s], y, x)
-            low, high = c < mid, c > mid
+            along = np.where(on_y[s], y, x)
+            low, high = along < mid, along > mid
             n_low = np.bincount(s[low], minlength=n)[s]
             n_high = np.bincount(s[high], minlength=n)[s]
             start[live] = s + np.where(low, 0, np.where(high, n_low, n_low + n_high))

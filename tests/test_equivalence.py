@@ -2,7 +2,8 @@
 
 Sweep: `grid.dist` from the anti-diagonal fast sweep must equal, bit for
 bit, the row-major Gauss-Seidel loop kept below as an oracle, and run one
-pass fewer than it: the oracle's last pass, which changes nothing.
+pass fewer than it: the oracle's last pass, which changes nothing.  Its
+look-ahead must make fewer kernel calls than the diagonals it relaxes.
 
 Crossings: `link_theta` and `link_points` must equal, bit for bit, those
 of one `scipy.optimize.brentq` call per link, the loop kept below.

@@ -9,6 +9,7 @@ import kgraph as kg
 from kgraph.errors import EmptyDomain, InputError
 from kgraph.grid import BOUNDARY_ADJACENT, DIRICHLET_GHOST, INTERIOR
 from kgraph.operator import THETA_ELIM, _get_operator, _walk_inward
+from test_equivalence import _strip
 
 
 def aniso_chart():
@@ -229,14 +230,13 @@ class TestStencils:
         exact = np.stack([2 * x + 0.5 * y + 1, -4 * y + 0.5 * x], axis=-1)
         assert np.abs(g[nodes] - exact).max() < 1e-11
 
-
     def test_quadratic_extrapolation_below_theta_one(self, euclid):
         """Two rows under an edge h / 2 above the top one: each top-row +y
         link has theta = 0.5 and exactly one node behind it, and alone
         feeds its ghost, so the ghost is the quadratic through (-h, 0,
         theta h) evaluated at +h, exact for u quadratic along y."""
         h = 1.0 / 48
-        grid = kg.build_grid(kg.Rectangle(-0.2, 0.1, 0.2, 0.1 + 2.5 / 48), h, euclid)
+        grid = kg.build_grid(_strip(2, 0.5), h, euclid)
         top = np.nonzero(grid.link_dir == 2)[0]
         assert len(top) == len(np.unique(grid.inside_ij[:, 0]))
         assert np.allclose(grid.link_theta[top], 0.5)
@@ -253,6 +253,7 @@ class TestStencils:
 
         u_ext = _get_operator(euclid, grid, 2).extend(u(grid.points), u(grid.link_points))
         assert np.abs(u_ext[grid.num_inside + ghost] - u(grid.ghost_points[ghost])).max() <= 1e-11
+
 
 class TestIntegrate:
     def test_unit_square(self, euclid):

@@ -15,6 +15,7 @@ from kgraph.errors import ContinuationStalled, SingularJacobian
 from kgraph.operator import _Factorization, _get_operator
 from kgraph.solver import newton_solve
 from conftest import cap_trace, curved_exp_H, curved_exp_u, saddle, smooth_random_field
+from test_equivalence import _strip
 
 CAP = cap_trace()
 
@@ -249,8 +250,7 @@ ND_CASES = {   # domain, h
     **{f"cap-{n}": (kg.Disk((0.0, 0.0), 0.5), 1.0 / n) for n in (64, 128, 192, 256)},
     "offcentre-disk-48": (kg.Disk((0.0137, -0.0219), 0.5), 1.0 / 48),
     "rectangle-64": (kg.Rectangle(-0.3, -0.2, 0.4, 0.3), 1.0 / 64),
-    **{f"strip{rows}": (kg.Rectangle(-0.2, 0.1, 0.2, 0.1 + (rows + 0.5) / 48), 1.0 / 48)
-       for rows in (1, 2, 3)},
+    **{f"strip{rows}": (_strip(rows, 0.5), 1.0 / 48) for rows in (1, 2, 3)},
     # one row with more lattice columns than nodes, split along x only
     "wide-strip": (kg.Rectangle(-0.5, 0.1, 0.5, 0.1 + 1.5 / 48), 1.0 / 48),
 }
