@@ -80,7 +80,14 @@ def _sqrt_det(sig):
 
 def inverse_metric_at(chart, x):
     """Pointwise inverse metric sigma^ij; raises NonPositiveDefinite."""
-    sig = chart.metric_at(x)
+    return _inverse_metric(chart, chart.metric_at(x))
+
+
+def _inverse_metric(chart, sig):
+    """sigma^ij of metric values `sig` of `chart`; raises NonPositiveDefinite.
+
+    For callers that need sigma itself too, so it is evaluated once.
+    """
     lo, _ = _eig_bounds_2x2(sig)
     if np.any(lo <= EIG_FLOOR):
         bad = np.argwhere(np.atleast_1d(lo) <= EIG_FLOOR)

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import EmptyDomain, InputError, StencilUnavailable
-from .geometry import _sqrt_det, inverse_metric_at, validate_chart_at
+from .geometry import _inverse_metric, _sqrt_det, inverse_metric_at, validate_chart_at
 
 OUTSIDE = 0
 INTERIOR = 1
@@ -427,7 +427,8 @@ def _fast_sweep(domain, chart, points, node_index, inside_ij, h, link_pts, link_
     """
     n = len(points)
     d = np.full(n + 1, np.inf)      # d[n] stands in for a missing neighbour
-    siginv = inverse_metric_at(chart, points)
+    sig = chart.metric_at(points)
+    siginv = _inverse_metric(chart, sig)
 
     # freeze only boundary-adjacent nodes, at the local chord distance to
     # crossings within 2h: a padded ball query, then the exact test and
@@ -440,8 +441,7 @@ def _fast_sweep(domain, chart, points, node_index, inside_ij, h, link_pts, link_
         delta = link_pts[np.concatenate(near).astype(int)] - points[rows]
         keep = np.hypot(delta[:, 0], delta[:, 1]) <= 2.0 * h
         rows, dl = rows[keep], delta[keep]
-        sig = chart.metric_at(points)[rows]
-        np.minimum.at(d, rows, np.sqrt(np.einsum("kj,kjl,kl->k", dl, sig, dl)))
+        np.minimum.at(d, rows, np.sqrt(np.einsum("kj,kjl,kl->k", dl, sig[rows], dl)))
         frozen[ks] = True
 
     ix, iy = inside_ij[:, 0], inside_ij[:, 1]

@@ -35,8 +35,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InputError, KGraphError, SingularJacobian
-from .geometry import (_central_partials, _sqrt_det, _tilt, christoffels_at,
-                       inverse_metric_at, kappa_vector_at)
+from .geometry import (_central_partials, _inverse_metric, _sqrt_det, _tilt,
+                       christoffels_at, kappa_vector_at)
 from .grid import STEP_X, STEP_Y, _ext_index, _lattice_at
 
 THETA_FLOOR = 1e-6  # ghost extrapolation keeps theta away from zero
@@ -47,6 +47,8 @@ LINEAR_TOL = 1e-6   # relative residual a sparse solve must reach: direct LU
                     # gives ~1e-14 on healthy states, so a large one flags a
                     # numerically singular matrix
 ND_LEAF = 32        # nested-dissection parts this small are not split further
+REFINE_MAX = 8      # refinement solves a direct solve spends at most; a
+                    # healthy one stops shrinking its correction after 4-5
 
 
 @dataclass(frozen=True)
@@ -310,8 +312,9 @@ class GraphOperator:
             shape=(N, Fx + Fy))
 
         # face chart data
-        self.face_siginv = inverse_metric_at(self.chart, mid)
-        self.face_sqrt_det = _sqrt_det(self.chart.metric_at(mid))
+        face_sig = self.chart.metric_at(mid)
+        self.face_siginv = _inverse_metric(self.chart, face_sig)
+        self.face_sqrt_det = _sqrt_det(face_sig)
         self.face_f = self.chart.f_at(mid)
         self.face_tilt = np.sqrt(self.face_f)[:, None] * self.chart.delta_at(mid)
 
@@ -319,7 +322,7 @@ class GraphOperator:
         grid = self.grid
         pts = grid.points
         self.node_sig = self.chart.metric_at(pts)
-        self.node_siginv = inverse_metric_at(self.chart, pts)
+        self.node_siginv = _inverse_metric(self.chart, self.node_sig)
         self.node_f = self.chart.f_at(pts)
         self.node_tilt = np.sqrt(self.node_f)[:, None] * self.chart.delta_at(pts)
         self.node_kappa = kappa_vector_at(self.chart, pts, grid.h)
@@ -537,11 +540,16 @@ class GraphOperator:
     def _solve(self, A, rhs, tol=LINEAR_TOL, lu_slot=None):
         """x with A x = rhs for an (N, N) sparse A over the inside nodes.
 
-        Sparse LU of A permuted symmetrically by `_nd_order`, with
-        SuperLU's threshold partial pivoting.  Raises SingularJacobian
-        when the factorization breaks down, or when x is not finite or
-        leaves a relative residual above `tol`.  `lu_slot`, a dict,
-        receives the factorization under "lu".
+        Single-precision sparse LU of A (`_Factorization`), then
+        iterative refinement in double precision (Carson & Higham, SIAM
+        J. Sci. Comput. 40, 2018): x <- x + LU^-1 (rhs - A x), with the
+        residual formed from the float64 A, for as long as the
+        correction shrinks and at most REFINE_MAX times.  Each step
+        gains about the float32 LU's relative accuracy, so x ends at
+        float64 accuracy.  Raises SingularJacobian when the
+        factorization breaks down, or when x is not finite or leaves a
+        relative residual above `tol`.  `lu_slot`, a dict, receives the
+        factorization under "lu".
         """
         rhs = np.asarray(rhs, dtype=float)
         lu = _Factorization(A, self._nd_order)
@@ -550,6 +558,14 @@ class GraphOperator:
         x = lu.solve(rhs)
         if not np.all(np.isfinite(x)):
             raise SingularJacobian("linear solve returned non-finite values")
+        last = np.inf
+        for _ in range(REFINE_MAX):
+            dx = lu.solve(rhs - A @ x)
+            size = np.linalg.norm(dx)
+            if not size < last:     # stopped shrinking, or not finite
+                break
+            x += dx
+            last = size
         rel = _relative_residual(A, x, rhs)
         if rel > tol:
             raise SingularJacobian(f"linear solve relative residual {rel:.2e}")
@@ -621,22 +637,33 @@ class GraphOperator:
 
 
 class _Factorization:
-    """Sparse LU of an (N, N) matrix permuted symmetrically by `order`.
+    """Single-precision sparse LU of an (N, N) matrix permuted
+    symmetrically by `order`.
 
-    `solve` takes and returns vectors in the original node order.
+    SuperLU factors the permuted matrix cast to float32, in the given
+    order and with its threshold partial pivoting: half the memory of a
+    float64 LU for the same fill, and faster to factor and to solve.
+    `solve` takes float64 vectors in the original node order, solves in
+    float32 and returns float64 vectors of float32 precision.  It is an
+    approximate inverse, accurate to about cond(A) * 6e-8; callers that
+    need more refine (`GraphOperator._solve`) or run flexible GMRES on
+    it (`solver._gmres`).
     """
 
     def __init__(self, A, order):
         try:
-            self._lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL")
+            self._lu = spla.splu(A[order][:, order].tocsc().astype(np.float32),
+                                 permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SingularJacobian(f"sparse factorization failed: {exc}") from None
         self._order = order
 
     def solve(self, rhs):
-        x = np.empty_like(rhs)
-        x[self._order] = self._lu.solve(rhs[self._order])
-        return x
+        # a power-of-two scale keeps rhs inside float32's range, exactly
+        scale = np.ldexp(1.0, np.frexp(np.max(np.abs(rhs), initial=0.0))[1])
+        x = np.empty(len(rhs))
+        x[self._order] = self._lu.solve((rhs[self._order] / scale).astype(np.float32))
+        return x * scale
 
 
 def _relative_residual(A, x, rhs):

@@ -67,21 +67,29 @@ class _NewtonFailure(Exception):
 
 
 def _gmres(A, M, b, tol, maxiter):
-    """x = M y with |A x - b| <= tol |b|, by GMRES on A M; None on a miss.
+    """x = Z y with |A x - b| <= tol |b|, by flexible GMRES; None on a miss.
 
-    Preconditioning from the right keeps the minimized residual the true
-    one.  Classical Gram-Schmidt, applied twice, orthogonalizes against
-    all earlier vectors with two dense products per pass.  No restarts:
-    at most `maxiter` applications of A M.
+    Flexible GMRES (Saad, SIAM J. Sci. Comput. 14, 1993) keeps each
+    preconditioned vector Z[k] = M(V[k]) and applies A to that stored
+    vector, so A Z = V H holds to rounding whatever M does, and the
+    minimized residual is the true one even for the float32 LU, which is
+    not linear to float64 precision.  Z is stored in float32: M's values
+    have that precision, and A sees exactly what is stored.  The answer
+    is y @ Z, with no further application of M.  Classical Gram-Schmidt,
+    applied twice, orthogonalizes against all earlier vectors with two
+    dense products per pass.  No restarts: at most `maxiter`
+    applications of M and of A.
     """
     beta = np.linalg.norm(b)
     V = np.empty((maxiter + 1, len(b)))
+    Z = np.empty((maxiter, len(b)), dtype=np.float32)
     H = np.zeros((maxiter + 1, maxiter))
     g = np.zeros(maxiter + 1)
     V[0] = b / beta
     g[0] = beta
     for k in range(maxiter):
-        w = A @ M(V[k])
+        Z[k] = M(V[k])
+        w = A @ Z[k]
         for _ in range(2):
             c = V[:k + 1] @ w
             w -= c @ V[:k + 1]
@@ -92,7 +100,7 @@ def _gmres(A, M, b, tol, maxiter):
         y = np.linalg.lstsq(H[:k + 2, :k + 1], g[:k + 2], rcond=None)[0]
         if (np.linalg.norm(H[:k + 2, :k + 1] @ y - g[:k + 2]) <= tol * beta
                 or H[k + 1, k] == 0.0):
-            return M(y @ V[:k + 1])
+            return y @ Z[:k + 1]
         V[k + 1] = w / H[k + 1, k]
     return None
 
@@ -100,11 +108,14 @@ def _gmres(A, M, b, tol, maxiter):
 def _newton_step(op, u, phi_vals, r, cfg, lu_slot):
     """Newton direction s with |J s + r| <= cfg.linear_tol |r|.
 
-    The factorization in `lu_slot["lu"]`, when there is one, is reused
-    as a preconditioner for GMRES on the matrix-free Jacobian.  When
-    KRYLOV_MAX iterations miss the tolerance, the assembled Jacobian is
-    factored and its LU replaces the old one.  The finite-difference
-    oracle Jacobian is factored afresh at every step.
+    The float32 factorization in `lu_slot["lu"]`, when there is one, is
+    reused as the preconditioner of flexible GMRES on the matrix-free
+    Jacobian, and the step is accepted only on its true residual, one
+    more product with J.  When KRYLOV_MAX iterations miss the tolerance,
+    or the true residual does, the assembled Jacobian is factored and
+    its LU replaces the old one; that direct solve is refined to float64
+    accuracy (`GraphOperator._solve`).  The finite-difference oracle
+    Jacobian is factored afresh at every step.
     """
     rhs = -r
     if cfg.fd_jacobian:

@@ -203,6 +203,10 @@ LINEAR_CASES = {   # chart fixture, disk radius, h, H, phi
     "euclid-cap-64": ("euclid", 0.5, 1.0 / 64, 1.0, CAP),
     "heis-saddle-48": ("heis", 1.0, 1.0 / 48, 0.0, saddle),
     "curved-exp-64": ("curved", 0.5, 1.0 / 64, 0.0, _wave),
+    # about 4x the condition number of the 1/64 cases, where the float32
+    # LU leaves refinement the least margin within the suite
+    "euclid-cap-128": ("euclid", 0.5, 1.0 / 128, 1.0, CAP),
+    "curved-exp-128": ("curved", 0.5, 1.0 / 128, 0.0, _wave),
 }
 
 
@@ -265,7 +269,8 @@ def test_nd_order_matches_recursive_dissection(case, euclid):
 
 class TestLinearSolve:
     """Every sparse LU goes through `GraphOperator._solve`, which factors
-    in one nested-dissection order per operator."""
+    in one nested-dissection order per operator, in float32, and refines
+    the answer to float64 accuracy."""
 
     @pytest.mark.parametrize("case", sorted(LINEAR_CASES))
     def test_ordered_solve_matches_spsolve(self, request, case):
@@ -278,6 +283,14 @@ class TestLinearSolve:
         rhs = -(op._lap_T @ (op.B @ phi_vals))
         ref = spla.spsolve(op._lap_A.tocsc(), rhs)
         assert _rel(op.laplace_lift(phi_vals), ref) <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-42, 1e60])
+    def test_lift_of_data_outside_float32_range(self, euclid, scale):
+        # the float32 LU sees every right-hand side scaled by a power of two
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
+        op = _get_operator(euclid, grid, 2)
+        phi = CAP(grid.link_points)
+        assert _rel(op.laplace_lift(scale * phi) / scale, op.laplace_lift(phi)) <= 1e-10
 
     def test_order_is_built_once_per_operator(self, euclid):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
@@ -398,11 +411,10 @@ class TestFactorizationReuse:
             J = op.jacobian(u, phi_vals)
             assert np.linalg.norm(J @ s + r) <= cfg.linear_tol * np.linalg.norm(r)
 
-    @pytest.mark.parametrize("kind", ["identity", "not linear", "not finite"])
+    @pytest.mark.parametrize("kind", ["identity", "not finite"])
     def test_wrong_preconditioner_refactors(self, request, splu_calls, kind):
-        # the identity leaves GMRES short of the tolerance; a nonlinear
-        # one makes its residual estimate wrong, which the true-residual
-        # check catches
+        # the identity leaves GMRES short of the tolerance; a non-finite
+        # one breaks it down
         grid, op, J, rhs, phi_vals = _at_lift(request, "euclid-cap-64")
         slot = {"lu": None}
         lift = op.laplace_lift(phi_vals, _lu_slot=slot)
@@ -416,6 +428,53 @@ class TestFactorizationReuse:
         assert len(splu_calls) == 1
         assert isinstance(slot["lu"], _Factorization) and slot["lu"] is not wrong
         assert _rel(s, spla.spsolve(J.tocsc(), rhs)) <= 1e-10
+
+    def test_nonlinear_preconditioner_needs_no_refactor(self, request, splu_calls):
+        # flexible GMRES applies J to the vectors M returned, so its
+        # residual estimate stays exact for an M that is not linear
+        grid, op, J, rhs, phi_vals = _at_lift(request, "euclid-cap-64")
+        slot = {"lu": None}
+        lift = op.laplace_lift(phi_vals, _lu_slot=slot)
+        slot["lu"] = wrong = _Broken(slot["lu"], "not linear")
+        splu_calls.clear()
+        cfg = kg.SolveConfig()
+        s = ksolver._newton_step(op, lift, phi_vals, -rhs, cfg, slot)
+        assert not splu_calls and slot["lu"] is wrong
+        assert np.linalg.norm(J @ s - rhs) <= cfg.linear_tol * np.linalg.norm(rhs)
+
+    def test_inexact_krylov_answer_refactors(self, request, splu_calls, monkeypatch):
+        # the true-residual check, not GMRES's estimate, decides
+        grid, op, J, rhs, phi_vals = _at_lift(request, "euclid-cap-64")
+        slot = {"lu": None}
+        lift = op.laplace_lift(phi_vals, _lu_slot=slot)
+        old = slot["lu"]
+        gmres = ksolver._gmres
+
+        def off(*args):
+            x = gmres(*args)
+            return None if x is None else x * (1.0 + 1e-3)
+
+        monkeypatch.setattr(ksolver, "_gmres", off)
+        splu_calls.clear()
+        s = ksolver._newton_step(op, lift, phi_vals, -rhs, kg.SolveConfig(), slot)
+        assert len(splu_calls) == 1
+        assert isinstance(slot["lu"], _Factorization) and slot["lu"] is not old
+        assert _rel(s, spla.spsolve(J.tocsc(), rhs)) <= 1e-10
+
+    def test_solve_carries_a_float32_lu(self, request, monkeypatch):
+        # half the memory of a float64 LU with the same fill
+        spec, grid = _reuse_problem(request, "euclid-cap")
+        dtypes = []
+        init = _Factorization.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            dtypes.append((self._lu.L.dtype, self._lu.U.dtype))
+
+        monkeypatch.setattr(_Factorization, "__init__", recording)
+        _, report = kg.solve_dirichlet(spec, grid)
+        assert report.converged
+        assert dtypes == [(np.float32, np.float32)] * REUSE_CASES["euclid-cap"][3]
 
     def test_fd_jacobian_factors_every_step(self, euclid, splu_calls, monkeypatch):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
