@@ -28,7 +28,6 @@ H = +1/R.
 import numbers
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,12 +42,14 @@ THETA_FLOOR = 1e-6  # ghost extrapolation keeps theta away from zero
 THETA_ELIM = 0.05   # below this, a node is pinned to boundary interpolation:
                     # extrapolation weights ~ 1/theta would otherwise amplify
                     # fp noise past any reasonable Newton tolerance
-LINEAR_TOL = 1e-6   # relative residual a sparse solve must reach: direct LU
-                    # gives ~1e-14 on healthy states, so a large one flags a
-                    # numerically singular matrix
-ND_LEAF = 32        # nested-dissection parts this small are not split further
-REFINE_MAX = 8      # refinement solves a direct solve spends at most; a
-                    # healthy one stops shrinking its correction after 4-5
+LINEAR_TOL = 1e-6   # relative residual a linear solve must reach: direct
+                    # solves reach ~1e-13 on healthy states, so a large one
+                    # flags a numerically singular matrix
+DIRECT_TOL = 1e-13  # relative residual a direct solve iterates to
+DIRECT_MAX = 60     # V-cycles a direct solve spends at most
+COARSE_MAX = 2000   # unknowns of the coarsest multigrid level, factored by LU
+JACOBI_OMEGA = 0.85 # damping of the multigrid smoother
+JACOBI_SWEEPS = 3   # smoothing sweeps before and after each coarse correction
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,9 @@ class GraphOperator:
     The grid owns its operators (`_get_operator` memoizes them there) and
     `op.grid` is a weak proxy, so a dropped grid frees them at once.  An
     operator lives as long as its grid: keep the grid, not only the op.
+    It keeps no matrix of a solve: the harmonic lift's Laplacian and each
+    direct solve's multigrid hierarchy (`_solve`) live only as long as
+    the caller holds them.
     """
 
     def __init__(self, chart, grid, n=2):
@@ -482,90 +486,43 @@ class GraphOperator:
         Solves the linear metric Laplacian with the same ghost
         machinery; used to warm-start Newton with boundary-compatible
         iterates so the saturating flux never sees the raw data jump.
-        `_lu_slot`, a dict, receives the Laplacian's factorization under
-        "lu" for a caller that reuses it.
+        The Laplacian is assembled for this lift alone: afterwards only
+        the multigrid hierarchy built on it lives on, in `_lu_slot`, a
+        dict, under "lu", for a caller that reuses it.
         """
-        if getattr(self, "_lap_T", None) is None:
-            coef = []
-            for m in range(2):
-                sig_am = np.take_along_axis(
-                    self.face_siginv[:, :, m], self.face_axis[:, None], axis=1
-                )[:, 0]
-                coef.append(self.face_sqrt_det * sig_am)
-            T = self.Div @ (sp.diags(coef[0]) @ self.Mq1 + sp.diags(coef[1]) @ self.Mq2)
-            self._lap_T = T.tocsr()
-            self._lap_A = (T @ self.P).tocsr()
-        rhs = -(self._lap_T @ (self.B @ np.asarray(phi_vals, dtype=float)))
-        return self._solve(self._lap_A, rhs, lu_slot=_lu_slot)
+        A, rhs = self._laplace_system(phi_vals)
+        return self._solve(A, rhs, lu_slot=_lu_slot)
 
-    @cached_property
-    def _nd_order(self):
-        """Nested-dissection order of the inside nodes (George 1973).
-
-        Each part is bisected across its longer lattice axis by one
-        lattice line, the separator, which is numbered after both
-        halves.  The 3x3 interior stencil does not reach across the
-        line, so eliminating the halves first confines most LU fill to
-        them.  Every part of one level is bisected at once.  A part is
-        known by its first position in the order: its low half keeps it,
-        the high half starts after the low half, the separator after
-        both.  Nodes in a leaf or a separator keep build order.
-        """
-        ix, iy = self.grid.inside_ij.T
-        n = len(ix)
-        start = np.zeros(n, dtype=int)          # first position of each node's part
-        live = np.arange(n)                     # nodes in parts still to split
-        while True:
-            s = start[live]
-            live = live[np.bincount(s, minlength=n)[s] > ND_LEAF]
-            if not len(live):
-                return np.argsort(start, kind="stable")
-            s, x, y = start[live], ix[live], iy[live]
-            box = []                            # per part, by its start
-            for c in (x, y):
-                lo, hi = np.full(n, np.iinfo(int).max), np.zeros(n, dtype=int)
-                np.minimum.at(lo, s, c)
-                np.maximum.at(hi, s, c)
-                box += [lo, hi]
-            x0, x1, y0, y1 = box
-            on_y = y1 - y0 > x1 - x0                   # the longer axis, x on ties
-            mid = np.where(on_y, y0 + y1, x0 + x1)[s] // 2
-            along = np.where(on_y[s], y, x)
-            low, high = along < mid, along > mid
-            n_low = np.bincount(s[low], minlength=n)[s]
-            n_high = np.bincount(s[high], minlength=n)[s]
-            start[live] = s + np.where(low, 0, np.where(high, n_low, n_low + n_high))
-            live = live[low | high]
+    def _laplace_system(self, phi_vals):
+        """(A, rhs) of the harmonic lift: A x = rhs over the inside nodes."""
+        coef = []
+        for m in range(2):
+            sig_am = np.take_along_axis(
+                self.face_siginv[:, :, m], self.face_axis[:, None], axis=1
+            )[:, 0]
+            coef.append(self.face_sqrt_det * sig_am)
+        T = self.Div @ (sp.diags(coef[0]) @ self.Mq1 + sp.diags(coef[1]) @ self.Mq2)
+        rhs = -(T @ (self.B @ np.asarray(phi_vals, dtype=float)))
+        return (T @ self.P).tocsr(), rhs
 
     def _solve(self, A, rhs, tol=LINEAR_TOL, lu_slot=None):
         """x with A x = rhs for an (N, N) sparse A over the inside nodes.
 
-        Single-precision sparse LU of A (`_Factorization`), then
-        iterative refinement in double precision (Carson & Higham, SIAM
-        J. Sci. Comput. 40, 2018): x <- x + LU^-1 (rhs - A x), with the
-        residual formed from the float64 A, for as long as the
-        correction shrinks and at most REFINE_MAX times.  Each step
-        gains about the float32 LU's relative accuracy, so x ends at
-        float64 accuracy.  Raises SingularJacobian when the
-        factorization breaks down, or when x is not finite or leaves a
-        relative residual above `tol`.  `lu_slot`, a dict, receives the
-        factorization under "lu".
+        Flexible GMRES (`_gmres`) preconditioned by one V-cycle of a
+        multigrid hierarchy built on A (`_Multigrid`), iterated to a
+        relative residual of DIRECT_TOL, so x has the accuracy of a
+        direct solve.  Raises SingularJacobian when A has a zero
+        diagonal or its coarsest level cannot be factored, or when x is
+        not finite or leaves a relative residual above `tol`.
+        `lu_slot`, a dict, receives the hierarchy under "lu".
         """
         rhs = np.asarray(rhs, dtype=float)
-        lu = _Factorization(A, self._nd_order)
+        mg = _Multigrid(A, self.grid.inside_ij)
         if lu_slot is not None:
-            lu_slot["lu"] = lu
-        x = lu.solve(rhs)
-        if not np.all(np.isfinite(x)):
+            lu_slot["lu"] = mg
+        x = _gmres(A, mg.solve, rhs, DIRECT_TOL, DIRECT_MAX)
+        if x is None or not np.all(np.isfinite(x)):
             raise SingularJacobian("linear solve returned non-finite values")
-        last = np.inf
-        for _ in range(REFINE_MAX):
-            dx = lu.solve(rhs - A @ x)
-            size = np.linalg.norm(dx)
-            if not size < last:     # stopped shrinking, or not finite
-                break
-            x += dx
-            last = size
         rel = _relative_residual(A, x, rhs)
         if rel > tol:
             raise SingularJacobian(f"linear solve relative residual {rel:.2e}")
@@ -636,34 +593,113 @@ class GraphOperator:
         return out
 
 
-class _Factorization:
-    """Single-precision sparse LU of an (N, N) matrix permuted
-    symmetrically by `order`.
+class _Multigrid:
+    """Geometric multigrid V-cycle for an (N, N) matrix over the inside
+    nodes (Brandt, Math. Comp. 31, 1977).
 
-    SuperLU factors the permuted matrix cast to float32, in the given
-    order and with its threshold partial pivoting: half the memory of a
-    float64 LU for the same fill, and faster to factor and to solve.
-    `solve` takes float64 vectors in the original node order, solves in
-    float32 and returns float64 vectors of float32 precision.  It is an
-    approximate inverse, accurate to about cond(A) * 6e-8; callers that
-    need more refine (`GraphOperator._solve`) or run flexible GMRES on
-    it (`solver._gmres`).
+    Level 0 is A on the nodes at lattice coords `ij`.  Each coarser level
+    lives on the 2h lattice corners that bilinear interpolation P to the
+    level above reaches, and carries the Galerkin operator P^T A P, down
+    to COARSE_MAX unknowns, where a sparse LU solves exactly.  `solve` is
+    one V-cycle from a zero guess, with JACOBI_SWEEPS damped-Jacobi
+    sweeps before and after each coarse correction: a fixed linear map,
+    but only an approximate inverse, which callers run flexible GMRES on
+    (`_gmres`).  Storage and work per cycle are O(N).
     """
 
-    def __init__(self, A, order):
+    def __init__(self, A, ij):
+        self.A, self.P = [A.tocsr()], []
+        while self.A[-1].shape[0] > COARSE_MAX:
+            P, ij = _interpolation(ij)
+            self.P.append(P)
+            self.A.append((P.T @ self.A[-1] @ P).tocsr())
+        self.dinv = []
+        for level, M in enumerate(self.A[:-1]):
+            d = M.diagonal()
+            if not np.all(d != 0):
+                raise SingularJacobian(f"zero diagonal in row {int(np.argmin(d != 0))} "
+                                       f"of multigrid level {level}")
+            self.dinv.append(JACOBI_OMEGA / d)
         try:
-            self._lu = spla.splu(A[order][:, order].tocsc().astype(np.float32),
-                                 permc_spec="NATURAL")
+            self._lu = spla.splu(self.A[-1].tocsc())
         except RuntimeError as exc:
             raise SingularJacobian(f"sparse factorization failed: {exc}") from None
-        self._order = order
 
-    def solve(self, rhs):
-        # a power-of-two scale keeps rhs inside float32's range, exactly
-        scale = np.ldexp(1.0, np.frexp(np.max(np.abs(rhs), initial=0.0))[1])
-        x = np.empty(len(rhs))
-        x[self._order] = self._lu.solve((rhs[self._order] / scale).astype(np.float32))
-        return x * scale
+    def solve(self, b, level=0):
+        """One V-cycle on b from `level` down, the coarsest solved exactly."""
+        if level == len(self.P):
+            return self._lu.solve(b)
+        A, P, w = self.A[level], self.P[level], self.dinv[level]
+        x = w * b
+        for _ in range(JACOBI_SWEEPS - 1):
+            x += w * (b - A @ x)
+        x += P @ self.solve(P.T @ (b - A @ x), level + 1)
+        for _ in range(JACOBI_SWEEPS):
+            x += w * (b - A @ x)
+        return x
+
+
+def _interpolation(ij):
+    """(P, coarse_ij): bilinear interpolation from the 2h lattice to the
+    nodes at lattice coords `ij`, an (n, 2) int array.
+
+    Each node takes 1/4 from each of the four 2h corners around it,
+    counted with repetition: along an even coordinate both corners are
+    the same.  The coarse nodes are the corners some node uses, in
+    row-major lattice order.
+    """
+    corners = (ij[:, None, :] + np.array([[0, 0], [1, 0], [0, 1], [1, 1]])) // 2
+    width = int(corners[..., 0].max()) + 1
+    keys, cols = np.unique(corners[..., 1] * width + corners[..., 0], return_inverse=True)
+    n = len(ij)
+    P = sp.csr_matrix((np.full(4 * n, 0.25), (np.repeat(np.arange(n), 4), cols.ravel())),
+                      shape=(n, len(keys)))
+    return P, np.stack([keys % width, keys // width], axis=1)
+
+
+def _gmres(A, M, b, tol, maxiter):
+    """x = Z y minimizing |A x - b| over the preconditioned Krylov space,
+    by flexible GMRES; None when the iteration breaks down.
+
+    Flexible GMRES (Saad, SIAM J. Sci. Comput. 14, 1993) keeps each
+    preconditioned vector Z[k] = M(V[k]) and applies A to that stored
+    vector, so A Z = V H holds to rounding whatever M does, and the
+    minimized residual is the true one for any M, linear or not.  Z is
+    stored in float32, which halves its memory: A sees exactly what is
+    stored, so only the preconditioner's quality is rounded.  The answer
+    is y @ Z, with no further application of M.  Classical Gram-Schmidt,
+    applied twice, orthogonalizes against all earlier vectors with two
+    dense products per pass.  No restarts: it stops once the residual
+    is at most tol |b|, or after `maxiter` applications of M and of A,
+    and then returns its best x, which the caller checks.
+    """
+    beta = np.linalg.norm(b)
+    if not np.isfinite(beta):
+        return None
+    if beta == 0.0:
+        return np.zeros_like(b)
+    V = np.empty((maxiter + 1, len(b)))
+    Z = np.empty((maxiter, len(b)), dtype=np.float32)
+    H = np.zeros((maxiter + 1, maxiter))
+    g = np.zeros(maxiter + 1)
+    V[0] = b / beta
+    g[0] = beta
+    for k in range(maxiter):
+        Z[k] = M(V[k])
+        w = A @ Z[k]
+        for _ in range(2):
+            c = V[:k + 1] @ w
+            w -= c @ V[:k + 1]
+            H[:k + 1, k] += c
+        H[k + 1, k] = np.linalg.norm(w)
+        if not np.isfinite(H[k + 1, k]):
+            return None
+        y = np.linalg.lstsq(H[:k + 2, :k + 1], g[:k + 2], rcond=None)[0]
+        if (np.linalg.norm(H[:k + 2, :k + 1] @ y - g[:k + 2]) <= tol * beta
+                or H[k + 1, k] == 0.0):
+            break
+        V[k + 1] = w / H[k + 1, k]
+    return y @ Z[:k + 1]
 
 
 def _relative_residual(A, x, rhs):

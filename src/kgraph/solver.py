@@ -16,11 +16,11 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import (ContinuationStalled, DivergedIterates, SingularJacobian)
-from .operator import LINEAR_TOL, _eval_data, _get_operator, _relative_residual
+from .operator import LINEAR_TOL, _eval_data, _get_operator, _gmres, _relative_residual
 
 SCHEMA_VERSION = 1
-KRYLOV_MAX = 12   # GMRES iterations a Newton step spends on a reused LU
-                  # before it refactors
+KRYLOV_MAX = 16   # V-cycles a Newton step spends on a reused hierarchy
+                  # before it rebuilds; steps take 8-11 on the cap
 
 
 @dataclass
@@ -66,69 +66,30 @@ class _NewtonFailure(Exception):
     """Internal: one continuation step did not converge."""
 
 
-def _gmres(A, M, b, tol, maxiter):
-    """x = Z y with |A x - b| <= tol |b|, by flexible GMRES; None on a miss.
-
-    Flexible GMRES (Saad, SIAM J. Sci. Comput. 14, 1993) keeps each
-    preconditioned vector Z[k] = M(V[k]) and applies A to that stored
-    vector, so A Z = V H holds to rounding whatever M does, and the
-    minimized residual is the true one even for the float32 LU, which is
-    not linear to float64 precision.  Z is stored in float32: M's values
-    have that precision, and A sees exactly what is stored.  The answer
-    is y @ Z, with no further application of M.  Classical Gram-Schmidt,
-    applied twice, orthogonalizes against all earlier vectors with two
-    dense products per pass.  No restarts: at most `maxiter`
-    applications of M and of A.
-    """
-    beta = np.linalg.norm(b)
-    V = np.empty((maxiter + 1, len(b)))
-    Z = np.empty((maxiter, len(b)), dtype=np.float32)
-    H = np.zeros((maxiter + 1, maxiter))
-    g = np.zeros(maxiter + 1)
-    V[0] = b / beta
-    g[0] = beta
-    for k in range(maxiter):
-        Z[k] = M(V[k])
-        w = A @ Z[k]
-        for _ in range(2):
-            c = V[:k + 1] @ w
-            w -= c @ V[:k + 1]
-            H[:k + 1, k] += c
-        H[k + 1, k] = np.linalg.norm(w)
-        if not np.isfinite(H[k + 1, k]):
-            return None
-        y = np.linalg.lstsq(H[:k + 2, :k + 1], g[:k + 2], rcond=None)[0]
-        if (np.linalg.norm(H[:k + 2, :k + 1] @ y - g[:k + 2]) <= tol * beta
-                or H[k + 1, k] == 0.0):
-            return y @ Z[:k + 1]
-        V[k + 1] = w / H[k + 1, k]
-    return None
-
-
 def _newton_step(op, u, phi_vals, r, cfg, lu_slot):
     """Newton direction s with |J s + r| <= cfg.linear_tol |r|.
 
-    The float32 factorization in `lu_slot["lu"]`, when there is one, is
-    reused as the preconditioner of flexible GMRES on the matrix-free
-    Jacobian, and the step is accepted only on its true residual, one
-    more product with J.  When KRYLOV_MAX iterations miss the tolerance,
-    or the true residual does, the assembled Jacobian is factored and
-    its LU replaces the old one; that direct solve is refined to float64
-    accuracy (`GraphOperator._solve`).  The finite-difference oracle
-    Jacobian is factored afresh at every step.
+    The multigrid hierarchy in `lu_slot["lu"]`, when there is one, is
+    reused: its V-cycle preconditions flexible GMRES (`_gmres`) on the
+    matrix-free Jacobian, and the step is accepted only on its true
+    residual, one more product with J.  When KRYLOV_MAX cycles miss the
+    tolerance, or the true residual does, the assembled Jacobian gets a
+    hierarchy of its own, which replaces the old one, and a direct solve
+    on it (`GraphOperator._solve`).  The finite-difference oracle
+    Jacobian gets a fresh hierarchy at every step.
     """
     rhs = -r
     if cfg.fd_jacobian:
         lu_slot["lu"] = None
         return op._solve(op.jacobian_fd(u, phi_vals), rhs, cfg.linear_tol)
-    lu = lu_slot["lu"]
-    if lu is not None:
+    mg = lu_slot["lu"]
+    if mg is not None:
         J = op.jacobian_action(u, phi_vals)
-        s = _gmres(J, lu.solve, rhs, cfg.linear_tol, KRYLOV_MAX)
+        s = _gmres(J, mg.solve, rhs, cfg.linear_tol, KRYLOV_MAX)
         if s is not None and _relative_residual(J, s, rhs) <= cfg.linear_tol:
             return s
-    # drop the old LU before the new one is made: one at a time
-    lu_slot["lu"] = lu = None
+    # drop the old hierarchy before the new one is built: one at a time
+    lu_slot["lu"] = mg = None
     return op._solve(op.jacobian(u, phi_vals), rhs, cfg.linear_tol, lu_slot=lu_slot)
 
 
@@ -140,7 +101,7 @@ def newton_solve(op, u0, phi_vals, H_vals, cfg, monitor=None, _lu_slot=None):
     nominal warm starts every step does; far-field starts may take
     merit-only steps).  `monitor(u_candidate)` may veto a step (used
     for the functional descent certificate).  `_lu_slot`, a dict, carries
-    one factorization in and out under "lu" (see `_newton_step`).
+    one multigrid hierarchy in and out under "lu" (see `_newton_step`).
     """
     lu_slot = {"lu": None} if _lu_slot is None else _lu_slot
     u = np.array(u0, dtype=float)
@@ -246,13 +207,13 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
     report = SolveReport(h=grid.h, geometry=spec.chart.name,
                          domain=spec.domain.describe(), hypothesis=hypo)
 
-    # one sparse factorization, reused by every Newton step that can
+    # one multigrid hierarchy, reused by every Newton step that can
     lu_slot = {"lu": None}
     try:
         # boundary-compatible predictor: harmonic lift of the data-scale jump
         # keeps Newton iterates out of the saturated-slope regime near the
         # boundary; with unscaled phi the full lift is applied at once.  Its
-        # LU is the first the solve carries
+        # hierarchy is the first the solve carries
         lift = op.laplace_lift(phi_target, _lu_slot=lu_slot) if np.any(phi_target) else None
 
         if u0 is not None:
@@ -320,7 +281,7 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
         report.converged = True
         return u, report
     finally:
-        # a raised exception keeps this frame alive; the LU must not
+        # a raised exception keeps this frame alive; the hierarchy must not
         lu_slot["lu"] = None
 
 

@@ -1,7 +1,6 @@
 """Newton continuation solver, comparison checks, reports."""
 
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +11,9 @@ import kgraph as kg
 import kgraph.operator as kop
 import kgraph.solver as ksolver
 from kgraph.errors import ContinuationStalled, SingularJacobian
-from kgraph.operator import _Factorization, _get_operator
+from kgraph.operator import _Multigrid, _get_operator
 from kgraph.solver import newton_solve
 from conftest import cap_trace, curved_exp_H, curved_exp_u, saddle, smooth_random_field
-from test_equivalence import _strip
 
 CAP = cap_trace()
 
@@ -203,8 +201,8 @@ LINEAR_CASES = {   # chart fixture, disk radius, h, H, phi
     "euclid-cap-64": ("euclid", 0.5, 1.0 / 64, 1.0, CAP),
     "heis-saddle-48": ("heis", 1.0, 1.0 / 48, 0.0, saddle),
     "curved-exp-64": ("curved", 0.5, 1.0 / 64, 0.0, _wave),
-    # about 4x the condition number of the 1/64 cases, where the float32
-    # LU leaves refinement the least margin within the suite
+    # about 4x the condition number of the 1/64 cases, and one more
+    # multigrid level
     "euclid-cap-128": ("euclid", 0.5, 1.0 / 128, 1.0, CAP),
     "curved-exp-128": ("curved", 0.5, 1.0 / 128, 0.0, _wave),
 }
@@ -228,49 +226,10 @@ def _rel(x, ref):
     return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
 
 
-def nd_order_recursive(ij):
-    """Nested dissection one part at a time, as `_nd_order` once did:
-    halves first (low, then high), then the separator line."""
-    order = []
-
-    def split(idx):
-        if len(idx) <= kop.ND_LEAF:
-            order.append(idx)
-            return
-        part = ij[idx]
-        lo, hi = part.min(axis=0), part.max(axis=0)
-        axis = int(np.argmax(hi - lo))
-        c = part[:, axis]
-        mid = (lo[axis] + hi[axis]) // 2
-        split(idx[c < mid])
-        split(idx[c > mid])
-        order.append(idx[c == mid])
-
-    split(np.arange(len(ij)))
-    return np.concatenate(order)
-
-
-ND_CASES = {   # domain, h
-    **{f"cap-{n}": (kg.Disk((0.0, 0.0), 0.5), 1.0 / n) for n in (64, 128, 192, 256)},
-    "offcentre-disk-48": (kg.Disk((0.0137, -0.0219), 0.5), 1.0 / 48),
-    "rectangle-64": (kg.Rectangle(-0.3, -0.2, 0.4, 0.3), 1.0 / 64),
-    **{f"strip{rows}": (_strip(rows, 0.5), 1.0 / 48) for rows in (1, 2, 3)},
-    # one row with more lattice columns than nodes, split along x only
-    "wide-strip": (kg.Rectangle(-0.5, 0.1, 0.5, 0.1 + 1.5 / 48), 1.0 / 48),
-}
-
-
-@pytest.mark.parametrize("case", sorted(ND_CASES))
-def test_nd_order_matches_recursive_dissection(case, euclid):
-    grid = kg.build_grid(*ND_CASES[case], euclid)
-    order = kop.GraphOperator._nd_order.func(SimpleNamespace(grid=grid))
-    assert np.array_equal(order, nd_order_recursive(grid.inside_ij))
-
-
 class TestLinearSolve:
-    """Every sparse LU goes through `GraphOperator._solve`, which factors
-    in one nested-dissection order per operator, in float32, and refines
-    the answer to float64 accuracy."""
+    """Every direct solve goes through `GraphOperator._solve`, which runs
+    flexible GMRES on a multigrid hierarchy of the matrix to the accuracy
+    of a direct solve."""
 
     @pytest.mark.parametrize("case", sorted(LINEAR_CASES))
     def test_ordered_solve_matches_spsolve(self, request, case):
@@ -280,48 +239,25 @@ class TestLinearSolve:
     @pytest.mark.parametrize("case", sorted(LINEAR_CASES))
     def test_lift_matches_spsolve(self, request, case):
         grid, op, _, _, phi_vals = _at_lift(request, case)
-        rhs = -(op._lap_T @ (op.B @ phi_vals))
-        ref = spla.spsolve(op._lap_A.tocsc(), rhs)
+        A, rhs = op._laplace_system(phi_vals)
+        ref = spla.spsolve(A.tocsc(), rhs)
         assert _rel(op.laplace_lift(phi_vals), ref) <= 1e-10
 
     @pytest.mark.parametrize("scale", [1e-42, 1e60])
     def test_lift_of_data_outside_float32_range(self, euclid, scale):
-        # the float32 LU sees every right-hand side scaled by a power of two
+        # GMRES stores the preconditioned vectors in float32, so it must
+        # normalize the right-hand side first
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
         op = _get_operator(euclid, grid, 2)
         phi = CAP(grid.link_points)
         assert _rel(op.laplace_lift(scale * phi) / scale, op.laplace_lift(phi)) <= 1e-10
-
-    def test_order_is_built_once_per_operator(self, euclid):
-        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
-        op = _get_operator(euclid, grid, 2)
-        phi = CAP(grid.link_points)
-        H = np.ones(grid.num_inside)
-        newton_solve(op, op.laplace_lift(phi), phi, H, kg.SolveConfig())
-        order = op._nd_order
-        assert np.array_equal(np.sort(order), np.arange(grid.num_inside))
-        newton_solve(op, np.zeros(grid.num_inside), phi, H, kg.SolveConfig())
-        assert op._nd_order is order
-        # the top-level separator, the middle lattice column of the
-        # square bounding box, comes last
-        ix = grid.inside_ij[:, 0]
-        mid = (ix.min() + ix.max()) // 2
-        last = order[-int(np.sum(ix == mid)):]
-        assert np.all(ix[last] == mid)
-
-    def test_order_fills_less_than_colamd(self, request):
-        grid, op, J, _, _ = _at_lift(request, "euclid-cap-64")
-        p = op._nd_order
-        nd = spla.splu(J[p][:, p].tocsc(), permc_spec="NATURAL")
-        colamd = spla.splu(J.tocsc())
-        assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
 
     def test_zeroed_row_is_singular(self, request, monkeypatch):
         grid, op, J, rhs, phi_vals = _at_lift(request, "euclid-cap-64")
         keep = np.ones(J.shape[0])
         keep[J.shape[0] // 2] = 0.0
         J0 = (sp.diags(keep) @ J).tocsr()
-        with pytest.raises(SingularJacobian, match="factorization failed"):
+        with pytest.raises(SingularJacobian, match="zero diagonal"):
             op._solve(J0, rhs)
         # newton_solve lets it through to the continuation
         monkeypatch.setattr(op, "jacobian", lambda u, phi: J0)
@@ -358,9 +294,9 @@ class _Broken:
         return self.lu.solve(v) + 1e-3 * np.linalg.norm(v)
 
 
-REUSE_CASES = {   # chart fixture, H, phi, sparse factorizations at h = 1/64
+REUSE_CASES = {   # chart fixture, H, phi, hierarchies built at h = 1/64
     "euclid-cap": ("euclid", 1.0, CAP, 1),
-    "curved-exp": ("curved", curved_exp_H, curved_exp_u, 2),
+    "curved-exp": ("curved", curved_exp_H, curved_exp_u, 1),
 }
 
 
@@ -373,6 +309,16 @@ def splu_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts every multigrid hierarchy kgraph builds."""
+    calls = []
+    init = _Multigrid.__init__
+    monkeypatch.setattr(_Multigrid, "__init__",
+                        lambda self, *a: calls.append(1) or init(self, *a))
+    return calls
+
+
 def _reuse_problem(request, case):
     chart_name, H, phi, _ = REUSE_CASES[case]
     chart = request.getfixturevalue(chart_name)
@@ -381,15 +327,16 @@ def _reuse_problem(request, case):
 
 
 class TestFactorizationReuse:
-    """One LU per solve: Newton steps run GMRES preconditioned by the
-    factorization the solve carries, and refactor only on a miss."""
+    """One multigrid hierarchy per solve: Newton steps run GMRES
+    preconditioned by the V-cycle of the hierarchy the solve carries, and
+    rebuild it only on a miss."""
 
     @pytest.mark.parametrize("case", sorted(REUSE_CASES))
-    def test_factorizations_per_solve(self, request, case, splu_calls):
+    def test_factorizations_per_solve(self, request, case, builds):
         spec, grid = _reuse_problem(request, case)
         _, report = kg.solve_dirichlet(spec, grid)
         assert report.converged
-        assert len(splu_calls) == REUSE_CASES[case][3]
+        assert len(builds) == REUSE_CASES[case][3]
 
     @pytest.mark.parametrize("case", sorted(REUSE_CASES))
     def test_every_step_meets_linear_tol(self, request, case, monkeypatch):
@@ -412,21 +359,21 @@ class TestFactorizationReuse:
             assert np.linalg.norm(J @ s + r) <= cfg.linear_tol * np.linalg.norm(r)
 
     @pytest.mark.parametrize("kind", ["identity", "not finite"])
-    def test_wrong_preconditioner_refactors(self, request, splu_calls, kind):
-        # the identity leaves GMRES short of the tolerance; a non-finite
-        # one breaks it down
+    def test_wrong_preconditioner_refactors(self, request, builds, kind):
+        # the identity's hierarchy leaves GMRES short of the tolerance; a
+        # non-finite one breaks it down
         grid, op, J, rhs, phi_vals = _at_lift(request, "euclid-cap-64")
         slot = {"lu": None}
         lift = op.laplace_lift(phi_vals, _lu_slot=slot)
         if kind == "identity":
-            wrong = _Factorization(sp.identity(J.shape[0], format="csr"), op._nd_order)
+            wrong = _Multigrid(sp.identity(J.shape[0], format="csr"), grid.inside_ij)
         else:
             wrong = _Broken(slot["lu"], kind)
         slot["lu"] = wrong
-        splu_calls.clear()
+        builds.clear()
         s = ksolver._newton_step(op, lift, phi_vals, -rhs, kg.SolveConfig(), slot)
-        assert len(splu_calls) == 1
-        assert isinstance(slot["lu"], _Factorization) and slot["lu"] is not wrong
+        assert len(builds) == 1
+        assert isinstance(slot["lu"], _Multigrid) and slot["lu"] is not wrong
         assert _rel(s, spla.spsolve(J.tocsc(), rhs)) <= 1e-10
 
     def test_nonlinear_preconditioner_needs_no_refactor(self, request, splu_calls):
@@ -442,7 +389,7 @@ class TestFactorizationReuse:
         assert not splu_calls and slot["lu"] is wrong
         assert np.linalg.norm(J @ s - rhs) <= cfg.linear_tol * np.linalg.norm(rhs)
 
-    def test_inexact_krylov_answer_refactors(self, request, splu_calls, monkeypatch):
+    def test_inexact_krylov_answer_refactors(self, request, builds, monkeypatch):
         # the true-residual check, not GMRES's estimate, decides
         grid, op, J, rhs, phi_vals = _at_lift(request, "euclid-cap-64")
         slot = {"lu": None}
@@ -455,26 +402,32 @@ class TestFactorizationReuse:
             return None if x is None else x * (1.0 + 1e-3)
 
         monkeypatch.setattr(ksolver, "_gmres", off)
-        splu_calls.clear()
+        builds.clear()
         s = ksolver._newton_step(op, lift, phi_vals, -rhs, kg.SolveConfig(), slot)
-        assert len(splu_calls) == 1
-        assert isinstance(slot["lu"], _Factorization) and slot["lu"] is not old
+        assert len(builds) == 1
+        assert isinstance(slot["lu"], _Multigrid) and slot["lu"] is not old
         assert _rel(s, spla.spsolve(J.tocsc(), rhs)) <= 1e-10
 
-    def test_solve_carries_a_float32_lu(self, request, monkeypatch):
-        # half the memory of a float64 LU with the same fill
+    def test_solve_carries_a_hierarchy(self, request, monkeypatch):
+        # O(N) memory: only the coarsest level, at most COARSE_MAX unknowns,
+        # is factored, and each level has at most a third of the unknowns
+        # of the one above
         spec, grid = _reuse_problem(request, "euclid-cap")
-        dtypes = []
-        init = _Factorization.__init__
+        sizes = []
+        init = _Multigrid.__init__
 
         def recording(self, *args):
             init(self, *args)
-            dtypes.append((self._lu.L.dtype, self._lu.U.dtype))
+            sizes.append([A.shape[0] for A in self.A])
 
-        monkeypatch.setattr(_Factorization, "__init__", recording)
+        monkeypatch.setattr(_Multigrid, "__init__", recording)
         _, report = kg.solve_dirichlet(spec, grid)
         assert report.converged
-        assert dtypes == [(np.float32, np.float32)] * REUSE_CASES["euclid-cap"][3]
+        assert len(sizes) == REUSE_CASES["euclid-cap"][3]
+        for n in sizes:
+            assert len(n) >= 2 and n[0] == grid.num_inside
+            assert n[-1] <= kop.COARSE_MAX < n[-2]
+            assert all(3 * b <= a for a, b in zip(n, n[1:]))
 
     def test_fd_jacobian_factors_every_step(self, euclid, splu_calls, monkeypatch):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
@@ -493,14 +446,14 @@ class TestFactorizationReuse:
     def test_no_factorization_outlives_the_solve(self, euclid, monkeypatch, H):
         # H = 10 stalls; the exception then keeps the solve's frames alive
         refs, alive_at_birth = [], []
-        init = _Factorization.__init__
+        init = _Multigrid.__init__
 
         def tracked(self, *args):
             alive_at_birth.append(sum(ref() is not None for ref in refs))
             init(self, *args)
             refs.append(weakref.ref(self))
 
-        monkeypatch.setattr(_Factorization, "__init__", tracked)
+        monkeypatch.setattr(_Multigrid, "__init__", tracked)
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 24, euclid)
         spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=H, phi=CAP)
         if H > 1.0:
@@ -512,6 +465,59 @@ class TestFactorizationReuse:
         assert refs
         assert max(alive_at_birth) == 0   # never two at once
         assert all(ref() is None for ref in refs)
+
+
+def _cap(euclid, n):
+    grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / n, euclid)
+    return kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP), grid
+
+
+class TestMultigrid:
+    """What the hierarchy promises beyond the accuracy of the solves:
+    storage and work per node that do not grow with 1/h."""
+
+    def test_storage_per_node_does_not_grow(self, euclid):
+        # coarse operators, transfers and the coarsest LU, beyond A itself:
+        # 10.3 per node at 1/128 and 7.1 at 1/256 as measured (the coarsest
+        # level has 912 and 924 unknowns); the sparse LU of the fine
+        # Jacobian held 84 per node at 1/256
+        per_node = {}
+        for n in (128, 256):
+            spec, grid = _cap(euclid, n)
+            op = _get_operator(euclid, grid, 2)
+            A, _ = op._laplace_system(spec.phi_links(grid))
+            mg = _Multigrid(A, grid.inside_ij)
+            stored = sum(M.nnz for M in mg.A[1:] + mg.P) + mg._lu.L.nnz + mg._lu.U.nnz
+            per_node[n] = stored / grid.num_inside
+        assert per_node[256] <= per_node[128]
+
+    def test_cycles_per_newton_step_are_mesh_independent(self, euclid, monkeypatch):
+        # at most 9 per step at 1/64 and 11 at 1/256 as measured
+        cycles, steps = [], []
+        solve = _Multigrid.solve
+
+        def counting(self, b, level=0):
+            cycles.append(level == 0)
+            return solve(self, b, level)
+
+        step = ksolver._newton_step
+
+        def recording(*args):
+            before = sum(cycles)
+            s = step(*args)
+            steps.append(sum(cycles) - before)
+            return s
+
+        monkeypatch.setattr(_Multigrid, "solve", counting)
+        monkeypatch.setattr(ksolver, "_newton_step", recording)
+        most = {}
+        for n in (64, 256):
+            steps.clear()
+            # the default newton_tol stalls at 1/256 (ROADMAP D1)
+            _, report = kg.solve_dirichlet(*_cap(euclid, n), kg.SolveConfig(newton_tol=1e-9))
+            assert report.converged and steps
+            most[n] = max(steps)
+        assert most[256] <= 2 * most[64]
 
 
 class TestReport:
