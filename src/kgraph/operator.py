@@ -48,6 +48,7 @@ LINEAR_TOL = 1e-6   # relative residual a linear solve must reach: direct
 DIRECT_TOL = 1e-13  # relative residual a direct solve iterates to
 DIRECT_MAX = 60     # V-cycles a direct solve spends at most
 COARSE_MAX = 2000   # unknowns of the coarsest multigrid level, factored by LU
+ND_LEAF = 32        # nested-dissection parts this small are not split further
 JACOBI_OMEGA = 0.85 # damping of the multigrid smoother
 JACOBI_SWEEPS = 3   # smoothing sweeps before and after each coarse correction
 
@@ -600,7 +601,8 @@ class _Multigrid:
     Level 0 is A on the nodes at lattice coords `ij`.  Each coarser level
     lives on the 2h lattice corners that bilinear interpolation P to the
     level above reaches, and carries the Galerkin operator P^T A P, down
-    to COARSE_MAX unknowns, where a sparse LU solves exactly.  `solve` is
+    to COARSE_MAX unknowns, where a sparse LU in the nested-dissection
+    order of its lattice nodes (`_nd_order`) solves exactly.  `solve` is
     one V-cycle from a zero guess, with JACOBI_SWEEPS damped-Jacobi
     sweeps before and after each coarse correction: a fixed linear map,
     but only an approximate inverse, which callers run flexible GMRES on
@@ -613,6 +615,7 @@ class _Multigrid:
             P, ij = _interpolation(ij)
             self.P.append(P)
             self.A.append((P.T @ self.A[-1] @ P).tocsr())
+        order = _nd_order(ij)
         self.dinv = []
         for level, M in enumerate(self.A[:-1]):
             d = M.diagonal()
@@ -621,14 +624,18 @@ class _Multigrid:
                                        f"of multigrid level {level}")
             self.dinv.append(JACOBI_OMEGA / d)
         try:
-            self._lu = spla.splu(self.A[-1].tocsc())
+            self._lu = spla.splu(self.A[-1][order][:, order].tocsc(),
+                                 permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SingularJacobian(f"sparse factorization failed: {exc}") from None
+        self._order = order
 
     def solve(self, b, level=0):
         """One V-cycle on b from `level` down, the coarsest solved exactly."""
         if level == len(self.P):
-            return self._lu.solve(b)
+            x = np.empty(len(b))
+            x[self._order] = self._lu.solve(b[self._order])
+            return x
         A, P, w = self.A[level], self.P[level], self.dinv[level]
         x = w * b
         for _ in range(JACOBI_SWEEPS - 1):
@@ -655,6 +662,46 @@ def _interpolation(ij):
     P = sp.csr_matrix((np.full(4 * n, 0.25), (np.repeat(np.arange(n), 4), cols.ravel())),
                       shape=(n, len(keys)))
     return P, np.stack([keys % width, keys // width], axis=1)
+
+
+def _nd_order(ij):
+    """Nested-dissection order of the nodes at lattice coords `ij`, an
+    (n, 2) int array (George, SIAM J. Numer. Anal. 10, 1973).
+
+    Each part is bisected across its longer lattice axis by one
+    lattice line, the separator, which is numbered after both
+    halves.  The 3x3 stencil does not reach across the line, so
+    eliminating the halves first confines most LU fill to them.  Every
+    part of one level is bisected at once.  A part is known by its
+    first position in the order: its low half keeps it, the high half
+    starts after the low half, the separator after both.  Nodes in a
+    leaf or a separator keep their given order.
+    """
+    ix, iy = ij.T
+    n = len(ix)
+    start = np.zeros(n, dtype=int)          # first position of each node's part
+    live = np.arange(n)                     # nodes in parts still to split
+    while True:
+        s = start[live]
+        live = live[np.bincount(s, minlength=n)[s] > ND_LEAF]
+        if not len(live):
+            return np.argsort(start, kind="stable")
+        s, x, y = start[live], ix[live], iy[live]
+        box = []                            # per part, by its start
+        for c in (x, y):
+            lo, hi = np.full(n, np.iinfo(int).max), np.zeros(n, dtype=int)
+            np.minimum.at(lo, s, c)
+            np.maximum.at(hi, s, c)
+            box += [lo, hi]
+        x0, x1, y0, y1 = box
+        on_y = y1 - y0 > x1 - x0                   # the longer axis, x on ties
+        mid = np.where(on_y, y0 + y1, x0 + x1)[s] // 2
+        along = np.where(on_y[s], y, x)
+        low, high = along < mid, along > mid
+        n_low = np.bincount(s[low], minlength=n)[s]
+        n_high = np.bincount(s[high], minlength=n)[s]
+        start[live] = s + np.where(low, 0, np.where(high, n_low, n_low + n_high))
+        live = live[low | high]
 
 
 def _gmres(A, M, b, tol, maxiter):

@@ -14,6 +14,7 @@ from kgraph.errors import ContinuationStalled, SingularJacobian
 from kgraph.operator import _Multigrid, _get_operator
 from kgraph.solver import newton_solve
 from conftest import cap_trace, curved_exp_H, curved_exp_u, saddle, smooth_random_field
+from test_equivalence import _strip
 
 CAP = cap_trace()
 
@@ -224,6 +225,47 @@ def _at_lift(request, case):
 
 def _rel(x, ref):
     return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+def nd_order_recursive(ij):
+    """Nested dissection one part at a time, as `_nd_order` once did:
+    halves first (low, then high), then the separator line."""
+    order = []
+
+    def split(idx):
+        if len(idx) <= kop.ND_LEAF:
+            order.append(idx)
+            return
+        part = ij[idx]
+        lo, hi = part.min(axis=0), part.max(axis=0)
+        axis = int(np.argmax(hi - lo))
+        c = part[:, axis]
+        mid = (lo[axis] + hi[axis]) // 2
+        split(idx[c < mid])
+        split(idx[c > mid])
+        order.append(idx[c == mid])
+
+    split(np.arange(len(ij)))
+    return np.concatenate(order)
+
+
+ND_CASES = {   # domain, h
+    **{f"cap-{n}": (kg.Disk((0.0, 0.0), 0.5), 1.0 / n) for n in (64, 128, 192, 256)},
+    "offcentre-disk-48": (kg.Disk((0.0137, -0.0219), 0.5), 1.0 / 48),
+    "rectangle-64": (kg.Rectangle(-0.3, -0.2, 0.4, 0.3), 1.0 / 64),
+    **{f"strip{rows}": (_strip(rows, 0.5), 1.0 / 48) for rows in (1, 2, 3)},
+    # one row with more lattice columns than nodes, split along x only
+    "wide-strip": (kg.Rectangle(-0.5, 0.1, 0.5, 0.1 + 1.5 / 48), 1.0 / 48),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ND_CASES))
+def test_nd_order_matches_recursive_dissection(case, euclid):
+    # on fine lattices, which have far more parts than the coarsest
+    # multigrid level the order serves
+    grid = kg.build_grid(*ND_CASES[case], euclid)
+    order = kop._nd_order(grid.inside_ij)
+    assert np.array_equal(order, nd_order_recursive(grid.inside_ij))
 
 
 class TestLinearSolve:
@@ -478,7 +520,7 @@ class TestMultigrid:
 
     def test_storage_per_node_does_not_grow(self, euclid):
         # coarse operators, transfers and the coarsest LU, beyond A itself:
-        # 10.3 per node at 1/128 and 7.1 at 1/256 as measured (the coarsest
+        # 9.6 per node at 1/128 and 7.1 at 1/256 as measured (the coarsest
         # level has 912 and 924 unknowns); the sparse LU of the fine
         # Jacobian held 84 per node at 1/256
         per_node = {}
