@@ -140,6 +140,13 @@ def boundary_geometry(chart, domain, samples=64, n=2, h_fd=GEOM_H_FD):
     )
 
 
+def _spec_boundary_geometry(spec, grid):
+    """`boundary_geometry` of a problem on a grid: its chart, domain and
+    dimension n, with at least one sample per boundary link."""
+    return boundary_geometry(spec.chart, spec.domain,
+                             samples=max(64, grid.num_links), n=spec.n)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis check
 
@@ -503,8 +510,7 @@ def boundary_gradient_certificate(spec, grid, u, params=None, bgeom=None,
     """
     u = grid.check_field(np.asarray(u, dtype=float), "u")
     if bgeom is None:
-        bgeom = boundary_geometry(spec.chart, spec.domain,
-                                  samples=max(64, grid.num_links), n=spec.n)
+        bgeom = _spec_boundary_geometry(spec, grid)
     d = grid.dist
     if eps is None:
         eps = params.eps if params is not None else 0.3 * float(np.max(d))
@@ -587,8 +593,7 @@ def flux_balance(spec, grid, u, bgeom=None, _state=None, _samples=None, _H_vals=
     chart = spec.chart
     u = grid.check_field(np.asarray(u, dtype=float), "u")
     if bgeom is None:
-        bgeom = boundary_geometry(chart, spec.domain,
-                                  samples=max(64, grid.num_links), n=spec.n)
+        bgeom = _spec_boundary_geometry(spec, grid)
 
     if _samples is None:
         _samples = boundary_gradient_samples(spec, grid, u, bgeom)
@@ -724,8 +729,7 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
                   and np.all(ratio <= hi * (1 + 1e-10) + 1e-10))
     rep.items["ellipticity"] = {"passed": ell_ok}
 
-    bgeom = boundary_geometry(spec.chart, spec.domain,
-                              samples=max(64, grid.num_links), n=spec.n)
+    bgeom = _spec_boundary_geometry(spec, grid)
     hypo = hypothesis_check(spec, bgeom, grid=grid, _H_vals=H_vals)
     samples = boundary_gradient_samples(spec, grid, u, bgeom, _phi_vals=phi_vals)
     rep.items["hypothesis"] = dict(hypo.as_dict(), passed=hypo.passed,

@@ -152,8 +152,7 @@ def cmd_solve(config_path, out_dir="."):
 def cmd_check(config_path):
     run = parse_config(config_path)
     grid = _build(run)
-    bgeom = analysis.boundary_geometry(run.chart, run.domain,
-                                       samples=max(64, grid.num_links))
+    bgeom = analysis._spec_boundary_geometry(run.spec, grid)
     verdict = analysis.hypothesis_check(run.spec, bgeom, grid=grid)
     print(f"sup|H|    = {verdict.sup_H:.6f}")
     print(f"inf_Hcyl  = {verdict.inf_Hcyl:.6f}")

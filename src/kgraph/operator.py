@@ -16,9 +16,7 @@ precisely when Q[u] = n H.  The primary discretization is the flux
 form: face-centered fluxes sqrt(det sigma) hat_u^axis / W differenced
 over each node cell, with Dirichlet data entering through ghost values
 extrapolated across the true boundary crossings (equivalent to
-Shortley-Weller stencils).  The nondivergence form built from the
-quasilinear coefficients A^{ij} = W^2 sigma^{ij} - hat_u^i hat_u^j is
-kept as a cross-check only.
+Shortley-Weller stencils).
 
 Sign convention: the graph normal points up the fiber, so over a
 Euclidean base the lower spherical cap u = -sqrt(R^2 - r^2) has
@@ -34,8 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InputError, KGraphError, SingularJacobian
-from .geometry import (_central_partials, _inverse_metric, _sqrt_det, _tilt,
-                       christoffels_at, kappa_vector_at)
+from .geometry import _inverse_metric, _sqrt_det, kappa_vector_at
 from .grid import STEP_X, STEP_Y, _ext_index, _lattice_at
 
 THETA_FLOOR = 1e-6  # ghost extrapolation keeps theta away from zero
@@ -319,6 +316,10 @@ class GraphOperator:
         # face chart data
         face_sig = self.chart.metric_at(mid)
         self.face_siginv = _inverse_metric(self.chart, face_sig)
+        # (F, 2): sigma^{axis m} per face, the inverse metric's row along
+        # the face's normal axis
+        self.face_sig_axis = np.take_along_axis(
+            self.face_siginv, self.face_axis[:, None, None], axis=1)[:, 0]
         self.face_sqrt_det = _sqrt_det(face_sig)
         self.face_f = self.chart.f_at(mid)
         self.face_tilt = np.sqrt(self.face_f)[:, None] * self.chart.delta_at(mid)
@@ -397,14 +398,11 @@ class GraphOperator:
         """
         u_ext = self.extend(u, phi_vals)
         _, up_f, W_f = self._face_state(u_ext)
-        sig_f = self.face_siginv
-        alpha = self.face_axis
-        up_alpha = np.take_along_axis(up_f, alpha[:, None], axis=1)[:, 0]
+        up_alpha = np.take_along_axis(up_f, self.face_axis[:, None], axis=1)[:, 0]
         W2 = W_f * W_f
         face = []
         for m in range(2):
-            sig_am = np.take_along_axis(sig_f[:, :, m], alpha[:, None], axis=1)[:, 0]
-            A_am = W2 * sig_am - up_alpha * up_f[:, m]
+            A_am = W2 * self.face_sig_axis[:, m] - up_alpha * up_f[:, m]
             face.append(self.face_sqrt_det * A_am / (W_f * W2))
 
         _, up_n, W_n = self._node_state(u_ext)
@@ -449,38 +447,6 @@ class GraphOperator:
         N = self.grid.num_inside
         return spla.LinearOperator((N, N), matvec=matvec, dtype=float)
 
-    def jacobian_fd(self, u, phi_vals, eps=1e-6):
-        """Colored central finite-difference Jacobian; the trusted oracle.
-
-        Dependencies reach up to four cells through ghost fills near
-        the boundary, so nodes are colored by (ix mod 9, iy mod 9),
-        which keeps same-color columns row-disjoint.
-        """
-        grid = self.grid
-        N = grid.num_inside
-        H0 = np.zeros(N)
-        reach = 4
-        stride = 2 * reach + 1
-        ix, iy = grid.inside_ij[:, 0], grid.inside_ij[:, 1]
-        color = (ix % stride) * stride + iy % stride
-        rows, cols, vals = [], [], []
-        for c in np.unique(color):
-            e = (color == c).astype(float)
-            rp = self.residual(u + eps * e, phi_vals, H0)
-            rm = self.residual(u - eps * e, phi_vals, H0)
-            d = (rp - rm) / (2.0 * eps)
-            # each row j sees the one column of this color within reach
-            j = np.nonzero(d)[0]
-            k = _lattice_at(grid.node_index,
-                            ix[j] + (c // stride - ix[j] + reach) % stride - reach,
-                            iy[j] + (c % stride - iy[j] + reach) % stride - reach)
-            j, k = j[k >= 0], k[k >= 0]
-            rows.append(j)
-            cols.append(k)
-            vals.append(d[j])
-        return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(N, N))
-
     def laplace_lift(self, phi_vals, _lu_slot=None):
         """Discrete harmonic extension of the boundary data.
 
@@ -496,13 +462,8 @@ class GraphOperator:
 
     def _laplace_system(self, phi_vals):
         """(A, rhs) of the harmonic lift: A x = rhs over the inside nodes."""
-        coef = []
-        for m in range(2):
-            sig_am = np.take_along_axis(
-                self.face_siginv[:, :, m], self.face_axis[:, None], axis=1
-            )[:, 0]
-            coef.append(self.face_sqrt_det * sig_am)
-        T = self.Div @ (sp.diags(coef[0]) @ self.Mq1 + sp.diags(coef[1]) @ self.Mq2)
+        coef = self.face_sqrt_det[:, None] * self.face_sig_axis
+        T = self.Div @ (sp.diags(coef[:, 0]) @ self.Mq1 + sp.diags(coef[:, 1]) @ self.Mq2)
         rhs = -(T @ (self.B @ np.asarray(phi_vals, dtype=float)))
         return (T @ self.P).tocsr(), rhs
 
@@ -548,50 +509,6 @@ class GraphOperator:
         _, _, W = self._node_state(u_ext)
         field = W / np.sqrt(self.node_f) if fiber_weighted else W
         return integrate(self.grid, field, self.chart)
-
-    def residual_nondivergence(self, u, phi_vals, H_vals, gamma_mode="full"):
-        """Nondivergence-form residual on interior nodes (cross-check).
-
-        gamma_mode "full" keeps the antisymmetric bracket part of the
-        covariant derivative of hat_u; "symmetrized" drops it.  The
-        symmetric contraction against A^{ij} makes both agree to
-        rounding.  Non-interior entries are NaN.
-        """
-        grid = self.grid
-        N = grid.num_inside
-        u_ext = self.extend(u, phi_vals)
-        c, up, W = self._node_state(u_ext)
-        out = np.full(N, np.nan)
-
-        h = grid.h
-        ext_id = self._ext_id_map()
-        gam = christoffels_at(self.chart, grid.points, h)
-
-        # d_i tilt_k by central differences of the chart tilt
-        dt = _central_partials(lambda p: _tilt(self.chart, p), grid.points, h)
-
-        idx = np.nonzero(grid.interior_mask)[0]
-        Hv = self.n * np.asarray(H_vals, dtype=float)
-        cx, cy = grid.inside_ij[idx, 0], grid.inside_ij[idx, 1]
-
-        def at(sx, sy):
-            return u_ext[ext_id[cy + sy, cx + sx]]
-
-        u0 = u_ext[idx]
-        uxx = (at(1, 0) - 2 * u0 + at(-1, 0)) / h ** 2
-        uyy = (at(0, 1) - 2 * u0 + at(0, -1)) / h ** 2
-        uxy = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h ** 2)
-        hess = np.stack([uxx, uxy, uxy, uyy], axis=-1).reshape(-1, 2, 2)
-        duhat = hess + dt[idx]            # [n, i, k] = d_i hat_u_k
-        M = duhat.transpose(0, 2, 1) - np.einsum("nlki,nl->nki", gam[idx], c[idx])  # [n, k, i]
-        if gamma_mode == "symmetrized":
-            M = 0.5 * (M + M.transpose(0, 2, 1))
-        W2 = W[idx] ** 2
-        A = W2[:, None, None] * self.node_siginv[idx] - np.einsum("ni,nj->nij", up[idx], up[idx])
-        kup = np.einsum("ni,ni->n", self.node_kappa[idx], up[idx])
-        out[idx] = (np.einsum("nik,nki->n", A, M)
-                    - (self.node_f[idx] + W2) * kup) / W[idx] ** 3 - Hv[idx]
-        return out
 
 
 class _Multigrid:

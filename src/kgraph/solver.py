@@ -37,7 +37,6 @@ class SolveConfig:
     try_direct: bool = True        # attempt sigma = 1 before walking the path
     scale_phi: bool = True         # continuation scales phi together with H
     record_fields: bool = False    # keep the solution after each sigma step
-    fd_jacobian: bool = False      # colored finite-difference Jacobian (oracle)
 
 
 @dataclass
@@ -75,13 +74,9 @@ def _newton_step(op, u, phi_vals, r, cfg, lu_slot):
     residual, one more product with J.  When KRYLOV_MAX cycles miss the
     tolerance, or the true residual does, the assembled Jacobian gets a
     hierarchy of its own, which replaces the old one, and a direct solve
-    on it (`GraphOperator._solve`).  The finite-difference oracle
-    Jacobian gets a fresh hierarchy at every step.
+    on it (`GraphOperator._solve`).
     """
     rhs = -r
-    if cfg.fd_jacobian:
-        lu_slot["lu"] = None
-        return op._solve(op.jacobian_fd(u, phi_vals), rhs, cfg.linear_tol)
     mg = lu_slot["lu"]
     if mg is not None:
         J = op.jacobian_action(u, phi_vals)
@@ -193,16 +188,15 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
     continuation step size falls below its floor; the exception carries
     the partial report and the hypothesis verdict.
     """
-    from .analysis import boundary_geometry, hypothesis_check
+    from .analysis import _spec_boundary_geometry, hypothesis_check
 
     cfg = cfg or SolveConfig()
     op = _get_operator(spec.chart, grid, spec.n)
     H_target = spec.H_nodes(grid)
     phi_target = spec.phi_links(grid)
 
-    bgeom = boundary_geometry(spec.chart, spec.domain,
-                              samples=max(64, grid.num_links))
-    hypo = hypothesis_check(spec, bgeom, grid=grid).as_dict()
+    bgeom = _spec_boundary_geometry(spec, grid)
+    hypo = hypothesis_check(spec, bgeom, grid=grid, _H_vals=H_target).as_dict()
 
     report = SolveReport(h=grid.h, geometry=spec.chart.name,
                          domain=spec.domain.describe(), hypothesis=hypo)

@@ -1,0 +1,94 @@
+"""Independent checks on `GraphOperator`, kept out of the package.
+
+`jacobian_fd` is the coloured central finite-difference Jacobian of the
+divergence-form residual (Coleman & More, SIAM J. Numer. Anal. 20,
+1983), the trusted reference for the analytic `jacobian`.
+`residual_nondivergence` is the nondivergence form built from the
+quasilinear coefficients A^{ij} = W^2 sigma^{ij} - hat_u^i hat_u^j, which
+must agree with the flux form at second order.  Each takes the
+operator it checks as its first argument.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from kgraph.geometry import _central_partials, _tilt, christoffels_at
+from kgraph.grid import _lattice_at
+
+
+def jacobian_fd(op, u, phi_vals, eps=1e-6):
+    """Colored central finite-difference Jacobian; the trusted oracle.
+
+    Dependencies reach up to four cells through ghost fills near
+    the boundary, so nodes are colored by (ix mod 9, iy mod 9),
+    which keeps same-color columns row-disjoint.
+    """
+    grid = op.grid
+    N = grid.num_inside
+    H0 = np.zeros(N)
+    reach = 4
+    stride = 2 * reach + 1
+    ix, iy = grid.inside_ij[:, 0], grid.inside_ij[:, 1]
+    color = (ix % stride) * stride + iy % stride
+    rows, cols, vals = [], [], []
+    for c in np.unique(color):
+        e = (color == c).astype(float)
+        rp = op.residual(u + eps * e, phi_vals, H0)
+        rm = op.residual(u - eps * e, phi_vals, H0)
+        d = (rp - rm) / (2.0 * eps)
+        # each row j sees the one column of this color within reach
+        j = np.nonzero(d)[0]
+        k = _lattice_at(grid.node_index,
+                        ix[j] + (c // stride - ix[j] + reach) % stride - reach,
+                        iy[j] + (c % stride - iy[j] + reach) % stride - reach)
+        j, k = j[k >= 0], k[k >= 0]
+        rows.append(j)
+        cols.append(k)
+        vals.append(d[j])
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(N, N))
+
+
+def residual_nondivergence(op, u, phi_vals, H_vals, gamma_mode="full"):
+    """Nondivergence-form residual on interior nodes (cross-check).
+
+    gamma_mode "full" keeps the antisymmetric bracket part of the
+    covariant derivative of hat_u; "symmetrized" drops it.  The
+    symmetric contraction against A^{ij} makes both agree to
+    rounding.  Non-interior entries are NaN.
+    """
+    grid = op.grid
+    N = grid.num_inside
+    u_ext = op.extend(u, phi_vals)
+    c, up, W = op._node_state(u_ext)
+    out = np.full(N, np.nan)
+
+    h = grid.h
+    ext_id = op._ext_id_map()
+    gam = christoffels_at(op.chart, grid.points, h)
+
+    # d_i tilt_k by central differences of the chart tilt
+    dt = _central_partials(lambda p: _tilt(op.chart, p), grid.points, h)
+
+    idx = np.nonzero(grid.interior_mask)[0]
+    Hv = op.n * np.asarray(H_vals, dtype=float)
+    cx, cy = grid.inside_ij[idx, 0], grid.inside_ij[idx, 1]
+
+    def at(sx, sy):
+        return u_ext[ext_id[cy + sy, cx + sx]]
+
+    u0 = u_ext[idx]
+    uxx = (at(1, 0) - 2 * u0 + at(-1, 0)) / h ** 2
+    uyy = (at(0, 1) - 2 * u0 + at(0, -1)) / h ** 2
+    uxy = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h ** 2)
+    hess = np.stack([uxx, uxy, uxy, uyy], axis=-1).reshape(-1, 2, 2)
+    duhat = hess + dt[idx]            # [n, i, k] = d_i hat_u_k
+    M = duhat.transpose(0, 2, 1) - np.einsum("nlki,nl->nki", gam[idx], c[idx])  # [n, k, i]
+    if gamma_mode == "symmetrized":
+        M = 0.5 * (M + M.transpose(0, 2, 1))
+    W2 = W[idx] ** 2
+    A = W2[:, None, None] * op.node_siginv[idx] - np.einsum("ni,nj->nij", up[idx], up[idx])
+    kup = np.einsum("ni,ni->n", op.node_kappa[idx], up[idx])
+    out[idx] = (np.einsum("nik,nki->n", A, M)
+                - (op.node_f[idx] + W2) * kup) / W[idx] ** 3 - Hv[idx]
+    return out

@@ -11,6 +11,7 @@ import kgraph as kg
 from kgraph.cli import main
 from kgraph.operator import _get_operator
 from conftest import cap_trace, saddle, smooth_random_field
+from oracles import residual_nondivergence
 
 CAP = cap_trace()
 
@@ -139,8 +140,8 @@ class TestCriterion5GammaInvariance:
             u = smooth_random_field(grid.points, rng)
             phi = smooth_random_field(grid.link_points, rng)
             H0 = np.zeros(grid.num_inside)
-            r_full = op.residual_nondivergence(u, phi, H0, gamma_mode="full")
-            r_sym = op.residual_nondivergence(u, phi, H0, gamma_mode="symmetrized")
+            r_full = residual_nondivergence(op, u, phi, H0, gamma_mode="full")
+            r_sym = residual_nondivergence(op, u, phi, H0, gamma_mode="symmetrized")
             m = np.isfinite(r_full)
             worst = max(worst, np.abs(r_full[m] - r_sym[m]).max())
         assert worst <= 1e-12

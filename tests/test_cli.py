@@ -232,8 +232,12 @@ phi = 0
         with pytest.raises(InputError):
             parse_config(str(tmp_path / "missing.cfg"))
 
-    def test_unknown_solver_key(self, tmp_path):
-        text = CAP_CONFIG + "warp_speed = 9\n"
-        cfg = write(tmp_path, "bad.cfg", text)
+    # fd_jacobian was a SolveConfig field; a config that still names it is rejected
+    @pytest.mark.parametrize("line", ["warp_speed = 9", "fd_jacobian = true"],
+                             ids=["warp_speed", "fd_jacobian"])
+    def test_unknown_solver_key(self, tmp_path, capsys, line):
+        cfg = write(tmp_path, "bad.cfg", CAP_CONFIG + line + "\n")
         with pytest.raises(InputError):
             parse_config(cfg)
+        assert main(["check", cfg]) == 1
+        assert "unknown key" in capsys.readouterr().err

@@ -12,16 +12,19 @@ Operator: the residual and a Jacobian-vector product on a fixed smooth
 field must match `tests/data/operator_*.npz`, which hold the values the
 per-node / per-face loop assembly of `GraphOperator` produced.
 
-Oracles and boundary gathers: `residual_nondivergence`, `jacobian_fd`,
-`boundary_gradient_samples`, `integrate`, the boundary normals and `Div`
-must match `tests/data/{nondiv,jacfd,boundary}_*.npz`, written by the
-per-node code these became array code of, together with their inputs.
+Oracles and boundary gathers: the test oracles `residual_nondivergence`
+and `jacobian_fd` (tests/oracles.py, moved out of `GraphOperator`
+unchanged), `boundary_gradient_samples`, `integrate`, the boundary
+normals and `Div` must match `tests/data/{nondiv,jacfd,boundary}_*.npz`,
+written by the per-node code these became array code of, together with
+their inputs.
 `grid.eta` must equal, bit for bit, the normals stored in
 `tests/data/stencils_*.npz`, which were written with a per-node stencil
 routine that no longer exists; they are kept as they are.
 
 Run this file as a script to rewrite the operator, nondivergence,
-Jacobian and boundary references from the installed kgraph.
+Jacobian and boundary references from the installed kgraph and the
+oracles beside this file.
 """
 
 from pathlib import Path
@@ -37,6 +40,7 @@ from kgraph import grid as kgrid
 from kgraph.analysis import boundary_gradient_samples
 from kgraph.geometry import inverse_metric_at
 from kgraph.operator import _get_operator
+from oracles import jacobian_fd, residual_nondivergence
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -486,13 +490,13 @@ def nondiv_values(case, ref=None):
     grid, op, u, phi = _oracle_setup(case, ref)
     H = np.full(grid.num_inside, 0.5)
     return {"u": u, "phi": phi,
-            "full": op.residual_nondivergence(u, phi, H, gamma_mode="full"),
-            "symmetrized": op.residual_nondivergence(u, phi, H, gamma_mode="symmetrized")}
+            "full": residual_nondivergence(op, u, phi, H, gamma_mode="full"),
+            "symmetrized": residual_nondivergence(op, u, phi, H, gamma_mode="symmetrized")}
 
 
 def jacfd_values(case, ref=None):
     grid, op, u, phi = _oracle_setup(case, ref)
-    J = op.jacobian_fd(u, phi)
+    J = jacobian_fd(op, u, phi)
     return {"u": u, "phi": phi, "data": J.data, "indices": J.indices, "indptr": J.indptr}
 
 

@@ -14,9 +14,18 @@ from kgraph.errors import ContinuationStalled, SingularJacobian
 from kgraph.operator import _Multigrid, _get_operator
 from kgraph.solver import newton_solve
 from conftest import cap_trace, curved_exp_H, curved_exp_u, saddle, smooth_random_field
+from oracles import jacobian_fd
 from test_equivalence import _strip
 
 CAP = cap_trace()
+
+
+def fd_newton_step(op, u, phi_vals, r, cfg, lu_slot):
+    """`ksolver._newton_step` on the colored finite-difference Jacobian
+    (`oracles.jacobian_fd`): a fresh direct solve at every step, with no
+    hierarchy carried to the next."""
+    lu_slot["lu"] = None
+    return op._solve(jacobian_fd(op, u, phi_vals), -r, cfg.linear_tol)
 
 
 class TestTrivialProblem:
@@ -145,13 +154,14 @@ class TestContinuation:
         assert err.value.hypothesis["passed"] is False
         assert err.value.report is not None
 
-    def test_fd_jacobian_flag(self, euclid):
+    def test_fd_jacobian_flag(self, euclid, monkeypatch):
         # the colored finite-difference Jacobian drives Newton to the
         # same solution as the analytic one
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
         spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
         u_ref, _ = kg.solve_dirichlet(spec, grid)
-        u_fd, rep = kg.solve_dirichlet(spec, grid, kg.SolveConfig(fd_jacobian=True))
+        monkeypatch.setattr(ksolver, "_newton_step", fd_newton_step)
+        u_fd, rep = kg.solve_dirichlet(spec, grid)
         assert rep.converged
         assert np.abs(u_fd - u_ref).max() <= 1e-8
 
@@ -474,12 +484,10 @@ class TestFactorizationReuse:
     def test_fd_jacobian_factors_every_step(self, euclid, splu_calls, monkeypatch):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
         spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
-        op = _get_operator(euclid, grid, 2)
         fd_calls = []
-        jacobian_fd = op.jacobian_fd
-        monkeypatch.setattr(op, "jacobian_fd",
-                            lambda *a: fd_calls.append(1) or jacobian_fd(*a))
-        _, report = kg.solve_dirichlet(spec, grid, kg.SolveConfig(fd_jacobian=True))
+        monkeypatch.setattr(ksolver, "_newton_step",
+                            lambda *a: fd_calls.append(1) or fd_newton_step(*a))
+        _, report = kg.solve_dirichlet(spec, grid)
         assert report.converged
         assert len(fd_calls) == sum(report.newton_iters) >= 3
         assert len(splu_calls) == len(fd_calls) + 1   # and the lift's
@@ -579,6 +587,18 @@ class TestReport:
         assert len(rep.sup_du) == len(rep.sigma_path)
         assert rep.sup_du[-1] == pytest.approx(1.0 / np.sqrt(3.0), abs=5e-3)
         assert len(rep.sup_u) == len(rep.sigma_path)
+
+    def test_hypothesis_matches_verify_for_n3(self, euclid):
+        # the solve and verify sample the boundary cylinder in dimension
+        # n alike: inf H_cyl = (n - 1) H_Gamma / n = 4/3 on the disk of
+        # radius 1/2 for n = 3, not the n = 2 value 1
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 24, euclid)
+        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=0.5, phi=0.0, n=3)
+        u, report = kg.solve_dirichlet(spec, grid)
+        checked = kg.verify(spec, grid, u).items["hypothesis"]
+        assert report.converged
+        assert report.hypothesis["inf_Hcyl"] == pytest.approx(4.0 / 3.0, rel=1e-4)
+        assert report.hypothesis == {k: checked[k] for k in report.hypothesis}
 
 
 class TestComparison:
