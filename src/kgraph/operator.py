@@ -453,19 +453,31 @@ class GraphOperator:
         Solves the linear metric Laplacian with the same ghost
         machinery; used to warm-start Newton with boundary-compatible
         iterates so the saturating flux never sees the raw data jump.
+        Eliminated nodes keep the constraint rows of `residual`, so the
+        lift meets them and its matrix has the Jacobian's rows there.
         The Laplacian is assembled for this lift alone: afterwards only
         the multigrid hierarchy built on it lives on, in `_lu_slot`, a
-        dict, under "lu", for a caller that reuses it.
+        dict, under "lu", for a caller that reuses it to precondition
+        Newton steps.
         """
         A, rhs = self._laplace_system(phi_vals)
         return self._solve(A, rhs, lu_slot=_lu_slot)
 
     def _laplace_system(self, phi_vals):
-        """(A, rhs) of the harmonic lift: A x = rhs over the inside nodes."""
+        """(A, rhs) of the harmonic lift: A x = rhs over the inside nodes.
+
+        Kept nodes carry the metric Laplacian's rows; eliminated nodes
+        carry their `_elim_J` rows with right-hand side `_elim_phi @
+        phi_vals`, exactly as in `residual` and `jacobian`.
+        """
+        phi_vals = np.asarray(phi_vals, dtype=float)
         coef = self.face_sqrt_det[:, None] * self.face_sig_axis
         T = self.Div @ (sp.diags(coef[:, 0]) @ self.Mq1 + sp.diags(coef[:, 1]) @ self.Mq2)
-        rhs = -(T @ (self.B @ np.asarray(phi_vals, dtype=float)))
-        return (T @ self.P).tocsr(), rhs
+        A, rhs = T @ self.P, -(T @ (self.B @ phi_vals))
+        if self._elim_any:
+            A = sp.diags(self._keep) @ A + self._elim_J
+            rhs = self._keep * rhs + self._elim_phi @ phi_vals
+        return A.tocsr(), rhs
 
     def _solve(self, A, rhs, tol=LINEAR_TOL, lu_slot=None):
         """x with A x = rhs for an (N, N) sparse A over the inside nodes.

@@ -295,6 +295,25 @@ class TestLinearSolve:
         ref = spla.spsolve(A.tocsc(), rhs)
         assert _rel(op.laplace_lift(phi_vals), ref) <= 1e-10
 
+    @pytest.mark.parametrize("centre, h, eliminated", [
+        ((0.0, 0.0), 1.0 / 64, 8), ((0.013, -0.021), 1.0 / 48, 3)],
+        ids=["cap-64", "offcentre-disk-48"])
+    def test_lift_has_the_jacobians_elimination_rows(self, euclid, centre, h, eliminated):
+        # the hierarchy built on the lift preconditions Newton, so its
+        # matrix carries the Jacobian's constraint rows, and the lift,
+        # which solves them, meets them to solve accuracy
+        grid = kg.build_grid(kg.Disk(centre, 0.5), h, euclid)
+        op = _get_operator(euclid, grid, 2)
+        phi = CAP(grid.link_points)
+        n = op.elim_nodes
+        assert len(n) == eliminated
+        A, _ = op._laplace_system(phi)
+        lift = op.laplace_lift(phi)
+        J = op.jacobian(lift, phi)
+        assert np.array_equal(A[n].toarray(), J[n].toarray())
+        r = op.residual(lift, phi, np.ones(grid.num_inside))
+        assert np.max(np.abs(r[n])) <= 1e-10 * np.max(np.abs(phi)) / h ** 2
+
     @pytest.mark.parametrize("scale", [1e-42, 1e60])
     def test_lift_of_data_outside_float32_range(self, euclid, scale):
         # GMRES stores the preconditioned vectors in float32, so it must
@@ -346,9 +365,13 @@ class _Broken:
         return self.lu.solve(v) + 1e-3 * np.linalg.norm(v)
 
 
-REUSE_CASES = {   # chart fixture, H, phi, hierarchies built at h = 1/64
-    "euclid-cap": ("euclid", 1.0, CAP, 1),
-    "curved-exp": ("curved", curved_exp_H, curved_exp_u, 1),
+REUSE_CASES = {   # chart fixture, H, phi, 1/h, hierarchies built
+    "euclid-cap": ("euclid", 1.0, CAP, 64, 1),
+    "curved-exp": ("curved", curved_exp_H, curved_exp_u, 64, 1),
+    # one more multigrid level, and more eliminated nodes, yet the lift's
+    # hierarchy still serves every Newton step
+    "euclid-cap-128": ("euclid", 1.0, CAP, 128, 1),
+    "curved-exp-128": ("curved", curved_exp_H, curved_exp_u, 128, 1),
 }
 
 
@@ -372,9 +395,9 @@ def builds(monkeypatch):
 
 
 def _reuse_problem(request, case):
-    chart_name, H, phi, _ = REUSE_CASES[case]
+    chart_name, H, phi, n, _ = REUSE_CASES[case]
     chart = request.getfixturevalue(chart_name)
-    grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 64, chart)
+    grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / n, chart)
     return kg.ProblemSpec(chart=chart, domain=grid.domain, H=H, phi=phi), grid
 
 
@@ -388,7 +411,7 @@ class TestFactorizationReuse:
         spec, grid = _reuse_problem(request, case)
         _, report = kg.solve_dirichlet(spec, grid)
         assert report.converged
-        assert len(builds) == REUSE_CASES[case][3]
+        assert len(builds) == REUSE_CASES[case][4]
 
     @pytest.mark.parametrize("case", sorted(REUSE_CASES))
     def test_every_step_meets_linear_tol(self, request, case, monkeypatch):
@@ -475,7 +498,7 @@ class TestFactorizationReuse:
         monkeypatch.setattr(_Multigrid, "__init__", recording)
         _, report = kg.solve_dirichlet(spec, grid)
         assert report.converged
-        assert len(sizes) == REUSE_CASES["euclid-cap"][3]
+        assert len(sizes) == REUSE_CASES["euclid-cap"][4]
         for n in sizes:
             assert len(n) >= 2 and n[0] == grid.num_inside
             assert n[-1] <= kop.COARSE_MAX < n[-2]
@@ -541,8 +564,10 @@ class TestMultigrid:
             per_node[n] = stored / grid.num_inside
         assert per_node[256] <= per_node[128]
 
-    def test_cycles_per_newton_step_are_mesh_independent(self, euclid, monkeypatch):
-        # at most 9 per step at 1/64 and 11 at 1/256 as measured
+    def test_cycles_per_newton_step_are_mesh_independent(self, euclid, monkeypatch,
+                                                         builds):
+        # at most 7 per step at 1/64 and 7 at 1/256 as measured, all on the
+        # lift's hierarchy
         cycles, steps = [], []
         solve = _Multigrid.solve
 
@@ -563,9 +588,12 @@ class TestMultigrid:
         most = {}
         for n in (64, 256):
             steps.clear()
+            builds.clear()
             # the default newton_tol stalls at 1/256 (ROADMAP D1)
             _, report = kg.solve_dirichlet(*_cap(euclid, n), kg.SolveConfig(newton_tol=1e-9))
             assert report.converged and steps
+            assert len(builds) == 1
+            assert max(steps) < ksolver.KRYLOV_MAX
             most[n] = max(steps)
         assert most[256] <= 2 * most[64]
 
