@@ -11,6 +11,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -29,6 +30,13 @@ class RunConfig:
     spec: ProblemSpec
     solve_config: solver.SolveConfig
     source: str
+
+
+def _number(value, what):
+    try:
+        return float(value)
+    except ValueError:
+        raise InputError(f"{what}: not a number: {value.strip()!r}") from None
 
 
 def _number_or_expression(value, what):
@@ -58,6 +66,13 @@ def parse_config(path):
             raise InputError(f"{path}: missing [{section}] {key}")
         return parser.get(section, key)
 
+    def number(section, key, positive=False):
+        where = f"{path}: [{section}] {key}"
+        value = _number(need(section, key), where)
+        if positive and not (math.isfinite(value) and value > 0):
+            raise InputError(f"{where} must be finite and positive")
+        return value
+
     # geometry
     if not parser.has_section("geometry"):
         raise InputError(f"{path}: missing [geometry] section")
@@ -68,46 +83,39 @@ def parse_config(path):
         params = {k: v for k, v in parser.items("geometry") if k != "builtin"}
         try:
             chart = geometry.make_builtin(name, params)
-        except NotImplementedError as exc:
+        except (NotImplementedError, InputError) as exc:
             raise InputError(f"{path}: [geometry] builtin={name}: {exc}") from None
 
     # domain
     shape = need("domain", "shape").strip().lower()
     if shape == "disk":
-        center = [float(v) for v in need("domain", "center").replace(",", " ").split()]
+        center = [_number(v, f"{path}: [domain] center")
+                  for v in need("domain", "center").replace(",", " ").split()]
         if len(center) != 2:
             raise InputError(f"{path}: [domain] center needs two values")
-        domain = gridmod.Disk(center=tuple(center), radius=float(need("domain", "radius")))
+        domain = gridmod.Disk(center=tuple(center), radius=number("domain", "radius"))
     elif shape == "rectangle":
         domain = gridmod.Rectangle(
-            x0=float(need("domain", "x0")), y0=float(need("domain", "y0")),
-            x1=float(need("domain", "x1")), y1=float(need("domain", "y1")),
+            x0=number("domain", "x0"), y0=number("domain", "y0"),
+            x1=number("domain", "x1"), y1=number("domain", "y1"),
         )
     else:
         raise InputError(f"{path}: [domain] shape must be disk or rectangle")
-    h = float(need("domain", "h"))
-    if h <= 0:
-        raise InputError(f"{path}: [domain] h must be positive")
+    h = number("domain", "h", positive=True)
 
     # problem
     H = _number_or_expression(need("problem", "H"), f"{path}: [problem] H")
     phi = _number_or_expression(need("problem", "phi"), f"{path}: [problem] phi")
     spec = ProblemSpec(chart=chart, domain=domain, H=H, phi=phi)
 
-    # solver overrides
+    # solver overrides: newton_tol is the one key
     cfg = solver.SolveConfig()
     if parser.has_section("solver"):
-        valid = {f.name: f.type for f in dataclasses.fields(solver.SolveConfig)}
-        for key, value in parser.items("solver"):
-            if key not in valid:
+        for key in parser.options("solver"):
+            if key != "newton_tol":
                 raise InputError(f"{path}: [solver] unknown key {key!r}")
-            current = getattr(cfg, key)
-            if isinstance(current, bool):
-                setattr(cfg, key, value.strip().lower() in ("1", "true", "yes", "on"))
-            elif isinstance(current, int):
-                setattr(cfg, key, int(value))
-            else:
-                setattr(cfg, key, float(value))
+        if parser.has_option("solver", "newton_tol"):
+            cfg.newton_tol = number("solver", "newton_tol", positive=True)
 
     return RunConfig(chart=chart, domain=domain, h=h, spec=spec,
                      solve_config=cfg, source=str(path))
@@ -134,13 +142,9 @@ def cmd_solve(config_path, out_dir="."):
     try:
         u, report = solver.solve_dirichlet(run.spec, grid, run.solve_config)
     except ContinuationStalled as exc:
-        payload = exc.report.to_json_dict() if exc.report else {"schema": 1}
-        payload["converged"] = False
-        payload["stalled_at"] = exc.sigma
-        payload["hypothesis"] = exc.hypothesis or {}
-        _write_json(os.path.join(out_dir, "report.json"), payload)
+        _write_json(os.path.join(out_dir, "report.json"), exc.report.to_json_dict())
         print(f"continuation stalled at sigma = {exc.sigma:.6g} "
-              f"(hypothesis slack {payload['hypothesis'].get('slack_H', 'n/a')})")
+              f"(hypothesis slack {exc.hypothesis['slack_H']})")
         return 2
     write_field_csv(os.path.join(out_dir, "u.csv"), grid, u, name="u")
     _write_json(os.path.join(out_dir, "report.json"), report.to_json_dict())

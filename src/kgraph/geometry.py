@@ -305,7 +305,11 @@ def make_builtin(name, params=None):
     if name == "warped":
         if "f" not in params:
             raise InputError("warped geometry requires an 'f' parameter")
-        return warped(params["f"], ric_lower=float(params.get("ric_lower", 0.0)))
+        try:
+            ric_lower = float(params.get("ric_lower", 0.0))
+        except ValueError:
+            raise InputError(f"ric_lower: not a number: {params['ric_lower']!r}") from None
+        return warped(params["f"], ric_lower=ric_lower)
     if params:
         raise InputError(f"geometry {name!r} takes no parameters")
     return BUILTIN_GEOMETRIES[name]()

@@ -479,7 +479,7 @@ class GraphOperator:
             rhs = self._keep * rhs + self._elim_phi @ phi_vals
         return A.tocsr(), rhs
 
-    def _solve(self, A, rhs, tol=LINEAR_TOL, lu_slot=None):
+    def _solve(self, A, rhs, lu_slot=None):
         """x with A x = rhs for an (N, N) sparse A over the inside nodes.
 
         Flexible GMRES (`_gmres`) preconditioned by one V-cycle of a
@@ -487,7 +487,7 @@ class GraphOperator:
         relative residual of DIRECT_TOL, so x has the accuracy of a
         direct solve.  Raises SingularJacobian when A has a zero
         diagonal or its coarsest level cannot be factored, or when x is
-        not finite or leaves a relative residual above `tol`.
+        not finite or leaves a relative residual above LINEAR_TOL.
         `lu_slot`, a dict, receives the hierarchy under "lu".
         """
         rhs = np.asarray(rhs, dtype=float)
@@ -498,7 +498,7 @@ class GraphOperator:
         if x is None or not np.all(np.isfinite(x)):
             raise SingularJacobian("linear solve returned non-finite values")
         rel = _relative_residual(A, x, rhs)
-        if rel > tol:
+        if rel > LINEAR_TOL:
             raise SingularJacobian(f"linear solve relative residual {rel:.2e}")
         return x
 

@@ -2,12 +2,12 @@
 
 The continuation family scales the problem data jointly,
 Q[u] = n (sigma H) with boundary values sigma phi for sigma in [0, 1],
-starting from the minimal graph of the homogeneous problem.  A direct
-Newton attempt at sigma = 1 is tried first; the sigma path is the
-fallback when the target problem is out of easy reach.  Stalling below
-the minimum step is reported together with the hypothesis verdict,
-since the solvability condition sup|H| <= inf H_cyl is sufficient but
-not necessary.
+starting from the minimal graph of the homogeneous problem.  The first
+step goes straight to sigma = 1; a failed step is retried at half the
+length, and a step that takes at most 3 Newton iterations doubles the
+next.  Stalling below the minimum step is reported together with the
+hypothesis verdict, since the solvability condition sup|H| <= inf H_cyl
+is sufficient but not necessary.
 """
 
 import json
@@ -19,25 +19,20 @@ from .errors import (ContinuationStalled, DivergedIterates, SingularJacobian)
 from .operator import LINEAR_TOL, _eval_data, _get_operator, _gmres, _relative_residual
 
 SCHEMA_VERSION = 1
-KRYLOV_MAX = 16   # V-cycles a Newton step spends on a reused hierarchy
-                  # before it rebuilds; on the lift's hierarchy, steps
-                  # take 4-9 on the cap from h = 1/64 to 1/512
+KRYLOV_MAX = 16           # V-cycles a Newton step spends on a reused hierarchy
+                          # before it rebuilds; on the lift's hierarchy, steps
+                          # take 4-9 on the cap from h = 1/64 to 1/512
+MAX_NEWTON = 50           # iterations per continuation step
+ARMIJO = 1e-4             # sufficient-decrease factor
+MIN_STEP = 2.0 ** -20     # line search floor
+MAX_STEP_SUP = 2.0        # per-iteration sup-norm step cap
+DSIGMA_MIN = 2.0 ** -10   # continuation step floor
+DIVERGE_SUP = 1e6         # iterate blow-up guard
 
 
 @dataclass
 class SolveConfig:
     newton_tol: float = 1e-10      # sup-norm residual target
-    max_newton: int = 50           # iterations per continuation step
-    armijo: float = 1e-4           # sufficient-decrease factor
-    min_step: float = 2.0 ** -20   # line search floor
-    max_step_sup: float = 2.0      # per-iteration sup-norm step cap
-    dsigma_init: float = 0.25
-    dsigma_min: float = 2.0 ** -10
-    linear_tol: float = LINEAR_TOL  # relative residual required of linear solves
-    diverge_sup: float = 1e6       # iterate blow-up guard
-    try_direct: bool = True        # attempt sigma = 1 before walking the path
-    scale_phi: bool = True         # continuation scales phi together with H
-    record_fields: bool = False    # keep the solution after each sigma step
 
 
 @dataclass
@@ -53,11 +48,9 @@ class SolveReport:
     h: float = None
     geometry: str = None
     domain: dict = None
-    fields: list = field(default_factory=list)
 
     def to_json_dict(self):
         out = asdict(self)
-        out.pop("fields")
         out["schema"] = SCHEMA_VERSION
         return json.loads(json.dumps(out, default=float))
 
@@ -66,8 +59,8 @@ class _NewtonFailure(Exception):
     """Internal: one continuation step did not converge."""
 
 
-def _newton_step(op, u, phi_vals, r, cfg, lu_slot):
-    """Newton direction s with |J s + r| <= cfg.linear_tol |r|.
+def _newton_step(op, u, phi_vals, r, lu_slot):
+    """Newton direction s with |J s + r| <= LINEAR_TOL |r|.
 
     The multigrid hierarchy in `lu_slot["lu"]`, when there is one, is
     reused: its V-cycle preconditions flexible GMRES (`_gmres`) on the
@@ -81,43 +74,42 @@ def _newton_step(op, u, phi_vals, r, cfg, lu_slot):
     mg = lu_slot["lu"]
     if mg is not None:
         J = op.jacobian_action(u, phi_vals)
-        s = _gmres(J, mg.solve, rhs, cfg.linear_tol, KRYLOV_MAX)
-        if s is not None and _relative_residual(J, s, rhs) <= cfg.linear_tol:
+        s = _gmres(J, mg.solve, rhs, LINEAR_TOL, KRYLOV_MAX)
+        if s is not None and _relative_residual(J, s, rhs) <= LINEAR_TOL:
             return s
     # drop the old hierarchy before the new one is built: one at a time
     lu_slot["lu"] = mg = None
-    return op._solve(op.jacobian(u, phi_vals), rhs, cfg.linear_tol, lu_slot=lu_slot)
+    return op._solve(op.jacobian(u, phi_vals), rhs, lu_slot=lu_slot)
 
 
-def newton_solve(op, u0, phi_vals, H_vals, cfg, monitor=None, _lu_slot=None):
+def newton_solve(op, u0, phi_vals, H_vals, cfg, _lu_slot=None):
     """Damped Newton on the residual; returns (u, iterations, history).
 
     Accepted steps pass Armijo decrease on the squared 2-norm and,
     whenever attainable, strictly reduce the sup norm as well (on
     nominal warm starts every step does; far-field starts may take
-    merit-only steps).  `monitor(u_candidate)` may veto a step (used
-    for the functional descent certificate).  `_lu_slot`, a dict, carries
-    one multigrid hierarchy in and out under "lu" (see `_newton_step`).
+    merit-only steps).  `_lu_slot`, a dict, carries one multigrid
+    hierarchy in and out under "lu" (see `_newton_step`).
     """
     lu_slot = {"lu": None} if _lu_slot is None else _lu_slot
     u = np.array(u0, dtype=float)
     r = op.residual(u, phi_vals, H_vals)
     history = [float(np.max(np.abs(r)))]
-    for it in range(cfg.max_newton):
+    for it in range(MAX_NEWTON):
         rinf = history[-1]
         if rinf <= cfg.newton_tol:
             return u, it, history
-        if np.max(np.abs(u)) > cfg.diverge_sup:
-            raise DivergedIterates(f"sup|u| exceeded {cfg.diverge_sup:g}")
-        s = _newton_step(op, u, phi_vals, r, cfg, lu_slot)
+        if np.max(np.abs(u)) > DIVERGE_SUP:
+            raise DivergedIterates(f"sup|u| exceeded {DIVERGE_SUP:g}")
+        s = _newton_step(op, u, phi_vals, r, lu_slot)
         m0 = float(r @ r)
         accepted = False
         fallback = None
         # cap the step so an overshoot cannot saturate the flux globally
         # (the saturated regime is a Newton plateau: residual insensitive
         # to u, Jacobian rows ~ 1/W^3 nearly zero)
-        lam = min(1.0, cfg.max_step_sup / max(np.max(np.abs(s)), 1e-30))
-        while lam >= cfg.min_step:
+        lam = min(1.0, MAX_STEP_SUP / max(np.max(np.abs(s)), 1e-30))
+        while lam >= MIN_STEP:
             u_try = u + lam * s
             try:
                 r_try = op.residual(u_try, phi_vals, H_vals)
@@ -126,9 +118,7 @@ def newton_solve(op, u0, phi_vals, H_vals, cfg, monitor=None, _lu_slot=None):
                 continue
             m_try = float(r_try @ r_try)
             rinf_try = float(np.max(np.abs(r_try)))
-            armijo_ok = m_try <= (1.0 - 2.0 * cfg.armijo * lam) * m0
-            if armijo_ok and monitor is not None:
-                armijo_ok = monitor(u_try)
+            armijo_ok = m_try <= (1.0 - 2.0 * ARMIJO * lam) * m0
             if armijo_ok and rinf_try < rinf:
                 u, r = u_try, r_try
                 history.append(rinf_try)
@@ -146,35 +136,25 @@ def newton_solve(op, u0, phi_vals, H_vals, cfg, monitor=None, _lu_slot=None):
         if not accepted:
             raise _NewtonFailure("line search stalled")
     if history[-1] <= cfg.newton_tol:
-        return u, cfg.max_newton, history
+        return u, MAX_NEWTON, history
     raise _NewtonFailure(
-        f"no convergence in {cfg.max_newton} iterations (residual {history[-1]:.3e})"
+        f"no convergence in {MAX_NEWTON} iterations (residual {history[-1]:.3e})"
     )
 
 
 def minimal_initial_graph(spec, grid, cfg=None, _lu_slot=None):
     """Minimal graph with zero boundary values: the continuation start.
 
-    Newton on the H = 0 problem from u = 0, with the fiber-weighted
-    area functional enforced as a strict descent certificate along
-    accepted steps.  `_lu_slot` is handed to `newton_solve`.
+    Newton on the H = 0 problem from u = 0.  Raises ContinuationStalled
+    at sigma = 0 when it does not converge.  `_lu_slot` is handed to
+    `newton_solve`.
     """
     cfg = cfg or SolveConfig()
     op = _get_operator(spec.chart, grid, spec.n)
-    zeros_links = np.zeros(grid.num_links)
     zeros_nodes = np.zeros(grid.num_inside)
-    best = [op.functional(zeros_nodes, zeros_links, fiber_weighted=True)]
-
-    def descent(u_try):
-        val = op.functional(u_try, zeros_links, fiber_weighted=True)
-        if val <= best[0] + 1e-12 * (1.0 + abs(best[0])):
-            best[0] = val
-            return True
-        return False
-
     try:
-        u, _, _ = newton_solve(op, zeros_nodes, zeros_links, zeros_nodes, cfg,
-                               monitor=descent, _lu_slot=_lu_slot)
+        u, _, _ = newton_solve(op, zeros_nodes, np.zeros(grid.num_links), zeros_nodes,
+                               cfg, _lu_slot=_lu_slot)
     except _NewtonFailure as exc:
         raise ContinuationStalled(
             f"minimal graph solve failed: {exc}", sigma=0.0
@@ -185,9 +165,12 @@ def minimal_initial_graph(spec, grid, cfg=None, _lu_slot=None):
 def solve_dirichlet(spec, grid, cfg=None, u0=None):
     """Solve Q[u] = n H with u = phi at the boundary crossings.
 
-    Returns (u, SolveReport).  Raises ContinuationStalled when the
-    continuation step size falls below its floor; the exception carries
-    the partial report and the hypothesis verdict.
+    Continuation in sigma from the minimal graph (or from `u0`, taken
+    as a sigma = 0 start): the first step is the direct attempt at
+    sigma = 1, and each failed attempt halves the step.  Returns (u,
+    SolveReport).  Raises ContinuationStalled when the step falls below
+    DSIGMA_MIN, or when the minimal graph fails (at sigma = 0); the
+    exception carries the partial report and the hypothesis verdict.
     """
     from .analysis import _spec_boundary_geometry, hypothesis_check
 
@@ -207,8 +190,7 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
     try:
         # boundary-compatible predictor: harmonic lift of the data-scale jump
         # keeps Newton iterates out of the saturated-slope regime near the
-        # boundary; with unscaled phi the full lift is applied at once.  Its
-        # hierarchy is the first the solve carries
+        # boundary.  Its hierarchy is the first the solve carries
         lift = op.laplace_lift(phi_target, _lu_slot=lu_slot) if np.any(phi_target) else None
 
         if u0 is not None:
@@ -218,59 +200,38 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
             taper = np.clip(grid.dist / (3.0 * grid.h), 0.0, 1.0)
             u = np.asarray(u0, dtype=float) * taper
         else:
-            u = minimal_initial_graph(spec, grid, cfg, _lu_slot=lu_slot)
-        lift_state = {"applied": 0.0}
-
-        def attempt(u_from, sigma):
-            Hs = sigma * H_target
-            ps = sigma * phi_target if cfg.scale_phi else phi_target
-            u_start = u_from
-            if lift is not None:
-                data_scale = sigma if cfg.scale_phi else 1.0
-                u_start = u_from + (data_scale - lift_state["applied"]) * lift
-            result = newton_solve(op, u_start, ps, Hs, cfg, _lu_slot=lu_slot)
-            if lift is not None:
-                lift_state["applied"] = sigma if cfg.scale_phi else 1.0
-            return result, ps
-
-        def book(sigma, u_new, iters, history, ps):
-            report.sigma_path.append(float(sigma))
-            report.newton_iters.append(int(iters))
-            report.residual_final = float(history[-1])
-            report.sup_u.append(float(np.max(np.abs(u_new))))
-            state = op.state(u_new, ps)
-            du = np.sqrt(np.einsum("ni,ni->n", state.u_hat_down, state.u_hat_up))
-            report.sup_du.append(float(np.max(du)))
-            if cfg.record_fields:
-                report.fields.append(u_new.copy())
-
-        if cfg.try_direct:
             try:
-                (u_new, iters, history), ps = attempt(u, 1.0)
-                book(1.0, u_new, iters, history, ps)
-                report.converged = True
-                return u_new, report
-            except (_NewtonFailure, SingularJacobian, DivergedIterates):
-                pass
+                u = minimal_initial_graph(spec, grid, cfg, _lu_slot=lu_slot)
+            except ContinuationStalled as exc:
+                report.stalled_at = exc.sigma
+                exc.report, exc.hypothesis = report, hypo
+                raise
 
-        sigma = 0.0  # any u0 is treated as a sigma = 0 start
-        dsigma = cfg.dsigma_init
+        sigma, dsigma = 0.0, 1.0
         while sigma < 1.0:
             target = min(1.0, sigma + dsigma)
+            u_start = u if lift is None else u + (target - sigma) * lift
+            phi_s = target * phi_target
             try:
-                (u_new, iters, history), ps = attempt(u, target)
+                u_new, iters, history = newton_solve(op, u_start, phi_s, target * H_target,
+                                                     cfg, _lu_slot=lu_slot)
             except (_NewtonFailure, SingularJacobian, DivergedIterates):
                 dsigma *= 0.5
-                if dsigma < cfg.dsigma_min:
+                if dsigma < DSIGMA_MIN:
                     report.stalled_at = float(sigma)
                     raise ContinuationStalled(
                         f"continuation stalled at sigma = {sigma:.6g}",
                         sigma=sigma, report=report, hypothesis=hypo,
                     )
                 continue
-            u = u_new
-            sigma = target
-            book(sigma, u, iters, history, ps)
+            u, sigma = u_new, target
+            report.sigma_path.append(float(sigma))
+            report.newton_iters.append(int(iters))
+            report.residual_final = float(history[-1])
+            report.sup_u.append(float(np.max(np.abs(u))))
+            state = op.state(u, phi_s)
+            du = np.sqrt(np.einsum("ni,ni->n", state.u_hat_down, state.u_hat_up))
+            report.sup_du.append(float(np.max(du)))
             if iters <= 3:
                 dsigma = min(2.0 * dsigma, 1.0)
         report.converged = True

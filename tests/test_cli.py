@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kgraph as kg
+import kgraph.solver as ksolver
 from kgraph.cli import main, parse_config
 from kgraph.errors import InputError
 
@@ -80,6 +81,27 @@ class TestSolve:
         assert report["hypothesis"]["passed"] is False
         text = capsys.readouterr().out
         assert "stalled at sigma" in text
+
+    def test_minimal_graph_stall_report(self, tmp_path, capsys, monkeypatch):
+        # a stall at sigma = 0 writes the same report as any other stall
+        def failing(*args, **kwargs):
+            raise ksolver._NewtonFailure("line search stalled")
+
+        monkeypatch.setattr(ksolver, "newton_solve", failing)
+        cfg = write(tmp_path, "cap.cfg", CAP_CONFIG)
+        out = tmp_path / "out"
+        assert main(["solve", cfg, "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False
+        assert report["stalled_at"] == 0.0
+        assert report["sigma_path"] == []
+        assert report["geometry"] == "euclidean"
+        assert report["h"] == 0.03125
+        assert report["domain"]
+        assert report["hypothesis"]["passed"] is True
+        text = capsys.readouterr().out
+        assert "stalled at sigma = 0 " in text
+        assert "n/a" not in text
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.cfg", "[domain]\nshape = disk\n")
@@ -224,20 +246,41 @@ phi = 0
         assert main(["solve", cfg, "--out", str(out)]) == 0
 
     def test_parse_config_solver_overrides(self, tmp_path):
-        text = CAP_CONFIG + "max_newton = 12\ntry_direct = false\n"
-        cfg = write(tmp_path, "over.cfg", text)
-        run = parse_config(cfg)
-        assert run.solve_config.max_newton == 12
-        assert run.solve_config.try_direct is False
+        text = CAP_CONFIG.replace("newton_tol = 1e-10", "newton_tol = 1e-9")
+        run = parse_config(write(tmp_path, "over.cfg", text))
+        assert run.solve_config.newton_tol == 1e-9
+        run = parse_config(write(tmp_path, "default.cfg", TRIVIAL_CONFIG))
+        assert run.solve_config.newton_tol == kg.SolveConfig().newton_tol
         with pytest.raises(InputError):
             parse_config(str(tmp_path / "missing.cfg"))
 
-    # fd_jacobian was a SolveConfig field; a config that still names it is rejected
-    @pytest.mark.parametrize("line", ["warp_speed = 9", "fd_jacobian = true"],
-                             ids=["warp_speed", "fd_jacobian"])
+    # newton_tol is the only [solver] key; fd_jacobian, max_newton and
+    # try_direct were SolveConfig fields, and a config naming one is rejected
+    @pytest.mark.parametrize("line", ["warp_speed = 9", "fd_jacobian = true",
+                                      "max_newton = 12", "try_direct = flase"],
+                             ids=["warp_speed", "fd_jacobian", "max_newton", "try_direct"])
     def test_unknown_solver_key(self, tmp_path, capsys, line):
         cfg = write(tmp_path, "bad.cfg", CAP_CONFIG + line + "\n")
         with pytest.raises(InputError):
             parse_config(cfg)
         assert main(["check", cfg]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("newton_tol = 1e-10", "newton_tol = abc", "[solver] newton_tol"),
+        ("newton_tol = 1e-10", "newton_tol = 0", "[solver] newton_tol"),
+        ("newton_tol = 1e-10", "newton_tol = -1e-10", "[solver] newton_tol"),
+        ("newton_tol = 1e-10", "newton_tol = nan", "[solver] newton_tol"),
+        ("newton_tol = 1e-10", "newton_tol = inf", "[solver] newton_tol"),
+        ("radius = 0.5", "radius = half", "[domain] radius"),
+        ("center = 0.0 0.0", "center = 0.0 zero", "[domain] center"),
+        ("h = 0.03125", "h = 1/32", "[domain] h"),
+        ("builtin = euclidean", "builtin = warped\nf = 1\nric_lower = low", "[geometry]"),
+    ], ids=["tol-abc", "tol-zero", "tol-negative", "tol-nan", "tol-inf", "radius-half",
+            "center-zero", "h-fraction", "ric_lower-low"])
+    def test_malformed_number_is_input_error(self, tmp_path, capsys, old, new, key):
+        cfg = write(tmp_path, "bad.cfg", CAP_CONFIG.replace(old, new))
+        assert main(["check", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and key in err
+        assert "Traceback" not in err

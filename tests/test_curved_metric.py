@@ -56,10 +56,9 @@ def test_solve_and_verify(solved):
 
 def test_vertical_invariance_curved(solved):
     spec, grid, u, _ = solved
-    cfg = kg.SolveConfig(scale_phi=False)
     shifted = kg.ProblemSpec(
         chart=spec.chart, domain=spec.domain, H=0.0,
         phi=lambda P: 0.2 * np.sin(2 * np.asarray(P)[..., 1]) + 0.25)
-    u2, _ = kg.solve_dirichlet(shifted, grid, cfg)
-    u1, _ = kg.solve_dirichlet(spec, grid, cfg)
+    u2, _ = kg.solve_dirichlet(shifted, grid)
+    u1, _ = kg.solve_dirichlet(spec, grid)
     assert np.abs(u2 - (u1 + 0.25)).max() < 1e-9

@@ -20,12 +20,12 @@ from test_equivalence import _strip
 CAP = cap_trace()
 
 
-def fd_newton_step(op, u, phi_vals, r, cfg, lu_slot):
+def fd_newton_step(op, u, phi_vals, r, lu_slot):
     """`ksolver._newton_step` on the colored finite-difference Jacobian
     (`oracles.jacobian_fd`): a fresh direct solve at every step, with no
     hierarchy carried to the next."""
     lu_slot["lu"] = None
-    return op._solve(jacobian_fd(op, u, phi_vals), -r, cfg.linear_tol)
+    return op._solve(jacobian_fd(op, u, phi_vals), -r)
 
 
 class TestTrivialProblem:
@@ -43,9 +43,8 @@ class TestTrivialProblem:
         spec1 = kg.ProblemSpec(chart=heis, domain=grid.domain, H=0.0, phi=saddle)
         spec2 = kg.ProblemSpec(chart=heis, domain=grid.domain, H=0.0,
                                phi=lambda P: saddle(P) + 0.3)
-        cfg = kg.SolveConfig(scale_phi=False)   # shift must survive unscaled
-        u1, _ = kg.solve_dirichlet(spec1, grid, cfg)
-        u2, _ = kg.solve_dirichlet(spec2, grid, cfg)
+        u1, _ = kg.solve_dirichlet(spec1, grid)
+        u2, _ = kg.solve_dirichlet(spec2, grid)
         assert np.abs(u2 - (u1 + 0.3)).max() < 1e-10
 
 
@@ -115,33 +114,54 @@ class TestMinimalInitialGraph:
         start = op.functional(np.zeros(grid.num_inside), zeros, fiber_weighted=True)
         assert final <= start + 1e-9 * (1 + abs(start))
 
+    def test_heisenberg_one_newton_step(self, heis, monkeypatch):
+        # u = 0 is the exact minimal graph; its discrete residual, 5.3e-7,
+        # is one plain Newton step from the tolerance
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 1.0 / 32, heis)
+        spec = kg.ProblemSpec(chart=heis, domain=grid.domain, H=0.0, phi=0.0)
+        iters = []
+        solve = ksolver.newton_solve
+
+        def recording(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            iters.append(result[1])
+            return result
+
+        monkeypatch.setattr(ksolver, "newton_solve", recording)
+        kg.minimal_initial_graph(spec, grid)
+        assert iters == [1]
+
 
 class TestContinuation:
-    def test_path_steps_bounded(self, euclid):
-        # successive sigma solutions differ by O(dsigma)
+    def test_path_steps_bounded(self, euclid, monkeypatch):
+        # successive sigma solutions differ by O(dsigma); the direct
+        # attempt is failed so that the path takes several steps
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
         spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
-        cfg = kg.SolveConfig(try_direct=False, record_fields=True)
-        u, report = kg.solve_dirichlet(spec, grid, cfg)
+        path = []   # (sigma, solution) of each converged attempt
+        solve = ksolver.newton_solve
+
+        def recording(op, u0, phi_vals, H_vals, cfg, **kwargs):
+            sigma = float(H_vals.max())   # H = 1, so H_vals = sigma
+            if sigma == 1.0 and not path:
+                raise ksolver._NewtonFailure("direct attempt failed on purpose")
+            result = solve(op, u0, phi_vals, H_vals, cfg, **kwargs)
+            if sigma > 0.0:   # not the minimal graph
+                path.append((sigma, result[0].copy()))
+            return result
+
+        monkeypatch.setattr(ksolver, "newton_solve", recording)
+        u, report = kg.solve_dirichlet(spec, grid)
         assert report.converged
-        assert len(report.fields) >= 2
-        sigmas = np.array(report.sigma_path)
+        assert len(path) >= 2
+        assert report.sigma_path == [sig for sig, _ in path]
         rates = []
         prev = np.zeros(grid.num_inside)
         prev_sigma = 0.0
-        for sig, field in zip(sigmas, report.fields):
+        for sig, field in path:
             rates.append(np.abs(field - prev).max() / (sig - prev_sigma))
             prev, prev_sigma = field, sig
         assert max(rates) <= 5.0
-
-    def test_scale_phi_only_H_mode(self, euclid):
-        # alternate mode: continuation scales only H
-        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
-        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
-        cfg = kg.SolveConfig(scale_phi=False)
-        u, report = kg.solve_dirichlet(spec, grid, cfg)
-        assert report.converged
-        assert np.abs(u - CAP(grid.points)).max() <= 5e-3
 
     def test_stall_beyond_threshold(self, euclid):
         # H far above inf H_cyl: the path must stall near the cap
@@ -181,14 +201,14 @@ class TestContinuation:
             assert rep.residual_final <= 1e-10
             assert np.abs(u - CAP(grid.points)).max() <= 2e-4
 
-    def test_diverged_iterates_guard(self, euclid):
+    def test_diverged_iterates_guard(self, euclid, monkeypatch):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
         op = _get_operator(euclid, grid, 2)
-        cfg = kg.SolveConfig(diverge_sup=0.5)
+        monkeypatch.setattr(ksolver, "DIVERGE_SUP", 0.5)
         u0 = np.ones(grid.num_inside)   # already beyond the guard
         with pytest.raises(kg.DivergedIterates):
             newton_solve(op, u0, np.zeros(grid.num_links),
-                         np.ones(grid.num_inside), cfg)
+                         np.ones(grid.num_inside), kg.SolveConfig())
 
     def test_uniqueness_probe(self, euclid):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
@@ -342,14 +362,16 @@ class TestLinearSolve:
         with pytest.raises(SingularJacobian, match="non-finite"):
             op._solve(J, rhs)
 
-    def test_linear_tol_is_read(self, euclid):
+    def test_linear_tol_is_read(self, euclid, monkeypatch):
         # healthy solves reach ~1e-14, so a 1e-20 bound must refuse them
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
         op = _get_operator(euclid, grid, 2)
         phi = CAP(grid.link_points)
+        lift = op.laplace_lift(phi)
+        for module in (kop, ksolver):
+            monkeypatch.setattr(module, "LINEAR_TOL", 1e-20)
         with pytest.raises(SingularJacobian, match="relative residual"):
-            newton_solve(op, op.laplace_lift(phi), phi, np.ones(grid.num_inside),
-                         kg.SolveConfig(linear_tol=1e-20))
+            newton_solve(op, lift, phi, np.ones(grid.num_inside), kg.SolveConfig())
 
 
 class _Broken:
@@ -420,18 +442,17 @@ class TestFactorizationReuse:
         steps = []
         step = ksolver._newton_step
 
-        def recording(op, u, phi_vals, r, cfg, lu_slot):
-            s = step(op, u, phi_vals, r, cfg, lu_slot)
+        def recording(op, u, phi_vals, r, lu_slot):
+            s = step(op, u, phi_vals, r, lu_slot)
             steps.append((op, u.copy(), phi_vals, r, s))
             return s
 
         monkeypatch.setattr(ksolver, "_newton_step", recording)
-        cfg = kg.SolveConfig()
-        kg.solve_dirichlet(spec, grid, cfg)
+        kg.solve_dirichlet(spec, grid)
         assert len(steps) >= 3
         for op, u, phi_vals, r, s in steps:
             J = op.jacobian(u, phi_vals)
-            assert np.linalg.norm(J @ s + r) <= cfg.linear_tol * np.linalg.norm(r)
+            assert np.linalg.norm(J @ s + r) <= kop.LINEAR_TOL * np.linalg.norm(r)
 
     @pytest.mark.parametrize("kind", ["identity", "not finite"])
     def test_wrong_preconditioner_refactors(self, request, builds, kind):
@@ -446,7 +467,7 @@ class TestFactorizationReuse:
             wrong = _Broken(slot["lu"], kind)
         slot["lu"] = wrong
         builds.clear()
-        s = ksolver._newton_step(op, lift, phi_vals, -rhs, kg.SolveConfig(), slot)
+        s = ksolver._newton_step(op, lift, phi_vals, -rhs, slot)
         assert len(builds) == 1
         assert isinstance(slot["lu"], _Multigrid) and slot["lu"] is not wrong
         assert _rel(s, spla.spsolve(J.tocsc(), rhs)) <= 1e-10
@@ -459,10 +480,9 @@ class TestFactorizationReuse:
         lift = op.laplace_lift(phi_vals, _lu_slot=slot)
         slot["lu"] = wrong = _Broken(slot["lu"], "not linear")
         splu_calls.clear()
-        cfg = kg.SolveConfig()
-        s = ksolver._newton_step(op, lift, phi_vals, -rhs, cfg, slot)
+        s = ksolver._newton_step(op, lift, phi_vals, -rhs, slot)
         assert not splu_calls and slot["lu"] is wrong
-        assert np.linalg.norm(J @ s - rhs) <= cfg.linear_tol * np.linalg.norm(rhs)
+        assert np.linalg.norm(J @ s - rhs) <= kop.LINEAR_TOL * np.linalg.norm(rhs)
 
     def test_inexact_krylov_answer_refactors(self, request, builds, monkeypatch):
         # the true-residual check, not GMRES's estimate, decides
@@ -478,7 +498,7 @@ class TestFactorizationReuse:
 
         monkeypatch.setattr(ksolver, "_gmres", off)
         builds.clear()
-        s = ksolver._newton_step(op, lift, phi_vals, -rhs, kg.SolveConfig(), slot)
+        s = ksolver._newton_step(op, lift, phi_vals, -rhs, slot)
         assert len(builds) == 1
         assert isinstance(slot["lu"], _Multigrid) and slot["lu"] is not old
         assert _rel(s, spla.spsolve(J.tocsc(), rhs)) <= 1e-10
