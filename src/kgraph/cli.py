@@ -32,13 +32,6 @@ class RunConfig:
     source: str
 
 
-def _number(value, what):
-    try:
-        return float(value)
-    except ValueError:
-        raise InputError(f"{what}: not a number: {value.strip()!r}") from None
-
-
 def _number_or_expression(value, what):
     try:
         const = float(value)
@@ -68,7 +61,7 @@ def parse_config(path):
 
     def number(section, key, positive=False):
         where = f"{path}: [{section}] {key}"
-        value = _number(need(section, key), where)
+        value = geometry._number(need(section, key), where)
         if positive and not (math.isfinite(value) and value > 0):
             raise InputError(f"{where} must be finite and positive")
         return value
@@ -89,7 +82,7 @@ def parse_config(path):
     # domain
     shape = need("domain", "shape").strip().lower()
     if shape == "disk":
-        center = [_number(v, f"{path}: [domain] center")
+        center = [geometry._number(v, f"{path}: [domain] center")
                   for v in need("domain", "center").replace(",", " ").split()]
         if len(center) != 2:
             raise InputError(f"{path}: [domain] center needs two values")

@@ -293,6 +293,14 @@ BUILTIN_GEOMETRIES = {
 DISABLED_GEOMETRIES = {"hopf": "ships disabled; connection normalization unverified"}
 
 
+def _number(text, what, kind=float):
+    """kind(text), or an InputError naming `what`."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"{what}: not a number: {str(text).strip()!r}") from None
+
+
 def make_builtin(name, params=None):
     """Instantiate a built-in geometry by name with a parameter map."""
     params = dict(params or {})
@@ -305,11 +313,7 @@ def make_builtin(name, params=None):
     if name == "warped":
         if "f" not in params:
             raise InputError("warped geometry requires an 'f' parameter")
-        try:
-            ric_lower = float(params.get("ric_lower", 0.0))
-        except ValueError:
-            raise InputError(f"ric_lower: not a number: {params['ric_lower']!r}") from None
-        return warped(params["f"], ric_lower=ric_lower)
+        return warped(params["f"], ric_lower=_number(params.get("ric_lower", 0.0), "ric_lower"))
     if params:
         raise InputError(f"geometry {name!r} takes no parameters")
     return BUILTIN_GEOMETRIES[name]()
@@ -390,16 +394,17 @@ def chart_from_file(path):
                     parts = value.replace(",", " ").split()
                     if len(parts) != 6:
                         raise InputError(f"{path}:{lineno}: grid needs nx ny x0 y0 hx hy")
-                    grid = (int(parts[0]), int(parts[1]), float(parts[2]),
-                            float(parts[3]), float(parts[4]), float(parts[5]))
+                    grid = tuple(_number(p, f"{path}:{lineno}: grid", kind) for p, kind in
+                                 zip(parts, (int, int, float, float, float, float)))
                 elif key == "ric_lower":
-                    ric_lower = float(value)
+                    ric_lower = _number(value, f"{path}:{lineno}: ric_lower")
                 else:
                     raise InputError(f"{path}:{lineno}: unknown key {key!r}")
                 continue
             if current is None:
                 raise InputError(f"{path}:{lineno}: data outside a table block")
-            rows.append([float(v) for v in line.replace(",", " ").split()])
+            rows.append([_number(v, f"{path}:{lineno}: [{current}]")
+                         for v in line.replace(",", " ").split()])
     close_block()
 
     if name is None or grid is None:

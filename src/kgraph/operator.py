@@ -13,10 +13,10 @@ and the operator in divergence form reads
 
 with kappa_i = d_i f / (2 f).  A graph has prescribed mean curvature H
 precisely when Q[u] = n H.  The primary discretization is the flux
-form: face-centered fluxes sqrt(det sigma) hat_u^axis / W differenced
-over each node cell, with Dirichlet data entering through ghost values
-extrapolated across the true boundary crossings (equivalent to
-Shortley-Weller stencils).
+form: face-centered fluxes sqrt(det sigma) hat_u^n / W, n the face
+normal, differenced over each node cell, with Dirichlet data entering
+through ghost values extrapolated across the true boundary crossings
+(equivalent to Shortley-Weller stencils).
 
 Sign convention: the graph normal points up the fiber, so over a
 Euclidean base the lower spherical cap u = -sqrt(R^2 - r^2) has
@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import InputError, KGraphError, SingularJacobian
 from .geometry import _inverse_metric, _sqrt_det, kappa_vector_at
-from .grid import STEP_X, STEP_Y, _ext_index, _lattice_at
+from .grid import STEP_X, STEP_Y, _ext_index, _lattice_at, integrate
 
 THETA_FLOOR = 1e-6  # ghost extrapolation keeps theta away from zero
 THETA_ELIM = 0.05   # below this, a node is pinned to boundary interpolation:
@@ -291,13 +291,13 @@ class GraphOperator:
 
         Dx_norm, Avg_x = normal_and_average(fx_x, fy_x, 1, 0)
         Dy_norm, Avg_y = normal_and_average(fx_y, fy_y, 0, 1)
-        self.Mq1 = sp.vstack([Dx_norm, Avg_y @ self.Gx]).tocsr()
-        self.Mq2 = sp.vstack([Avg_x @ self.Gy, Dy_norm]).tocsr()
+        # hat_u_i along each face's normal (Mn) and tangential (Mt) axis
+        self.Mn = sp.vstack([Dx_norm, Dy_norm]).tocsr()
+        self.Mt = sp.vstack([Avg_x @ self.Gy, Avg_y @ self.Gx]).tocsr()
         mid = np.concatenate([
             np.column_stack([grid.x_origin + (fx_x + 0.5) * h, grid.y_origin + fy_x * h]),
             np.column_stack([grid.x_origin + fx_y * h, grid.y_origin + (fy_y + 0.5) * h]),
         ])
-        self.face_axis = np.repeat([0, 1], [Fx, Fy])
 
         # divergence: difference of the four face fluxes per node
         face_x = -np.ones(index.shape, dtype=int)
@@ -313,16 +313,17 @@ class GraphOperator:
                                face_y[cy, cx], face_y[cy - 1, cx]]).ravel())),
             shape=(N, Fx + Fy))
 
-        # face chart data
+        # face chart data in (n, t) axes, one row per component: sigma^{nn},
+        # sigma^{nt}, sigma^{tt}, and the tilt's n and t components
+        x_face = np.arange(Fx + Fy) < Fx        # x faces come first
         face_sig = self.chart.metric_at(mid)
-        self.face_siginv = _inverse_metric(self.chart, face_sig)
-        # (F, 2): sigma^{axis m} per face, the inverse metric's row along
-        # the face's normal axis
-        self.face_sig_axis = np.take_along_axis(
-            self.face_siginv, self.face_axis[:, None, None], axis=1)[:, 0]
+        s = _inverse_metric(self.chart, face_sig)
+        s = np.stack([s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]])
+        self.face_sig_nt = np.where(x_face, s, s[::-1])
         self.face_sqrt_det = _sqrt_det(face_sig)
         self.face_f = self.chart.f_at(mid)
-        self.face_tilt = np.sqrt(self.face_f)[:, None] * self.chart.delta_at(mid)
+        t = (np.sqrt(self.face_f)[:, None] * self.chart.delta_at(mid)).T
+        self.face_tilt = np.where(x_face, t, t[::-1])
 
     def _node_geometry(self):
         grid = self.grid
@@ -330,8 +331,10 @@ class GraphOperator:
         self.node_sig = self.chart.metric_at(pts)
         self.node_siginv = _inverse_metric(self.chart, self.node_sig)
         self.node_f = self.chart.f_at(pts)
-        self.node_tilt = np.sqrt(self.node_f)[:, None] * self.chart.delta_at(pts)
+        self.node_tilt = (np.sqrt(self.node_f)[:, None] * self.chart.delta_at(pts)).T.copy()
         self.node_kappa = kappa_vector_at(self.chart, pts, grid.h)
+        # False when f is constant: the lower-order term is then exactly 0
+        self._kappa_any = bool(np.any(self.node_kappa))
         self.node_sqrt_det = _sqrt_det(self.node_sig)
 
     # -- pointwise states ------------------------------------------------
@@ -344,102 +347,102 @@ class GraphOperator:
         return out
 
     def _face_state(self, u_ext):
-        q1 = self.Mq1 @ u_ext
-        q2 = self.Mq2 @ u_ext
-        c = np.stack([q1, q2], axis=-1) + self.face_tilt      # covariant hat_u
-        up = np.einsum("fij,fj->fi", self.face_siginv, c)     # contravariant
-        W = np.sqrt(self.face_f + np.einsum("fi,fi->f", c, up))
-        return c, up, W
+        """(hat_u^n, hat_u^t, W) per face, in its (normal, tangential) axes."""
+        qn = self.Mn @ u_ext + self.face_tilt[0]
+        qt = self.Mt @ u_ext + self.face_tilt[1]
+        return _raised(*self.face_sig_nt, qn, qt, self.face_f)
 
     def _node_state(self, u_ext):
-        g1 = self.Gx @ u_ext
-        g2 = self.Gy @ u_ext
-        c = np.stack([g1, g2], axis=-1) + self.node_tilt
-        up = np.einsum("nij,nj->ni", self.node_siginv, c)
-        W = np.sqrt(self.node_f + np.einsum("ni,ni->n", c, up))
-        return c, up, W
+        """(hat_u_x, hat_u_y, hat_u^x, hat_u^y, W) per node."""
+        c1 = self.Gx @ u_ext + self.node_tilt[0]
+        c2 = self.Gy @ u_ext + self.node_tilt[1]
+        s = self.node_siginv
+        return (c1, c2) + _raised(s[:, 0, 0], s[:, 0, 1], s[:, 1, 1], c1, c2, self.node_f)
+
+    def _pointwise(self, u, phi_vals, out=None):
+        """What the residual at u and its linearization share, in `out`."""
+        u_ext = self.extend(u, phi_vals)
+        out = {} if out is None else out
+        out.update(face=self._face_state(u_ext),
+                   node=self._node_state(u_ext) if self._kappa_any else None)
+        return out
 
     # -- public evaluations ----------------------------------------------
 
-    def residual(self, u, phi_vals, H_vals):
-        """Pointwise Q[u] - n H over inside nodes, divergence form."""
-        u_ext = self.extend(u, phi_vals)
-        _, up_f, W_f = self._face_state(u_ext)
-        flux = self.face_sqrt_det * np.take_along_axis(
-            up_f, self.face_axis[:, None], axis=1
-        )[:, 0] / W_f
-        div = self.Div @ flux
-        _, up_n, W_n = self._node_state(u_ext)
-        low = np.einsum("ni,ni->n", self.node_kappa, up_n) / W_n
-        r = div - low - self.n * np.asarray(H_vals, dtype=float)
+    def residual(self, u, phi_vals, H_vals, _state=None):
+        """Pointwise Q[u] - n H over inside nodes, divergence form.  `_state`,
+        a dict, receives the state at u for `jacobian` or `jacobian_action`."""
+        state = self._pointwise(u, phi_vals, _state)
+        up_n, _, W = state["face"]
+        r = self.Div @ (self.face_sqrt_det * up_n / W)
+        if state["node"] is not None:
+            _, _, up1, up2, W_n = state["node"]
+            r -= (self.node_kappa[:, 0] * up1 + self.node_kappa[:, 1] * up2) / W_n
+        r -= self.n * np.asarray(H_vals, dtype=float)
         if self._elim_any:
-            u = np.asarray(u, dtype=float)
-            constraint = self._elim_J @ u - self._elim_phi @ np.asarray(
-                phi_vals, dtype=float)
-            r[self.elim_nodes] = constraint[self.elim_nodes]
+            pinned = self._elim_J @ np.asarray(u, dtype=float) - self._elim_phi @ phi_vals
+            r[self.elim_nodes] = pinned[self.elim_nodes]
         if not np.all(np.isfinite(r)):
             k = int(np.argmax(~np.isfinite(r)))
             x, y = self.grid.points[k]
             raise KGraphError(f"residual not finite at node ({x:.6g}, {y:.6g})")
         return r
 
-    def q_value(self, u, phi_vals):
-        """The curvature operator Q[u] alone (no H subtraction)."""
-        return self.residual(u, phi_vals, np.zeros(self.grid.num_inside))
-
-    def _linear_coefficients(self, u, phi_vals):
+    def _linear_coefficients(self, u, phi_vals, state=None):
         """Coefficients of the residual's linearization at u.
 
-        Returns (face, low): per face, the flux derivative along Mq1
-        (m = 0) and Mq2 (m = 1), sqrt(det sigma) A^{axis m} / W^3 with A
-        the quasilinear coefficient matrix; per node, the lower-order
-        term's derivative along Gx and Gy.  `jacobian` assembles them and
-        `jacobian_action` applies them, so both use one formula.
+        Returns (face, low): per face, the flux derivative along Mn and Mt,
+        sqrt(det sigma) A^{nm} / W^3 with A the quasilinear coefficient
+        matrix; per node, the lower-order term's along Gx and Gy, None when
+        kappa vanishes.  `state` is the residual's at u when given.
+        `jacobian` assembles them and `jacobian_action` applies them.
         """
-        u_ext = self.extend(u, phi_vals)
-        _, up_f, W_f = self._face_state(u_ext)
-        up_alpha = np.take_along_axis(up_f, self.face_axis[:, None], axis=1)[:, 0]
-        W2 = W_f * W_f
-        face = []
-        for m in range(2):
-            A_am = W2 * self.face_sig_axis[:, m] - up_alpha * up_f[:, m]
-            face.append(self.face_sqrt_det * A_am / (W_f * W2))
-
-        _, up_n, W_n = self._node_state(u_ext)
-        kup = np.einsum("ni,ni->n", self.node_kappa, up_n)
-        ksig = np.einsum("ni,nim->nm", self.node_kappa, self.node_siginv)
-        low = [-(ksig[:, m] / W_n - kup * up_n[:, m] / W_n ** 3) for m in range(2)]
+        state = state or self._pointwise(u, phi_vals)
+        up_n, up_t, W = state["face"]
+        snn, snt, _ = self.face_sig_nt
+        W2 = W * W
+        face = [self.face_sqrt_det * (W2 * snn - up_n * up_n) / (W * W2),
+                self.face_sqrt_det * (W2 * snt - up_n * up_t) / (W * W2)]
+        if state["node"] is None:
+            return face, None
+        _, _, up1, up2, W_n = state["node"]
+        k1, k2, s = self.node_kappa[:, 0], self.node_kappa[:, 1], self.node_siginv
+        kup = k1 * up1 + k2 * up2
+        low = [-((k1 * s[:, 0, m] + k2 * s[:, 1, m]) / W_n - kup * up / W_n ** 3)
+               for m, up in ((0, up1), (1, up2))]
         return face, low
 
-    def jacobian(self, u, phi_vals):
+    def jacobian(self, u, phi_vals, _state=None):
         """Analytic sparse Jacobian of `residual` in u at fixed phi.
 
-        Per-face flux derivative is sqrt(det sigma) A^{axis m} / W^3
-        with A the quasilinear coefficient matrix, so ellipticity of the
+        Per-face flux derivative is sqrt(det sigma) A^{nm} / W^3 with A
+        the quasilinear coefficient matrix, so ellipticity of the
         linearization is inherited from the pointwise inequality
-        f |xi|^2 <= A xi xi <= W^2 |xi|^2.
+        f |xi|^2 <= A xi xi <= W^2 |xi|^2.  `_state` is the residual's.
         """
-        face, low = self._linear_coefficients(u, phi_vals)
-        flux_part = (sp.diags(face[0]) @ self.Mq1 + sp.diags(face[1]) @ self.Mq2)
-        low_part = sp.diags(low[0]) @ self.Gx + sp.diags(low[1]) @ self.Gy
-        J = ((self.Div @ flux_part + low_part) @ self.P).tocsr()
+        face, low = self._linear_coefficients(u, phi_vals, _state)
+        J = self.Div @ (sp.diags(face[0]) @ self.Mn + sp.diags(face[1]) @ self.Mt)
+        if low is not None:
+            J = J + sp.diags(low[0]) @ self.Gx + sp.diags(low[1]) @ self.Gy
+        J = (J @ self.P).tocsr()
         if self._elim_any:
             J = (sp.diags(self._keep) @ J + self._elim_J).tocsr()
         return J
 
-    def jacobian_action(self, u, phi_vals):
+    def jacobian_action(self, u, phi_vals, _state=None):
         """`jacobian(u, phi_vals)` as a LinearOperator, never assembled.
 
         Each product costs a handful of sparse matvecs with the fixed
-        incidence matrices.
+        incidence matrices.  `_state` is the residual's.
         """
-        face, low = self._linear_coefficients(u, phi_vals)
+        face, low = self._linear_coefficients(u, phi_vals, _state)
 
         def matvec(v):
             v = np.ravel(v)
             e = self.P @ v
-            out = (self.Div @ (face[0] * (self.Mq1 @ e) + face[1] * (self.Mq2 @ e))
-                   + low[0] * (self.Gx @ e) + low[1] * (self.Gy @ e))
+            out = self.Div @ (face[0] * (self.Mn @ e) + face[1] * (self.Mt @ e))
+            if low is not None:
+                out = out + low[0] * (self.Gx @ e) + low[1] * (self.Gy @ e)
             if self._elim_any:
                 out = self._keep * out + self._elim_J @ v
             return out
@@ -450,15 +453,12 @@ class GraphOperator:
     def laplace_lift(self, phi_vals, _lu_slot=None):
         """Discrete harmonic extension of the boundary data.
 
-        Solves the linear metric Laplacian with the same ghost
-        machinery; used to warm-start Newton with boundary-compatible
-        iterates so the saturating flux never sees the raw data jump.
-        Eliminated nodes keep the constraint rows of `residual`, so the
-        lift meets them and its matrix has the Jacobian's rows there.
-        The Laplacian is assembled for this lift alone: afterwards only
-        the multigrid hierarchy built on it lives on, in `_lu_slot`, a
-        dict, under "lu", for a caller that reuses it to precondition
-        Newton steps.
+        Solves the metric Laplacian with the same ghost machinery, and
+        the Jacobian's constraint rows at eliminated nodes, to warm-start
+        Newton with boundary-compatible iterates: the saturating flux
+        never sees the raw data jump.  Only the multigrid hierarchy built
+        on the Laplacian outlives the lift, in the dict `_lu_slot` under
+        "lu", for a caller that preconditions Newton steps with it.
         """
         A, rhs = self._laplace_system(phi_vals)
         return self._solve(A, rhs, lu_slot=_lu_slot)
@@ -471,8 +471,9 @@ class GraphOperator:
         phi_vals`, exactly as in `residual` and `jacobian`.
         """
         phi_vals = np.asarray(phi_vals, dtype=float)
-        coef = self.face_sqrt_det[:, None] * self.face_sig_axis
-        T = self.Div @ (sp.diags(coef[:, 0]) @ self.Mq1 + sp.diags(coef[:, 1]) @ self.Mq2)
+        snn, snt, _ = self.face_sig_nt
+        T = self.Div @ (sp.diags(self.face_sqrt_det * snn) @ self.Mn
+                        + sp.diags(self.face_sqrt_det * snt) @ self.Mt)
         A, rhs = T @ self.P, -(T @ (self.B @ phi_vals))
         if self._elim_any:
             A = sp.diags(self._keep) @ A + self._elim_J
@@ -503,10 +504,10 @@ class GraphOperator:
         return x
 
     def state(self, u, phi_vals):
-        u_ext = self.extend(u, phi_vals)
-        c, up, W = self._node_state(u_ext)
+        c1, c2, up1, up2, W = self._node_state(self.extend(u, phi_vals))
+        up = np.column_stack([up1, up2])
         A = (W * W)[:, None, None] * self.node_siginv - np.einsum("ni,nj->nij", up, up)
-        return OperatorState(u_hat_up=up, u_hat_down=c, W=W, A=A)
+        return OperatorState(u_hat_up=up, u_hat_down=np.column_stack([c1, c2]), W=W, A=A)
 
     def functional(self, u, phi_vals, fiber_weighted=False):
         """Integral of W (optionally of W / sqrt(f)) against sqrt(sigma).
@@ -515,10 +516,7 @@ class GraphOperator:
         quantity whose first variation matches the H = 0 residual when
         f is not constant.
         """
-        from .grid import integrate
-
-        u_ext = self.extend(u, phi_vals)
-        _, _, W = self._node_state(u_ext)
+        W = self._node_state(self.extend(u, phi_vals))[-1]
         field = W / np.sqrt(self.node_f) if fiber_weighted else W
         return integrate(self.grid, field, self.chart)
 
@@ -531,19 +529,23 @@ class _Multigrid:
     lives on the 2h lattice corners that bilinear interpolation P to the
     level above reaches, and carries the Galerkin operator P^T A P, down
     to COARSE_MAX unknowns, where a sparse LU in the nested-dissection
-    order of its lattice nodes (`_nd_order`) solves exactly.  `solve` is
-    one V-cycle from a zero guess, with JACOBI_SWEEPS damped-Jacobi
-    sweeps before and after each coarse correction: a fixed linear map,
-    but only an approximate inverse, which callers run flexible GMRES on
-    (`_gmres`).  Storage and work per cycle are O(N).
+    order of its lattice nodes (`_nd_order`) solves it.  `solve` is one
+    V-cycle from a zero guess, with JACOBI_SWEEPS damped-Jacobi sweeps
+    before and after each coarse correction: an approximate inverse,
+    which callers run float64 flexible GMRES on (`_gmres`), so the
+    float32 hierarchy and cycle round only the preconditioner.  Storage
+    and work per cycle are O(N).
     """
 
     def __init__(self, A, ij):
-        self.A, self.P = [A.tocsr()], []
+        A = A.tocsr()   # level 0 shares A's index arrays
+        self.A = [sp.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)]
+        self.P, self.R = [], []
         while self.A[-1].shape[0] > COARSE_MAX:
             P, ij = _interpolation(ij)
             self.P.append(P)
-            self.A.append((P.T @ self.A[-1] @ P).tocsr())
+            self.R.append(P.T.tocsr())
+            self.A.append((self.R[-1] @ self.A[-1] @ P).tocsr())
         order = _nd_order(ij)
         self.dinv = []
         for level, M in enumerate(self.A[:-1]):
@@ -551,7 +553,7 @@ class _Multigrid:
             if not np.all(d != 0):
                 raise SingularJacobian(f"zero diagonal in row {int(np.argmin(d != 0))} "
                                        f"of multigrid level {level}")
-            self.dinv.append(JACOBI_OMEGA / d)
+            self.dinv.append(np.float32(JACOBI_OMEGA) / d)
         try:
             self._lu = spla.splu(self.A[-1][order][:, order].tocsc(),
                                  permc_spec="NATURAL")
@@ -560,16 +562,17 @@ class _Multigrid:
         self._order = order
 
     def solve(self, b, level=0):
-        """One V-cycle on b from `level` down, the coarsest solved exactly."""
+        """One float32 V-cycle on b from `level` down, the coarsest by LU."""
+        b = np.asarray(b, dtype=np.float32)
         if level == len(self.P):
-            x = np.empty(len(b))
+            x = np.empty_like(b)
             x[self._order] = self._lu.solve(b[self._order])
             return x
-        A, P, w = self.A[level], self.P[level], self.dinv[level]
+        A, w = self.A[level], self.dinv[level]
         x = w * b
         for _ in range(JACOBI_SWEEPS - 1):
             x += w * (b - A @ x)
-        x += P @ self.solve(P.T @ (b - A @ x), level + 1)
+        x += self.P[level] @ self.solve(self.R[level] @ (b - A @ x), level + 1)
         for _ in range(JACOBI_SWEEPS):
             x += w * (b - A @ x)
         return x
@@ -588,8 +591,8 @@ def _interpolation(ij):
     width = int(corners[..., 0].max()) + 1
     keys, cols = np.unique(corners[..., 1] * width + corners[..., 0], return_inverse=True)
     n = len(ij)
-    P = sp.csr_matrix((np.full(4 * n, 0.25), (np.repeat(np.arange(n), 4), cols.ravel())),
-                      shape=(n, len(keys)))
+    P = sp.csr_matrix((np.full(4 * n, 0.25, dtype=np.float32),
+                       (np.repeat(np.arange(n), 4), cols.ravel())), shape=(n, len(keys)))
     return P, np.stack([keys % width, keys // width], axis=1)
 
 
@@ -678,6 +681,13 @@ def _gmres(A, M, b, tol, maxiter):
     return y @ Z[:k + 1]
 
 
+def _raised(s11, s12, s22, q1, q2, f):
+    """(hat_u^1, hat_u^2, W) from hat_u_i = (q1, q2) and sigma^{ij}."""
+    up1 = s11 * q1 + s12 * q2
+    up2 = s12 * q1 + s22 * q2
+    return up1, up2, np.sqrt(f + (q1 * up1 + q2 * up2))
+
+
 def _relative_residual(A, x, rhs):
     """|A x - rhs| / |rhs|, 0 for a zero rhs; not finite when x is not.
 
@@ -726,10 +736,7 @@ def _faces(lo, hi):
 
 
 def _get_operator(chart, grid, n=2):
-    """The GraphOperator of (chart, grid, n), built once per grid.
-
-    Memoized on the grid, so an operator is freed with its grid.
-    """
+    """The GraphOperator of (chart, grid, n), memoized on the grid."""
     key = (id(chart), n)
     op = grid.operators.get(key)
     if op is None or op.chart is not chart:

@@ -59,27 +59,27 @@ class _NewtonFailure(Exception):
     """Internal: one continuation step did not converge."""
 
 
-def _newton_step(op, u, phi_vals, r, lu_slot):
+def _newton_step(op, u, phi_vals, r, state, lu_slot):
     """Newton direction s with |J s + r| <= LINEAR_TOL |r|.
 
-    The multigrid hierarchy in `lu_slot["lu"]`, when there is one, is
+    J is linearized from `state`, which the residual r left at u (from u
+    when None).  The hierarchy in `lu_slot["lu"]`, when there is one, is
     reused: its V-cycle preconditions flexible GMRES (`_gmres`) on the
-    matrix-free Jacobian, and the step is accepted only on its true
-    residual, one more product with J.  When KRYLOV_MAX cycles miss the
-    tolerance, or the true residual does, the assembled Jacobian gets a
-    hierarchy of its own, which replaces the old one, and a direct solve
-    on it (`GraphOperator._solve`).
+    matrix-free J, and the step is accepted only on its true residual.
+    When KRYLOV_MAX cycles miss the tolerance, or the true residual does,
+    the assembled J gets a hierarchy of its own, which replaces the old
+    one, and a direct solve on it (`GraphOperator._solve`).
     """
     rhs = -r
     mg = lu_slot["lu"]
     if mg is not None:
-        J = op.jacobian_action(u, phi_vals)
+        J = op.jacobian_action(u, phi_vals, _state=state)
         s = _gmres(J, mg.solve, rhs, LINEAR_TOL, KRYLOV_MAX)
         if s is not None and _relative_residual(J, s, rhs) <= LINEAR_TOL:
             return s
     # drop the old hierarchy before the new one is built: one at a time
     lu_slot["lu"] = mg = None
-    return op._solve(op.jacobian(u, phi_vals), rhs, lu_slot=lu_slot)
+    return op._solve(op.jacobian(u, phi_vals, _state=state), rhs, lu_slot=lu_slot)
 
 
 def newton_solve(op, u0, phi_vals, H_vals, cfg, _lu_slot=None):
@@ -93,7 +93,8 @@ def newton_solve(op, u0, phi_vals, H_vals, cfg, _lu_slot=None):
     """
     lu_slot = {"lu": None} if _lu_slot is None else _lu_slot
     u = np.array(u0, dtype=float)
-    r = op.residual(u, phi_vals, H_vals)
+    state = {}
+    r = op.residual(u, phi_vals, H_vals, _state=state)
     history = [float(np.max(np.abs(r)))]
     for it in range(MAX_NEWTON):
         rinf = history[-1]
@@ -101,40 +102,33 @@ def newton_solve(op, u0, phi_vals, H_vals, cfg, _lu_slot=None):
             return u, it, history
         if np.max(np.abs(u)) > DIVERGE_SUP:
             raise DivergedIterates(f"sup|u| exceeded {DIVERGE_SUP:g}")
-        s = _newton_step(op, u, phi_vals, r, lu_slot)
+        s = _newton_step(op, u, phi_vals, r, state, lu_slot)
         m0 = float(r @ r)
-        accepted = False
-        fallback = None
+        accepted = fallback = None
         # cap the step so an overshoot cannot saturate the flux globally
         # (the saturated regime is a Newton plateau: residual insensitive
         # to u, Jacobian rows ~ 1/W^3 nearly zero)
         lam = min(1.0, MAX_STEP_SUP / max(np.max(np.abs(s)), 1e-30))
         while lam >= MIN_STEP:
-            u_try = u + lam * s
+            u_try, trial = u + lam * s, {}
             try:
-                r_try = op.residual(u_try, phi_vals, H_vals)
+                r_try = op.residual(u_try, phi_vals, H_vals, _state=trial)
             except Exception:
                 lam *= 0.5
                 continue
-            m_try = float(r_try @ r_try)
             rinf_try = float(np.max(np.abs(r_try)))
-            armijo_ok = m_try <= (1.0 - 2.0 * ARMIJO * lam) * m0
-            if armijo_ok and rinf_try < rinf:
-                u, r = u_try, r_try
-                history.append(rinf_try)
-                accepted = True
-                break
-            if armijo_ok and fallback is None:
+            if float(r_try @ r_try) <= (1.0 - 2.0 * ARMIJO * lam) * m0:
+                if rinf_try < rinf:
+                    accepted = (u_try, r_try, trial, rinf_try)
+                    break
                 # progress in the merit norm even if the sup norm rose;
                 # taken when no step satisfies both (far-field starts)
-                fallback = (u_try, r_try, rinf_try)
+                fallback = fallback or (u_try, r_try, trial, rinf_try)
             lam *= 0.5
-        if not accepted and fallback is not None:
-            u, r, rinf_try = fallback
-            history.append(rinf_try)
-            accepted = True
-        if not accepted:
+        if accepted is None and fallback is None:
             raise _NewtonFailure("line search stalled")
+        u, r, state, rinf_try = accepted or fallback
+        history.append(rinf_try)
     if history[-1] <= cfg.newton_tol:
         return u, MAX_NEWTON, history
     raise _NewtonFailure(
@@ -267,8 +261,8 @@ def comparison_check(spec, grid, u1, u2, phi1=None, phi2=None,
     p_default = spec.phi_links(grid)
     p1 = p_default if phi1 is None else _eval_data(phi1, grid.link_points)
     p2 = p_default if phi2 is None else _eval_data(phi2, grid.link_points)
-    q1 = op.q_value(np.asarray(u1, dtype=float), p1)
-    q2 = op.q_value(np.asarray(u2, dtype=float), p2)
+    q1 = op.residual(np.asarray(u1, dtype=float), p1, 0.0)
+    q2 = op.residual(np.asarray(u2, dtype=float), p2, 0.0)
     premise = bool(np.all(q1 >= q2 + margin) and np.all(p1 <= p2 + 1e-12))
     gap = np.asarray(u1, dtype=float) - np.asarray(u2, dtype=float)
     bad = gap > tol

@@ -60,7 +60,8 @@ def residual_nondivergence(op, u, phi_vals, H_vals, gamma_mode="full"):
     grid = op.grid
     N = grid.num_inside
     u_ext = op.extend(u, phi_vals)
-    c, up, W = op._node_state(u_ext)
+    state = op.state(u, phi_vals)
+    c, up, W = state.u_hat_down, state.u_hat_up, state.W
     out = np.full(N, np.nan)
 
     h = grid.h

@@ -44,6 +44,32 @@ phi = 0
 """
 
 
+# the euclidean plane as a 2 x 2 table over [-1, 1]^2
+CHART_FILE = """\
+name = table-euclid
+grid = 2 2 -1 -1 2 2
+ric_lower = 0
+[sigma11]
+1, 1
+1, 1
+[sigma12]
+0, 0
+0, 0
+[sigma22]
+1, 1
+1, 1
+[f]
+1, 1
+1, 1
+[delta1]
+0, 0
+0, 0
+[delta2]
+0, 0
+0, 0
+"""
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -266,20 +292,32 @@ phi = 0
         assert main(["check", cfg]) == 1
         assert "unknown key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("old, new, key", [
-        ("newton_tol = 1e-10", "newton_tol = abc", "[solver] newton_tol"),
-        ("newton_tol = 1e-10", "newton_tol = 0", "[solver] newton_tol"),
-        ("newton_tol = 1e-10", "newton_tol = -1e-10", "[solver] newton_tol"),
-        ("newton_tol = 1e-10", "newton_tol = nan", "[solver] newton_tol"),
-        ("newton_tol = 1e-10", "newton_tol = inf", "[solver] newton_tol"),
-        ("radius = 0.5", "radius = half", "[domain] radius"),
-        ("center = 0.0 0.0", "center = 0.0 zero", "[domain] center"),
-        ("h = 0.03125", "h = 1/32", "[domain] h"),
-        ("builtin = euclidean", "builtin = warped\nf = 1\nric_lower = low", "[geometry]"),
+    # edits of the config, or of the chart file that `[geometry] file` names
+    @pytest.mark.parametrize("where, old, new, key", [
+        ("config", "newton_tol = 1e-10", "newton_tol = abc", "[solver] newton_tol"),
+        ("config", "newton_tol = 1e-10", "newton_tol = 0", "[solver] newton_tol"),
+        ("config", "newton_tol = 1e-10", "newton_tol = -1e-10", "[solver] newton_tol"),
+        ("config", "newton_tol = 1e-10", "newton_tol = nan", "[solver] newton_tol"),
+        ("config", "newton_tol = 1e-10", "newton_tol = inf", "[solver] newton_tol"),
+        ("config", "radius = 0.5", "radius = half", "[domain] radius"),
+        ("config", "center = 0.0 0.0", "center = 0.0 zero", "[domain] center"),
+        ("config", "h = 0.03125", "h = 1/32", "[domain] h"),
+        ("config", "builtin = euclidean", "builtin = warped\nf = 1\nric_lower = low",
+         "[geometry]"),
+        ("chart", "grid = 2 2 -1 -1 2 2", "grid = 2 2 0 0 one 1", "chart.geom:2: grid"),
+        ("chart", "ric_lower = 0", "ric_lower = low", "chart.geom:3: ric_lower"),
+        ("chart", "[f]\n1, 1", "[f]\n1, x", "chart.geom:14: [f]"),
     ], ids=["tol-abc", "tol-zero", "tol-negative", "tol-nan", "tol-inf", "radius-half",
-            "center-zero", "h-fraction", "ric_lower-low"])
-    def test_malformed_number_is_input_error(self, tmp_path, capsys, old, new, key):
-        cfg = write(tmp_path, "bad.cfg", CAP_CONFIG.replace(old, new))
+            "center-zero", "h-fraction", "ric_lower-low", "chart-grid", "chart-ric_lower",
+            "chart-table-row"])
+    def test_malformed_number_is_input_error(self, tmp_path, capsys, where, old, new, key):
+        if where == "chart":
+            assert old in CHART_FILE
+            chart = write(tmp_path, "chart.geom", CHART_FILE.replace(old, new))
+            cfg = write(tmp_path, "bad.cfg",
+                        CAP_CONFIG.replace("builtin = euclidean", f"file = {chart}"))
+        else:
+            cfg = write(tmp_path, "bad.cfg", CAP_CONFIG.replace(old, new))
         assert main(["check", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and key in err

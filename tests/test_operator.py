@@ -289,6 +289,45 @@ class TestJacobian:
         scale = max(np.abs(J).max(), 1.0)
         assert np.abs((J - Jfd).toarray()).max() <= 1e-6 * scale
 
+    def test_lower_order_terms_match_fd_oracle(self):
+        # f varies, so kappa = d f / (2 f) does not vanish; 3.9e-10 as
+        # measured, and 2.7e-4 without the lower-order terms
+        chart = kg.warped("1 + x^2 / 4")
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, chart)
+        op = _get_operator(chart, grid, 2)
+        assert op._kappa_any
+        u, _ = _fields(grid.points)
+        phi = CAP(grid.link_points)
+        J = op.jacobian(u, phi).toarray()
+        Jfd = jacobian_fd(op, u, phi).toarray()
+        assert np.linalg.norm(J - Jfd) <= 1e-8 * np.linalg.norm(J)
+
+    @pytest.mark.parametrize("chart_name", ["euclid", "heis"])
+    def test_vanishing_lower_order_term_is_skipped_exactly(self, request, chart_name):
+        # f is constant, so kappa is zero at every node and the residual
+        # and its linearization skip the lower-order term: with it forced
+        # back in, every result is bitwise the same
+        chart = request.getfixturevalue(chart_name)
+        grid = kg.build_grid(kg.Disk((0.013, -0.02), 0.5), 1.0 / 40, chart)
+        op = _get_operator(chart, grid, 2)
+        assert not op._kappa_any
+        u, v = _fields(grid.points)
+        phi, H = CAP(grid.link_points), np.ones(grid.num_inside)
+
+        def evaluate():
+            J = op.jacobian(u, phi)
+            return [op.residual(u, phi, H), J.data, J.indices, J.indptr,
+                    op.jacobian_action(u, phi) @ v]
+
+        skipped = evaluate()
+        op._kappa_any = True
+        try:
+            kept = evaluate()
+        finally:
+            op._kappa_any = False
+        for a, b in zip(skipped, kept):
+            assert np.array_equal(a, b)
+
     def test_translation_invariance_rows(self, euclid):
         # rows without boundary coupling annihilate constants when the
         # chart has no tilt and f is constant
@@ -309,15 +348,19 @@ class TestJacobianAction:
     """The matrix-free action shares `jacobian`'s coefficients, so it is
     the assembled product up to the order of the sums."""
 
-    @pytest.mark.parametrize("case", sorted(OPERATOR_CASES) + ["curved_exp48"])
+    @pytest.mark.parametrize("case", sorted(OPERATOR_CASES) + ["curved_exp48", "warped32"])
     def test_matches_assembled_product(self, curved, case):
         if case == "curved_exp48":
             chart, domain, h, phi = curved, kg.Disk((0.0, 0.0), 0.5), 1.0 / 48, CAP
+        elif case == "warped32":
+            # f varies: the lower-order terms are applied too
+            chart, domain, h, phi = kg.warped("1 + x^2 / 4"), kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, CAP
         else:
             factory, domain, h, _, phi = OPERATOR_CASES[case]
             chart = factory()
         grid = kg.build_grid(domain, h, chart)
         op = _get_operator(chart, grid, 2)
+        assert op._kappa_any == (case == "warped32")
         u, v = _fields(grid.points)
         phi_vals = phi(grid.link_points)
         action = op.jacobian_action(u, phi_vals)

@@ -20,7 +20,7 @@ from test_equivalence import _strip
 CAP = cap_trace()
 
 
-def fd_newton_step(op, u, phi_vals, r, lu_slot):
+def fd_newton_step(op, u, phi_vals, r, state, lu_slot):
     """`ksolver._newton_step` on the colored finite-difference Jacobian
     (`oracles.jacobian_fd`): a fresh direct solve at every step, with no
     hierarchy carried to the next."""
@@ -351,7 +351,7 @@ class TestLinearSolve:
         with pytest.raises(SingularJacobian, match="zero diagonal"):
             op._solve(J0, rhs)
         # newton_solve lets it through to the continuation
-        monkeypatch.setattr(op, "jacobian", lambda u, phi: J0)
+        monkeypatch.setattr(op, "jacobian", lambda u, phi, _state=None: J0)
         with pytest.raises(SingularJacobian):
             newton_solve(op, np.zeros(J.shape[0]), phi_vals,
                          np.ones(J.shape[0]), kg.SolveConfig())
@@ -442,8 +442,8 @@ class TestFactorizationReuse:
         steps = []
         step = ksolver._newton_step
 
-        def recording(op, u, phi_vals, r, lu_slot):
-            s = step(op, u, phi_vals, r, lu_slot)
+        def recording(op, u, phi_vals, r, state, lu_slot):
+            s = step(op, u, phi_vals, r, state, lu_slot)
             steps.append((op, u.copy(), phi_vals, r, s))
             return s
 
@@ -467,7 +467,7 @@ class TestFactorizationReuse:
             wrong = _Broken(slot["lu"], kind)
         slot["lu"] = wrong
         builds.clear()
-        s = ksolver._newton_step(op, lift, phi_vals, -rhs, slot)
+        s = ksolver._newton_step(op, lift, phi_vals, -rhs, None, slot)
         assert len(builds) == 1
         assert isinstance(slot["lu"], _Multigrid) and slot["lu"] is not wrong
         assert _rel(s, spla.spsolve(J.tocsc(), rhs)) <= 1e-10
@@ -480,7 +480,7 @@ class TestFactorizationReuse:
         lift = op.laplace_lift(phi_vals, _lu_slot=slot)
         slot["lu"] = wrong = _Broken(slot["lu"], "not linear")
         splu_calls.clear()
-        s = ksolver._newton_step(op, lift, phi_vals, -rhs, slot)
+        s = ksolver._newton_step(op, lift, phi_vals, -rhs, None, slot)
         assert not splu_calls and slot["lu"] is wrong
         assert np.linalg.norm(J @ s - rhs) <= kop.LINEAR_TOL * np.linalg.norm(rhs)
 
@@ -498,10 +498,26 @@ class TestFactorizationReuse:
 
         monkeypatch.setattr(ksolver, "_gmres", off)
         builds.clear()
-        s = ksolver._newton_step(op, lift, phi_vals, -rhs, slot)
+        s = ksolver._newton_step(op, lift, phi_vals, -rhs, None, slot)
         assert len(builds) == 1
         assert isinstance(slot["lu"], _Multigrid) and slot["lu"] is not old
         assert _rel(s, spla.spsolve(J.tocsc(), rhs)) <= 1e-10
+
+    def test_one_face_state_per_residual(self, euclid, monkeypatch):
+        # each Newton step is linearized from the state its iterate's
+        # residual left, so no step evaluates the face state again
+        calls = {"_face_state": 0, "residual": 0, "step": 0}
+        for name in ("_face_state", "residual"):
+            method = getattr(kop.GraphOperator, name)
+            monkeypatch.setattr(kop.GraphOperator, name,
+                                lambda self, *a, _m=method, _n=name, **k:
+                                calls.__setitem__(_n, calls[_n] + 1) or _m(self, *a, **k))
+        step = ksolver._newton_step
+        monkeypatch.setattr(ksolver, "_newton_step",
+                            lambda *a: calls.__setitem__("step", calls["step"] + 1) or step(*a))
+        _, report = kg.solve_dirichlet(*_cap(euclid, 64))
+        assert report.converged and calls["step"] >= 5
+        assert calls["_face_state"] == calls["residual"]
 
     def test_solve_carries_a_hierarchy(self, request, monkeypatch):
         # O(N) memory: only the coarsest level, at most COARSE_MAX unknowns,
@@ -583,6 +599,22 @@ class TestMultigrid:
             stored = sum(M.nnz for M in mg.A[1:] + mg.P) + mg._lu.L.nnz + mg._lu.U.nnz
             per_node[n] = stored / grid.num_inside
         assert per_node[256] <= per_node[128]
+
+    def test_hierarchy_is_float32_under_float64_gmres(self, euclid):
+        # the V-cycle runs in float32; flexible GMRES applies the float64
+        # matrix to what it returns, so the answer keeps direct accuracy
+        spec, grid = _cap(euclid, 128)
+        op = _get_operator(euclid, grid, 2)
+        A, rhs = op._laplace_system(spec.phi_links(grid))
+        slot = {"lu": None}
+        x = op._solve(A, rhs, lu_slot=slot)
+        mg = slot["lu"]
+        assert len(mg.A) >= 3 and len(mg.R) == len(mg.P) == len(mg.A) - 1
+        for M in mg.A + mg.P + mg.R + mg.dinv + [mg._lu.L, mg._lu.U]:
+            assert M.dtype == np.float32
+        assert mg.solve(rhs).dtype == np.float32
+        assert x.dtype == np.float64
+        assert np.linalg.norm(A @ x - rhs) <= kop.DIRECT_TOL * np.linalg.norm(rhs)
 
     def test_cycles_per_newton_step_are_mesh_independent(self, euclid, monkeypatch,
                                                          builds):
