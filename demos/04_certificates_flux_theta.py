@@ -32,7 +32,7 @@ def main():
     print(f"hypotheses: sup|H| = {verdict.sup_H:.3f} <= inf H_cyl = "
           f"{verdict.inf_Hcyl:.3f} -> {'pass' if verdict.passed else 'fail'}")
 
-    hc = kg.height_barrier_certificate(spec, grid, u, bgeom=bg)
+    hc = kg.height_barrier_certificate(spec, grid, u)
     print(f"height barrier: C = {hc.C}, A = {hc.A:.3f}, "
           f"min margin {np.min(hc.margin):.3e}, crude bound ok: {hc.crude_ok}")
 

@@ -16,7 +16,7 @@ from .errors import (
 )
 from .geometry import (
     SubmersionChart, chart_from_file, christoffels_at, euclidean, gamma_at,
-    heisenberg, hopf, inverse_metric_at, kappa_vector_at, make_builtin,
+    heisenberg, inverse_metric_at, kappa_vector_at, make_builtin,
     section_gradient_s_at, warped,
 )
 from .grid import (

@@ -19,8 +19,8 @@ from scipy.spatial import cKDTree
 
 from .errors import (CertificateFailed, MinPrincipleViolated,
                      TubularWidthExceeded)
-from .geometry import _eig_bounds_2x2, christoffels_at, kappa_vector_at
-from .grid import Rectangle, _inward_sigma_normals, integrate
+from .geometry import _eig_bounds_2x2, christoffels_at, inverse_metric_at, kappa_vector_at
+from .grid import Rectangle, integrate
 from .operator import _get_operator, _is_constant
 
 CURVE_DT = 2e-4          # parameter differencing step, scaled by period/(2 pi)
@@ -98,6 +98,15 @@ def _curve_H_cyl(chart, p_minus, p0, p_plus, dt, eta, n=2, h_fd=GEOM_H_FD):
     H_gamma = np.einsum("...i,...ij,...j->...", kvec, sig, eta)
     kap = np.einsum("...i,...i->...", kappa_vector_at(chart, p0, h_fd), eta)
     return ((n - 1) * H_gamma + kap) / n, H_gamma, kap
+
+
+def _inward_sigma_normals(chart, points, m):
+    """Inward sigma-unit normals at boundary `points` from the unit
+    Euclidean inward covectors `m` there: m raised by sigma^{-1}, which
+    is sigma-orthogonal to the boundary, then sigma-normalised."""
+    v = np.einsum("...ij,...j->...i", inverse_metric_at(chart, points), m)
+    norm = np.sqrt(np.einsum("...i,...i->...", m, v))
+    return v / norm[..., None]
 
 
 def boundary_geometry(chart, domain, samples=64, n=2, h_fd=GEOM_H_FD):
@@ -411,13 +420,11 @@ def height_barrier(C, A, d):
     return np.exp(C * A) / C * (1.0 - np.exp(-C * np.asarray(d, dtype=float)))
 
 
-def height_barrier_certificate(spec, grid, u, bgeom=None, band=None, ladder=None,
-                               _phi_vals=None):
+def height_barrier_certificate(spec, grid, u, ladder=None, _phi_vals=None):
     """Smallest ladder constant whose distance barrier encloses u.
 
-    Checks phi_sup + h(d) >= u and phi_inf - h(d) <= u pointwise (on
-    the whole domain for flat charts, on the distance band `band`
-    otherwise), and independently the crude bound
+    Checks phi_sup + h(d) >= u and phi_inf - h(d) <= u at every inside
+    node, and independently the crude bound
     sup|u| <= sup h + sup|phi|.  Raises CertificateFailed when the
     ladder is exhausted.  `_phi_vals` is `spec.phi_links(grid)` when the
     caller already has it.
@@ -427,30 +434,26 @@ def height_barrier_certificate(spec, grid, u, bgeom=None, band=None, ladder=None
     phi_sup = float(np.max(phi_vals))
     phi_inf = float(np.min(phi_vals))
     d = grid.dist
-    if spec.chart.flat_metric or band is None:
-        nodes = np.arange(grid.num_inside)
-    else:
-        nodes = np.nonzero(d <= band)[0]
     A = 1.01 * _sigma_diameter_bound(spec.chart, grid)
     tol = 1e-12 * (1.0 + np.max(np.abs(u)))
     margin = None
     for C in (LADDER if ladder is None else ladder):
         with np.errstate(over="ignore"):
-            hvals = height_barrier(C, A, d[nodes])
+            hvals = height_barrier(C, A, d)
         if not np.all(np.isfinite(hvals)):
             break   # barrier overflowed before enclosing u: report failure
-        upper = phi_sup + hvals - u[nodes]
-        lower = u[nodes] - (phi_inf - hvals)
+        upper = phi_sup + hvals - u
+        lower = u - (phi_inf - hvals)
         margin = np.minimum(upper, lower)
         if np.all(margin >= -tol):
-            crude = float(np.max(height_barrier(C, A, d)))
+            crude = float(np.max(hvals))
             crude_ok = bool(np.max(np.abs(u)) <= crude + max(abs(phi_sup), abs(phi_inf)) + 1e-9)
             return HeightCertificate(C=C, A=A, margin=margin,
-                                     checked_nodes=nodes, crude_bound=crude,
-                                     crude_ok=crude_ok)
+                                     checked_nodes=np.arange(grid.num_inside),
+                                     crude_bound=crude, crude_ok=crude_ok)
     if margin is None:
         raise CertificateFailed("height barrier overflowed on every ladder rung")
-    k = int(nodes[np.argmin(margin)])
+    k = int(np.argmin(margin))
     raise CertificateFailed(
         "height barrier ladder exhausted", node=k, point=tuple(grid.points[k])
     )
@@ -737,8 +740,7 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
 
     if hypo.passed:
         try:
-            hc = height_barrier_certificate(spec, grid, u, bgeom=bgeom,
-                                            _phi_vals=phi_vals)
+            hc = height_barrier_certificate(spec, grid, u, _phi_vals=phi_vals)
             rep.items["height_barrier"] = {
                 "passed": True, "C": hc.C, "A": hc.A,
                 "min_margin": float(np.min(hc.margin)),

@@ -76,7 +76,7 @@ def parse_config(path):
         params = {k: v for k, v in parser.items("geometry") if k != "builtin"}
         try:
             chart = geometry.make_builtin(name, params)
-        except (NotImplementedError, InputError) as exc:
+        except InputError as exc:
             raise InputError(f"{path}: [geometry] builtin={name}: {exc}") from None
 
     # domain
@@ -192,8 +192,6 @@ def cmd_geometries():
     print("  heisenberg   flat base, f = 1, tilt (y/2, -x/2); ric_lower = -0.5")
     print("  warped       flat base, zero tilt, f = <expression> "
           "(params: f, ric_lower)")
-    for name, reason in geometry.DISABLED_GEOMETRIES.items():
-        print(f"  {name:<12s} DISABLED: {reason}")
     print("user charts: [geometry] file = <path> (see README for the format)")
     return 0
 

@@ -274,23 +274,11 @@ def warped(f, ric_lower=0.0, name="warped"):
     )
 
 
-def hopf():
-    """Chart of the Hopf fibration; disabled pending an independent
-    normalization check of the connection covector."""
-    raise NotImplementedError(
-        "hopf chart is disabled: the connection covector normalization in "
-        "stereographic coordinates has not been fixed against an "
-        "independent oracle"
-    )
-
-
 BUILTIN_GEOMETRIES = {
     "euclidean": euclidean,
     "heisenberg": heisenberg,
     "warped": warped,
 }
-
-DISABLED_GEOMETRIES = {"hopf": "ships disabled; connection normalization unverified"}
 
 
 def _number(text, what, kind=float):
@@ -304,8 +292,6 @@ def _number(text, what, kind=float):
 def make_builtin(name, params=None):
     """Instantiate a built-in geometry by name with a parameter map."""
     params = dict(params or {})
-    if name in DISABLED_GEOMETRIES:
-        hopf()
     if name not in BUILTIN_GEOMETRIES:
         raise InputError(
             f"unknown geometry {name!r}; available: {', '.join(sorted(BUILTIN_GEOMETRIES))}"

@@ -7,12 +7,12 @@ the fractional crossing theta in (0, 1] to the true boundary recorded
 per link; DIRICHLET_GHOST nodes are outside nodes touching an inside
 node along an axis (the slots where Dirichlet data enters stencils).
 
-The grid holds geometry only: lattice maps, crossings, inward normals,
-the distance field and quadrature weights.  Derivatives of node fields
-are the operator's (`GraphOperator.Gx`/`Gy` over the ghost-extended
-field).  The distance field to the boundary is analytic for flat
-metrics and fast-swept first-order (by anti-diagonals) for general
-sigma.  Grids are immutable after build.
+The grid holds geometry only: lattice maps, crossings, the distance
+field and quadrature weights.  Derivatives of node fields are the
+operator's (`GraphOperator.Gx`/`Gy` over the ghost-extended field).
+The distance field to the boundary is analytic for flat metrics and
+fast-swept first-order (by anti-diagonals) for general sigma.  Grids
+are immutable after build.
 """
 
 import csv
@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import EmptyDomain, InputError, StencilUnavailable
-from .geometry import _inverse_metric, _sqrt_det, inverse_metric_at, validate_chart_at
+from .geometry import _inverse_metric, _sqrt_det, validate_chart_at
 
 OUTSIDE = 0
 INTERIOR = 1
@@ -72,12 +72,6 @@ class Disk:
         out[..., 0] = self.center[0] + self.radius * np.cos(t)
         out[..., 1] = self.center[1] + self.radius * np.sin(t)
         return out
-
-    def inward_normal_euclid(self, points):
-        points = np.asarray(points, dtype=float)
-        v = np.stack([self.center[0] - points[..., 0],
-                      self.center[1] - points[..., 1]], axis=-1)
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
     def diameter_euclid(self):
         return 2.0 * self.radius
@@ -131,18 +125,6 @@ class Rectangle:
                                 [self.y0, self.y0 + s1, self.y1, self.y1 - s3])
         return out
 
-    def inward_normal_euclid(self, points):
-        points = np.asarray(points, dtype=float)
-        # nearest edge decides the normal
-        d_left = points[..., 0] - self.x0
-        d_right = self.x1 - points[..., 0]
-        d_bottom = points[..., 1] - self.y0
-        d_top = self.y1 - points[..., 1]
-        dists = np.stack([d_left, d_right, d_bottom, d_top], axis=-1)
-        which = np.argmin(np.abs(dists), axis=-1)
-        normals = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
-        return normals[which]
-
     def diameter_euclid(self):
         return float(np.hypot(self.x1 - self.x0, self.y1 - self.y0))
 
@@ -182,7 +164,6 @@ class GridDomain:
     link_dir: np.ndarray       # (L,) direction code 0..3
     link_theta: np.ndarray     # (L,) fractional crossing distance in (0, 1]
     link_points: np.ndarray    # (L, 2) boundary crossing coordinates
-    eta: np.ndarray            # (L, 2) inward sigma-unit normal at crossings
     dist: np.ndarray           # (N,) sigma-distance to the boundary
     cell_frac: np.ndarray      # (N,) inside area fraction of each node cell
     ghost_frac: np.ndarray     # (Ng,) inside area fraction of ghost cells
@@ -300,7 +281,6 @@ def build_grid(domain, h, chart):
     link_theta = np.minimum(np.maximum(t_cross / h, 1e-12), 1.0)
     link_pts = base + t_cross[:, None] * step
 
-    eta = _inward_sigma_normals(chart, link_pts, domain.inward_normal_euclid(link_pts))
     dist = _distance_field(domain, chart, points, node_index, inside_ij, h, link_pts, link_node)
     cell_frac, ghost_frac, sliver_ij, sliver_frac = _cell_fractions(
         domain, P, cls, inside_ij, ghost_ij, h)
@@ -321,7 +301,7 @@ def build_grid(domain, h, chart):
         points=points, ghost_points=ghost_points, neighbor_ext=neighbor_ext,
         link_node=link_node, link_dir=link_dir, link_theta=link_theta,
         link_points=link_pts,
-        eta=eta, dist=dist, cell_frac=cell_frac, ghost_frac=ghost_frac,
+        dist=dist, cell_frac=cell_frac, ghost_frac=ghost_frac,
         sliver_points=P[sliver_ij[:, 1], sliver_ij[:, 0]], sliver_frac=sliver_frac,
         outer_mean=outer_mean,
     )
@@ -380,15 +360,6 @@ def _lattice_at(index, ix, iy):
     out = -np.ones(np.shape(ix), dtype=int)
     out[ok] = index[iy[ok], ix[ok]]
     return out
-
-
-def _inward_sigma_normals(chart, points, m):
-    """Inward sigma-unit normals at boundary `points` from the unit
-    Euclidean inward covectors `m` there: m raised by sigma^{-1}, which
-    is sigma-orthogonal to the boundary, then sigma-normalised."""
-    v = np.einsum("...ij,...j->...i", inverse_metric_at(chart, points), m)
-    norm = np.sqrt(np.einsum("...i,...i->...", m, v))
-    return v / norm[..., None]
 
 
 def _distance_field(domain, chart, points, node_index, inside_ij, h, link_pts, link_node):

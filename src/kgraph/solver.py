@@ -223,8 +223,9 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
             report.newton_iters.append(int(iters))
             report.residual_final = float(history[-1])
             report.sup_u.append(float(np.max(np.abs(u))))
-            state = op.state(u, phi_s)
-            du = np.sqrt(np.einsum("ni,ni->n", state.u_hat_down, state.u_hat_up))
+            # hat_u_i hat_u^i directly: sqrt(W^2 - f) cancels where |Du| is small
+            c1, c2, up1, up2, _ = op._node_state(op.extend(u, phi_s))
+            du = np.sqrt(c1 * up1 + c2 * up2)
             report.sup_du.append(float(np.max(du)))
             if iters <= 3:
                 dsigma = min(2.0 * dsigma, 1.0)

@@ -199,8 +199,7 @@ class TestCriterion8Barriers:
                                       samples=max(64, case.grid.num_links))
             verdict = kg.hypothesis_check(case.spec, bg, grid=case.grid)
             assert verdict.passed, case.name
-            hc = kg.height_barrier_certificate(case.spec, case.grid, case.u,
-                                               bgeom=bg)
+            hc = kg.height_barrier_certificate(case.spec, case.grid, case.u)
             gc = kg.boundary_gradient_certificate(case.spec, case.grid, case.u,
                                                   bgeom=bg)
             assert np.min(hc.margin) >= -1e-12, case.name

@@ -150,7 +150,7 @@ class TestSolve:
         cfg = write(tmp_path, "hopf.cfg",
                     TRIVIAL_CONFIG.replace("builtin = euclidean", "builtin = hopf"))
         assert main(["solve", cfg, "--out", str(tmp_path)]) == 1
-        assert "disabled" in capsys.readouterr().err
+        assert "unknown geometry 'hopf'" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -244,9 +244,9 @@ class TestMisc:
     def test_geometries_listing(self, capsys):
         assert main(["geometries"]) == 0
         out = capsys.readouterr().out
-        for name in ("euclidean", "heisenberg", "warped", "hopf"):
+        for name in ("euclidean", "heisenberg", "warped"):
             assert name in out
-        assert "DISABLED" in out
+        assert "hopf" not in out
 
     def test_warped_config(self, tmp_path):
         text = """\

@@ -18,9 +18,6 @@ unchanged), `boundary_gradient_samples`, `integrate`, the boundary
 normals and `Div` must match `tests/data/{nondiv,jacfd,boundary}_*.npz`,
 written by the per-node code these became array code of, together with
 their inputs.
-`grid.eta` must equal, bit for bit, the normals stored in
-`tests/data/stencils_*.npz`, which were written with a per-node stencil
-routine that no longer exists; they are kept as they are.
 
 Run this file as a script to rewrite the operator, nondivergence,
 Jacobian and boundary references from the installed kgraph and the
@@ -443,24 +440,7 @@ def test_strip_reference_extrapolates_unpinned_short_links(case, behind):
 # the oracles and the boundary gathers: references in
 # tests/data/{nondiv,jacfd,boundary}_*.npz hold the values of the per-node
 # loops these became array code of, with the input fields they were
-# computed from; tests/data/stencils_*.npz also hold grid.eta
-
-STENCIL_CASES = {   # chart factory, domain, h
-    "euclid20_offcentre": (kg.euclidean, kg.Disk((0.0137, -0.0219), 0.5), 1.0 / 20),
-    "aniso41_square25": (lambda: _chart("aniso41", _aniso41),
-                         kg.Rectangle(0.0, 0.0, 1.0, 1.0), 1.0 / 25),
-    "heis16": (kg.heisenberg, kg.Disk((0.0, 0.0), 1.0), 1.0 / 16),
-    "euclid48_strip2": (kg.euclidean, _strip(2, 0.5), 1.0 / 48),
-    "euclid20_three_nodes": (kg.euclidean, kg.Disk((0.0, 0.37 / 20), 1.02 / 20), 1.0 / 20),
-}
-
-
-@pytest.mark.parametrize("case", sorted(STENCIL_CASES))
-def test_eta_matches_stencils_reference(case):
-    factory, domain, h = STENCIL_CASES[case]
-    eta = np.load(DATA / f"stencils_{case}.npz")["eta"]
-    assert np.array_equal(kg.build_grid(domain, h, factory()).eta, eta)
-
+# computed from
 
 ORACLE_CASES = {   # chart factory, domain, h, phi
     "heis16": (kg.heisenberg, kg.Disk((0.0, 0.0), 1.0), 1.0 / 16, _saddle),
@@ -542,7 +522,7 @@ def gather_values(case, ref=None):
             "tangential": tangential,
             "integrals": np.array([kg.integrate(grid, w, chart)
                                    for w in (u, v, np.ones(grid.num_inside))]),
-            "eta": grid.eta, "bgeom_eta": bgeom.eta, "bgeom_eta_minus": bgeom.eta_minus,
+            "bgeom_eta": bgeom.eta, "bgeom_eta_minus": bgeom.eta_minus,
             "bgeom_eta_plus": bgeom.eta_plus, "div_data": Div.data,
             "div_indices": Div.indices, "div_indptr": Div.indptr}
 
@@ -554,7 +534,7 @@ def test_boundary_gathers_match_reference(case):
     for key in ("grad_norm", "normal", "tangential", "integrals"):
         assert got[key].shape == ref[key].shape
         assert _rel_err(got[key], ref[key]) <= 1e-14, key
-    for key in ("eta", "bgeom_eta", "bgeom_eta_minus", "bgeom_eta_plus",
+    for key in ("bgeom_eta", "bgeom_eta_minus", "bgeom_eta_plus",
                 "div_data", "div_indices", "div_indptr"):
         assert np.array_equal(got[key], ref[key]), key
 

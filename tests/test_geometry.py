@@ -198,7 +198,7 @@ class TestValidation:
         assert set(kg.geometry.BUILTIN_GEOMETRIES) == {"euclidean", "heisenberg", "warped"}
         with pytest.raises(InputError):
             kg.geometry.make_builtin("nonsense")
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(InputError, match="unknown geometry 'hopf'"):
             kg.geometry.make_builtin("hopf")
         with pytest.raises(InputError):
             kg.geometry.make_builtin("warped")  # missing f

@@ -77,15 +77,17 @@ class TestBuild:
         with pytest.raises(EmptyDomain):
             kg.build_grid(kg.Disk((0.3, 0.3), 0.05), 0.5, euclid)
 
-    def test_eta_sigma_unit(self, euclid):
+    def test_eta_sigma_unit(self):
         chart = aniso_chart()
-        grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 0.2, chart)
-        sig = chart.metric_at(grid.link_points)
-        norms = np.sqrt(np.einsum("li,lij,lj->l", grid.eta, sig, grid.eta))
-        assert np.abs(norms - 1.0).max() < 1e-10
-        # inward: stepping along eta decreases the signed distance
-        probe = grid.link_points + 1e-6 * grid.eta
-        assert np.all(grid.domain.sdf(probe) < 1e-12)
+        domain = kg.Disk((0.0, 0.0), 1.0)
+        bg = kg.boundary_geometry(chart, domain)
+        for points, eta in ((bg.points, bg.eta), (bg.points_minus, bg.eta_minus),
+                            (bg.points_plus, bg.eta_plus)):
+            sig = chart.metric_at(points)
+            norms = np.sqrt(np.einsum("li,lij,lj->l", eta, sig, eta))
+            assert np.abs(norms - 1.0).max() < 1e-10
+            # inward: stepping along eta decreases the signed distance
+            assert np.all(domain.sdf(points + 1e-6 * eta) < 1e-12)
 
 
 class TestDistance:
