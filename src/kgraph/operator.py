@@ -39,9 +39,10 @@ THETA_FLOOR = 1e-6  # ghost extrapolation keeps theta away from zero
 THETA_ELIM = 0.05   # below this, a node is pinned to boundary interpolation:
                     # extrapolation weights ~ 1/theta would otherwise amplify
                     # fp noise past any reasonable Newton tolerance
-LINEAR_TOL = 1e-6   # relative residual a linear solve must reach: direct
-                    # solves reach ~1e-13 on healthy states, so a large one
-                    # flags a numerically singular matrix
+LINEAR_TOL = 1e-6   # relative residual of the first Newton step's solve and
+                    # the floor of every later forcing term; a direct solve
+                    # reaches ~1e-13 on a healthy matrix, so one left above
+                    # it flags a numerically singular matrix
 DIRECT_TOL = 1e-13  # relative residual a direct solve iterates to
 DIRECT_MAX = 60     # V-cycles a direct solve spends at most
 COARSE_MAX = 2000   # unknowns of the coarsest multigrid level, factored by LU

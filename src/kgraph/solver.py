@@ -21,7 +21,11 @@ from .operator import LINEAR_TOL, _eval_data, _get_operator, _gmres, _relative_r
 SCHEMA_VERSION = 1
 KRYLOV_MAX = 16           # V-cycles a Newton step spends on a reused hierarchy
                           # before it rebuilds; on the lift's hierarchy, steps
-                          # take 4-9 on the cap from h = 1/64 to 1/512
+                          # take 2-7 on the cap from h = 1/64 to 1/512
+ETA_GAMMA = 0.9           # Eisenstat-Walker choice 2: after the first step,
+ETA_MAX = 0.1             # a Newton step's GMRES stops at the relative residual
+                          # min(ETA_MAX, max(ETA_GAMMA |r_k|^2 / |r_k-1|^2,
+                          # LINEAR_TOL, 0.5 newton_tol / |r_k|)), in 2-norms
 MAX_NEWTON = 50           # iterations per continuation step
 ARMIJO = 1e-4             # sufficient-decrease factor
 MIN_STEP = 2.0 ** -20     # line search floor
@@ -59,23 +63,23 @@ class _NewtonFailure(Exception):
     """Internal: one continuation step did not converge."""
 
 
-def _newton_step(op, u, phi_vals, r, state, lu_slot):
-    """Newton direction s with |J s + r| <= LINEAR_TOL |r|.
+def _newton_step(op, u, phi_vals, r, state, lu_slot, eta=LINEAR_TOL):
+    """Newton direction s with |J s + r| <= eta |r|, eta the forcing term.
 
     J is linearized from `state`, which the residual r left at u (from u
     when None).  The hierarchy in `lu_slot["lu"]`, when there is one, is
     reused: its V-cycle preconditions flexible GMRES (`_gmres`) on the
     matrix-free J, and the step is accepted only on its true residual.
-    When KRYLOV_MAX cycles miss the tolerance, or the true residual does,
-    the assembled J gets a hierarchy of its own, which replaces the old
-    one, and a direct solve on it (`GraphOperator._solve`).
+    When KRYLOV_MAX cycles miss eta, or the true residual does, the
+    assembled J gets a hierarchy of its own, which replaces the old one,
+    and a direct solve on it (`GraphOperator._solve`), to DIRECT_TOL.
     """
     rhs = -r
     mg = lu_slot["lu"]
     if mg is not None:
         J = op.jacobian_action(u, phi_vals, _state=state)
-        s = _gmres(J, mg.solve, rhs, LINEAR_TOL, KRYLOV_MAX)
-        if s is not None and _relative_residual(J, s, rhs) <= LINEAR_TOL:
+        s = _gmres(J, mg.solve, rhs, eta, KRYLOV_MAX)
+        if s is not None and _relative_residual(J, s, rhs) <= eta:
             return s
     # drop the old hierarchy before the new one is built: one at a time
     lu_slot["lu"] = mg = None
@@ -85,11 +89,14 @@ def _newton_step(op, u, phi_vals, r, state, lu_slot):
 def newton_solve(op, u0, phi_vals, H_vals, cfg, _lu_slot=None):
     """Damped Newton on the residual; returns (u, iterations, history).
 
-    Accepted steps pass Armijo decrease on the squared 2-norm and,
-    whenever attainable, strictly reduce the sup norm as well (on
-    nominal warm starts every step does; far-field starts may take
-    merit-only steps).  `_lu_slot`, a dict, carries one multigrid
-    hierarchy in and out under "lu" (see `_newton_step`).
+    Inexact Newton (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996;
+    Kelley 1995, ch. 6): the first step solves to LINEAR_TOL, and each
+    later one only to the forcing term of choice 2 (see ETA_GAMMA), in
+    the 2-norm GMRES reduces.  Accepted steps pass Armijo decrease on
+    the squared 2-norm and, whenever attainable, strictly reduce the sup
+    norm as well (on nominal warm starts every step does; far-field
+    starts may take merit-only steps).  `_lu_slot`, a dict, carries one
+    multigrid hierarchy in and out under "lu" (see `_newton_step`).
     """
     lu_slot = {"lu": None} if _lu_slot is None else _lu_slot
     u = np.array(u0, dtype=float)
@@ -102,8 +109,10 @@ def newton_solve(op, u0, phi_vals, H_vals, cfg, _lu_slot=None):
             return u, it, history
         if np.max(np.abs(u)) > DIVERGE_SUP:
             raise DivergedIterates(f"sup|u| exceeded {DIVERGE_SUP:g}")
-        s = _newton_step(op, u, phi_vals, r, state, lu_slot)
         m0 = float(r @ r)
+        eta = LINEAR_TOL if it == 0 else min(ETA_MAX, max(
+            ETA_GAMMA * m0 / m_prev, LINEAR_TOL, 0.5 * cfg.newton_tol / np.sqrt(m0)))
+        s = _newton_step(op, u, phi_vals, r, state, lu_slot, eta)
         accepted = fallback = None
         # cap the step so an overshoot cannot saturate the flux globally
         # (the saturated regime is a Newton plateau: residual insensitive
@@ -127,6 +136,7 @@ def newton_solve(op, u0, phi_vals, H_vals, cfg, _lu_slot=None):
             lam *= 0.5
         if accepted is None and fallback is None:
             raise _NewtonFailure("line search stalled")
+        m_prev = m0
         u, r, state, rinf_try = accepted or fallback
         history.append(rinf_try)
     if history[-1] <= cfg.newton_tol:
