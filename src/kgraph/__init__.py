@@ -24,8 +24,8 @@ from .grid import (
     read_field_csv, write_field_csv,
 )
 from .operator import (
-    GraphOperator, OperatorState, ProblemSpec, area_functional, jacobian,
-    operator_state, residual,
+    GraphOperator, ProblemSpec, area_functional, jacobian, operator_state,
+    residual,
 )
 from .solver import (
     ComparisonResult, SolveConfig, SolveReport, comparison_check,

@@ -62,8 +62,8 @@ def parse_config(path):
     def number(section, key, positive=False):
         where = f"{path}: [{section}] {key}"
         value = geometry._number(need(section, key), where)
-        if positive and not (math.isfinite(value) and value > 0):
-            raise InputError(f"{where} must be finite and positive")
+        if not math.isfinite(value) or (positive and value <= 0):
+            raise InputError(f"{where} must be finite" + (" and positive" if positive else ""))
         return value
 
     # geometry
@@ -84,9 +84,10 @@ def parse_config(path):
     if shape == "disk":
         center = [geometry._number(v, f"{path}: [domain] center")
                   for v in need("domain", "center").replace(",", " ").split()]
-        if len(center) != 2:
-            raise InputError(f"{path}: [domain] center needs two values")
-        domain = gridmod.Disk(center=tuple(center), radius=number("domain", "radius"))
+        if len(center) != 2 or not all(map(math.isfinite, center)):
+            raise InputError(f"{path}: [domain] center needs two finite values")
+        domain = gridmod.Disk(center=tuple(center),
+                              radius=number("domain", "radius", positive=True))
     elif shape == "rectangle":
         domain = gridmod.Rectangle(
             x0=number("domain", "x0"), y0=number("domain", "y0"),

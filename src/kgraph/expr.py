@@ -34,26 +34,26 @@ _BINOPS = {
 }
 
 
-def _check(node, allowed_names):
+def _check(node):
     if isinstance(node, ast.Expression):
-        _check(node.body, allowed_names)
+        _check(node.body)
     elif isinstance(node, ast.BinOp):
         if type(node.op) not in _BINOPS:
             raise InputError(f"operator not allowed in expression: {ast.dump(node.op)}")
-        _check(node.left, allowed_names)
-        _check(node.right, allowed_names)
+        _check(node.left)
+        _check(node.right)
     elif isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.USub, ast.UAdd)):
             raise InputError("only unary +/- allowed")
-        _check(node.operand, allowed_names)
+        _check(node.operand)
     elif isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
             raise InputError(f"unknown function in expression")
         if node.keywords or len(node.args) != 1:
             raise InputError("expression functions take exactly one argument")
-        _check(node.args[0], allowed_names)
+        _check(node.args[0])
     elif isinstance(node, ast.Name):
-        if node.id not in allowed_names and node.id not in _CONSTS:
+        if node.id not in ("x", "y", "r") and node.id not in _CONSTS:
             raise InputError(f"unknown name in expression: {node.id!r}")
     elif isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
@@ -81,7 +81,7 @@ def _evaluate(node, env):
     raise InputError(f"unexpected node {type(node).__name__}")
 
 
-def compile_expression(source, variables=("x", "y", "r")):
+def compile_expression(source):
     """Compile `source` into a callable of points with shape (..., 2).
 
     Returns a function P -> array of values broadcast over the leading
@@ -92,21 +92,13 @@ def compile_expression(source, variables=("x", "y", "r")):
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise InputError(f"cannot parse expression {source!r}: {exc}") from None
-    _check(tree, set(variables))
+    _check(tree)
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
         x = points[..., 0]
         y = points[..., 1]
-        env = {}
-        if "x" in variables:
-            env["x"] = x
-        if "y" in variables:
-            env["y"] = y
-        if "r" in variables:
-            env["r"] = np.sqrt(x * x + y * y)
-        out = _evaluate(tree, env)
+        out = _evaluate(tree, {"x": x, "y": y, "r": np.sqrt(x * x + y * y)})
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
 
-    evaluate.source = text
     return evaluate

@@ -160,10 +160,10 @@ def section_gradient_s_at(chart, x):
     return -_tilt(chart, x)
 
 
-def validate_chart_at(chart, points, what="grid node"):
+def validate_chart_at(chart, points):
     """Assert sigma positive definite and f positive at every point.
 
-    Raises NonPositiveDefinite naming the first offending point.
+    Raises NonPositiveDefinite naming the first offending grid node.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     sig = chart.metric_at(points)
@@ -175,13 +175,13 @@ def validate_chart_at(chart, points, what="grid node"):
         k = int(np.argmax(bad_sig))
         raise NonPositiveDefinite(
             f"chart {chart.name!r}: metric eigenvalue {lo[k]:.3e} <= {EIG_FLOOR} "
-            f"at {what} ({points[k, 0]:.6g}, {points[k, 1]:.6g})"
+            f"at grid node ({points[k, 0]:.6g}, {points[k, 1]:.6g})"
         )
     if np.any(bad_f):
         k = int(np.argmax(bad_f))
         raise NonPositiveDefinite(
             f"chart {chart.name!r}: f = {fvals[k]:.3e} <= {EIG_FLOOR} "
-            f"at {what} ({points[k, 0]:.6g}, {points[k, 1]:.6g})"
+            f"at grid node ({points[k, 0]:.6g}, {points[k, 1]:.6g})"
         )
 
 

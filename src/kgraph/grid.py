@@ -49,8 +49,10 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise InputError("disk radius must be positive")
+        if not np.all(np.isfinite(self.center)):
+            raise InputError("disk center must be finite")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise InputError("disk radius must be finite and positive")
 
     def sdf(self, points):
         points = np.asarray(points, dtype=float)
@@ -88,6 +90,8 @@ class Rectangle:
     y1: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.x0, self.y0, self.x1, self.y1])):
+            raise InputError("rectangle corners must be finite")
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise InputError("rectangle requires x1 > x0 and y1 > y0")
 
@@ -563,8 +567,8 @@ def write_field_csv(path, grid, values, name="value"):
             writer.writerow([f"{x:.17g}", f"{y:.17g}", f"{v:.17g}"])
 
 
-def read_field_csv(path, grid=None):
-    """Read a field CSV; verifies node order against `grid` when given."""
+def read_field_csv(path, grid):
+    """Read a field CSV; verifies its node order against `grid`."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float)
     except (OSError, ValueError) as exc:
@@ -572,11 +576,8 @@ def read_field_csv(path, grid=None):
     data = np.atleast_2d(data)
     if data.shape[1] != 3:
         raise InputError(f"{path}: expected 3 columns x,y,value")
-    if grid is not None:
-        if data.shape[0] != grid.num_inside:
-            raise InputError(
-                f"{path}: {data.shape[0]} rows but grid has {grid.num_inside} nodes"
-            )
-        if not np.allclose(data[:, :2], grid.points, atol=1e-9 * max(grid.h, 1.0)):
-            raise InputError(f"{path}: node coordinates do not match the grid")
+    if data.shape[0] != grid.num_inside:
+        raise InputError(f"{path}: {data.shape[0]} rows but grid has {grid.num_inside} nodes")
+    if not np.allclose(data[:, :2], grid.points, atol=1e-9 * max(grid.h, 1.0)):
+        raise InputError(f"{path}: node coordinates do not match the grid")
     return data[:, 2].copy()

@@ -89,8 +89,8 @@ class ProblemSpec:
         return vals
 
 
-def _is_constant(vals, tol=1e-12):
-    return float(np.ptp(vals)) <= tol * (1.0 + float(np.max(np.abs(vals))))
+def _is_constant(vals):
+    return float(np.ptp(vals)) <= 1e-12 * (1.0 + float(np.max(np.abs(vals))))
 
 
 def _eval_data(data, points):
@@ -103,16 +103,6 @@ def _eval_data(data, points):
     if arr.ndim == 0:
         return np.full(lead, float(arr))
     return arr.astype(float)
-
-
-@dataclass
-class OperatorState:
-    """Pointwise operator data over inside nodes."""
-
-    u_hat_up: np.ndarray    # (N, 2) contravariant
-    u_hat_down: np.ndarray  # (N, 2) covariant
-    W: np.ndarray           # (N,)
-    A: np.ndarray           # (N, 2, 2) quasilinear coefficients
 
 
 class GraphOperator:
@@ -504,10 +494,8 @@ class GraphOperator:
         return x
 
     def state(self, u, phi_vals):
-        c1, c2, up1, up2, W = self._node_state(self.extend(u, phi_vals))
-        up = np.column_stack([up1, up2])
-        A = (W * W)[:, None, None] * self.node_siginv - np.einsum("ni,nj->nij", up, up)
-        return OperatorState(u_hat_up=up, u_hat_down=np.column_stack([c1, c2]), W=W, A=A)
+        """(hat_u_x, hat_u_y, hat_u^x, hat_u^y, W) per node at u."""
+        return self._node_state(self.extend(u, phi_vals))
 
     def functional(self, u, phi_vals, fiber_weighted=False):
         """Integral of W (optionally of W / sqrt(f)) against sqrt(sigma).
@@ -516,7 +504,7 @@ class GraphOperator:
         quantity whose first variation matches the H = 0 residual when
         f is not constant.
         """
-        W = self._node_state(self.extend(u, phi_vals))[-1]
+        W = self.state(u, phi_vals)[-1]
         field = W / np.sqrt(self.node_f) if fiber_weighted else W
         return integrate(self.grid, field, self.chart)
 
@@ -718,7 +706,8 @@ def jacobian(spec, grid, u, phi=None):
 
 
 def operator_state(spec, grid, u):
-    """Tilted gradient (both index positions), W and A^{ij} at every inside node."""
+    """(hat_u_x, hat_u_y, hat_u^x, hat_u^y, W) at every inside node: the
+    tilted gradient in both index positions and W."""
     op = _get_operator(spec.chart, grid, spec.n)
     return op.state(np.asarray(u, dtype=float), spec.phi_links(grid))
 

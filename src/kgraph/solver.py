@@ -63,7 +63,7 @@ class _NewtonFailure(Exception):
     """Internal: one continuation step did not converge."""
 
 
-def _newton_step(op, u, phi_vals, r, state, lu_slot, eta=LINEAR_TOL):
+def _newton_step(op, u, phi_vals, r, state, lu_slot, eta):
     """Newton direction s with |J s + r| <= eta |r|, eta the forcing term.
 
     J is linearized from `state`, which the residual r left at u (from u
@@ -234,7 +234,7 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
             report.residual_final = float(history[-1])
             report.sup_u.append(float(np.max(np.abs(u))))
             # hat_u_i hat_u^i directly: sqrt(W^2 - f) cancels where |Du| is small
-            c1, c2, up1, up2, _ = op._node_state(op.extend(u, phi_s))
+            c1, c2, up1, up2, _ = op.state(u, phi_s)
             du = np.sqrt(c1 * up1 + c2 * up2)
             report.sup_du.append(float(np.max(du)))
             if iters <= 3:

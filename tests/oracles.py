@@ -60,8 +60,8 @@ def residual_nondivergence(op, u, phi_vals, H_vals, gamma_mode="full"):
     grid = op.grid
     N = grid.num_inside
     u_ext = op.extend(u, phi_vals)
-    state = op.state(u, phi_vals)
-    c, up, W = state.u_hat_down, state.u_hat_up, state.W
+    c1, c2, up1, up2, W = op.state(u, phi_vals)
+    c, up = np.column_stack([c1, c2]), np.column_stack([up1, up2])
     out = np.full(N, np.nan)
 
     h = grid.h

@@ -295,6 +295,20 @@ class TestVerify:
                      "gradient_barrier", "riccati", "flux", "theta"):
             assert name in rep.items
 
+    def test_ellipticity_can_fail(self, cap_64, monkeypatch):
+        # f |xi|^2 <= A xi xi fails once W is shrunk below its value at u
+        spec, grid, u = cap_64.spec, cap_64.grid, cap_64.u
+        assert kg.verify(spec, grid, u).items["ellipticity"]["passed"] is True
+        op = _get_operator(spec.chart, grid, spec.n)
+        state = op.state
+
+        def shrunk(*args):
+            *gradient, W = state(*args)
+            return (*gradient, 0.9 * W)
+
+        monkeypatch.setattr(op, "state", shrunk)
+        assert kg.verify(spec, grid, u).items["ellipticity"]["passed"] is False
+
     def test_corrupted_field_fails_residual(self, cap_64):
         u = cap_64.u.copy()
         k = int(np.argmax(cap_64.grid.dist))

@@ -197,6 +197,12 @@ class TestVerify:
                    - report["residual_final"]) <= 1e-12
         assert (vout / "margin_height.csv").exists()
         assert (vout / "margin_gradient.csv").exists()
+        # the height barrier is checked at every inside node, in grid order
+        run = parse_config(cfg)
+        grid = kg.build_grid(run.domain, run.h, run.chart)
+        rows = np.loadtxt(vout / "margin_height.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows.shape == (grid.num_inside, 3)
+        assert np.array_equal(rows[:, :2], grid.points)
 
     def test_corrupted_field_exit_4(self, tmp_path):
         cfg = write(tmp_path, "cap.cfg", CAP_CONFIG)
@@ -300,7 +306,10 @@ phi = 0
         ("config", "newton_tol = 1e-10", "newton_tol = nan", "[solver] newton_tol"),
         ("config", "newton_tol = 1e-10", "newton_tol = inf", "[solver] newton_tol"),
         ("config", "radius = 0.5", "radius = half", "[domain] radius"),
+        ("config", "radius = 0.5", "radius = nan", "[domain] radius"),
+        ("config", "radius = 0.5", "radius = inf", "[domain] radius"),
         ("config", "center = 0.0 0.0", "center = 0.0 zero", "[domain] center"),
+        ("config", "center = 0.0 0.0", "center = 0.0 inf", "[domain] center"),
         ("config", "h = 0.03125", "h = 1/32", "[domain] h"),
         ("config", "builtin = euclidean", "builtin = warped\nf = 1\nric_lower = low",
          "[geometry]"),
@@ -308,8 +317,8 @@ phi = 0
         ("chart", "ric_lower = 0", "ric_lower = low", "chart.geom:3: ric_lower"),
         ("chart", "[f]\n1, 1", "[f]\n1, x", "chart.geom:14: [f]"),
     ], ids=["tol-abc", "tol-zero", "tol-negative", "tol-nan", "tol-inf", "radius-half",
-            "center-zero", "h-fraction", "ric_lower-low", "chart-grid", "chart-ric_lower",
-            "chart-table-row"])
+            "radius-nan", "radius-inf", "center-zero", "center-inf", "h-fraction",
+            "ric_lower-low", "chart-grid", "chart-ric_lower", "chart-table-row"])
     def test_malformed_number_is_input_error(self, tmp_path, capsys, where, old, new, key):
         if where == "chart":
             assert old in CHART_FILE

@@ -73,6 +73,17 @@ class TestBuild:
             == grid.num_inside
         assert np.sum(grid.cls == DIRICHLET_GHOST) == grid.num_ghost
 
+    @pytest.mark.parametrize("make", [
+        lambda: kg.Disk((0.0, 0.0), float("nan")),
+        lambda: kg.Disk((0.0, 0.0), float("inf")),
+        lambda: kg.Disk((0.0, float("inf")), 0.5),
+        lambda: kg.Rectangle(0.0, 0.0, float("inf"), 1.0),
+        lambda: kg.Rectangle(float("nan"), 0.0, 1.0, 1.0),
+    ], ids=["radius-nan", "radius-inf", "center-inf", "x1-inf", "x0-nan"])
+    def test_nonfinite_domain_rejected(self, make):
+        with pytest.raises(InputError):
+            make()
+
     def test_empty_domain(self, euclid):
         with pytest.raises(EmptyDomain):
             kg.build_grid(kg.Disk((0.3, 0.3), 0.05), 0.5, euclid)

@@ -1,5 +1,7 @@
 """The mean curvature operator: states, residuals, Jacobian, functional."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -29,13 +31,19 @@ def aniso_chart():
 
 
 def linear_state(chart, grid, a, b):
-    """operator_state of u = a x + b y, with the same function as phi."""
+    """operator_state of u = a x + b y, with the same function as phi:
+    hat_u^i as `u_hat_up` (N, 2), `W`, and the quasilinear coefficients
+    `A` = W^2 sigma^ij - hat_u^i hat_u^j."""
     def field(P):
         P = np.asarray(P)
         return a * P[..., 0] + b * P[..., 1]
 
     spec = kg.ProblemSpec(chart=chart, domain=grid.domain, phi=field)
-    return kg.operator_state(spec, grid, field(grid.points))
+    _, _, up1, up2, W = kg.operator_state(spec, grid, field(grid.points))
+    up = np.column_stack([up1, up2])
+    A = ((W * W)[:, None, None] * kg.inverse_metric_at(chart, grid.points)
+         - np.einsum("ni,nj->nij", up, up))
+    return SimpleNamespace(u_hat_up=up, W=W, A=A)
 
 
 def nearest(grid, x):
@@ -216,13 +224,13 @@ class TestState:
         spec = kg.ProblemSpec(chart=heis, domain=grid.domain, H=0.3,
                               phi=lambda P: smooth_random_field(
                                   np.atleast_2d(P), np.random.default_rng(8)))
-        state = kg.operator_state(spec, grid, u)
+        c1, c2, up1, up2, W = kg.operator_state(spec, grid, u)
         f = heis.f_at(grid.points)
-        assert np.all(state.W >= np.sqrt(f) - 1e-14)
+        assert np.all(W >= np.sqrt(f) - 1e-14)
         # lowering indices is consistent
         sig = heis.metric_at(grid.points)
-        down = np.einsum("nij,nj->ni", sig, state.u_hat_up)
-        assert np.abs(down - state.u_hat_down).max() < 1e-12
+        down = np.einsum("nij,nj->ni", sig, np.column_stack([up1, up2]))
+        assert np.abs(down - np.column_stack([c1, c2])).max() < 1e-12
 
 
 class TestJacobian:

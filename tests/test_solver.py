@@ -439,7 +439,7 @@ class TestFactorizationReuse:
             wrong = _Broken(slot["lu"], kind)
         slot["lu"] = wrong
         builds.clear()
-        s = ksolver._newton_step(op, lift, phi_vals, -rhs, None, slot)
+        s = ksolver._newton_step(op, lift, phi_vals, -rhs, None, slot, kop.LINEAR_TOL)
         assert len(builds) == 1
         assert isinstance(slot["lu"], _Multigrid) and slot["lu"] is not wrong
         assert _rel(s, spla.spsolve(J.tocsc(), rhs)) <= 1e-10
@@ -452,7 +452,7 @@ class TestFactorizationReuse:
         lift = op.laplace_lift(phi_vals, _lu_slot=slot)
         slot["lu"] = wrong = _Broken(slot["lu"], "not linear")
         splu_calls.clear()
-        s = ksolver._newton_step(op, lift, phi_vals, -rhs, None, slot)
+        s = ksolver._newton_step(op, lift, phi_vals, -rhs, None, slot, kop.LINEAR_TOL)
         assert not splu_calls and slot["lu"] is wrong
         assert np.linalg.norm(J @ s - rhs) <= kop.LINEAR_TOL * np.linalg.norm(rhs)
 
@@ -470,7 +470,7 @@ class TestFactorizationReuse:
 
         monkeypatch.setattr(ksolver, "_gmres", off)
         builds.clear()
-        s = ksolver._newton_step(op, lift, phi_vals, -rhs, None, slot)
+        s = ksolver._newton_step(op, lift, phi_vals, -rhs, None, slot, kop.LINEAR_TOL)
         assert len(builds) == 1
         assert isinstance(slot["lu"], _Multigrid) and slot["lu"] is not old
         assert _rel(s, spla.spsolve(J.tocsc(), rhs)) <= 1e-10
