@@ -223,30 +223,17 @@ class RiccatiCurve:
         return bool(np.all(np.diff(self.H_direct, axis=1) >= -1e-9))
 
 
-def _geodesic_flow(chart, pos, vel, eps_total, nsteps):
-    """RK4 integration of the geodesic equation; yields every step.
+def _rk4(f, y, dt):
+    """One classical Runge-Kutta step of y' = f(y) for a tuple of arrays."""
+    def shift(k, c):
+        return tuple(yi + c * ki for yi, ki in zip(y, k))
 
-    Flat charts flow along straight lines exactly.
-    """
-    dt = eps_total / nsteps
-    flat = chart.flat_metric
-
-    def acc(p, v):
-        if flat:
-            return np.zeros_like(v)
-        gam = christoffels_at(chart, p, GEOM_H_FD)
-        return -np.einsum("...kij,...i,...j->...k", gam, v, v)
-
-    p, v = pos.copy(), vel.copy()
-    yield p.copy(), v.copy()
-    for _ in range(nsteps):
-        k1p, k1v = v, acc(p, v)
-        k2p, k2v = v + 0.5 * dt * k1v, acc(p + 0.5 * dt * k1p, v + 0.5 * dt * k1v)
-        k3p, k3v = v + 0.5 * dt * k2v, acc(p + 0.5 * dt * k2p, v + 0.5 * dt * k2v)
-        k4p, k4v = v + dt * k3v, acc(p + dt * k3p, v + dt * k3v)
-        p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        yield p.copy(), v.copy()
+    k1 = f(y)
+    k2 = f(shift(k1, 0.5 * dt))
+    k3 = f(shift(k2, 0.5 * dt))
+    k4 = f(shift(k3, dt))
+    return tuple(yi + dt / 6.0 * (a + 2 * b + 2 * c + d)
+                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
 
 
 def riccati_evolution(chart, domain, eps_max, deps, samples=64, n=2):
@@ -265,41 +252,35 @@ def riccati_evolution(chart, domain, eps_max, deps, samples=64, n=2):
     nsteps = max(1, int(round(eps_max / deps)))
     eps = np.linspace(0.0, eps_max, nsteps + 1)
 
-    pos = np.concatenate([bg.points_minus, bg.points, bg.points_plus])
-    vel = np.concatenate([bg.eta_minus, bg.eta, bg.eta_plus])
     S = len(bg.points)
-
-    H_direct = np.empty((S, nsteps + 1))
     width0 = np.linalg.norm(bg.points_plus - bg.points_minus, axis=1)
-    for k, (p, v) in enumerate(_geodesic_flow(chart, pos, vel, eps_max, nsteps)):
+
+    def flow(y):
+        # the normal geodesics (straight lines on flat charts) and the
+        # scalar comparison ODE, stepped together
+        p, v, H = y
+        if chart.flat_metric:
+            acc = np.zeros_like(v)
+        else:
+            acc = -np.einsum("...kij,...i,...j->...k", christoffels_at(chart, p, GEOM_H_FD), v, v)
+        return v, acc, H * H + ric / n
+
+    y = (np.concatenate([bg.points_minus, bg.points, bg.points_plus]),
+         np.concatenate([bg.eta_minus, bg.eta, bg.eta_plus]), bg.H_cyl)
+    H_direct = np.empty((S, nsteps + 1))
+    H_env = np.empty_like(H_direct)
+    for k in range(nsteps + 1):
+        if k:
+            with np.errstate(over="ignore"):    # the envelope's blow-up, checked below
+                y = _rk4(flow, y, eps_max / nsteps)
+        p, v, H_env[:, k] = y
         pm, p0, pp = p[:S], p[S:2 * S], p[2 * S:]
-        width = np.linalg.norm(pp - pm, axis=1)
-        if np.any(width < 0.05 * width0):
-            raise TubularWidthExceeded(
-                f"normal geodesics focus before eps = {eps[k]:.4g}"
-            )
+        if np.any(np.linalg.norm(pp - pm, axis=1) < 0.05 * width0):
+            raise TubularWidthExceeded(f"normal geodesics focus before eps = {eps[k]:.4g}")
+        if not np.all(np.isfinite(H_env[:, k])):
+            raise TubularWidthExceeded(f"Riccati envelope blows up before eps = {eps[k]:.4g}")
         eta_eps = _sigma_normalize(chart, p0, v[S:2 * S])
         H_direct[:, k] = _curve_H_cyl(chart, pm, p0, pp, bg.dt, eta_eps, n=n)[0]
-
-    # scalar comparison ODE, RK4 with the same step
-    H_env = np.empty_like(H_direct)
-    H_env[:, 0] = bg.H_cyl
-    de = eps_max / nsteps
-
-    def rhs(Hval):
-        return Hval * Hval + ric / n
-
-    for k in range(nsteps):
-        Hk = H_env[:, k]
-        k1 = rhs(Hk)
-        k2 = rhs(Hk + 0.5 * de * k1)
-        k3 = rhs(Hk + 0.5 * de * k2)
-        k4 = rhs(Hk + de * k3)
-        H_env[:, k + 1] = Hk + de / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(H_env[:, k + 1])):
-            raise TubularWidthExceeded(
-                f"Riccati envelope blows up before eps = {eps[k + 1]:.4g}"
-            )
 
     return RiccatiCurve(eps=eps, H_direct=H_direct, H_envelope=H_env)
 
@@ -381,7 +362,7 @@ def boundary_gradient_samples(spec, grid, u, bgeom, _phi_vals=None):
         # values one and two spacings inward, interleaved per sample
         depth = np.array([h, 2.0 * h])[:, None]
         pts = (y[fallback, None] + depth * eta[fallback, None]).reshape(-1, 2)
-        vals, _ = _bilinear(grid, op._ext_id_map(), u_ext[:, None], pts)
+        vals, _ = _bilinear(grid, grid.ext_index, u_ext[:, None], pts)
         if np.any(np.isnan(vals)):
             p = pts[np.argmax(np.isnan(vals[:, 0]))]
             raise CertificateFailed(f"no data near boundary point ({p[0]:.4g}, {p[1]:.4g})")

@@ -60,10 +60,5 @@ class TubularWidthExceeded(KGraphError):
     """Requested normal-flow depth exceeds the certified tubular band."""
 
 
-class MinPrincipleViolated(KGraphError):
+class MinPrincipleViolated(CertificateFailed):
     """Angle function attained its minimum away from the boundary band."""
-
-    def __init__(self, message, node=None, point=None):
-        super().__init__(message)
-        self.node = node
-        self.point = point

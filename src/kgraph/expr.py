@@ -34,51 +34,42 @@ _BINOPS = {
 }
 
 
-def _check(node):
+def _compile(node):
+    """A function of the variables {x, y, r} that evaluates `node`, built
+    in one walk that rejects whatever lies outside the grammar."""
     if isinstance(node, ast.Expression):
-        _check(node.body)
-    elif isinstance(node, ast.BinOp):
+        return _compile(node.body)
+    if isinstance(node, ast.BinOp):
         if type(node.op) not in _BINOPS:
             raise InputError(f"operator not allowed in expression: {ast.dump(node.op)}")
-        _check(node.left)
-        _check(node.right)
-    elif isinstance(node, ast.UnaryOp):
+        op, left, right = _BINOPS[type(node.op)], _compile(node.left), _compile(node.right)
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.USub, ast.UAdd)):
             raise InputError("only unary +/- allowed")
-        _check(node.operand)
-    elif isinstance(node, ast.Call):
+        operand = _compile(node.operand)
+        return (lambda env: -operand(env)) if isinstance(node.op, ast.USub) else operand
+    if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
-            raise InputError(f"unknown function in expression")
+            raise InputError("unknown function in expression")
         if node.keywords or len(node.args) != 1:
             raise InputError("expression functions take exactly one argument")
-        _check(node.args[0])
-    elif isinstance(node, ast.Name):
-        if node.id not in ("x", "y", "r") and node.id not in _CONSTS:
-            raise InputError(f"unknown name in expression: {node.id!r}")
+        fn, arg = _FUNCS[node.func.id], _compile(node.args[0])
+        return lambda env: fn(arg(env))
+    if isinstance(node, ast.Name):
+        name = node.id
+        if name in ("x", "y", "r"):
+            return lambda env: env[name]
+        if name not in _CONSTS:
+            raise InputError(f"unknown name in expression: {name!r}")
+        value = _CONSTS[name]
     elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
-            raise InputError(f"literal not allowed: {node.value!r}")
+        value = node.value
+        if not isinstance(value, (int, float)):
+            raise InputError(f"literal not allowed: {value!r}")
     else:
         raise InputError(f"syntax not allowed in expression: {type(node).__name__}")
-
-
-def _evaluate(node, env):
-    if isinstance(node, ast.Expression):
-        return _evaluate(node.body, env)
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
-    if isinstance(node, ast.UnaryOp):
-        val = _evaluate(node.operand, env)
-        return -val if isinstance(node.op, ast.USub) else val
-    if isinstance(node, ast.Call):
-        return _FUNCS[node.func.id](_evaluate(node.args[0], env))
-    if isinstance(node, ast.Name):
-        if node.id in env:
-            return env[node.id]
-        return _CONSTS[node.id]
-    if isinstance(node, ast.Constant):
-        return node.value
-    raise InputError(f"unexpected node {type(node).__name__}")
+    return lambda env: value
 
 
 def compile_expression(source):
@@ -92,13 +83,13 @@ def compile_expression(source):
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise InputError(f"cannot parse expression {source!r}: {exc}") from None
-    _check(tree)
+    evaluate_tree = _compile(tree)
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
         x = points[..., 0]
         y = points[..., 1]
-        out = _evaluate(tree, {"x": x, "y": y, "r": np.sqrt(x * x + y * y)})
+        out = evaluate_tree({"x": x, "y": y, "r": np.sqrt(x * x + y * y)})
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
 
     return evaluate

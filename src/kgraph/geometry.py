@@ -19,7 +19,7 @@ interpolated bilinearly.  Charts are immutable and all evaluations are
 pure functions of (chart, x), so they are safe to share.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,8 +46,6 @@ class SubmersionChart:
     delta: Callable
     ric_lower: float = 0.0
     flat_metric: bool = False  # sigma identically the identity
-    dim: int = 2
-    params: dict = field(default_factory=dict)
 
     def metric_at(self, points):
         points = np.asarray(points, dtype=float)
@@ -251,18 +249,14 @@ def warped(f, ric_lower=0.0, name="warped"):
     bound for the Ricci curvature of the resulting warped product.
     """
     if isinstance(f, str):
-        f_expr = f
         f_fun = compile_expression(f)
-        params = {"f": f_expr}
     elif callable(f):
         f_fun = f
-        params = {}
     else:
         const = float(f)
         if const <= 0:
             raise InputError("warped fiber weight must be positive")
         f_fun = lambda points: np.full(np.asarray(points).shape[:-1], const)
-        params = {"f": const}
     return SubmersionChart(
         name=name,
         metric=_identity_metric,
@@ -270,7 +264,6 @@ def warped(f, ric_lower=0.0, name="warped"):
         delta=_zero_covector,
         ric_lower=float(ric_lower),
         flat_metric=True,
-        params=params,
     )
 
 
@@ -433,5 +426,4 @@ def chart_from_file(path):
     return SubmersionChart(
         name=name, metric=metric, f=fval, delta=delta,
         ric_lower=ric_lower, flat_metric=flat,
-        params={"file": str(path)},
     )

@@ -160,7 +160,7 @@ class GridDomain:
     inside_ij: np.ndarray      # (N, 2) lattice coords (ix, iy) of inside nodes
     node_index: np.ndarray     # (ny, nx) -> inside id or -1
     ghost_ij: np.ndarray       # (Ng, 2)
-    ghost_index: np.ndarray    # (ny, nx) -> ghost id or -1
+    ext_index: np.ndarray      # (ny, nx) -> inside id, N + ghost id, or -1
     points: np.ndarray         # (N, 2) coordinates of inside nodes
     ghost_points: np.ndarray   # (Ng, 2)
     neighbor_ext: np.ndarray   # (N, 4) extended id (inside id, or N + ghost id)
@@ -259,15 +259,14 @@ def build_grid(domain, h, chart):
 
     gy, gx = np.nonzero(cls == DIRICHLET_GHOST)
     ghost_ij = np.stack([gx, gy], axis=1)
-    ghost_index = -np.ones((ny, nx), dtype=int)
-    ghost_index[gy, gx] = np.arange(len(gx))
     ghost_points = P[gy, gx]
 
-    validate_chart_at(chart, np.vstack([points, ghost_points]) if len(gx) else points)
+    validate_chart_at(chart, np.vstack([points, ghost_points]))
 
     n_inside = len(ix)
-    ext = _ext_index(node_index, ghost_index, n_inside)
-    neighbor_ext = ext[iy[:, None] + STEP_Y, ix[:, None] + STEP_X]
+    ext_index = node_index.copy()
+    ext_index[gy, gx] = n_inside + np.arange(len(gx))
+    neighbor_ext = ext_index[iy[:, None] + STEP_Y, ix[:, None] + STEP_X]
     if np.any(neighbor_ext < 0):
         n = int(np.nonzero(neighbor_ext < 0)[0][0])
         raise StencilUnavailable(
@@ -301,7 +300,7 @@ def build_grid(domain, h, chart):
     return GridDomain(
         domain=domain, h=h, x_origin=x_origin, y_origin=y_origin, nx=nx, ny=ny,
         cls=cls, inside_ij=inside_ij, node_index=node_index,
-        ghost_ij=ghost_ij, ghost_index=ghost_index,
+        ghost_ij=ghost_ij, ext_index=ext_index,
         points=points, ghost_points=ghost_points, neighbor_ext=neighbor_ext,
         link_node=link_node, link_dir=link_dir, link_theta=link_theta,
         link_points=link_pts,
@@ -349,12 +348,6 @@ def _brentq_lanes(f, lanes, xa, xb, fb, out, xtol, rtol, maxiter=100):
             xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
             fcur = f(xcur, lanes)
     raise RuntimeError(f"brentq failed to converge after {maxiter} iterations")
-
-
-def _ext_index(node_index, ghost_index, n_inside):
-    """(ny, nx) lattice -> extended id: inside id, n_inside + ghost id, or -1."""
-    return np.where(node_index >= 0, node_index,
-                    np.where(ghost_index >= 0, n_inside + ghost_index, -1))
 
 
 def _lattice_at(index, ix, iy):
@@ -409,15 +402,14 @@ def _fast_sweep(domain, chart, points, node_index, inside_ij, h, link_pts, link_
     # crossings within 2h: a padded ball query, then the exact test and
     # the sigma length per (node, crossing) pair, the least per node
     frozen = np.zeros(n, dtype=bool)
-    if len(link_pts):
-        ks = np.unique(link_node)
-        near = cKDTree(link_pts).query_ball_point(points[ks], 2.0 * h * (1.0 + 1e-9))
-        rows = np.repeat(ks, [len(ids) for ids in near])
-        delta = link_pts[np.concatenate(near).astype(int)] - points[rows]
-        keep = np.hypot(delta[:, 0], delta[:, 1]) <= 2.0 * h
-        rows, dl = rows[keep], delta[keep]
-        np.minimum.at(d, rows, np.sqrt(np.einsum("kj,kjl,kl->k", dl, sig[rows], dl)))
-        frozen[ks] = True
+    ks = np.unique(link_node)
+    near = cKDTree(link_pts).query_ball_point(points[ks], 2.0 * h * (1.0 + 1e-9))
+    rows = np.repeat(ks, [len(ids) for ids in near])
+    delta = link_pts[np.concatenate(near).astype(int)] - points[rows]
+    keep = np.hypot(delta[:, 0], delta[:, 1]) <= 2.0 * h
+    rows, dl = rows[keep], delta[keep]
+    np.minimum.at(d, rows, np.sqrt(np.einsum("kj,kjl,kl->k", dl, sig[rows], dl)))
+    frozen[ks] = True
 
     ix, iy = inside_ij[:, 0], inside_ij[:, 1]
     nbr = node_index[iy[:, None] + STEP_Y, ix[:, None] + STEP_X]

@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import InputError, KGraphError, SingularJacobian
 from .geometry import _inverse_metric, _sqrt_det, kappa_vector_at
-from .grid import STEP_X, STEP_Y, _ext_index, _lattice_at, integrate
+from .grid import STEP_X, STEP_Y, _lattice_at, integrate
 
 THETA_FLOOR = 1e-6  # ghost extrapolation keeps theta away from zero
 THETA_ELIM = 0.05   # below this, a node is pinned to boundary interpolation:
@@ -133,10 +133,10 @@ class GraphOperator:
     def _find_eliminated(self):
         """Nodes hugging the boundary (min link theta < THETA_ELIM).
 
-        Their curvature equation is replaced by linear interpolation
-        along the closest link between the crossing value and the
-        opposite neighbor; second-order consistent and free of the
-        1/theta weights that otherwise set an fp noise floor.
+        Their curvature equation is replaced by interpolation along the
+        closest link between the crossing value and the nodes behind it;
+        second-order consistent and free of the 1/theta weights that
+        otherwise set an fp noise floor.
         """
         grid = self.grid
         N = grid.num_inside
@@ -154,80 +154,52 @@ class GraphOperator:
         n = self.elim_nodes
         k = self.elim_link[n]
         inward = _walk_inward(grid, n, grid.link_dir[k], 3)
-        count = np.sum(inward >= 0, axis=1)
-        # weights on the crossing value and on inward nodes 1, 2, 3
-        coefs = _weights_by_branch(grid.link_theta[k], (
-            (count == 0, lambda t: (1.0, 0.0, 0.0, 0.0)),
-            (count == 1, lambda t: (1.0 / (1 + t), t / (1 + t), 0.0, 0.0)),
-            (count == 2, lambda t: (2.0 / ((1 + t) * (2 + t)), 2.0 * t / (1 + t),
-                                    -t / (2 + t), 0.0)),
-            (count == 3, lambda t: (6.0 / ((1 + t) * (2 + t) * (3 + t)),
-                                    3.0 * t / (1 + t), -3.0 * t / (2 + t), t / (3 + t))),
-        ))
+        # weights at the node (0) on the crossing (theta) and inward nodes (-1, -2, -3)
+        used = inward >= 0
+        x = np.column_stack([grid.link_theta[k], np.broadcast_to([-1.0, -2.0, -3.0], used.shape)])
+        coefs = _lagrange_weights(x, np.column_stack([np.ones(len(n), dtype=bool), used]), 0.0)
         scale = 1.0 / grid.h ** 2
-        used = np.arange(3) < count[:, None]
         rows = np.concatenate([n, np.repeat(n, 3)[used.ravel()]])
         cols = np.concatenate([n, inward[used]])
         vals = np.concatenate([np.full(len(n), scale), -coefs[:, 1:][used] * scale])
-        L = max(grid.num_links, 1)
         self._elim_J = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
-        self._elim_phi = sp.csr_matrix((coefs[:, 0] * scale, (n, k)), shape=(N, L))
+        self._elim_phi = sp.csr_matrix((coefs[:, 0] * scale, (n, k)), shape=(N, grid.num_links))
         self._keep = np.ones(N)
         self._keep[self.elim_nodes] = 0.0
         self._elim_any = len(self.elim_nodes) > 0
 
     # -- assembly of constant sparse operators --------------------------
 
-    def _ext_id_map(self):
-        grid = self.grid
-        return _ext_index(grid.node_index, grid.ghost_index, grid.num_inside)
-
     def _build_extension(self):
         """Ghost rows: per link, the polynomial through the crossing, the
         node and up to two nodes behind it, evaluated at the ghost; a ghost
-        shared by several links takes the mean of their extrapolations."""
+        shared by several links takes the mean of their extrapolations.
+
+        A crossing nearly on the node (theta < THETA_ELIM) stands in for
+        it, which keeps the 1/theta weights out."""
         grid = self.grid
         N, Ng, L = grid.num_inside, grid.num_ghost, grid.num_links
         node, link = grid.link_node, np.arange(L)
         theta = np.maximum(grid.link_theta, THETA_FLOOR)
         g = grid.neighbor_ext[node, grid.link_dir] - N
-        behind = _walk_inward(grid, node, grid.link_dir, 2)
-        m, mm = behind[:, 0], behind[:, 1]
-        low = theta < THETA_ELIM
-        two, one, none = (m >= 0) & (mm >= 0), (m >= 0) & (mm < 0), m < 0
-        # weights on (mm, m, node) and on the crossing value, per link
-        w = _weights_by_branch(theta, (
-            # crossing nearly on the node: extrapolate past it without the
-            # 1/theta weights, treating the crossing as the sample
-            (low & two, lambda t: (2.0 * (1.0 - t) / (2.0 + t), -3.0 * (1.0 - t) / (1.0 + t),
-                                   0.0, 6.0 / ((2.0 + t) * (1.0 + t)))),
-            (low & one, lambda t: (0.0, -(1.0 - t) / (1.0 + t), 0.0, 2.0 / (1.0 + t))),
-            (low & none, lambda t: (0.0, 0.0, 0.0, 1.0)),
-            # cubic through (-2h, -h, 0, theta h), evaluated at +h
-            (~low & two, lambda t: (-(1.0 - t) / (2.0 + t), 3.0 * (1.0 - t) / (1.0 + t),
-                                    -3.0 * (1.0 - t) / t,
-                                    6.0 / ((2.0 + t) * (1.0 + t) * t))),
-            # quadratic through (-h, 0, theta h)
-            (~low & one, lambda t: (0.0, (1.0 - t) / (1.0 + t), -2.0 * (1.0 - t) / t,
-                                    2.0 / (t * (1.0 + t)))),
-            (~low & none, lambda t: (0.0, 0.0, 1.0 - 1.0 / t, 1.0 / t)),
-        ))
-        c, cp = w[:, :3], w[:, 3]
-        # which of (mm, m, node) each branch above writes
-        used = np.column_stack([two, m >= 0, ~low]).ravel()
-        cols = np.column_stack([mm, m, node]).ravel()[used]
-        ghosts = np.repeat(g, 3)[used]
+        m, mm = _walk_inward(grid, node, grid.link_dir, 2).T
+        # weights at +h on (mm, m, node) at (-2h, -h, 0) and on the crossing
+        x = np.column_stack([np.broadcast_to([-2.0, -1.0, 0.0], (L, 3)), theta])
+        used = np.column_stack([mm >= 0, m >= 0, theta >= THETA_ELIM, np.ones(L, dtype=bool)])
+        w = _lagrange_weights(x, used, 1.0)
+        on_node = used[:, :3].ravel()
+        cols = np.column_stack([mm, m, node]).ravel()[on_node]
+        ghosts = np.repeat(g, 3)[on_node]
         # sum per (ghost, node) in link order, then average over the
         # ghost's links
         keys, inv = np.unique(ghosts * N + cols, return_inverse=True)
-        sums = np.bincount(inv, weights=c.ravel()[used], minlength=len(keys))
+        sums = np.bincount(inv, weights=w[:, :3].ravel()[on_node], minlength=len(keys))
         counts = np.bincount(g, minlength=Ng).astype(float)
         rows = np.concatenate([np.arange(N), N + keys // N])
         cols = np.concatenate([np.arange(N), keys % N])
         vals = np.concatenate([np.ones(N), sums / counts[keys // N]])
         self.P = sp.csr_matrix((vals, (rows, cols)), shape=(N + Ng, N))
-        self.B = sp.csr_matrix((cp / counts[g], (N + g, link)), shape=(N + Ng, max(L, 1)))
-        self._L = L
+        self.B = sp.csr_matrix((w[:, 3] / counts[g], (N + g, link)), shape=(N + Ng, L))
 
     def _build_gradients(self):
         grid = self.grid
@@ -241,7 +213,7 @@ class GraphOperator:
     def _build_faces(self):
         grid = self.grid
         N, Ng, h = grid.num_inside, grid.num_ghost, grid.h
-        ext = self._ext_id_map()
+        ext = grid.ext_index
         index = grid.node_index
 
         # faces are the lattice edges touching an inside node; an x face
@@ -331,10 +303,7 @@ class GraphOperator:
 
     def extend(self, u, phi_vals):
         u = np.asarray(u, dtype=float)
-        out = self.P @ u
-        if self._L:
-            out += self.B @ np.asarray(phi_vals, dtype=float)
-        return out
+        return self.P @ u + self.B @ np.asarray(phi_vals, dtype=float)
 
     def _face_state(self, u_ext):
         """(hat_u^n, hat_u^t, W) per face, in its (normal, tangential) axes."""
@@ -641,13 +610,22 @@ def _relative_residual(A, x, rhs):
     return float(np.linalg.norm(A @ x - rhs) / denom)
 
 
-def _weights_by_branch(t, branches):
-    """(len(t), 4) weights; each (mask, formula) fills the rows of its mask
-    with formula(t[mask]), a tuple of four arrays or scalars."""
-    out = np.zeros((len(t), 4))
-    for sel, formula in branches:
-        ts = t[sel]
-        out[sel] = np.column_stack(np.broadcast_arrays(ts, *formula(ts))[1:])
+def _lagrange_weights(x, used, at):
+    """(n, k) weights at `at` of each row's polynomial through its samples.
+
+    Row i interpolates at the positions x[i] where used[i] holds.  Weight
+    j is the product of (at - x_m) over the row's other samples m, divided
+    by the product of (x_j - x_m), each taken in column order; a sample
+    not used weighs 0.
+    """
+    out = np.zeros(x.shape)
+    for j in range(x.shape[1]):
+        num = den = 1.0
+        for m in range(x.shape[1]):
+            if m != j:
+                num = num * np.where(used[:, m], at - x[:, m], 1.0)
+                den = den * np.where(used[:, m], x[:, j] - x[:, m], 1.0)
+        out[:, j] = np.where(used[:, j], num / den, 0.0)
     return out
 
 

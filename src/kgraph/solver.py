@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import (ContinuationStalled, DivergedIterates, SingularJacobian)
+from .errors import ContinuationStalled, DivergedIterates, KGraphError, SingularJacobian
 from .operator import LINEAR_TOL, _eval_data, _get_operator, _gmres, _relative_residual
 
 SCHEMA_VERSION = 1
@@ -122,7 +122,7 @@ def newton_solve(op, u0, phi_vals, H_vals, cfg, _lu_slot=None):
             u_try, trial = u + lam * s, {}
             try:
                 r_try = op.residual(u_try, phi_vals, H_vals, _state=trial)
-            except Exception:
+            except KGraphError:     # not finite at the trial
                 lam *= 0.5
                 continue
             rinf_try = float(np.max(np.abs(r_try)))
@@ -159,7 +159,7 @@ def minimal_initial_graph(spec, grid, cfg=None, _lu_slot=None):
     try:
         u, _, _ = newton_solve(op, zeros_nodes, np.zeros(grid.num_links), zeros_nodes,
                                cfg, _lu_slot=_lu_slot)
-    except _NewtonFailure as exc:
+    except (_NewtonFailure, SingularJacobian, DivergedIterates) as exc:
         raise ContinuationStalled(
             f"minimal graph solve failed: {exc}", sigma=0.0
         ) from None

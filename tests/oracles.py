@@ -65,7 +65,7 @@ def residual_nondivergence(op, u, phi_vals, H_vals, gamma_mode="full"):
     out = np.full(N, np.nan)
 
     h = grid.h
-    ext_id = op._ext_id_map()
+    ext_id = grid.ext_index
     gam = christoffels_at(op.chart, grid.points, h)
 
     # d_i tilt_k by central differences of the chart tilt

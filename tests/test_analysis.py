@@ -109,6 +109,13 @@ class TestRiccati:
             kg.riccati_evolution(euclid, kg.Disk((0.0, 0.0), 0.5),
                                  eps_max=0.499, deps=0.499 / 64, samples=32)
 
+    def test_envelope_blow_up_guard(self):
+        # dH/deps = H^2 + 100 from H = 1/2 reaches infinity near eps = 0.15
+        chart = kg.warped("1", ric_lower=200.0)
+        with pytest.raises(TubularWidthExceeded,
+                           match=r"^Riccati envelope blows up before eps = 0\.25$"):
+            kg.riccati_evolution(chart, kg.Disk((0.0, 0.0), 1.0), 0.5, 0.5 / 16)
+
 
 class TestHeightBarrier:
     def test_barrier_shape(self):
@@ -178,6 +185,26 @@ class TestGradientBarrier:
         cert2 = kg.boundary_gradient_certificate(case.spec, case.grid, case.u)
         assert cert2.extension == "linear_tilt"
         assert np.min(cert2.margin) >= -1e-9
+
+    def test_constant_extension_on_a_gauge_chart(self):
+        # delta = (x, y) is the gradient of r^2 / 2, so u = 0.125 - r^2 / 2
+        # has hat_u = 0 and solves H = 0 with zero data; -delta . eta = r
+        # on the circle, so the strict extension condition holds
+        chart = kg.SubmersionChart(
+            name="gauge", metric=lambda P: np.broadcast_to(np.eye(2), np.shape(P)[:-1] + (2, 2)),
+            f=lambda P: np.ones(np.shape(P)[:-1]), delta=lambda P: np.asarray(P, dtype=float),
+            flat_metric=True)
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, chart)
+        spec = kg.ProblemSpec(chart=chart, domain=grid.domain, H=0.0, phi=0.0)
+        u, report = kg.solve_dirichlet(spec, grid)
+        assert report.converged
+        assert np.abs(u - (0.125 - 0.5 * np.sum(grid.points ** 2, axis=1))).max() <= 1e-12
+        cert = kg.boundary_gradient_certificate(spec, grid, u)
+        assert cert.extension == "constant"
+        assert cert.condition_ok is True
+        rep = kg.verify(spec, grid, u)
+        assert rep.items["gradient_barrier"]["extension"] == "constant"
+        assert all(item["passed"] for item in rep.items.values())
 
     def test_explicit_params(self, cap_64):
         p = kg.BarrierParams(K=4.0, C=4.0, eps=0.12)

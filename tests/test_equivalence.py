@@ -545,7 +545,7 @@ def test_boundary_reference_reaches_the_fallback():
     make, h = BOUNDARY_CASES["aniso41_rect64"]
     chart, domain, _, _ = make()
     grid = kg.build_grid(domain, h, chart)
-    ext = _get_operator(chart, grid, 2)._ext_id_map()
+    ext = grid.ext_index
     bgeom = kg.boundary_geometry(chart, domain, samples=max(64, grid.num_links))
 
     def complete(id_map, depth):

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 import kgraph as kg
 import kgraph.operator as kop
 import kgraph.solver as ksolver
-from kgraph.errors import ContinuationStalled, SingularJacobian
+from kgraph.errors import ContinuationStalled, KGraphError, SingularJacobian
 from kgraph.operator import _Multigrid, _get_operator
 from kgraph.solver import newton_solve
 from conftest import cap_trace, curved_exp_H, curved_exp_u, saddle, smooth_random_field
@@ -130,6 +130,54 @@ class TestMinimalInitialGraph:
         monkeypatch.setattr(ksolver, "newton_solve", recording)
         kg.minimal_initial_graph(spec, grid)
         assert iters == [1]
+
+    def test_failed_start_is_a_sigma_zero_stall(self, euclid, monkeypatch):
+        # the continuation loop counts a singular Jacobian as a failed
+        # attempt; the minimal-graph start must too
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
+        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=0.0, phi=0.0)
+
+        def singular(*args, **kwargs):
+            raise SingularJacobian("singular on purpose")
+
+        monkeypatch.setattr(ksolver, "newton_solve", singular)
+        with pytest.raises(ContinuationStalled) as err:
+            kg.solve_dirichlet(spec, grid)
+        assert err.value.sigma == 0
+        assert err.value.report.stalled_at == 0.0
+
+
+class TestLineSearch:
+    @staticmethod
+    def _solve_with_failing_first_trial(euclid, monkeypatch, exc):
+        """newton_solve on the cap from u = 0, with op.residual raising `exc`
+        on its second call, the first trial; returns the residual history
+        and the iterates the residual was called at."""
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
+        op = _get_operator(euclid, grid, 2)
+        calls, residual = [], op.residual
+
+        def patched(u, *args, **kwargs):
+            calls.append(np.array(u))
+            if len(calls) == 2:
+                raise exc
+            return residual(u, *args, **kwargs)
+
+        monkeypatch.setattr(op, "residual", patched)
+        _, _, history = newton_solve(op, np.zeros(grid.num_inside), CAP(grid.link_points),
+                                     np.ones(grid.num_inside), kg.SolveConfig())
+        return history, calls
+
+    def test_failed_trial_halves_the_step(self, euclid, monkeypatch):
+        history, calls = self._solve_with_failing_first_trial(
+            euclid, monkeypatch, KGraphError("not finite"))
+        assert history[-1] <= kg.SolveConfig().newton_tol
+        # from u = 0, the second trial is the first one's step at half the length
+        assert np.array_equal(calls[2], 0.5 * calls[1])
+
+    def test_programming_error_propagates(self, euclid, monkeypatch):
+        with pytest.raises(TypeError, match="a bug"):
+            self._solve_with_failing_first_trial(euclid, monkeypatch, TypeError("a bug"))
 
 
 class TestContinuation:
