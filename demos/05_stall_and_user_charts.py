@@ -28,10 +28,11 @@ def main():
         print(f"H = 10 on the rho = 0.5 disk: stalled at sigma = "
               f"{stalled.sigma:.4f} (cap family exists up to sigma = "
               f"{1 / (0.5 * 10):.2f})")
+        hypo = stalled.report.hypothesis
         print(f"hypothesis verdict at stall: sup|H| = "
-              f"{stalled.hypothesis['sup_H']:.1f} vs inf H_cyl = "
-              f"{stalled.hypothesis['inf_Hcyl']:.2f} -> "
-              f"{'pass' if stalled.hypothesis['passed'] else 'fail'}")
+              f"{hypo['sup_H']:.1f} vs inf H_cyl = "
+              f"{hypo['inf_Hcyl']:.2f} -> "
+              f"{'pass' if hypo['passed'] else 'fail'}")
 
     # a user chart: constant anisotropic metric from a table file
     lines = ["name = stretched", "grid = 2 2 -1.0 -1.0 2.0 2.0"]
@@ -52,7 +53,7 @@ def main():
             fh.write("\n".join(lines) + "\n")
         table_chart = kg.chart_from_file(path)
         grid2 = kg.build_grid(kg.Rectangle(0, 0, 1, 1), 1.0 / 16, table_chart)
-        area = kg.integrate(grid2, np.ones(grid2.num_inside), table_chart)
+        area = kg.integrate(grid2, np.ones(grid2.num_inside))
         print(f"\ntable chart {table_chart.name!r}: sigma = diag(4,1), "
               f"unit square area = {area:.6f} (sqrt(det sigma) = 2)")
         spec2 = kg.ProblemSpec(chart=table_chart, domain=grid2.domain,

@@ -344,8 +344,8 @@ def boundary_gradient_samples(spec, grid, u, bgeom, _phi_vals=None):
     dphi_dt = (phi_p - phi_m) / (2.0 * bgeom.dt)
     tang_deriv = dphi_dt / bgeom.speed      # derivative along the sigma-unit tangent
 
-    op = _get_operator(spec.chart, grid, spec.n)
     phi_vals = spec.phi_links(grid) if _phi_vals is None else _phi_vals
+    op = _get_operator(grid, spec.n)
     u_ext = op.extend(np.asarray(u, dtype=float), phi_vals)
     grad = np.column_stack([op.Gx @ u_ext, op.Gy @ u_ext])
 
@@ -384,10 +384,10 @@ class HeightCertificate:
     crude_ok: bool
 
 
-def _sigma_diameter_bound(chart, grid):
-    if chart.flat_metric:
+def _sigma_diameter_bound(grid):
+    if grid.chart.flat_metric:
         return grid.domain.diameter_euclid()
-    _, lam = _eig_bounds_2x2(chart.metric_at(grid.points))
+    _, lam = _eig_bounds_2x2(grid.chart.metric_at(grid.points))
     return grid.domain.diameter_euclid() * float(np.sqrt(np.max(lam)))
 
 
@@ -410,7 +410,7 @@ def height_barrier_certificate(spec, grid, u, ladder=None, _phi_vals=None):
     phi_sup = float(np.max(phi_vals))
     phi_inf = float(np.min(phi_vals))
     d = grid.dist
-    A = 1.01 * _sigma_diameter_bound(spec.chart, grid)
+    A = 1.01 * _sigma_diameter_bound(grid)
     tol = 1e-12 * (1.0 + np.max(np.abs(u)))
     margin = None
     for C in (LADDER if ladder is None else ladder):
@@ -559,7 +559,6 @@ def flux_balance(spec, grid, u, bgeom=None, _samples=None, _H_vals=None):
     on bgeom) and `_H_vals` (`spec.H_nodes(grid)`) are for a caller that
     already has them.
     """
-    chart = spec.chart
     u = grid.check_field(np.asarray(u, dtype=float), "u")
     if bgeom is None:
         bgeom = _spec_boundary_geometry(spec, grid)
@@ -567,18 +566,17 @@ def flux_balance(spec, grid, u, bgeom=None, _samples=None, _H_vals=None):
     if _samples is None:
         _samples = boundary_gradient_samples(spec, grid, u, bgeom)
     _, norm_deriv, tang_deriv = _samples
-    f_b = chart.f_at(bgeom.points)
+    f_b = spec.chart.f_at(bgeom.points)
     t_unit = bgeom.tangents / bgeom.speed[:, None]
     uhat_eta = norm_deriv + np.einsum("si,si->s", bgeom.tilt, bgeom.eta)
     uhat_tan = tang_deriv + np.einsum("si,si->s", bgeom.tilt, t_unit)
     W_b = np.sqrt(f_b + uhat_eta ** 2 + uhat_tan ** 2)
     boundary = float(np.sum(-uhat_eta / (W_b * np.sqrt(f_b)) * bgeom.weights))
 
-    op = _get_operator(chart, grid, spec.n)
     H_vals = spec.H_nodes(grid) if _H_vals is None else _H_vals
     # n H <Y, N> = n H / W times the graph area element W / sqrt(f)
     # relative to sqrt(sigma) dx
-    bulk = integrate(grid, spec.n * H_vals / np.sqrt(op.node_f), chart)
+    bulk = integrate(grid, spec.n * H_vals / np.sqrt(_get_operator(grid, spec.n).node_f))
     return FluxResult(boundary=boundary, bulk=bulk)
 
 
@@ -611,7 +609,7 @@ def theta_field(spec, grid, u, require_pass=True, _state=None, _H_vals=None):
     if not _is_constant(H_vals):
         raise ValueError("theta minimum principle applies to constant H only")
     u = grid.check_field(np.asarray(u, dtype=float), "u")
-    op = _get_operator(spec.chart, grid, spec.n)
+    op = _get_operator(grid, spec.n)
     W = (op.state(u, spec.phi_links(grid)) if _state is None else _state)[-1]
     theta = 1.0 / W
     theta_scaled = op.node_f / W
@@ -664,9 +662,9 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
     """
     rep = VerifyReport()
     u = grid.check_field(np.asarray(u, dtype=float), "u")
-    op = _get_operator(spec.chart, grid, spec.n)
     H_vals = spec.H_nodes(grid)
     phi_vals = spec.phi_links(grid)
+    op = _get_operator(grid, spec.n)
 
     r = op.residual(u, phi_vals, H_vals)
     res_inf = float(np.max(np.abs(r)))

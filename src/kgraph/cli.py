@@ -24,8 +24,6 @@ from .operator import ProblemSpec
 
 @dataclasses.dataclass
 class RunConfig:
-    chart: object
-    domain: object
     h: float
     spec: ProblemSpec
     solve_config: solver.SolveConfig
@@ -111,12 +109,11 @@ def parse_config(path):
         if parser.has_option("solver", "newton_tol"):
             cfg.newton_tol = number("solver", "newton_tol", positive=True)
 
-    return RunConfig(chart=chart, domain=domain, h=h, spec=spec,
-                     solve_config=cfg, source=str(path))
+    return RunConfig(h=h, spec=spec, solve_config=cfg, source=str(path))
 
 
 def _build(run):
-    grid = build_grid(run.domain, run.h, run.chart)
+    grid = build_grid(run.spec.domain, run.h, run.spec.chart)
     # fail fast on non-finite problem data
     run.spec.H_nodes(grid)
     run.spec.phi_links(grid)
@@ -138,7 +135,7 @@ def cmd_solve(config_path, out_dir="."):
     except ContinuationStalled as exc:
         _write_json(os.path.join(out_dir, "report.json"), exc.report.to_json_dict())
         print(f"continuation stalled at sigma = {exc.sigma:.6g} "
-              f"(hypothesis slack {exc.hypothesis['slack_H']})")
+              f"(hypothesis slack {exc.report.hypothesis['slack_H']})")
         return 2
     write_field_csv(os.path.join(out_dir, "u.csv"), grid, u, name="u")
     _write_json(os.path.join(out_dir, "report.json"), report.to_json_dict())

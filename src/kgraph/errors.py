@@ -32,16 +32,15 @@ class DivergedIterates(KGraphError):
 class ContinuationStalled(KGraphError):
     """Continuation step size fell below the minimum before reaching sigma = 1.
 
-    Carries the last good sigma, a partial report, and the hypothesis
-    verdict.  Stalling past the sufficient solvability condition is
-    expected behavior, not a bug.
+    Carries the last good sigma and, from `solve_dirichlet`, a partial
+    report with the hypothesis verdict.  Stalling past the sufficient
+    solvability condition is expected behavior, not a bug.
     """
 
-    def __init__(self, message, sigma=0.0, report=None, hypothesis=None):
+    def __init__(self, message, sigma=0.0, report=None):
         super().__init__(message)
         self.sigma = sigma
         self.report = report
-        self.hypothesis = hypothesis
 
 
 class CertificateFailed(KGraphError):

@@ -65,7 +65,7 @@ def _compile(node):
         value = _CONSTS[name]
     elif isinstance(node, ast.Constant):
         value = node.value
-        if not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InputError(f"literal not allowed: {value!r}")
     else:
         raise InputError(f"syntax not allowed in expression: {type(node).__name__}")

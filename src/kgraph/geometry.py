@@ -216,6 +216,14 @@ def euclidean():
     )
 
 
+def _heisenberg_delta(points):
+    points = np.asarray(points, dtype=float)
+    out = np.empty(points.shape[:-1] + (2,))
+    out[..., 0] = 0.5 * points[..., 1]
+    out[..., 1] = -0.5 * points[..., 0]
+    return out
+
+
 def heisenberg():
     """Flat base, unit fiber, tilt delta = (y/2, -x/2): the Nil3 fibration.
 
@@ -223,19 +231,11 @@ def heisenberg():
     Ambient Ricci curvature is bounded below by -1/2 for this
     normalization (bundle curvature one half).
     """
-
-    def delta(points):
-        points = np.asarray(points, dtype=float)
-        out = np.empty(points.shape[:-1] + (2,))
-        out[..., 0] = 0.5 * points[..., 1]
-        out[..., 1] = -0.5 * points[..., 0]
-        return out
-
     return SubmersionChart(
         name="heisenberg",
         metric=_identity_metric,
         f=_one,
-        delta=delta,
+        delta=_heisenberg_delta,
         ric_lower=-0.5,
         flat_metric=True,
     )

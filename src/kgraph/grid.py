@@ -7,12 +7,13 @@ the fractional crossing theta in (0, 1] to the true boundary recorded
 per link; DIRICHLET_GHOST nodes are outside nodes touching an inside
 node along an axis (the slots where Dirichlet data enters stencils).
 
-The grid holds geometry only: lattice maps, crossings, the distance
-field and quadrature weights.  Derivatives of node fields are the
-operator's (`GraphOperator.Gx`/`Gy` over the ghost-extended field).
-The distance field to the boundary is analytic for flat metrics and
-fast-swept first-order (by anti-diagonals) for general sigma.  Grids
-are immutable after build.
+The grid holds geometry only: the chart it was built for, lattice
+maps, crossings, the sigma distance field and sigma-area quadrature
+weights.  Derivatives of node fields are the operator's
+(`GraphOperator.Gx`/`Gy` over the ghost-extended field).  The distance
+field to the boundary is analytic for flat metrics and fast-swept
+first-order (by anti-diagonals) for general sigma.  Grids are immutable
+after build.
 """
 
 import csv
@@ -151,6 +152,7 @@ class GridDomain:
     """
 
     domain: object
+    chart: object              # the chart whose sigma the distances and areas use
     h: float
     x_origin: float
     y_origin: float
@@ -169,14 +171,13 @@ class GridDomain:
     link_theta: np.ndarray     # (L,) fractional crossing distance in (0, 1]
     link_points: np.ndarray    # (L, 2) boundary crossing coordinates
     dist: np.ndarray           # (N,) sigma-distance to the boundary
-    cell_frac: np.ndarray      # (N,) inside area fraction of each node cell
-    ghost_frac: np.ndarray     # (Ng,) inside area fraction of ghost cells
-    sliver_points: np.ndarray  # (Ns, 2) corner cells touching the domain diagonally
-    sliver_frac: np.ndarray    # (Ns,)
+    covered: np.ndarray        # (C,) cells overlapping the domain, indexed over
+                               # the inside nodes, then ghosts, then slivers
+    cell_area: np.ndarray      # (C,) sigma area of each covered cell's inside part
     outer_mean: object         # (Ng + Ns, N) sparse: each ghost's mean over its
                                # inside axis neighbours, then each sliver's over
                                # its inside axis and diagonal neighbours
-    # GraphOperators built on this grid, keyed by (id(chart), n); freed with it
+    # GraphOperators built on this grid, keyed by n; freed with it
     operators: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -236,7 +237,8 @@ def _classify(domain, h):
 
 
 def build_grid(domain, h, chart):
-    """Build a classified grid for `domain` at spacing `h` under `chart`.
+    """Build a classified grid for `domain` at spacing `h` under `chart`,
+    which the grid keeps: its distances and cell areas are in its sigma.
 
     Boundary crossings are located by root-finding the domain's signed
     distance along grid axes, for all links at once, bit for bit as one
@@ -285,10 +287,16 @@ def build_grid(domain, h, chart):
     link_pts = base + t_cross[:, None] * step
 
     dist = _distance_field(domain, chart, points, node_index, inside_ij, h, link_pts, link_node)
-    cell_frac, ghost_frac, sliver_ij, sliver_frac = _cell_fractions(
-        domain, P, cls, inside_ij, ghost_ij, h)
 
-    cells = np.vstack([ghost_ij, sliver_ij])
+    # corner slivers: outside, non-ghost cells near the boundary, which the
+    # domain may touch diagonally; needed so node cells tile it exactly
+    sy, sx = np.nonzero(cls == OUTSIDE)
+    near = np.abs(domain.sdf(P[sy, sx])) < 0.7072 * h
+    cells = np.vstack([ghost_ij, np.stack([sx[near], sy[near]], axis=1)])
+    cell_pts = np.vstack([points, P[cells[:, 1], cells[:, 0]]])
+    frac = _cell_fractions(domain, cell_pts, h)
+    covered = np.nonzero(frac > 0.0)[0]
+    cell_area = _sqrt_det(chart.metric_at(cell_pts[covered])) * frac[covered] * h ** 2
     nbrs = np.stack([_lattice_at(node_index, cells[:, 0] + sx, cells[:, 1] + sy)
                      for sx, sy in DIR_STEPS + ((1, 1), (1, -1), (-1, 1), (-1, -1))], axis=1)
     nbrs[:len(ghost_ij), 4:] = -1
@@ -298,15 +306,13 @@ def build_grid(domain, h, chart):
                                shape=(len(cells), n_inside))
 
     return GridDomain(
-        domain=domain, h=h, x_origin=x_origin, y_origin=y_origin, nx=nx, ny=ny,
+        domain=domain, chart=chart, h=h, x_origin=x_origin, y_origin=y_origin, nx=nx, ny=ny,
         cls=cls, inside_ij=inside_ij, node_index=node_index,
         ghost_ij=ghost_ij, ext_index=ext_index,
         points=points, ghost_points=ghost_points, neighbor_ext=neighbor_ext,
         link_node=link_node, link_dir=link_dir, link_theta=link_theta,
         link_points=link_pts,
-        dist=dist, cell_frac=cell_frac, ghost_frac=ghost_frac,
-        sliver_points=P[sliver_ij[:, 1], sliver_ij[:, 0]], sliver_frac=sliver_frac,
-        outer_mean=outer_mean,
+        dist=dist, covered=covered, cell_area=cell_area, outer_mean=outer_mean,
     )
 
 
@@ -362,7 +368,7 @@ def _lattice_at(index, ix, iy):
 def _distance_field(domain, chart, points, node_index, inside_ij, h, link_pts, link_node):
     if chart.flat_metric:
         return -domain.sdf(points)
-    return _fast_sweep(domain, chart, points, node_index, inside_ij, h, link_pts, link_node)
+    return _fast_sweep(chart, points, node_index, inside_ij, h, link_pts, link_node)
 
 
 def distance_field(grid, chart):
@@ -382,7 +388,7 @@ def distance_field(grid, chart):
                            grid.link_node)
 
 
-def _fast_sweep(domain, chart, points, node_index, inside_ij, h, link_pts, link_node):
+def _fast_sweep(chart, points, node_index, inside_ij, h, link_pts, link_node):
     """Fast-sweeping eikonal distance (Zhao 2005), equal bit for bit to
     `tests/test_equivalence.row_major_sweep`.
 
@@ -493,44 +499,25 @@ def _upwind_candidates(d, ids, nb, coef, h):
     return cand, cand < d[ids] - 1e-14
 
 
-def _cell_fractions(domain, P, cls, inside_ij, ghost_ij, h):
-    offs = (np.arange(4) - 1.5) / 4.0 * h   # 4x4 midpoint subsample offsets
+def _cell_fractions(domain, pts, h):
+    """Inside area fraction of the lattice cells centred at `pts`: 0 or 1
+    away from the boundary, else from 4x4 midpoint subsamples."""
+    offs = (np.arange(4) - 1.5) / 4.0 * h
     ox, oy = np.meshgrid(offs, offs)
     sub = np.stack([ox.ravel(), oy.ravel()], axis=-1)   # (16, 2)
-
-    def frac_for(pts):
-        if len(pts) == 0:
-            return np.zeros(0)
-        centers = domain.sdf(pts)
-        out = np.empty(len(pts))
-        full_in = centers <= -0.7072 * h
-        full_out = centers >= 0.7072 * h
-        out[full_in] = 1.0
-        out[full_out] = 0.0
-        mid = ~(full_in | full_out)
-        if np.any(mid):
-            probe = pts[mid][:, None, :] + sub[None, :, :]
-            out[mid] = np.mean(domain.sdf(probe) < 0.0, axis=1)
-        return out
-
-    frac_inside = frac_for(P[inside_ij[:, 1], inside_ij[:, 0]])
-    frac_ghost = frac_for(P[ghost_ij[:, 1], ghost_ij[:, 0]])
-
-    # corner slivers: outside, non-ghost cells that still overlap the domain
-    # (diagonal contact only); needed so node cells tile the domain exactly
-    sy, sx = np.nonzero(cls == OUTSIDE)
-    near = np.abs(domain.sdf(P[sy, sx])) < 0.7072 * h
-    sy, sx = sy[near], sx[near]
-    frac = frac_for(P[sy, sx])
-    keep = frac > 0.0
-    return frac_inside, frac_ghost, np.stack([sx[keep], sy[keep]], axis=1), frac[keep]
+    centers = domain.sdf(pts)
+    frac = (centers <= -0.7072 * h).astype(float)
+    mid = np.abs(centers) < 0.7072 * h
+    frac[mid] = np.mean(domain.sdf(pts[mid][:, None, :] + sub) < 0.0, axis=1)
+    return frac
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 
-def integrate(grid, values, chart):
-    """Integral of a node field against the sigma area element.
+def integrate(grid, values):
+    """Integral of a node field against the sigma area element of the
+    grid's chart.
 
     Cells cut by the boundary are weighted by their inside area
     fraction (4x4 midpoint subsampling); boundary slivers under ghost
@@ -539,11 +526,7 @@ def integrate(grid, values, chart):
     """
     values = grid.check_field(values, "integrand")
     cell_values = np.concatenate([values, grid.outer_mean @ values])
-    frac = np.concatenate([grid.cell_frac, grid.ghost_frac, grid.sliver_frac])
-    pts = np.vstack([grid.points, grid.ghost_points, grid.sliver_points])
-    covered = frac > 0.0
-    area = _sqrt_det(chart.metric_at(pts[covered])) * frac[covered] * grid.h ** 2
-    return float(np.sum(cell_values[covered] * area))
+    return float(np.sum(cell_values[grid.covered] * grid.cell_area))
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,15 @@ class ProblemSpec:
             raise InputError("phi must be a number or a callable over boundary points, "
                              f"not {type(self.phi).__name__}")
 
+    def check_grid(self, grid):
+        """InputError unless `grid` was built for this spec's chart and domain."""
+        if self.chart != grid.chart or self.domain.describe() != grid.domain.describe():
+            raise InputError(f"problem on chart {self.chart.name!r} over "
+                             f"{self.domain.describe()} does not match its grid, built "
+                             f"on {grid.chart.name!r} over {grid.domain.describe()}")
+
     def H_nodes(self, grid):
+        self.check_grid(grid)
         vals = _eval_data(self.H, grid.points)
         grid.check_field(vals, "H")
         return vals
@@ -79,6 +87,7 @@ class ProblemSpec:
         return _eval_data(self.H, points)
 
     def phi_links(self, grid):
+        self.check_grid(grid)
         return self.phi_at(grid.link_points)
 
     def phi_at(self, points):
@@ -106,22 +115,21 @@ def _eval_data(data, points):
 
 
 class GraphOperator:
-    """Discrete operator bound to one (chart, grid) pair.
+    """Discrete operator of a grid, in the chart the grid was built for.
 
     Assembles the residual Q[u] - n H and its analytic sparse Jacobian
     from a fixed set of sparse incidence matrices, so repeated Newton
     calls only pay pointwise nonlinear work.
 
-    The grid owns its operators (`_get_operator` memoizes them there) and
-    `op.grid` is a weak proxy, so a dropped grid frees them at once.  An
-    operator lives as long as its grid: keep the grid, not only the op.
+    The grid owns its operators, one per n (`_get_operator` memoizes
+    them there), and `op.grid` is a weak proxy, so a dropped grid frees
+    them at once.  An operator lives as long as its grid: keep the grid.
     It keeps no matrix of a solve: the harmonic lift's Laplacian and each
     direct solve's multigrid hierarchy (`_solve`) live only as long as
     the caller holds them.
     """
 
-    def __init__(self, chart, grid, n=2):
-        self.chart = chart
+    def __init__(self, grid, n=2):
         self.grid = weakref.proxy(grid)
         self.n = n
         self._find_eliminated()
@@ -278,26 +286,27 @@ class GraphOperator:
         # face chart data in (n, t) axes, one row per component: sigma^{nn},
         # sigma^{nt}, sigma^{tt}, and the tilt's n and t components
         x_face = np.arange(Fx + Fy) < Fx        # x faces come first
-        face_sig = self.chart.metric_at(mid)
-        s = _inverse_metric(self.chart, face_sig)
+        chart = grid.chart
+        face_sig = chart.metric_at(mid)
+        s = _inverse_metric(chart, face_sig)
         s = np.stack([s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]])
         self.face_sig_nt = np.where(x_face, s, s[::-1])
         self.face_sqrt_det = _sqrt_det(face_sig)
-        self.face_f = self.chart.f_at(mid)
-        t = (np.sqrt(self.face_f)[:, None] * self.chart.delta_at(mid)).T
+        self.face_f = chart.f_at(mid)
+        t = (np.sqrt(self.face_f)[:, None] * chart.delta_at(mid)).T
         self.face_tilt = np.where(x_face, t, t[::-1])
 
     def _node_geometry(self):
-        grid = self.grid
+        grid, chart = self.grid, self.grid.chart
         pts = grid.points
-        self.node_sig = self.chart.metric_at(pts)
-        self.node_siginv = _inverse_metric(self.chart, self.node_sig)
-        self.node_f = self.chart.f_at(pts)
-        self.node_tilt = (np.sqrt(self.node_f)[:, None] * self.chart.delta_at(pts)).T.copy()
-        self.node_kappa = kappa_vector_at(self.chart, pts, grid.h)
+        sig = chart.metric_at(pts)
+        self.node_siginv = _inverse_metric(chart, sig)
+        self.node_f = chart.f_at(pts)
+        self.node_tilt = (np.sqrt(self.node_f)[:, None] * chart.delta_at(pts)).T.copy()
+        self.node_kappa = kappa_vector_at(chart, pts, grid.h)
         # False when f is constant: the lower-order term is then exactly 0
         self._kappa_any = bool(np.any(self.node_kappa))
-        self.node_sqrt_det = _sqrt_det(self.node_sig)
+        self.node_sqrt_det = _sqrt_det(sig)
 
     # -- pointwise states ------------------------------------------------
 
@@ -475,7 +484,7 @@ class GraphOperator:
         """
         W = self.state(u, phi_vals)[-1]
         field = W / np.sqrt(self.node_f) if fiber_weighted else W
-        return integrate(self.grid, field, self.chart)
+        return integrate(self.grid, field)
 
 
 class _Multigrid:
@@ -655,13 +664,11 @@ def _faces(lo, hi):
     return fx[order], fy[order]
 
 
-def _get_operator(chart, grid, n=2):
-    """The GraphOperator of (chart, grid, n), memoized on the grid."""
-    key = (id(chart), n)
-    op = grid.operators.get(key)
-    if op is None or op.chart is not chart:
-        op = GraphOperator(chart, grid, n=n)
-        grid.operators[key] = op
+def _get_operator(grid, n=2):
+    """The GraphOperator of (grid, n), memoized on the grid."""
+    op = grid.operators.get(n)
+    if op is None:
+        op = grid.operators[n] = GraphOperator(grid, n=n)
     return op
 
 
@@ -670,7 +677,8 @@ def _get_operator(chart, grid, n=2):
 
 def residual(spec, grid, u, H=None, phi=None):
     """Q[u] - n H over inside nodes for a problem spec."""
-    op = _get_operator(spec.chart, grid, spec.n)
+    spec.check_grid(grid)
+    op = _get_operator(grid, spec.n)
     H_vals = spec.H_nodes(grid) if H is None else _eval_data(H, grid.points)
     phi_vals = spec.phi_links(grid) if phi is None else _eval_data(phi, grid.link_points)
     return op.residual(np.asarray(u, dtype=float), phi_vals, H_vals)
@@ -678,7 +686,8 @@ def residual(spec, grid, u, H=None, phi=None):
 
 def jacobian(spec, grid, u, phi=None):
     """Analytic sparse Jacobian of the residual at u."""
-    op = _get_operator(spec.chart, grid, spec.n)
+    spec.check_grid(grid)
+    op = _get_operator(grid, spec.n)
     phi_vals = spec.phi_links(grid) if phi is None else _eval_data(phi, grid.link_points)
     return op.jacobian(np.asarray(u, dtype=float), phi_vals)
 
@@ -686,11 +695,11 @@ def jacobian(spec, grid, u, phi=None):
 def operator_state(spec, grid, u):
     """(hat_u_x, hat_u_y, hat_u^x, hat_u^y, W) at every inside node: the
     tilted gradient in both index positions and W."""
-    op = _get_operator(spec.chart, grid, spec.n)
+    op = _get_operator(grid, spec.n)
     return op.state(np.asarray(u, dtype=float), spec.phi_links(grid))
 
 
 def area_functional(spec, grid, u):
     """The graph functional integral of W against the sigma area element."""
-    op = _get_operator(spec.chart, grid, spec.n)
+    op = _get_operator(grid, spec.n)
     return op.functional(np.asarray(u, dtype=float), spec.phi_links(grid))

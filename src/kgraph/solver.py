@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .analysis import _spec_boundary_geometry, hypothesis_check
 from .errors import ContinuationStalled, DivergedIterates, KGraphError, SingularJacobian
 from .operator import LINEAR_TOL, _eval_data, _get_operator, _gmres, _relative_residual
 
@@ -154,7 +155,8 @@ def minimal_initial_graph(spec, grid, cfg=None, _lu_slot=None):
     `newton_solve`.
     """
     cfg = cfg or SolveConfig()
-    op = _get_operator(spec.chart, grid, spec.n)
+    spec.check_grid(grid)
+    op = _get_operator(grid, spec.n)
     zeros_nodes = np.zeros(grid.num_inside)
     try:
         u, _, _ = newton_solve(op, zeros_nodes, np.zeros(grid.num_links), zeros_nodes,
@@ -174,20 +176,20 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
     sigma = 1, and each failed attempt halves the step.  Returns (u,
     SolveReport).  Raises ContinuationStalled when the step falls below
     DSIGMA_MIN, or when the minimal graph fails (at sigma = 0); the
-    exception carries the partial report and the hypothesis verdict.
+    exception carries the partial report, whose hypothesis holds the
+    verdict.
     """
-    from .analysis import _spec_boundary_geometry, hypothesis_check
-
     cfg = cfg or SolveConfig()
-    op = _get_operator(spec.chart, grid, spec.n)
     H_target = spec.H_nodes(grid)
     phi_target = spec.phi_links(grid)
+    if u0 is not None:
+        u0 = grid.check_field(u0, "u0")
+    op = _get_operator(grid, spec.n)
 
-    bgeom = _spec_boundary_geometry(spec, grid)
-    hypo = hypothesis_check(spec, bgeom, grid=grid, _H_vals=H_target).as_dict()
-
+    verdict = hypothesis_check(spec, _spec_boundary_geometry(spec, grid), grid=grid,
+                               _H_vals=H_target)
     report = SolveReport(h=grid.h, geometry=spec.chart.name,
-                         domain=spec.domain.describe(), hypothesis=hypo)
+                         domain=spec.domain.describe(), hypothesis=verdict.as_dict())
 
     # one multigrid hierarchy, reused by every Newton step that can
     lu_slot = {"lu": None}
@@ -202,13 +204,13 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
             # boundary: its values there conflict with the Dirichlet data and
             # would push the ghost extrapolation into the saturated regime
             taper = np.clip(grid.dist / (3.0 * grid.h), 0.0, 1.0)
-            u = np.asarray(u0, dtype=float) * taper
+            u = u0 * taper
         else:
             try:
                 u = minimal_initial_graph(spec, grid, cfg, _lu_slot=lu_slot)
             except ContinuationStalled as exc:
                 report.stalled_at = exc.sigma
-                exc.report, exc.hypothesis = report, hypo
+                exc.report = report
                 raise
 
         sigma, dsigma = 0.0, 1.0
@@ -225,7 +227,7 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
                     report.stalled_at = float(sigma)
                     raise ContinuationStalled(
                         f"continuation stalled at sigma = {sigma:.6g}",
-                        sigma=sigma, report=report, hypothesis=hypo,
+                        sigma=sigma, report=report,
                     )
                 continue
             u, sigma = u_new, target
@@ -268,7 +270,7 @@ def comparison_check(spec, grid, u1, u2, phi1=None, phi2=None,
     violating node is returned as a witness.  phi1/phi2 default to the
     spec's boundary data for both fields.
     """
-    op = _get_operator(spec.chart, grid, spec.n)
+    op = _get_operator(grid, spec.n)
     p_default = spec.phi_links(grid)
     p1 = p_default if phi1 is None else _eval_data(phi1, grid.link_points)
     p2 = p_default if phi2 is None else _eval_data(phi2, grid.link_points)

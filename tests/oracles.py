@@ -66,10 +66,10 @@ def residual_nondivergence(op, u, phi_vals, H_vals, gamma_mode="full"):
 
     h = grid.h
     ext_id = grid.ext_index
-    gam = christoffels_at(op.chart, grid.points, h)
+    gam = christoffels_at(op.grid.chart, grid.points, h)
 
     # d_i tilt_k by central differences of the chart tilt
-    dt = _central_partials(lambda p: _tilt(op.chart, p), grid.points, h)
+    dt = _central_partials(lambda p: _tilt(op.grid.chart, p), grid.points, h)
 
     idx = np.nonzero(grid.interior_mask)[0]
     Hv = op.n * np.asarray(H_vals, dtype=float)

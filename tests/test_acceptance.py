@@ -133,7 +133,7 @@ class TestCriterion4Ellipticity:
 class TestCriterion5GammaInvariance:
     def test_gamma_term_drops(self, heis):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 1.0 / 16, heis)
-        op = _get_operator(heis, grid, 2)
+        op = _get_operator(grid, 2)
         rng = np.random.default_rng(102)
         worst = 0.0
         for _ in range(5):
@@ -158,7 +158,7 @@ class TestCriterion6Jacobian:
         worst = 0.0
         for chart in (euclid, heis, warp):
             grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, chart)
-            op = _get_operator(chart, grid, 2)
+            op = _get_operator(grid, 2)
             H0 = np.zeros(grid.num_inside)
             for _ in range(20):
                 u = smooth_random_field(grid.points, rng)

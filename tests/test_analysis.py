@@ -326,7 +326,7 @@ class TestVerify:
         # f |xi|^2 <= A xi xi fails once W is shrunk below its value at u
         spec, grid, u = cap_64.spec, cap_64.grid, cap_64.u
         assert kg.verify(spec, grid, u).items["ellipticity"]["passed"] is True
-        op = _get_operator(spec.chart, grid, spec.n)
+        op = _get_operator(grid, spec.n)
         state = op.state
 
         def shrunk(*args):
@@ -353,7 +353,7 @@ class TestVerify:
         # verify hands its one op.state to the flux and theta checks,
         # which give what they give when called on their own
         spec, grid, u = cap_64.spec, cap_64.grid, cap_64.u
-        op = _get_operator(spec.chart, grid, spec.n)
+        op = _get_operator(grid, spec.n)
         calls = []
         state = op.state
         monkeypatch.setattr(op, "state", lambda *a: calls.append(a) or state(*a))

@@ -82,7 +82,7 @@ class TestSolve:
         out = tmp_path / "out"
         assert main(["solve", cfg, "--out", str(out)]) == 0
         run = parse_config(cfg)
-        grid = kg.build_grid(run.domain, run.h, run.chart)
+        grid = kg.build_grid(run.spec.domain, run.h, run.spec.chart)
         u = kg.read_field_csv(out / "u.csv", grid)
         assert np.abs(u).max() < 1e-12
         report = json.loads((out / "report.json").read_text())
@@ -199,7 +199,7 @@ class TestVerify:
         assert (vout / "margin_gradient.csv").exists()
         # the height barrier is checked at every inside node, in grid order
         run = parse_config(cfg)
-        grid = kg.build_grid(run.domain, run.h, run.chart)
+        grid = kg.build_grid(run.spec.domain, run.h, run.spec.chart)
         rows = np.loadtxt(vout / "margin_height.csv", delimiter=",", skiprows=1, ndmin=2)
         assert rows.shape == (grid.num_inside, 3)
         assert np.array_equal(rows[:, :2], grid.points)
@@ -209,7 +209,7 @@ class TestVerify:
         out = tmp_path / "out"
         main(["solve", cfg, "--out", str(out)])
         run = parse_config(cfg)
-        grid = kg.build_grid(run.domain, run.h, run.chart)
+        grid = kg.build_grid(run.spec.domain, run.h, run.spec.chart)
         u = kg.read_field_csv(out / "u.csv", grid)
         u[int(np.argmax(grid.dist))] += 0.5
         kg.write_field_csv(out / "u.csv", grid, u, name="u")

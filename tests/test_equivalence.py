@@ -364,7 +364,7 @@ def operator_values(case):
     chart = factory()
     grid = kg.build_grid(domain, h, chart)
     spec = kg.ProblemSpec(chart=chart, domain=domain, H=H, phi=phi)
-    op = _get_operator(chart, grid, spec.n)
+    op = _get_operator(grid, spec.n)
     u, v = _fields(grid.points)
     phi_vals = spec.phi_links(grid)
     residual = op.residual(u, phi_vals, spec.H_nodes(grid))
@@ -460,7 +460,7 @@ def _oracle_setup(case, ref=None):
     factory, domain, h, phi = ORACLE_CASES[case]
     chart = factory()
     grid = kg.build_grid(domain, h, chart)
-    op = _get_operator(chart, grid, 2)
+    op = _get_operator(grid, 2)
     if ref is None:
         return grid, op, _fields(grid.points)[0], phi(grid.link_points)
     return grid, op, ref["u"], ref["phi"]
@@ -517,10 +517,10 @@ def gather_values(case, ref=None):
     u, v = _fields(grid.points) if ref is None else (ref["u"], ref["v"])
     bgeom = kg.boundary_geometry(chart, domain, samples=max(64, grid.num_links))
     grad_norm, normal, tangential = boundary_gradient_samples(spec, grid, u, bgeom)
-    Div = _get_operator(chart, grid, 2).Div
+    Div = _get_operator(grid, 2).Div
     return {"u": u, "v": v, "grad_norm": grad_norm, "normal": normal,
             "tangential": tangential,
-            "integrals": np.array([kg.integrate(grid, w, chart)
+            "integrals": np.array([kg.integrate(grid, w)
                                    for w in (u, v, np.ones(grid.num_inside))]),
             "bgeom_eta": bgeom.eta, "bgeom_eta_minus": bgeom.eta_minus,
             "bgeom_eta_plus": bgeom.eta_plus, "div_data": Div.data,

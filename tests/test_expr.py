@@ -17,6 +17,8 @@ POINTS = np.random.default_rng(3).uniform(-0.5, 0.5, size=(5, 4, 2))
     ("sin(x, y)", "expression functions take exactly one argument"),
     ("sin(x=1)", "expression functions take exactly one argument"),
     ("'a'", "literal not allowed: 'a'"),
+    ("True", "literal not allowed: True"),
+    ("False", "literal not allowed: False"),
     ("x if y else 1", "syntax not allowed in expression: IfExp"),
     ("[x]", "syntax not allowed in expression: List"),
     ("x.y", "syntax not allowed in expression: Attribute"),

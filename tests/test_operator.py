@@ -106,6 +106,30 @@ class TestProblemSpec:
         r = kg.residual(spec, grid, u, phi=CAP(grid.link_points))
         assert np.array_equal(r, kg.residual(spec, grid, u))
 
+    @pytest.mark.parametrize("builtin", [kg.euclidean, kg.heisenberg])
+    def test_builtin_chart_made_twice_matches_its_grid(self, builtin):
+        # built-in charts compare equal across calls, so spec and grid need
+        # not share one chart object
+        assert builtin() == builtin()
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, builtin())
+        spec = kg.ProblemSpec(chart=builtin(), domain=kg.Disk((0.0, 0.0), 0.5), H=1.0, phi=CAP)
+        assert np.all(np.isfinite(kg.residual(spec, grid, CAP(grid.points))))
+
+    @pytest.mark.parametrize("entry", ["residual", "solve_dirichlet", "minimal_initial_graph",
+                                       "verify", "height_barrier_certificate"])
+    @pytest.mark.parametrize("mismatch", ["chart", "domain"])
+    def test_spec_not_of_its_grid_is_an_input_error(self, euclid, curved, mismatch, entry):
+        # the grid's distances and cell areas are in its chart's sigma, over
+        # its domain: a spec with another chart or domain would use them
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
+        chart, domain = ((curved, grid.domain) if mismatch == "chart"
+                         else (euclid, kg.Disk((0.0, 0.0), 0.4)))
+        spec = kg.ProblemSpec(chart=chart, domain=domain, H=0.5, phi=0.0)
+        u = () if entry in ("solve_dirichlet", "minimal_initial_graph") else (
+            np.zeros(grid.num_inside),)
+        with pytest.raises(InputError, match="does not match its grid"):
+            getattr(kg, entry)(spec, grid, *u)
+
 
 class TestResidual:
     def test_constant_graph_euclid(self, euclid):
@@ -145,7 +169,7 @@ class TestResidual:
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 1.0 / 16, heis)
         rng = np.random.default_rng(5)
         u = smooth_random_field(grid.points, rng)
-        op = _get_operator(heis, grid, 2)
+        op = _get_operator(grid, 2)
         phi = smooth_random_field(grid.link_points.reshape(-1, 2), rng)
         H = np.zeros(grid.num_inside)
         r1 = op.residual(u, phi, H)
@@ -161,7 +185,7 @@ class TestResidual:
         sups = []
         for h in (1.0 / 16, 1.0 / 32):
             grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), h, heis)
-            op = _get_operator(heis, grid, 2)
+            op = _get_operator(grid, 2)
             u = field(grid.points)
             phi = field(grid.link_points)
             H0 = np.zeros(grid.num_inside)
@@ -173,7 +197,7 @@ class TestResidual:
 
     def test_gamma_invariance(self, heis):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 1.0 / 16, heis)
-        op = _get_operator(heis, grid, 2)
+        op = _get_operator(grid, 2)
         rng = np.random.default_rng(6)
         for _ in range(3):
             u = smooth_random_field(grid.points, rng)
@@ -256,7 +280,7 @@ class TestJacobian:
         # weights (~1/theta) amplify the curvature of the residual past
         # what fp64 forward differencing can certify
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 8, euclid)
-        op = _get_operator(euclid, grid, 2)
+        op = _get_operator(grid, 2)
         deep = grid.dist >= 3.5 * grid.h
         H0 = np.zeros(grid.num_inside)
         eps = 1e-7
@@ -274,7 +298,7 @@ class TestJacobian:
         rng = np.random.default_rng(19)
         for chart in (kg.euclidean(), heis, warp):
             grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, chart)
-            op = _get_operator(chart, grid, 2)
+            op = _get_operator(grid, 2)
             u = smooth_random_field(grid.points, rng)
             phi = smooth_random_field(grid.link_points, rng)
             v = smooth_random_field(grid.points, rng)
@@ -288,7 +312,7 @@ class TestJacobian:
 
     def test_colored_fd_matrix_oracle(self, heis):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.4), 1.0 / 16, heis)
-        op = _get_operator(heis, grid, 2)
+        op = _get_operator(grid, 2)
         rng = np.random.default_rng(10)
         u = smooth_random_field(grid.points, rng)
         phi = smooth_random_field(grid.link_points, rng)
@@ -302,7 +326,7 @@ class TestJacobian:
         # measured, and 2.7e-4 without the lower-order terms
         chart = kg.warped("1 + x^2 / 4")
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, chart)
-        op = _get_operator(chart, grid, 2)
+        op = _get_operator(grid, 2)
         assert op._kappa_any
         u, _ = _fields(grid.points)
         phi = CAP(grid.link_points)
@@ -317,7 +341,7 @@ class TestJacobian:
         # back in, every result is bitwise the same
         chart = request.getfixturevalue(chart_name)
         grid = kg.build_grid(kg.Disk((0.013, -0.02), 0.5), 1.0 / 40, chart)
-        op = _get_operator(chart, grid, 2)
+        op = _get_operator(grid, 2)
         assert not op._kappa_any
         u, v = _fields(grid.points)
         phi, H = CAP(grid.link_points), np.ones(grid.num_inside)
@@ -343,7 +367,7 @@ class TestJacobian:
         rng = np.random.default_rng(11)
         u = smooth_random_field(grid.points, rng)
         phi = smooth_random_field(grid.link_points, rng)
-        op = _get_operator(euclid, grid, 2)
+        op = _get_operator(grid, 2)
         J = op.jacobian(u, phi)
         ones = np.ones(grid.num_inside)
         Jv = J @ ones
@@ -367,7 +391,7 @@ class TestJacobianAction:
             factory, domain, h, _, phi = OPERATOR_CASES[case]
             chart = factory()
         grid = kg.build_grid(domain, h, chart)
-        op = _get_operator(chart, grid, 2)
+        op = _get_operator(grid, 2)
         assert op._kappa_any == (case == "warped32")
         u, v = _fields(grid.points)
         phi_vals = phi(grid.link_points)
@@ -381,13 +405,16 @@ class TestJacobianAction:
 class TestOperatorMemo:
     def test_same_object_per_chart_grid_n(self, euclid, heis):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
-        op = _get_operator(euclid, grid, 2)
-        assert _get_operator(euclid, grid, 2) is op
-        assert _get_operator(euclid, grid, 3) is not op
-        assert _get_operator(heis, grid, 2) is not op
+        op = _get_operator(grid, 2)
+        assert _get_operator(grid, 2) is op
+        assert _get_operator(grid, 3) is not op
+        # the grid's operators are its chart's: another chart is an input error
+        heis_spec = kg.ProblemSpec(chart=heis, domain=grid.domain, H=1.0, phi=CAP)
+        with pytest.raises(kg.InputError, match="does not match its grid"):
+            kg.residual(heis_spec, grid, np.zeros(grid.num_inside))
         other = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
-        assert _get_operator(euclid, other, 2) is not op
-        assert _get_operator(euclid, grid, 2) is op
+        assert _get_operator(other, 2) is not op
+        assert _get_operator(grid, 2) is op
 
     def test_operator_freed_with_grid(self, euclid):
         # no cycle: the grid owns the operator, which refers back weakly
@@ -396,7 +423,7 @@ class TestOperatorMemo:
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
         spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
         kg.residual(spec, grid, np.zeros(grid.num_inside))
-        ref = weakref.ref(_get_operator(euclid, grid, 2))
+        ref = weakref.ref(_get_operator(grid, 2))
         assert ref() is not None
         del grid
         assert ref() is None
@@ -420,16 +447,16 @@ class TestAreaFunctional:
         rng = np.random.default_rng(12)
         u = smooth_random_field(grid.points, rng)
         phi_vals = smooth_random_field(grid.link_points, rng)
-        op = _get_operator(warp, grid, 2)
+        op = _get_operator(grid, 2)
         val = op.functional(u, phi_vals)
-        floor = kg.integrate(grid, np.sqrt(warp.f_at(grid.points)), warp)
+        floor = kg.integrate(grid, np.sqrt(warp.f_at(grid.points)))
         assert val >= floor - 1e-12
 
     def test_variational_consistency_flat_fiber(self, heis):
         # discrete gradient of the functional tracks -(H=0 residual)
         # weighted by sqrt(sigma) h^2 when f is constant
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.6), 1.0 / 16, heis)
-        op = _get_operator(heis, grid, 2)
+        op = _get_operator(grid, 2)
         rng = np.random.default_rng(13)
         u = smooth_random_field(grid.points, rng)
         phi = smooth_random_field(grid.link_points, rng)
@@ -450,7 +477,7 @@ class TestAreaFunctional:
         # with varying f the fiber-weighted functional is the one whose
         # gradient matches the H = 0 residual
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.6), 1.0 / 16, warp)
-        op = _get_operator(warp, grid, 2)
+        op = _get_operator(grid, 2)
         rng = np.random.default_rng(14)
         u = smooth_random_field(grid.points, rng)
         phi = smooth_random_field(grid.link_points, rng)

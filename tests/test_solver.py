@@ -60,7 +60,7 @@ class TestCapReproduction:
     def test_final_newton_contraction(self, euclid):
         # undamped quadratic convergence near the solution
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 64, euclid)
-        op = _get_operator(euclid, grid, 2)
+        op = _get_operator(grid, 2)
         phi = CAP(grid.link_points)
         H = np.ones(grid.num_inside)
         cfg = kg.SolveConfig()
@@ -71,7 +71,7 @@ class TestCapReproduction:
 
     def test_accepted_steps_monotone(self, euclid):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
-        op = _get_operator(euclid, grid, 2)
+        op = _get_operator(grid, 2)
         phi = CAP(grid.link_points)
         H = np.ones(grid.num_inside)
         lift = op.laplace_lift(phi)
@@ -95,7 +95,7 @@ class TestMinimalInitialGraph:
         u = kg.minimal_initial_graph(spec, grid)
         assert np.abs(u).max() < 1e-12
         area = kg.area_functional(spec, grid, u)
-        sigma_area = kg.integrate(grid, np.ones(grid.num_inside), euclid)
+        sigma_area = kg.integrate(grid, np.ones(grid.num_inside))
         assert area == pytest.approx(sigma_area, abs=1e-12)
 
     def test_heisenberg_near_zero(self, heis):
@@ -107,7 +107,7 @@ class TestMinimalInitialGraph:
     def test_functional_descent(self, heis):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 1.0 / 32, heis)
         spec = kg.ProblemSpec(chart=heis, domain=grid.domain, H=0.0, phi=0.0)
-        op = _get_operator(heis, grid, 2)
+        op = _get_operator(grid, 2)
         u = kg.minimal_initial_graph(spec, grid)
         zeros = np.zeros(grid.num_links)
         final = op.functional(u, zeros, fiber_weighted=True)
@@ -154,7 +154,7 @@ class TestLineSearch:
         on its second call, the first trial; returns the residual history
         and the iterates the residual was called at."""
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
-        op = _get_operator(euclid, grid, 2)
+        op = _get_operator(grid, 2)
         calls, residual = [], op.residual
 
         def patched(u, *args, **kwargs):
@@ -219,8 +219,8 @@ class TestContinuation:
         with pytest.raises(ContinuationStalled) as err:
             kg.solve_dirichlet(spec, grid)
         assert 0.1 < err.value.sigma < 0.35
-        assert err.value.hypothesis["passed"] is False
         assert err.value.report is not None
+        assert err.value.report.hypothesis["passed"] is False
 
     def test_fd_jacobian_flag(self, euclid, monkeypatch):
         # the colored finite-difference Jacobian drives Newton to the
@@ -251,7 +251,7 @@ class TestContinuation:
 
     def test_diverged_iterates_guard(self, euclid, monkeypatch):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
-        op = _get_operator(euclid, grid, 2)
+        op = _get_operator(grid, 2)
         monkeypatch.setattr(ksolver, "DIVERGE_SUP", 0.5)
         u0 = np.ones(grid.num_inside)   # already beyond the guard
         with pytest.raises(kg.DivergedIterates):
@@ -270,6 +270,16 @@ class TestContinuation:
             sols.append(u)
         for a in sols[1:]:
             assert np.abs(a - sols[0]).max() <= 1e-8
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda n: np.zeros(n - 1), "u0 has 192 values, grid has 193 nodes"),
+        (lambda n: np.r_[np.nan, np.zeros(n - 1)], "u0 is not finite at node"),
+    ], ids=["short", "nan"])
+    def test_bad_start_is_an_input_error(self, euclid, bad, message):
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
+        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
+        with pytest.raises(kg.InputError, match=message):
+            kg.solve_dirichlet(spec, grid, u0=bad(grid.num_inside))
 
 
 def _wave(P):
@@ -293,7 +303,7 @@ def _at_lift(request, case):
     chart_name, radius, h, H, phi = LINEAR_CASES[case]
     chart = request.getfixturevalue(chart_name)
     grid = kg.build_grid(kg.Disk((0.0, 0.0), radius), h, chart)
-    op = _get_operator(chart, grid, 2)
+    op = _get_operator(grid, 2)
     phi_vals = phi(grid.link_points)
     lift = op.laplace_lift(phi_vals)
     J = op.jacobian(lift, phi_vals)
@@ -330,7 +340,7 @@ class TestLinearSolve:
         # matrix carries the Jacobian's constraint rows, and the lift,
         # which solves them, meets them to solve accuracy
         grid = kg.build_grid(kg.Disk(centre, 0.5), h, euclid)
-        op = _get_operator(euclid, grid, 2)
+        op = _get_operator(grid, 2)
         phi = CAP(grid.link_points)
         n = op.elim_nodes
         assert len(n) == eliminated
@@ -346,7 +356,7 @@ class TestLinearSolve:
         # GMRES stores the preconditioned vectors in float32, so it must
         # normalize the right-hand side first
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
-        op = _get_operator(euclid, grid, 2)
+        op = _get_operator(grid, 2)
         phi = CAP(grid.link_points)
         assert _rel(op.laplace_lift(scale * phi) / scale, op.laplace_lift(phi)) <= 1e-10
 
@@ -372,7 +382,7 @@ class TestLinearSolve:
     def test_linear_tol_is_read(self, euclid, monkeypatch):
         # healthy solves reach ~1e-14, so a 1e-20 bound must refuse them
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
-        op = _get_operator(euclid, grid, 2)
+        op = _get_operator(grid, 2)
         phi = CAP(grid.link_points)
         lift = op.laplace_lift(phi)
         for module in (kop, ksolver):
@@ -613,7 +623,7 @@ class TestMultigrid:
         per_node = {}
         for n in (128, 256):
             spec, grid = _cap(euclid, n)
-            op = _get_operator(euclid, grid, 2)
+            op = _get_operator(grid, 2)
             A, _ = op._laplace_system(spec.phi_links(grid))
             mg = _Multigrid(A, grid.inside_ij)
             stored = sum(M.nnz for M in mg.A[1:] + mg.P) + mg._lu.L.nnz + mg._lu.U.nnz
@@ -624,7 +634,7 @@ class TestMultigrid:
         # the V-cycle runs in float32; flexible GMRES applies the float64
         # matrix to what it returns, so the answer keeps direct accuracy
         spec, grid = _cap(euclid, 128)
-        op = _get_operator(euclid, grid, 2)
+        op = _get_operator(grid, 2)
         A, rhs = op._laplace_system(spec.phi_links(grid))
         slot = {"lu": None}
         x = op._solve(A, rhs, lu_slot=slot)
@@ -755,7 +765,7 @@ class TestComparison:
         # random nonnegative bumps vanishing at the boundary
         case = cap_64
         grid, spec = case.grid, case.spec
-        op = _get_operator(spec.chart, grid, spec.n)
+        op = _get_operator(grid, spec.n)
         rng = np.random.default_rng(23)
         d = grid.dist
         for _ in range(50):
