@@ -8,6 +8,7 @@ arrays of points.
 """
 
 import ast
+import functools
 
 import numpy as np
 
@@ -72,11 +73,13 @@ def _compile(node):
     return lambda env: value
 
 
+@functools.lru_cache(maxsize=None)
 def compile_expression(source):
     """Compile `source` into a callable of points with shape (..., 2).
 
     Returns a function P -> array of values broadcast over the leading
-    axes of P.  Raises InputError on disallowed syntax or names.
+    axes of P, one function per source, so charts built from one text
+    compare equal.  Raises InputError on disallowed syntax or names.
     """
     text = str(source).replace("^", "**")
     try:

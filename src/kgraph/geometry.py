@@ -244,23 +244,19 @@ def heisenberg():
 def warped(f, ric_lower=0.0, name="warped"):
     """Flat base, zero tilt, caller-supplied positive fiber weight f.
 
-    `f` may be a callable over points or an expression string in x, y, r.
+    `f` may be a callable over points, or an expression string in x, y, r
+    or a positive number, compiled once per text so such charts compare equal.
     ric_lower is the caller's responsibility: it must be a valid lower
     bound for the Ricci curvature of the resulting warped product.
     """
-    if isinstance(f, str):
-        f_fun = compile_expression(f)
-    elif callable(f):
-        f_fun = f
-    else:
-        const = float(f)
-        if const <= 0:
-            raise InputError("warped fiber weight must be positive")
-        f_fun = lambda points: np.full(np.asarray(points).shape[:-1], const)
+    if not (callable(f) or isinstance(f, str)):
+        if not 0.0 < float(f) < np.inf:
+            raise InputError("warped fiber weight must be positive and finite")
+        f = repr(float(f))
     return SubmersionChart(
         name=name,
         metric=_identity_metric,
-        f=f_fun,
+        f=f if callable(f) else compile_expression(f),
         delta=_zero_covector,
         ric_lower=float(ric_lower),
         flat_metric=True,

@@ -200,10 +200,9 @@ class GridDomain:
 
     def check_field(self, values, name="field"):
         values = np.asarray(values, dtype=float)
-        if values.shape[0] != self.num_inside:
-            raise InputError(
-                f"{name} has {values.shape[0]} values, grid has {self.num_inside} nodes"
-            )
+        if values.ndim == 0 or values.shape[0] != self.num_inside:
+            got = f"{values.shape[0]} values" if values.ndim else "one number"
+            raise InputError(f"{name} has {got}, grid has {self.num_inside} nodes")
         if not np.all(np.isfinite(values)):
             k = int(np.argmax(~np.isfinite(values.reshape(values.shape[0], -1)).all(axis=-1)))
             x, y = self.points[k]

@@ -40,11 +40,11 @@ THETA_ELIM = 0.05   # below this, a node is pinned to boundary interpolation:
                     # extrapolation weights ~ 1/theta would otherwise amplify
                     # fp noise past any reasonable Newton tolerance
 LINEAR_TOL = 1e-6   # relative residual of the first Newton step's solve and
-                    # the floor of every later forcing term; a direct solve
-                    # reaches ~1e-13 on a healthy matrix, so one left above
-                    # it flags a numerically singular matrix
-DIRECT_TOL = 1e-13  # relative residual a direct solve iterates to
-DIRECT_MAX = 60     # V-cycles a direct solve spends at most
+                    # the floor of every later forcing term; a solve left
+                    # above it and its own tolerance flags a singular matrix
+LIFT_TOL = 1e-13    # relative residual of the harmonic lift, which is heis-
+                    # saddle's answer: at LINEAR_TOL it takes 2 Newton steps
+DIRECT_MAX = 60     # V-cycles a solve on a fresh hierarchy spends at most
 COARSE_MAX = 2000   # unknowns of the coarsest multigrid level, factored by LU
 JACOBI_OMEGA = 0.85 # damping of the multigrid smoother
 JACOBI_SWEEPS = 3   # smoothing sweeps before and after each coarse correction
@@ -125,8 +125,8 @@ class GraphOperator:
     them there), and `op.grid` is a weak proxy, so a dropped grid frees
     them at once.  An operator lives as long as its grid: keep the grid.
     It keeps no matrix of a solve: the harmonic lift's Laplacian and each
-    direct solve's multigrid hierarchy (`_solve`) live only as long as
-    the caller holds them.
+    solve's multigrid hierarchy (`_solve`) live only as long as the
+    caller holds them.
     """
 
     def __init__(self, grid, n=2):
@@ -388,14 +388,19 @@ class GraphOperator:
         linearization is inherited from the pointwise inequality
         f |xi|^2 <= A xi xi <= W^2 |xi|^2.  `_state` is the residual's.
         """
-        face, low = self._linear_coefficients(u, phi_vals, _state)
-        J = self.Div @ (sp.diags(face[0]) @ self.Mn + sp.diags(face[1]) @ self.Mt)
+        return self._assemble(*self._linear_coefficients(u, phi_vals, _state))[0]
+
+    def _assemble(self, face, low=None):
+        """(A, K): K = Div (diag(face[0]) Mn + diag(face[1]) Mt), plus
+        diag(low[0]) Gx + diag(low[1]) Gy given `low`, over the extended
+        nodes; A = K P with the `_elim_J` rows at eliminated nodes."""
+        K = self.Div @ (sp.diags(face[0]) @ self.Mn + sp.diags(face[1]) @ self.Mt)
         if low is not None:
-            J = J + sp.diags(low[0]) @ self.Gx + sp.diags(low[1]) @ self.Gy
-        J = (J @ self.P).tocsr()
+            K = K + sp.diags(low[0]) @ self.Gx + sp.diags(low[1]) @ self.Gy
+        A = (K @ self.P).tocsr()
         if self._elim_any:
-            J = (sp.diags(self._keep) @ J + self._elim_J).tocsr()
-        return J
+            A = (sp.diags(self._keep) @ A + self._elim_J).tocsr()
+        return A, K
 
     def jacobian_action(self, u, phi_vals, _state=None):
         """`jacobian(u, phi_vals)` as a LinearOperator, never assembled.
@@ -421,15 +426,14 @@ class GraphOperator:
     def laplace_lift(self, phi_vals, _lu_slot=None):
         """Discrete harmonic extension of the boundary data.
 
-        Solves the metric Laplacian with the same ghost machinery, and
-        the Jacobian's constraint rows at eliminated nodes, to warm-start
+        Solves the metric Laplacian with the same ghost machinery, and the
+        Jacobian's rows at eliminated nodes, to LIFT_TOL, to warm-start
         Newton with boundary-compatible iterates: the saturating flux
         never sees the raw data jump.  Only the multigrid hierarchy built
         on the Laplacian outlives the lift, in the dict `_lu_slot` under
         "lu", for a caller that preconditions Newton steps with it.
         """
-        A, rhs = self._laplace_system(phi_vals)
-        return self._solve(A, rhs, lu_slot=_lu_slot)
+        return self._solve(*self._laplace_system(phi_vals), LIFT_TOL, lu_slot=_lu_slot)
 
     def _laplace_system(self, phi_vals):
         """(A, rhs) of the harmonic lift: A x = rhs over the inside nodes.
@@ -439,35 +443,31 @@ class GraphOperator:
         phi_vals`, exactly as in `residual` and `jacobian`.
         """
         phi_vals = np.asarray(phi_vals, dtype=float)
-        snn, snt, _ = self.face_sig_nt
-        T = self.Div @ (sp.diags(self.face_sqrt_det * snn) @ self.Mn
-                        + sp.diags(self.face_sqrt_det * snt) @ self.Mt)
-        A, rhs = T @ self.P, -(T @ (self.B @ phi_vals))
+        A, T = self._assemble(self.face_sqrt_det * self.face_sig_nt[:2])
+        rhs = -(T @ (self.B @ phi_vals))
         if self._elim_any:
-            A = sp.diags(self._keep) @ A + self._elim_J
             rhs = self._keep * rhs + self._elim_phi @ phi_vals
-        return A.tocsr(), rhs
+        return A, rhs
 
-    def _solve(self, A, rhs, lu_slot=None):
-        """x with A x = rhs for an (N, N) sparse A over the inside nodes.
+    def _solve(self, A, rhs, tol, lu_slot=None):
+        """x with |A x - rhs| <= tol |rhs|, A sparse over the inside nodes.
 
         Flexible GMRES (`_gmres`) preconditioned by one V-cycle of a
-        multigrid hierarchy built on A (`_Multigrid`), iterated to a
-        relative residual of DIRECT_TOL, so x has the accuracy of a
-        direct solve.  Raises SingularJacobian when A has a zero
+        multigrid hierarchy built on A (`_Multigrid`), for at most
+        DIRECT_MAX cycles.  Raises SingularJacobian when A has a zero
         diagonal or its coarsest level cannot be factored, or when x is
-        not finite or leaves a relative residual above LINEAR_TOL.
-        `lu_slot`, a dict, receives the hierarchy under "lu".
+        not finite or leaves a relative residual above max(tol,
+        LINEAR_TOL).  `lu_slot`, a dict, receives the hierarchy under "lu".
         """
         rhs = np.asarray(rhs, dtype=float)
         mg = _Multigrid(A, self.grid.inside_ij)
         if lu_slot is not None:
             lu_slot["lu"] = mg
-        x = _gmres(A, mg.solve, rhs, DIRECT_TOL, DIRECT_MAX)
+        x = _gmres(A, mg.solve, rhs, tol, DIRECT_MAX)
         if x is None or not np.all(np.isfinite(x)):
             raise SingularJacobian("linear solve returned non-finite values")
         rel = _relative_residual(A, x, rhs)
-        if rel > LINEAR_TOL:
+        if rel > max(tol, LINEAR_TOL):
             raise SingularJacobian(f"linear solve relative residual {rel:.2e}")
         return x
 

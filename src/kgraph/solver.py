@@ -73,7 +73,7 @@ def _newton_step(op, u, phi_vals, r, state, lu_slot, eta):
     matrix-free J, and the step is accepted only on its true residual.
     When KRYLOV_MAX cycles miss eta, or the true residual does, the
     assembled J gets a hierarchy of its own, which replaces the old one,
-    and a direct solve on it (`GraphOperator._solve`), to DIRECT_TOL.
+    and is solved on it to the same eta (`GraphOperator._solve`).
     """
     rhs = -r
     mg = lu_slot["lu"]
@@ -84,7 +84,7 @@ def _newton_step(op, u, phi_vals, r, state, lu_slot, eta):
             return s
     # drop the old hierarchy before the new one is built: one at a time
     lu_slot["lu"] = mg = None
-    return op._solve(op.jacobian(u, phi_vals, _state=state), rhs, lu_slot=lu_slot)
+    return op._solve(op.jacobian(u, phi_vals, _state=state), rhs, eta, lu_slot=lu_slot)
 
 
 def newton_solve(op, u0, phi_vals, H_vals, cfg, _lu_slot=None):

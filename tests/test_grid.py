@@ -292,6 +292,19 @@ class TestIntegrate:
         val = kg.integrate(grid, np.ones(grid.num_inside))
         assert abs(val - 2.0) < 1e-10
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda grid, spec: grid.check_field(5.0, "u0"), "u0"),
+        (lambda grid, spec: kg.solve_dirichlet(spec, grid, u0=5.0), "u0"),
+        (lambda grid, spec: kg.integrate(grid, 1.0), "integrand"),
+    ], ids=["check_field", "solve_dirichlet", "integrate"])
+    def test_scalar_field_is_an_input_error(self, euclid, call, name):
+        # a number where a node field belongs names the field, not a
+        # raw IndexError from its missing first axis
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
+        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=0.0)
+        with pytest.raises(InputError, match=f"^{name} has one number, grid has 193 nodes$"):
+            call(grid, spec)
+
 
 class TestFieldIO:
     def test_round_trip_exact(self, euclid, tmp_path):

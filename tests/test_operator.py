@@ -115,6 +115,17 @@ class TestProblemSpec:
         spec = kg.ProblemSpec(chart=builtin(), domain=kg.Disk((0.0, 0.0), 0.5), H=1.0, phi=CAP)
         assert np.all(np.isfinite(kg.residual(spec, grid, CAP(grid.points))))
 
+    @pytest.mark.parametrize("f", ["1 + x^2", 2.0], ids=["expression", "constant"])
+    def test_warped_chart_made_twice_matches_its_grid(self, f):
+        # one text compiles to one callable, so two warped charts built
+        # from it compare equal and a spec on one solves on the other's grid
+        assert kg.warped(f) == kg.warped(f)
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, kg.warped(f))
+        spec = kg.ProblemSpec(chart=kg.warped(f), domain=kg.Disk((0.0, 0.0), 0.5),
+                              H=0.5, phi=CAP)
+        _, report = kg.solve_dirichlet(spec, grid)
+        assert report.converged
+
     @pytest.mark.parametrize("entry", ["residual", "solve_dirichlet", "minimal_initial_graph",
                                        "verify", "height_barrier_certificate"])
     @pytest.mark.parametrize("mismatch", ["chart", "domain"])
