@@ -11,6 +11,7 @@ pointwise margin checks, not proofs: a passing certificate stores a
 nonnegative margin field.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -19,8 +20,8 @@ from scipy.spatial import cKDTree
 
 from .errors import (CertificateFailed, MinPrincipleViolated,
                      TubularWidthExceeded)
-from .geometry import (_eig_bounds_2x2, _tilt, christoffels_at, inverse_metric_at,
-                       kappa_vector_at)
+from .geometry import (_eig_bounds_2x2, _inverse_metric, _tilt, christoffels_at,
+                       inverse_metric_at, kappa_vector_at)
 from .grid import Rectangle, integrate
 from .operator import _get_operator, _is_constant
 
@@ -48,8 +49,13 @@ class BoundaryGeometry:
     H_cyl: np.ndarray        # (S,)
     speed: np.ndarray        # (S,) sigma length of the tangents
     weights: np.ndarray      # (S,) sigma arclength weights
-    tilt: np.ndarray         # (S, 2) the section tilt f^{1/2} delta
+    chart: object            # the chart sampled, for the tilt
     n: int = 2
+
+    @functools.cached_property
+    def tilt(self):
+        """(S, 2) the section tilt f^{1/2} delta, computed on first read."""
+        return _tilt(self.chart, self.points)
 
     @property
     def inf_H_cyl(self):
@@ -119,8 +125,9 @@ def boundary_geometry(chart, domain, samples=64, n=2):
 
     The parametrization is differenced with a small parameter step;
     samples avoid rectangle corners.  Arclength weights are sigma
-    lengths of the parameter cells.  The sigma speed of the tangents and
-    the section tilt are kept for the certificates that read them.
+    lengths of the parameter cells.  The sigma speed of the tangents is
+    kept, and the section tilt computed on first read, for the
+    certificates that read them.
     """
     if samples < 16:
         raise ValueError("need at least 16 boundary samples")
@@ -148,15 +155,21 @@ def boundary_geometry(chart, domain, samples=64, n=2):
         params=ts, points=p0, points_minus=pm, points_plus=pp,
         dt=dt, tangents=cp, eta=eta, eta_minus=eta_m, eta_plus=eta_p,
         H_gamma=H_gamma, kappa=kap, H_cyl=H_cyl, speed=speed, weights=speed * dts,
-        tilt=_tilt(chart, p0), n=n,
+        chart=chart, n=n,
     )
 
 
 def _spec_boundary_geometry(spec, grid):
-    """`boundary_geometry` of a problem on a grid: its chart, domain and
-    dimension n, with at least one sample per boundary link."""
-    return boundary_geometry(spec.chart, spec.domain,
-                             samples=max(64, grid.num_links), n=spec.n)
+    """`boundary_geometry` of a problem on its grid: the grid's chart and
+    domain, the problem's dimension n, and at least one sample per
+    boundary link.  Computed once per n and kept on the grid, so it is
+    freed with it."""
+    spec.check_grid(grid)
+    bgeom = grid.boundaries.get(spec.n)
+    if bgeom is None:
+        bgeom = grid.boundaries[spec.n] = boundary_geometry(
+            grid.chart, grid.domain, samples=max(64, grid.num_links), n=spec.n)
+    return bgeom
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +237,12 @@ class RiccatiCurve:
 
 
 def _rk4(f, y, dt):
-    """One classical Runge-Kutta step of y' = f(y) for a tuple of arrays."""
-    def shift(k, c):
-        return tuple(yi + c * ki for yi, ki in zip(y, k))
-
+    """One classical Runge-Kutta step of y' = f(y)."""
     k1 = f(y)
-    k2 = f(shift(k1, 0.5 * dt))
-    k3 = f(shift(k2, 0.5 * dt))
-    k4 = f(shift(k3, dt))
-    return tuple(yi + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def riccati_evolution(chart, domain, eps_max, deps, samples=64, n=2):
@@ -244,9 +253,12 @@ def riccati_evolution(chart, domain, eps_max, deps, samples=64, n=2):
     flowed parameter triplet.  Envelope: the scalar Riccati bound
     dH/deps = H^2 + chart.ric_lower / n integrated from the boundary value,
     which must stay below the direct curve when the hypotheses hold.
+    Each RK4 stage of the geodesics evaluates the metric once, on the
+    centre and the +-GEOM_H_FD stencil stacked; the level-set curvature
+    of every depth is taken in one pass after the flow.
     """
-    if eps_max <= 0 or deps <= 0:
-        raise ValueError("eps_max and deps must be positive")
+    if not (0 < eps_max < np.inf and 0 < deps < np.inf):
+        raise ValueError("eps_max and deps must be positive and finite")
     ric = chart.ric_lower
     bg = boundary_geometry(chart, domain, samples=samples, n=n)
     nsteps = max(1, int(round(eps_max / deps)))
@@ -254,35 +266,42 @@ def riccati_evolution(chart, domain, eps_max, deps, samples=64, n=2):
 
     S = len(bg.points)
     width0 = np.linalg.norm(bg.points_plus - bg.points_minus, axis=1)
+    stencil = GEOM_H_FD * np.array([[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1]])[:, None, :]
 
-    def flow(y):
-        # the normal geodesics (straight lines on flat charts) and the
-        # scalar comparison ODE, stepped together
-        p, v, H = y
+    def geodesic(y):
+        # d/deps (p, v) = (v, -Gamma^k_ij v^i v^j): straight lines on flat charts
+        p, v = y
         if chart.flat_metric:
-            acc = np.zeros_like(v)
-        else:
-            acc = -np.einsum("...kij,...i,...j->...k", christoffels_at(chart, p, GEOM_H_FD), v, v)
-        return v, acc, H * H + ric / n
+            return np.stack([v, np.zeros_like(v)])
+        sig = chart.metric_at(p + stencil)
+        inv = _inverse_metric(chart, sig[0])
+        dsig = (sig[1:3] - sig[3:]) / (2.0 * GEOM_H_FD)     # [a] = d_a sigma
+        v0, v1 = v[:, 0, None], v[:, 1, None]
+        dv = dsig[..., 0] * v0 + dsig[..., 1] * v1          # [a, m, l] = d_a sigma_lj v^j
+        # Gamma^k_ij v^i v^j = sigma^kl (v^a d_a sigma_lj v^j - v^i d_l sigma_ij v^j / 2)
+        w = v0 * dv[0] + v1 * dv[1] - 0.5 * (dv * v).sum(axis=-1).T
+        return np.stack([v, -(inv[..., 0] * w[:, 0, None] + inv[..., 1] * w[:, 1, None])])
 
-    y = (np.concatenate([bg.points_minus, bg.points, bg.points_plus]),
-         np.concatenate([bg.eta_minus, bg.eta, bg.eta_plus]), bg.H_cyl)
-    H_direct = np.empty((S, nsteps + 1))
-    H_env = np.empty_like(H_direct)
+    y = np.stack([np.concatenate([bg.points_minus, bg.points, bg.points_plus]),
+                  np.concatenate([bg.eta_minus, bg.eta, bg.eta_plus])])
+    flowed = np.empty((nsteps + 1,) + y.shape)
+    H_env = np.empty((S, nsteps + 1))
+    H_env[:, 0] = bg.H_cyl
     for k in range(nsteps + 1):
         if k:
             with np.errstate(over="ignore"):    # the envelope's blow-up, checked below
-                y = _rk4(flow, y, eps_max / nsteps)
-        p, v, H_env[:, k] = y
-        pm, p0, pp = p[:S], p[S:2 * S], p[2 * S:]
-        if np.any(np.linalg.norm(pp - pm, axis=1) < 0.05 * width0):
+                y = _rk4(geodesic, y, eps_max / nsteps)
+                H_env[:, k] = _rk4(lambda H: H * H + ric / n, H_env[:, k - 1], eps_max / nsteps)
+        flowed[k] = y
+        if np.any(np.linalg.norm(y[0, 2 * S:] - y[0, :S], axis=1) < 0.05 * width0):
             raise TubularWidthExceeded(f"normal geodesics focus before eps = {eps[k]:.4g}")
         if not np.all(np.isfinite(H_env[:, k])):
             raise TubularWidthExceeded(f"Riccati envelope blows up before eps = {eps[k]:.4g}")
-        eta_eps = _sigma_normalize(chart, p0, v[S:2 * S])
-        H_direct[:, k] = _curve_H_cyl(chart, pm, p0, pp, bg.dt, eta_eps, n=n)[0]
 
-    return RiccatiCurve(eps=eps, H_direct=H_direct, H_envelope=H_env)
+    p, v = flowed[:, 0], flowed[:, 1]
+    eta_eps = _sigma_normalize(chart, p[:, S:2 * S], v[:, S:2 * S])
+    H_direct = _curve_H_cyl(chart, p[:, :S], p[:, S:2 * S], p[:, 2 * S:], bg.dt, eta_eps, n=n)[0]
+    return RiccatiCurve(eps=eps, H_direct=H_direct.T, H_envelope=H_env)
 
 
 # ---------------------------------------------------------------------------

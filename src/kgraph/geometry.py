@@ -104,10 +104,14 @@ def _inverse_metric(chart, sig):
 
 def _central_partials(F, x, h_fd):
     """d_a F(x) for a = 0, 1 by central differences with step h_fd.  The
-    index a follows x's point axes: shape x.shape[:-1] + (2,) + F's."""
+    index a follows x's point axes: shape x.shape[:-1] + (2,) + F's.
+    F is called once, on the four stencil points stacked."""
+    if h_fd <= 0:
+        raise ValueError("h_fd must be positive")
     x = np.asarray(x, dtype=float)
-    return np.stack([(F(x + step) - F(x - step)) / (2.0 * h_fd) for step in h_fd * np.eye(2)],
-                    axis=x.ndim - 1)
+    steps = h_fd * np.eye(2)
+    vals = F(np.stack([x + steps[0], x + steps[1], x - steps[0], x - steps[1]]))
+    return np.stack([(vals[a] - vals[a + 2]) / (2.0 * h_fd) for a in range(2)], axis=x.ndim - 1)
 
 
 def _tilt(chart, x):
@@ -121,10 +125,8 @@ def christoffels_at(chart, x, h_fd):
     Partials are taken by central differences with step h_fd; exactly
     symmetric in (i, j) by construction.
     """
-    if h_fd <= 0:
-        raise ValueError("h_fd must be positive")
-    inv = inverse_metric_at(chart, x)
     dsig = _central_partials(chart.metric_at, x, h_fd)  # [a, i, j] = d_a sigma_ij
+    inv = inverse_metric_at(chart, x)
     # bracket[l,i,j] = d_i sigma_jl + d_j sigma_il - d_l sigma_ij
     bracket = (np.einsum("...ijl->...lij", dsig)
                + np.einsum("...jil->...lij", dsig)
@@ -134,8 +136,6 @@ def christoffels_at(chart, x, h_fd):
 
 def kappa_vector_at(chart, x, h_fd):
     """Covector kappa_i = d_i f / (2 f): the horizontal part of the fiber acceleration."""
-    if h_fd <= 0:
-        raise ValueError("h_fd must be positive")
     return _central_partials(chart.f_at, x, h_fd) / (2.0 * chart.f_at(x)[..., None])
 
 
@@ -145,8 +145,6 @@ def gamma_at(chart, x, h_fd):
     Returned matrix satisfies gamma + gamma^T = 0 exactly in floating
     point.  Vanishes for integrable (zero tilt) charts.
     """
-    if h_fd <= 0:
-        raise ValueError("h_fd must be positive")
     # D[a, b] = d_a (f^{1/2} delta_b)
     D = _central_partials(lambda p: _tilt(chart, p), x, h_fd)
     # gamma[k, j] = D[j, k] - D[k, j]
@@ -166,42 +164,30 @@ def validate_chart_at(chart, points):
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     sig = chart.metric_at(points)
     lo, _ = _eig_bounds_2x2(sig)
-    fvals = chart.f_at(points)
-    bad_sig = lo <= EIG_FLOOR
-    bad_f = fvals <= EIG_FLOOR
-    if np.any(bad_sig):
-        k = int(np.argmax(bad_sig))
-        raise NonPositiveDefinite(
-            f"chart {chart.name!r}: metric eigenvalue {lo[k]:.3e} <= {EIG_FLOOR} "
-            f"at grid node ({points[k, 0]:.6g}, {points[k, 1]:.6g})"
-        )
-    if np.any(bad_f):
-        k = int(np.argmax(bad_f))
-        raise NonPositiveDefinite(
-            f"chart {chart.name!r}: f = {fvals[k]:.3e} <= {EIG_FLOOR} "
-            f"at grid node ({points[k, 0]:.6g}, {points[k, 1]:.6g})"
-        )
+    for label, vals in (("metric eigenvalue", lo), ("f =", chart.f_at(points))):
+        if np.any(vals <= EIG_FLOOR):
+            k = int(np.argmax(vals <= EIG_FLOOR))
+            raise NonPositiveDefinite(
+                f"chart {chart.name!r}: {label} {vals[k]:.3e} <= {EIG_FLOOR} "
+                f"at grid node ({points[k, 0]:.6g}, {points[k, 1]:.6g})")
 
 
 # ---------------------------------------------------------------------------
 # built-in geometries
 
 def _identity_metric(points):
-    points = np.asarray(points, dtype=float)
-    out = np.zeros(points.shape[:-1] + (2, 2))
+    out = np.zeros(np.shape(points)[:-1] + (2, 2))
     out[..., 0, 0] = 1.0
     out[..., 1, 1] = 1.0
     return out
 
 
 def _zero_covector(points):
-    points = np.asarray(points, dtype=float)
-    return np.zeros(points.shape[:-1] + (2,))
+    return np.zeros(np.shape(points)[:-1] + (2,))
 
 
 def _one(points):
-    points = np.asarray(points, dtype=float)
-    return np.ones(points.shape[:-1])
+    return np.ones(np.shape(points)[:-1])
 
 
 def euclidean():
@@ -300,24 +286,34 @@ def make_builtin(name, params=None):
 class _BilinearTable:
     """Bilinear interpolation of a node table on a regular grid.
 
-    Queries outside the table are clamped to the table edge, which
-    gives constant extension; derived quantities differenced across the
-    edge see a flat continuation there.
+    `grid_line` is the file's (nx, ny, x0, y0, hx, hy) and `table`
+    has shape (ny, nx) + the value shape.  Queries outside the table are
+    clamped to the table edge, which gives constant extension; derived
+    quantities differenced across the edge see a flat continuation
+    there.  Two tables are equal when their grid lines and values are.
     """
 
-    def __init__(self, x0, y0, hx, hy, table):
-        self.x0, self.y0, self.hx, self.hy = x0, y0, hx, hy
-        self.table = np.asarray(table, dtype=float)  # shape (ny, nx)
-        self.ny, self.nx = self.table.shape
+    def __init__(self, grid_line, table):
+        self.grid_line = grid_line
+        self.table = np.asarray(table, dtype=float)
+
+    def __eq__(self, other):
+        return (isinstance(other, _BilinearTable) and self.grid_line == other.grid_line
+                and np.array_equal(self.table, other.table))
+
+    def __hash__(self):
+        return hash((self.grid_line, self.table.shape))
 
     def __call__(self, points):
+        nx, ny, x0, y0, hx, hy = self.grid_line
         points = np.asarray(points, dtype=float)
-        sx = np.clip((points[..., 0] - self.x0) / self.hx, 0.0, self.nx - 1.0)
-        sy = np.clip((points[..., 1] - self.y0) / self.hy, 0.0, self.ny - 1.0)
-        ix = np.clip(sx.astype(int), 0, self.nx - 2)
-        iy = np.clip(sy.astype(int), 0, self.ny - 2)
-        tx = sx - ix
-        ty = sy - iy
+        sx = np.clip((points[..., 0] - x0) / hx, 0.0, nx - 1.0)
+        sy = np.clip((points[..., 1] - y0) / hy, 0.0, ny - 1.0)
+        ix = np.clip(sx.astype(int), 0, nx - 2)
+        iy = np.clip(sy.astype(int), 0, ny - 2)
+        values = (...,) + (None,) * (self.table.ndim - 2)
+        tx = (sx - ix)[values]
+        ty = (sy - iy)[values]
         t = self.table
         return ((1 - tx) * (1 - ty) * t[iy, ix]
                 + tx * (1 - ty) * t[iy, ix + 1]
@@ -394,32 +390,15 @@ def chart_from_file(path):
                 f"{path}: table {key!r} has shape {tab.shape}, expected ({ny}, {nx})"
             )
 
-    interp = {k: _BilinearTable(x0, y0, hx, hy, tables[k]) for k in _TABLE_KEYS}
-
-    def metric(points):
-        points = np.asarray(points, dtype=float)
-        out = np.empty(points.shape[:-1] + (2, 2))
-        out[..., 0, 0] = interp["sigma11"](points)
-        out[..., 0, 1] = interp["sigma12"](points)
-        out[..., 1, 0] = out[..., 0, 1]
-        out[..., 1, 1] = interp["sigma22"](points)
-        return out
-
-    def fval(points):
-        return interp["f"](points)
-
-    def delta(points):
-        points = np.asarray(points, dtype=float)
-        out = np.empty(points.shape[:-1] + (2,))
-        out[..., 0] = interp["delta1"](points)
-        out[..., 1] = interp["delta2"](points)
-        return out
+    sigma = [tables[k] for k in ("sigma11", "sigma12", "sigma12", "sigma22")]
+    metric = _BilinearTable(grid, np.stack(sigma, axis=-1).reshape(ny, nx, 2, 2))
+    delta = _BilinearTable(grid, np.stack([tables["delta1"], tables["delta2"]], axis=-1))
 
     flat = (np.allclose(tables["sigma11"], 1.0, atol=1e-14)
             and np.allclose(tables["sigma12"], 0.0, atol=1e-14)
             and np.allclose(tables["sigma22"], 1.0, atol=1e-14))
 
     return SubmersionChart(
-        name=name, metric=metric, f=fval, delta=delta,
+        name=name, metric=metric, f=_BilinearTable(grid, tables["f"]), delta=delta,
         ric_lower=ric_lower, flat_metric=flat,
     )

@@ -177,8 +177,10 @@ class GridDomain:
     outer_mean: object         # (Ng + Ns, N) sparse: each ghost's mean over its
                                # inside axis neighbours, then each sliver's over
                                # its inside axis and diagonal neighbours
-    # GraphOperators built on this grid, keyed by n; freed with it
+    # GraphOperators built on this grid, and its boundary geometry
+    # (analysis._spec_boundary_geometry), keyed by n; freed with it
     operators: dict = field(default_factory=dict, repr=False, compare=False)
+    boundaries: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_inside(self):

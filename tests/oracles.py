@@ -6,12 +6,17 @@ divergence-form residual (Coleman & More, SIAM J. Numer. Anal. 20,
 `residual_nondivergence` is the nondivergence form built from the
 quasilinear coefficients A^{ij} = W^2 sigma^{ij} - hat_u^i hat_u^j, which
 must agree with the flux form at second order.  Each takes the
-operator it checks as its first argument.
+operator it checks as its first argument.  `riccati_per_stage` is the
+Riccati flow stepped stage by stage, the reference for
+`riccati_evolution`.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+from kgraph.analysis import (GEOM_H_FD, RiccatiCurve, _curve_H_cyl, _sigma_normalize,
+                             boundary_geometry)
+from kgraph.errors import TubularWidthExceeded
 from kgraph.geometry import _central_partials, _tilt, christoffels_at
 from kgraph.grid import _lattice_at
 
@@ -93,3 +98,50 @@ def residual_nondivergence(op, u, phi_vals, H_vals, gamma_mode="full"):
     out[idx] = (np.einsum("nik,nki->n", A, M)
                 - (op.node_f[idx] + W2) * kup) / W[idx] ** 3 - Hv[idx]
     return out
+
+
+def riccati_per_stage(chart, domain, eps_max, deps, samples=64, n=2):
+    """`riccati_evolution` the plain way: the normal geodesics, their
+    Christoffel symbols from one `christoffels_at` per RK4 stage, and the
+    envelope as one tuple, with one `_curve_H_cyl` per depth."""
+    ric = chart.ric_lower
+    bg = boundary_geometry(chart, domain, samples=samples, n=n)
+    nsteps = max(1, int(round(eps_max / deps)))
+    eps = np.linspace(0.0, eps_max, nsteps + 1)
+    dt = eps_max / nsteps
+    S = len(bg.points)
+    width0 = np.linalg.norm(bg.points_plus - bg.points_minus, axis=1)
+
+    def flow(y):
+        p, v, H = y
+        if chart.flat_metric:
+            acc = np.zeros_like(v)
+        else:
+            acc = -np.einsum("...kij,...i,...j->...k", christoffels_at(chart, p, GEOM_H_FD), v, v)
+        return v, acc, H * H + ric / n
+
+    def shift(y, k, c):
+        return tuple(yi + c * ki for yi, ki in zip(y, k))
+
+    y = (np.concatenate([bg.points_minus, bg.points, bg.points_plus]),
+         np.concatenate([bg.eta_minus, bg.eta, bg.eta_plus]), bg.H_cyl)
+    H_direct = np.empty((S, nsteps + 1))
+    H_env = np.empty_like(H_direct)
+    for k in range(nsteps + 1):
+        if k:
+            with np.errstate(over="ignore"):
+                k1 = flow(y)
+                k2 = flow(shift(y, k1, 0.5 * dt))
+                k3 = flow(shift(y, k2, 0.5 * dt))
+                k4 = flow(shift(y, k3, dt))
+                y = tuple(yi + dt / 6.0 * (a + 2 * b + 2 * c + d)
+                          for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+        p, v, H_env[:, k] = y
+        pm, p0, pp = p[:S], p[S:2 * S], p[2 * S:]
+        if np.any(np.linalg.norm(pp - pm, axis=1) < 0.05 * width0):
+            raise TubularWidthExceeded(f"normal geodesics focus before eps = {eps[k]:.4g}")
+        if not np.all(np.isfinite(H_env[:, k])):
+            raise TubularWidthExceeded(f"Riccati envelope blows up before eps = {eps[k]:.4g}")
+        eta_eps = _sigma_normalize(chart, p0, v[S:2 * S])
+        H_direct[:, k] = _curve_H_cyl(chart, pm, p0, pp, bg.dt, eta_eps, n=n)[0]
+    return RiccatiCurve(eps=eps, H_direct=H_direct, H_envelope=H_env)

@@ -1,6 +1,9 @@
 """Cylinder geometry, Riccati curves, barriers, flux, angle function."""
 
+import dataclasses
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ import kgraph.analysis as kan
 from kgraph.errors import CertificateFailed, MinPrincipleViolated, TubularWidthExceeded
 from kgraph.operator import _get_operator
 from conftest import cap_trace, curved_exp_H, curved_exp_u, saddle
+from oracles import riccati_per_stage
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -115,6 +119,80 @@ class TestRiccati:
         with pytest.raises(TubularWidthExceeded,
                            match=r"^Riccati envelope blows up before eps = 0\.25$"):
             kg.riccati_evolution(chart, kg.Disk((0.0, 0.0), 1.0), 0.5, 0.5 / 16)
+
+
+    @pytest.mark.parametrize("eps_max, deps", [(np.nan, 0.01), (0.15, np.nan),
+                                               (np.inf, 0.01), (0.15, np.inf)])
+    def test_non_finite_depths_are_value_errors(self, euclid, eps_max, deps):
+        with pytest.raises(ValueError, match=r"^eps_max and deps must be positive and finite$"):
+            kg.riccati_evolution(euclid, kg.Disk((0.0, 0.0), 0.5), eps_max, deps)
+
+
+def _table_chart(tmp_path):
+    """A `chart_from_file` chart with a varying, sheared sigma on a 7 x 7
+    table over [-0.6, 0.6]^2."""
+    x, y = np.meshgrid(np.linspace(-0.6, 0.6, 7), np.linspace(-0.6, 0.6, 7))
+    tables = {"sigma11": 1.0 + 0.4 * x + 0.2 * y * y, "sigma12": 0.1 * x * y,
+              "sigma22": 1.2 - 0.3 * y, "f": 1.0 + 0.25 * x * x,
+              "delta1": 0.5 * y, "delta2": -0.5 * x}
+    lines = ["name = table-sheared", "grid = 7 7 -0.6 -0.6 0.2 0.2"]
+    for key, tab in tables.items():
+        lines += [f"[{key}]"] + [", ".join(repr(float(v)) for v in row) for row in tab]
+    path = tmp_path / "sheared.geom"
+    path.write_text("\n".join(lines) + "\n")
+    return kg.chart_from_file(path)
+
+
+def _aniso41():
+    def metric(P):
+        out = np.zeros(np.shape(P)[:-1] + (2, 2))
+        out[..., 0, 0] = 4.0
+        out[..., 1, 1] = 1.0
+        return out
+
+    return kg.SubmersionChart(name="aniso41", metric=metric, f=lambda P: np.ones(np.shape(P)[:-1]),
+                              delta=lambda P: np.zeros(np.shape(P)[:-1] + (2,)))
+
+
+RICCATI_CASES = {   # chart, domain, eps_max; deps = eps_max / 16
+    "curved-exp": (lambda r, t: r.getfixturevalue("curved"), kg.Disk((0.0, 0.0), 0.5), 0.15),
+    "heisenberg": (lambda r, t: kg.heisenberg(), kg.Disk((0.0, 0.0), 1.0), 0.3),
+    "warped": (lambda r, t: r.getfixturevalue("warp"), kg.Disk((0.0, 0.0), 0.5), 0.15),
+    "table": (lambda r, t: _table_chart(t), kg.Disk((0.02, -0.01), 0.45), 0.12),
+    "aniso41-rect": (lambda r, t: _aniso41(), kg.Rectangle(-0.3, -0.2, 0.4, 0.3), 0.06),
+}
+
+
+class TestRiccatiOracle:
+    """`riccati_evolution` steps the geodesics with one metric evaluation
+    per stage and takes every depth's curvature at once; the per-stage
+    flow in `oracles.riccati_per_stage` is its reference."""
+
+    @pytest.mark.parametrize("case", sorted(RICCATI_CASES))
+    def test_matches_per_stage_flow(self, request, tmp_path, case):
+        make, domain, eps_max = RICCATI_CASES[case]
+        chart = make(request, tmp_path)
+        got = kg.riccati_evolution(chart, domain, eps_max, eps_max / 16)
+        ref = riccati_per_stage(chart, domain, eps_max, eps_max / 16)
+        assert np.array_equal(got.eps, ref.eps)
+        assert np.array_equal(got.H_envelope, ref.H_envelope)
+        assert got.H_direct.shape == ref.H_direct.shape
+        assert np.abs(got.H_direct - ref.H_direct).max() <= 1e-7
+        assert got.monotone() == ref.monotone()
+        assert (np.all(got.H_direct >= got.H_envelope - 1e-6)
+                == np.all(ref.H_direct >= ref.H_envelope - 1e-6))
+
+    @pytest.mark.parametrize("ric_lower, eps_max, message", [
+        (0.0, 0.49, "normal geodesics focus before eps = 0.3063"),
+        (60.0, 0.4, "Riccati envelope blows up before eps = 0.2625"),
+    ])
+    def test_stops_where_the_per_stage_flow_stops(self, curved, ric_lower, eps_max, message):
+        chart = dataclasses.replace(curved, ric_lower=ric_lower)
+        args = (chart, kg.Disk((0.0, 0.0), 0.5), eps_max, eps_max / 32)
+        for riccati in (riccati_per_stage, kg.riccati_evolution):
+            with pytest.raises(TubularWidthExceeded) as err:
+                riccati(*args, samples=32)
+            assert str(err.value) == message
 
 
 class TestHeightBarrier:
@@ -434,3 +512,32 @@ class TestVerifyEvaluatesOnce:
                                         gc.bound, float(np.min(gc.margin)))
         flux = kg.flux_balance(spec, grid, u)
         assert (items["flux"]["boundary"], items["flux"]["bulk"]) == (flux.boundary, flux.bulk)
+
+
+class TestBoundaryGeometryOnGrid:
+    def test_solve_and_verify_share_one(self, euclid, monkeypatch):
+        # the full-sample geometry of (grid, n): computed by the solve's
+        # hypothesis check, read again by verify, freed with the grid
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
+        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
+        samples = max(64, grid.num_links)
+        assert samples > 64    # so the Riccati curve's 64-sample geometry is told apart
+        calls = []
+        fresh = kan.boundary_geometry
+        monkeypatch.setattr(kan, "boundary_geometry",
+                            lambda *a, **kw: calls.append(kw["samples"]) or fresh(*a, **kw))
+        u, _ = kg.solve_dirichlet(spec, grid)
+        assert kg.verify(spec, grid, u).passed
+        assert calls.count(samples) == 1
+        monkeypatch.undo()
+
+        shared = grid.boundaries[spec.n]
+        ref = kg.boundary_geometry(euclid, grid.domain, samples=samples, n=spec.n)
+        for name in ("params", "points", "points_minus", "points_plus", "dt", "tangents",
+                     "eta", "eta_minus", "eta_plus", "H_gamma", "kappa", "H_cyl", "speed",
+                     "weights", "tilt"):
+            assert np.array_equal(getattr(shared, name), getattr(ref, name)), name
+        alive = weakref.ref(shared)
+        del grid, shared
+        gc.collect()
+        assert alive() is None

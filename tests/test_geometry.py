@@ -1,5 +1,7 @@
 """Chart construction and derived pointwise geometry."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy
@@ -255,3 +257,24 @@ class TestChartFile:
         path.write_text("name = x\ngrid = 2 2 0 0 1 1\n[sigma11]\n1,1\n1,1\n")
         with pytest.raises(InputError):
             kg.chart_from_file(path)
+
+    def test_two_loads_of_one_file_match_one_grid(self, tmp_path):
+        # the loaded callables compare on the file's tables and grid line,
+        # so a spec and a grid made from two loads are one problem
+        path = tmp_path / "demo.geom"
+        path.write_text(GEOM_FILE)
+        first, second = kg.chart_from_file(path), kg.chart_from_file(path)
+        assert first == second and hash(first) == hash(second)
+        grid = kg.build_grid(kg.Disk((0.5, 0.5), 0.3), 1.0 / 16, first)
+        spec = kg.ProblemSpec(chart=second, domain=grid.domain, H=0.0, phi=0.0)
+        u = np.zeros(grid.num_inside)
+        assert np.array_equal(kg.residual(spec, grid, u),
+                              kg.residual(dataclasses.replace(spec, chart=first), grid, u))
+        # a different table or grid line is a different chart
+        for old, new in (("2.0, 2.0, 2.0", "2.0, 2.5, 2.0"),
+                         ("grid = 3 3 0.0 0.0 0.5 0.5", "grid = 3 3 0.0 0.0 0.5 0.6")):
+            other = tmp_path / "other.geom"
+            other.write_text(GEOM_FILE.replace(old, new, 1))
+            assert kg.chart_from_file(other) != first
+            with pytest.raises(InputError, match="does not match its grid"):
+                kg.residual(dataclasses.replace(spec, chart=kg.chart_from_file(other)), grid, u)
