@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (CertificateFailed, MinPrincipleViolated,
                      TubularWidthExceeded)
@@ -259,6 +258,8 @@ def riccati_evolution(chart, domain, eps_max, deps, samples=64, n=2):
     """
     if not (0 < eps_max < np.inf and 0 < deps < np.inf):
         raise ValueError("eps_max and deps must be positive and finite")
+    if not float(eps_max) / float(deps) < np.inf:
+        raise ValueError("eps_max / deps must be finite")
     ric = chart.ric_lower
     bg = boundary_geometry(chart, domain, samples=samples, n=n)
     nsteps = max(1, int(round(eps_max / deps)))
@@ -332,17 +333,23 @@ def _bilinear(grid, id_map, values, pts):
 
 
 def _nearest_sample(grid, bgeom, pts):
-    """Index of the nearest boundary sample for each point.
+    """Index of the nearest sample of `bgeom`, a boundary geometry of the
+    grid's domain, for each point inside the domain.
 
-    Ties go to the lowest index, as in a dense argmin: the two nearest
-    samples from the k-d tree are compared by exact squared distance.
+    From an inside point the squared distance to a boundary piece grows
+    with the parameter's distance from the point's foot on it, so the
+    nearest sample brackets a foot parameter (`domain.foot_params`) on
+    some piece; rounding can only move a foot across a sample, which is
+    then the nearest.  Candidates are compared by exact squared distance,
+    ties to the lowest index as in a dense argmin, except at a disk's
+    centre (to rounding), where every sample is at distance R to an ulp.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    k = min(2, len(bgeom.points))
-    _, idx = cKDTree(bgeom.points).query(pts, k=k)
-    idx = np.sort(idx.reshape(len(pts), k), axis=1)
-    d2 = ((pts[:, None, :] - bgeom.points[idx]) ** 2).sum(axis=2)
-    return idx[np.arange(len(pts)), np.argmin(d2, axis=1)]
+    S = len(bgeom.params)
+    j = np.searchsorted(bgeom.params, grid.domain.foot_params(pts))    # (pieces, M)
+    idx = (j[:, None] + np.arange(-1, 1)[:, None]).reshape(-1, len(pts)) % S
+    d2 = (pts[:, 0] - bgeom.points[idx, 0]) ** 2 + (pts[:, 1] - bgeom.points[idx, 1]) ** 2
+    return np.where(d2 == d2.min(axis=0), idx, S).min(axis=0)
 
 
 def boundary_gradient_samples(spec, grid, u, bgeom, _phi_vals=None):
@@ -424,10 +431,9 @@ def height_barrier_certificate(spec, grid, u, ladder=None, _phi_vals=None):
     ladder is exhausted.  `_phi_vals` is `spec.phi_links(grid)` when the
     caller already has it.
     """
-    u = grid.check_field(np.asarray(u, dtype=float), "u")
+    u = grid.check_field(u, "u")
     phi_vals = spec.phi_links(grid) if _phi_vals is None else _phi_vals
-    phi_sup = float(np.max(phi_vals))
-    phi_inf = float(np.min(phi_vals))
+    phi_sup, phi_inf = float(np.max(phi_vals)), float(np.min(phi_vals))
     d = grid.dist
     A = 1.01 * _sigma_diameter_bound(grid)
     tol = 1e-12 * (1.0 + np.max(np.abs(u)))
@@ -496,7 +502,7 @@ def boundary_gradient_certificate(spec, grid, u, params=None, bgeom=None, _sampl
     `_samples` is `boundary_gradient_samples` of u on bgeom when the
     caller already has it.
     """
-    u = grid.check_field(np.asarray(u, dtype=float), "u")
+    u = grid.check_field(u, "u")
     if bgeom is None:
         bgeom = _spec_boundary_geometry(spec, grid)
     d = grid.dist
@@ -510,15 +516,11 @@ def boundary_gradient_certificate(spec, grid, u, params=None, bgeom=None, _sampl
     threshold = -np.einsum("si,si->s", bgeom.tilt, bgeom.eta)
     condition_ok = bool(np.all(threshold > 1e-12))
     feet = _nearest_sample(grid, bgeom, grid.points[band])
-    phi_feet = spec.phi_at(bgeom.points[feet])
-    if condition_ok:
-        extension = "constant"
-        phi_ext = phi_feet
-        slope_sup = 0.0
-    else:
+    extension, phi_ext, slope_sup = "constant", spec.phi_at(bgeom.points[feet]), 0.0
+    if not condition_ok:
         extension = "linear_tilt"
         slope = np.minimum(threshold, 0.0) - 1e-3
-        phi_ext = phi_feet + slope[feet] * d[band]
+        phi_ext = phi_ext + slope[feet] * d[band]
         slope_sup = float(np.max(np.abs(slope)))
 
     if _samples is None:
@@ -578,7 +580,7 @@ def flux_balance(spec, grid, u, bgeom=None, _samples=None, _H_vals=None):
     on bgeom) and `_H_vals` (`spec.H_nodes(grid)`) are for a caller that
     already has them.
     """
-    u = grid.check_field(np.asarray(u, dtype=float), "u")
+    u = grid.check_field(u, "u")
     if bgeom is None:
         bgeom = _spec_boundary_geometry(spec, grid)
 
@@ -627,7 +629,7 @@ def theta_field(spec, grid, u, require_pass=True, _state=None, _H_vals=None):
     H_vals = spec.H_nodes(grid) if _H_vals is None else _H_vals
     if not _is_constant(H_vals):
         raise ValueError("theta minimum principle applies to constant H only")
-    u = grid.check_field(np.asarray(u, dtype=float), "u")
+    u = grid.check_field(u, "u")
     op = _get_operator(grid, spec.n)
     W = (op.state(u, spec.phi_links(grid)) if _state is None else _state)[-1]
     theta = 1.0 / W
@@ -680,7 +682,7 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
     gradient samples are evaluated once and handed to every check.
     """
     rep = VerifyReport()
-    u = grid.check_field(np.asarray(u, dtype=float), "u")
+    u = grid.check_field(u, "u")
     H_vals = spec.H_nodes(grid)
     phi_vals = spec.phi_links(grid)
     op = _get_operator(grid, spec.n)

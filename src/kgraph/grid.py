@@ -71,10 +71,13 @@ class Disk:
 
     def boundary_point(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape + (2,))
-        out[..., 0] = self.center[0] + self.radius * np.cos(t)
-        out[..., 1] = self.center[1] + self.radius * np.sin(t)
-        return out
+        return np.stack([self.center[0] + self.radius * np.cos(t),
+                         self.center[1] + self.radius * np.sin(t)], axis=-1)
+
+    def foot_params(self, points):
+        """(1, M) angles about the centre in [0, 2 pi]: `boundary_point` inverted."""
+        x, y = np.asarray(points, dtype=float).T
+        return np.mod(np.arctan2(y - self.center[1], x - self.center[0]), 2.0 * np.pi)[None]
 
     def diameter_euclid(self):
         return 2.0 * self.radius
@@ -111,24 +114,21 @@ class Rectangle:
         return 2.0 * ((self.x1 - self.x0) + (self.y1 - self.y0))
 
     def boundary_point(self, t):
-        # counterclockwise: bottom, right, top, left
+        # counterclockwise: bottom, right, top, left, s along the side
         w = self.x1 - self.x0
         h = self.y1 - self.y0
         t = np.mod(np.asarray(t, dtype=float), 2.0 * (w + h))
-        out = np.empty(t.shape + (2,))
-        s0 = t
-        s1 = t - w
-        s2 = t - w - h
-        s3 = t - 2 * w - h
-        on0 = t < w
-        on1 = (t >= w) & (t < w + h)
-        on2 = (t >= w + h) & (t < 2 * w + h)
-        on3 = t >= 2 * w + h
-        out[..., 0] = np.select([on0, on1, on2, on3],
-                                [self.x0 + s0, self.x1, self.x1 - s2, self.x0])
-        out[..., 1] = np.select([on0, on1, on2, on3],
-                                [self.y0, self.y0 + s1, self.y1, self.y1 - s3])
-        return out
+        side = np.searchsorted([w, w + h, 2 * w + h], t, side="right")
+        s = t - np.array([0.0, w, w, 2 * w])[side] - np.array([0.0, 0.0, h, h])[side]
+        return np.stack([np.choose(side, [self.x0 + s, self.x1, self.x1 - s, self.x0]),
+                         np.choose(side, [self.y0, self.y0 + s, self.y1, self.y1 - s])], axis=-1)
+
+    def foot_params(self, points):
+        """(4, M) each point's foot parameter on the bottom, right, top and left side."""
+        x, y = np.asarray(points, dtype=float).T
+        w, h = self.x1 - self.x0, self.y1 - self.y0
+        return np.stack([x - self.x0, w + (y - self.y0), w + h + (self.x1 - x),
+                         2 * w + h + (self.y1 - y)])
 
     def diameter_euclid(self):
         return float(np.hypot(self.x1 - self.x0, self.y1 - self.y0))

@@ -79,9 +79,7 @@ class ProblemSpec:
 
     def H_nodes(self, grid):
         self.check_grid(grid)
-        vals = _eval_data(self.H, grid.points)
-        grid.check_field(vals, "H")
-        return vals
+        return grid.check_field(_eval_data(self.H, grid.points), "H")
 
     def H_at(self, points):
         return _eval_data(self.H, points)
@@ -91,7 +89,6 @@ class ProblemSpec:
         return self.phi_at(grid.link_points)
 
     def phi_at(self, points):
-        points = np.asarray(points, dtype=float)
         vals = _eval_data(self.phi, points)
         if not np.all(np.isfinite(vals)):
             raise KGraphError("boundary data phi is not finite on the boundary")
@@ -311,8 +308,7 @@ class GraphOperator:
     # -- pointwise states ------------------------------------------------
 
     def extend(self, u, phi_vals):
-        u = np.asarray(u, dtype=float)
-        return self.P @ u + self.B @ np.asarray(phi_vals, dtype=float)
+        return self.P @ np.asarray(u, dtype=float) + self.B @ np.asarray(phi_vals, dtype=float)
 
     def _face_state(self, u_ext):
         """(hat_u^n, hat_u^t, W) per face, in its (normal, tangential) axes."""
@@ -681,7 +677,7 @@ def residual(spec, grid, u, H=None, phi=None):
     op = _get_operator(grid, spec.n)
     H_vals = spec.H_nodes(grid) if H is None else _eval_data(H, grid.points)
     phi_vals = spec.phi_links(grid) if phi is None else _eval_data(phi, grid.link_points)
-    return op.residual(np.asarray(u, dtype=float), phi_vals, H_vals)
+    return op.residual(grid.check_field(u, "u"), phi_vals, H_vals)
 
 
 def jacobian(spec, grid, u, phi=None):
@@ -689,17 +685,17 @@ def jacobian(spec, grid, u, phi=None):
     spec.check_grid(grid)
     op = _get_operator(grid, spec.n)
     phi_vals = spec.phi_links(grid) if phi is None else _eval_data(phi, grid.link_points)
-    return op.jacobian(np.asarray(u, dtype=float), phi_vals)
+    return op.jacobian(grid.check_field(u, "u"), phi_vals)
 
 
 def operator_state(spec, grid, u):
     """(hat_u_x, hat_u_y, hat_u^x, hat_u^y, W) at every inside node: the
     tilted gradient in both index positions and W."""
     op = _get_operator(grid, spec.n)
-    return op.state(np.asarray(u, dtype=float), spec.phi_links(grid))
+    return op.state(grid.check_field(u, "u"), spec.phi_links(grid))
 
 
 def area_functional(spec, grid, u):
     """The graph functional integral of W against the sigma area element."""
     op = _get_operator(grid, spec.n)
-    return op.functional(np.asarray(u, dtype=float), spec.phi_links(grid))
+    return op.functional(grid.check_field(u, "u"), spec.phi_links(grid))

@@ -274,10 +274,10 @@ def comparison_check(spec, grid, u1, u2, phi1=None, phi2=None,
     p_default = spec.phi_links(grid)
     p1 = p_default if phi1 is None else _eval_data(phi1, grid.link_points)
     p2 = p_default if phi2 is None else _eval_data(phi2, grid.link_points)
-    q1 = op.residual(np.asarray(u1, dtype=float), p1, 0.0)
-    q2 = op.residual(np.asarray(u2, dtype=float), p2, 0.0)
+    u1, u2 = grid.check_field(u1, "u1"), grid.check_field(u2, "u2")
+    q1, q2 = op.residual(u1, p1, 0.0), op.residual(u2, p2, 0.0)
     premise = bool(np.all(q1 >= q2 + margin) and np.all(p1 <= p2 + 1e-12))
-    gap = np.asarray(u1, dtype=float) - np.asarray(u2, dtype=float)
+    gap = u1 - u2
     bad = gap > tol
     if np.any(bad):
         k = int(np.argmax(gap))

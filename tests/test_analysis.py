@@ -127,6 +127,11 @@ class TestRiccati:
         with pytest.raises(ValueError, match=r"^eps_max and deps must be positive and finite$"):
             kg.riccati_evolution(euclid, kg.Disk((0.0, 0.0), 0.5), eps_max, deps)
 
+    def test_overflowing_step_count_is_a_value_error(self, euclid):
+        # both depths are finite, but their ratio, the step count, is not
+        with pytest.raises(ValueError, match=r"^eps_max / deps must be finite$"):
+            kg.riccati_evolution(euclid, kg.Disk((0.0, 0.0), 0.5), 1e200, 1e-200)
+
 
 def _table_chart(tmp_path):
     """A `chart_from_file` chart with a varying, sheared sigma on a 7 x 7
@@ -301,22 +306,33 @@ class TestGradientBarrier:
 
 
 class TestNearestSample:
-    def test_matches_dense_argmin_with_ties(self):
-        from types import SimpleNamespace
-        from kgraph.analysis import _nearest_sample
-
-        rng = np.random.default_rng(21)
-        upper = rng.uniform(-1.0, 1.0, size=(40, 2))
-        upper[:, 1] = np.abs(upper[:, 1]) + 0.05
-        # mirror pairs (x, y), (x, -y): points on y = 0 tie exactly
-        samples = np.concatenate([upper, upper * [1.0, -1.0]])[rng.permutation(80)]
-        on_axis = np.column_stack([rng.uniform(-1.0, 1.0, 200), np.zeros(200)])
-        pts = np.concatenate([on_axis, rng.uniform(-1.2, 1.2, size=(200, 2))])
-        d2 = ((pts[:, None, :] - samples[None, :, :]) ** 2).sum(axis=2)
-        ties = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1) > 1
-        assert ties.sum() >= 150
-        feet = _nearest_sample(None, SimpleNamespace(points=samples), pts)
-        assert np.array_equal(feet, np.argmin(d2, axis=1))
+    def test_matches_dense_argmin_with_ties(self, euclid, heis):
+        # (domain, 1/h, boundary samples, or None for the grid's own
+        # full-sample geometry); exact ties fall on the centred disk's axes
+        # and on the unit square's corner bisectors, among others
+        cases = [
+            (kg.Disk((0.0, 0.0), 0.5), 64, None),
+            (kg.Disk((0.0, 0.0), 0.5), 128, None),
+            (kg.Disk((0.013, -0.021), 0.5), 48, None),
+            (kg.Rectangle(-0.3, -0.2, 0.4, 0.3), 48, None),
+            (kg.Rectangle(0.0, 0.0, 1.0, 1.0), 64, None),
+            (kg.Disk((0.0, 0.0), 0.5), 64, 64),
+            (kg.Rectangle(0.0, 0.0, 1.0, 1.0), 64, 64),
+        ]
+        for chart in (euclid, heis):
+            for domain, h_inv, samples in cases:
+                grid = kg.build_grid(domain, 1.0 / h_inv, chart)
+                bgeom = kg.boundary_geometry(chart, domain,
+                                             samples=samples or max(64, grid.num_links))
+                pts = grid.points
+                if isinstance(domain, kg.Disk):
+                    # at the centre every sample is at distance R to an ulp
+                    pts = pts[np.hypot(*(pts - domain.center).T) > 1e-12]
+                d2 = ((pts[:, None, :] - bgeom.points[None, :, :]) ** 2).sum(axis=2)
+                ties = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1) > 1
+                assert ties.sum() >= 20, (domain, h_inv)
+                feet = kan._nearest_sample(grid, bgeom, pts)
+                assert np.array_equal(feet, np.argmin(d2, axis=1)), (chart.name, domain, h_inv)
 
 
 class TestFlux:

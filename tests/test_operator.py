@@ -142,6 +142,29 @@ class TestProblemSpec:
             getattr(kg, entry)(spec, grid, *u)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (lambda n: np.zeros(3), "{} has 3 values, grid has 193 nodes$"),
+    (lambda n: np.r_[np.zeros(n - 1), np.nan], r"{} is not finite at node \("),
+], ids=["short", "nan"])
+@pytest.mark.parametrize("call, name", [
+    (lambda spec, grid, u: kg.residual(spec, grid, u), "u"),
+    (lambda spec, grid, u: kg.jacobian(spec, grid, u), "u"),
+    (lambda spec, grid, u: kg.operator_state(spec, grid, u), "u"),
+    (lambda spec, grid, u: kg.area_functional(spec, grid, u), "u"),
+    (lambda spec, grid, u: kg.comparison_check(spec, grid, u, np.zeros(grid.num_inside)), "u1"),
+    (lambda spec, grid, u: kg.comparison_check(spec, grid, np.zeros(grid.num_inside), u), "u2"),
+], ids=["residual", "jacobian", "operator_state", "area_functional", "comparison_u1",
+        "comparison_u2"])
+def test_bad_field_is_an_input_error(euclid, call, name, bad, message):
+    # a field of the wrong length or with a NaN names the field, as
+    # solve_dirichlet and verify do, not a numpy shape error or a
+    # non-finite residual
+    grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
+    spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
+    with pytest.raises(InputError, match="^" + message.format(name)):
+        call(spec, grid, bad(grid.num_inside))
+
+
 class TestResidual:
     def test_constant_graph_euclid(self, euclid):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 0.125, euclid)
