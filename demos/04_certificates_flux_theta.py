@@ -27,8 +27,8 @@ def main():
     print(f"solved: residual {report.residual_final:.2e}, "
           f"sigma path {report.sigma_path}")
 
-    bg = kg.boundary_geometry(chart, domain, samples=max(64, grid.num_links))
-    verdict = kg.hypothesis_check(spec, bg, grid=grid)
+    # the grid keeps the boundary geometry the certificates below read
+    verdict = kg.hypothesis_check(spec, grid.boundary_geometry, grid=grid)
     print(f"hypotheses: sup|H| = {verdict.sup_H:.3f} <= inf H_cyl = "
           f"{verdict.inf_Hcyl:.3f} -> {'pass' if verdict.passed else 'fail'}")
 
@@ -36,12 +36,12 @@ def main():
     print(f"height barrier: C = {hc.C}, A = {hc.A:.3f}, "
           f"min margin {np.min(hc.margin):.3e}, crude bound ok: {hc.crude_ok}")
 
-    gc = kg.boundary_gradient_certificate(spec, grid, u, bgeom=bg)
+    gc = kg.boundary_gradient_certificate(spec, grid, u)
     print(f"gradient barrier: K = {gc.params.K}, mu = {gc.params.mu:.3f}, "
           f"sup|grad u| on boundary = {gc.sup_grad_boundary:.4f} "
           f"(exact 3^-1/2 = {1 / np.sqrt(3):.4f}), bound {gc.bound:.3f}")
 
-    flux = kg.flux_balance(spec, grid, u, bgeom=bg)
+    flux = kg.flux_balance(spec, grid, u)
     print(f"flux identity: boundary {flux.boundary:.6f} vs bulk {flux.bulk:.6f} "
           f"(closed form pi/2 = {np.pi / 2:.6f}), relative imbalance "
           f"{flux.relative:.1e}")

@@ -2,11 +2,12 @@
 
 Everything here consumes a converged graph and produces checkable
 artifacts: the inward mean curvature of the boundary cylinder
-H_cyl = ((n-1) H_Gamma + kappa) / n and its evolution along inward
-normal geodesics, exponential height barriers, logarithmic boundary
-gradient barriers, the flux identity between the boundary integral of
-<Y, nu> and the bulk integral of n H <Y, N>, and the angle function
-Theta = <N, Y> with its boundary minimum principle.  Certificates are
+H_cyl = ((n-1) H_Gamma + kappa) / n, n = DIM = 2 the base dimension,
+and its evolution along inward normal geodesics, exponential height
+barriers, logarithmic boundary gradient barriers, the flux identity
+between the boundary integral of <Y, nu> and the bulk integral of
+n H <Y, N>, and the angle function Theta = <N, Y> with its boundary
+minimum principle.  Certificates are
 pointwise margin checks, not proofs: a passing certificate stores a
 nonnegative margin field.
 """
@@ -19,10 +20,10 @@ import numpy as np
 
 from .errors import (CertificateFailed, MinPrincipleViolated,
                      TubularWidthExceeded)
-from .geometry import (_eig_bounds_2x2, _inverse_metric, _tilt, christoffels_at,
-                       inverse_metric_at, kappa_vector_at)
+from .geometry import (DIM, _eig_bounds_2x2, _inverse_metric, _positive, _tilt,
+                       christoffels_at, inverse_metric_at, kappa_vector_at)
 from .grid import Rectangle, integrate
-from .operator import _get_operator, _is_constant
+from .operator import _is_constant
 
 CURVE_DT = 2e-4          # parameter differencing step, scaled by period/(2 pi)
 GEOM_H_FD = 1e-3         # chart differencing step for boundary geometry
@@ -49,7 +50,6 @@ class BoundaryGeometry:
     speed: np.ndarray        # (S,) sigma length of the tangents
     weights: np.ndarray      # (S,) sigma arclength weights
     chart: object            # the chart sampled, for the tilt
-    n: int = 2
 
     @functools.cached_property
     def tilt(self):
@@ -88,7 +88,7 @@ def _sigma_normalize(chart, points, vectors):
     return vectors / norm[..., None]
 
 
-def _curve_H_cyl(chart, p_minus, p0, p_plus, dt, eta, n=2):
+def _curve_H_cyl(chart, p_minus, p0, p_plus, dt, eta):
     """Cylinder curvature from three nearby curve points and the inward normal.
 
     Returns (H_cyl, H_Gamma, kappa, speed): H_Gamma is the
@@ -107,7 +107,7 @@ def _curve_H_cyl(chart, p_minus, p0, p_plus, dt, eta, n=2):
     kvec = (acc - a_dot_t[..., None] * tang) / speed2[..., None]
     H_gamma = np.einsum("...i,...ij,...j->...", kvec, sig, eta)
     kap = np.einsum("...i,...i->...", kappa_vector_at(chart, p0, GEOM_H_FD), eta)
-    return ((n - 1) * H_gamma + kap) / n, H_gamma, kap, np.sqrt(speed2)
+    return ((DIM - 1) * H_gamma + kap) / DIM, H_gamma, kap, np.sqrt(speed2)
 
 
 def _inward_sigma_normals(chart, points, m):
@@ -119,14 +119,15 @@ def _inward_sigma_normals(chart, points, m):
     return v / norm[..., None]
 
 
-def boundary_geometry(chart, domain, samples=64, n=2):
+def boundary_geometry(chart, domain, samples=64):
     """Sample H_Gamma, kappa and H_cyl along the boundary.
 
     The parametrization is differenced with a small parameter step;
     samples avoid rectangle corners.  Arclength weights are sigma
     lengths of the parameter cells.  The sigma speed of the tangents is
     kept, and the section tilt computed on first read, for the
-    certificates that read them.
+    certificates that read them.  A grid keeps the one of its chart and
+    domain at max(64, num_links) samples (`GridDomain.boundary_geometry`).
     """
     if samples < 16:
         raise ValueError("need at least 16 boundary samples")
@@ -148,27 +149,14 @@ def boundary_geometry(chart, domain, samples=64, n=2):
         normals.append(_inward_sigma_normals(chart, p, m / np.linalg.norm(m, axis=-1)[:, None]))
     eta, eta_m, eta_p = normals
 
-    H_cyl, H_gamma, kap, speed = _curve_H_cyl(chart, pm, p0, pp, dt, eta, n=n)
+    H_cyl, H_gamma, kap, speed = _curve_H_cyl(chart, pm, p0, pp, dt, eta)
 
     return BoundaryGeometry(
         params=ts, points=p0, points_minus=pm, points_plus=pp,
         dt=dt, tangents=cp, eta=eta, eta_minus=eta_m, eta_plus=eta_p,
         H_gamma=H_gamma, kappa=kap, H_cyl=H_cyl, speed=speed, weights=speed * dts,
-        chart=chart, n=n,
+        chart=chart,
     )
-
-
-def _spec_boundary_geometry(spec, grid):
-    """`boundary_geometry` of a problem on its grid: the grid's chart and
-    domain, the problem's dimension n, and at least one sample per
-    boundary link.  Computed once per n and kept on the grid, so it is
-    freed with it."""
-    spec.check_grid(grid)
-    bgeom = grid.boundaries.get(spec.n)
-    if bgeom is None:
-        bgeom = grid.boundaries[spec.n] = boundary_geometry(
-            grid.chart, grid.domain, samples=max(64, grid.num_links), n=spec.n)
-    return bgeom
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +196,6 @@ def hypothesis_check(spec, bgeom, grid=None, _H_vals=None):
         H_vals = spec.H_nodes(grid) if _H_vals is None else _H_vals
         sup_H = max(sup_H, float(np.max(np.abs(H_vals))))
     inf_c = bgeom.inf_H_cyl
-    n = bgeom.n
     ric = float(spec.chart.ric_lower)
     return HypothesisVerdict(
         sup_H=sup_H,
@@ -216,9 +203,9 @@ def hypothesis_check(spec, bgeom, grid=None, _H_vals=None):
         ric_lower=ric,
         cyl_positive=inf_c > 0.0,
         h_ok=sup_H <= inf_c + 1e-12,
-        ric_ok=ric >= -n * inf_c ** 2 - 1e-12,
+        ric_ok=ric >= -DIM * inf_c ** 2 - 1e-12,
         slack_H=inf_c - sup_H,
-        slack_ric=ric + n * inf_c ** 2,
+        slack_ric=ric + DIM * inf_c ** 2,
     )
 
 
@@ -244,7 +231,7 @@ def _rk4(f, y, dt):
     return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def riccati_evolution(chart, domain, eps_max, deps, samples=64, n=2):
+def riccati_evolution(chart, domain, eps_max, deps, samples=64):
     """Cylinder curvature along inward equidistants, two ways.
 
     Direct: each boundary sample is flowed along its inward normal
@@ -261,7 +248,7 @@ def riccati_evolution(chart, domain, eps_max, deps, samples=64, n=2):
     if not float(eps_max) / float(deps) < np.inf:
         raise ValueError("eps_max / deps must be finite")
     ric = chart.ric_lower
-    bg = boundary_geometry(chart, domain, samples=samples, n=n)
+    bg = boundary_geometry(chart, domain, samples=samples)
     nsteps = max(1, int(round(eps_max / deps)))
     eps = np.linspace(0.0, eps_max, nsteps + 1)
 
@@ -292,7 +279,7 @@ def riccati_evolution(chart, domain, eps_max, deps, samples=64, n=2):
         if k:
             with np.errstate(over="ignore"):    # the envelope's blow-up, checked below
                 y = _rk4(geodesic, y, eps_max / nsteps)
-                H_env[:, k] = _rk4(lambda H: H * H + ric / n, H_env[:, k - 1], eps_max / nsteps)
+                H_env[:, k] = _rk4(lambda H: H * H + ric / DIM, H_env[:, k - 1], eps_max / nsteps)
         flowed[k] = y
         if np.any(np.linalg.norm(y[0, 2 * S:] - y[0, :S], axis=1) < 0.05 * width0):
             raise TubularWidthExceeded(f"normal geodesics focus before eps = {eps[k]:.4g}")
@@ -301,7 +288,7 @@ def riccati_evolution(chart, domain, eps_max, deps, samples=64, n=2):
 
     p, v = flowed[:, 0], flowed[:, 1]
     eta_eps = _sigma_normalize(chart, p[:, S:2 * S], v[:, S:2 * S])
-    H_direct = _curve_H_cyl(chart, p[:, :S], p[:, S:2 * S], p[:, 2 * S:], bg.dt, eta_eps, n=n)[0]
+    H_direct = _curve_H_cyl(chart, p[:, :S], p[:, S:2 * S], p[:, 2 * S:], bg.dt, eta_eps)[0]
     return RiccatiCurve(eps=eps, H_direct=H_direct.T, H_envelope=H_env)
 
 
@@ -352,8 +339,8 @@ def _nearest_sample(grid, bgeom, pts):
     return np.where(d2 == d2.min(axis=0), idx, S).min(axis=0)
 
 
-def boundary_gradient_samples(spec, grid, u, bgeom, _phi_vals=None):
-    """sup-norm data of grad u along the boundary.
+def boundary_gradient_samples(spec, grid, u, _phi_vals=None):
+    """sup-norm data of grad u at the samples of `grid.boundary_geometry`.
 
     The normal derivative comes from the nodal gradient field (itself
     second-order accurate) sampled at one and two spacings inward and
@@ -363,7 +350,7 @@ def boundary_gradient_samples(spec, grid, u, bgeom, _phi_vals=None):
     Returns (grad_norms, normal_derivs, tangential_derivs).  `_phi_vals`
     is `spec.phi_links(grid)` when the caller already has it.
     """
-    h = grid.h
+    h, bgeom = grid.h, grid.boundary_geometry
     phi0 = spec.phi_at(bgeom.points)
     phi_m = spec.phi_at(bgeom.points_minus)
     phi_p = spec.phi_at(bgeom.points_plus)
@@ -371,7 +358,7 @@ def boundary_gradient_samples(spec, grid, u, bgeom, _phi_vals=None):
     tang_deriv = dphi_dt / bgeom.speed      # derivative along the sigma-unit tangent
 
     phi_vals = spec.phi_links(grid) if _phi_vals is None else _phi_vals
-    op = _get_operator(grid, spec.n)
+    op = grid.operator
     u_ext = op.extend(np.asarray(u, dtype=float), phi_vals)
     grad = np.column_stack([op.Gx @ u_ext, op.Gy @ u_ext])
 
@@ -490,7 +477,7 @@ class GradientCertificate:
     checked_nodes: np.ndarray
 
 
-def boundary_gradient_certificate(spec, grid, u, params=None, bgeom=None, _samples=None):
+def boundary_gradient_certificate(spec, grid, u, params=None, _samples=None):
     """Logarithmic barrier certificate for the boundary gradient.
 
     Verifies phi_ext + psi(d) >= u and phi_ext - psi(d) <= u on the
@@ -498,13 +485,12 @@ def boundary_gradient_certificate(spec, grid, u, params=None, bgeom=None, _sampl
     linear tilt is substituted when the strict extension condition
     fails).  Reports sup |grad u| on the boundary and the bound implied
     by psi'(0) = mu K.  Searches (K, C) ladders when params is None, on
-    the band d <= 0.3 sup d.
-    `_samples` is `boundary_gradient_samples` of u on bgeom when the
-    caller already has it.
+    the band d <= 0.3 sup d.  phi is read at the samples of
+    `grid.boundary_geometry`.  `_samples` is `boundary_gradient_samples`
+    of u when the caller already has it.
     """
-    u = grid.check_field(u, "u")
-    if bgeom is None:
-        bgeom = _spec_boundary_geometry(spec, grid)
+    spec.check_grid(grid)
+    u, bgeom = grid.check_field(u, "u"), grid.boundary_geometry
     d = grid.dist
     eps = params.eps if params is not None else 0.3 * float(np.max(d))
     band = np.nonzero(d <= eps)[0]
@@ -524,7 +510,7 @@ def boundary_gradient_certificate(spec, grid, u, params=None, bgeom=None, _sampl
         slope_sup = float(np.max(np.abs(slope)))
 
     if _samples is None:
-        _samples = boundary_gradient_samples(spec, grid, u, bgeom)
+        _samples = boundary_gradient_samples(spec, grid, u)
     grad_norm, _, tang = _samples
     sup_grad = float(np.max(grad_norm))
     tol = 1e-9 * (1.0 + np.max(np.abs(u)))
@@ -570,22 +556,19 @@ class FluxResult:
         return abs(self.imbalance) / (abs(self.boundary) + abs(self.bulk) + 1.0)
 
 
-def flux_balance(spec, grid, u, bgeom=None, _samples=None, _H_vals=None):
+def flux_balance(spec, grid, u, _samples=None, _H_vals=None):
     """Boundary flux of <Y, nu> against the bulk flux of n H <Y, N>.
 
     Both sides are expressed in base data: the boundary integrand is
-    -f^{-1/2} hat_u(eta) / W per sigma arclength, the bulk integrand is
-    n H (1/W) times the graph area element W f^{-1/2} per sigma area,
-    that is n H f^{-1/2}.  `_samples` (`boundary_gradient_samples` of u
-    on bgeom) and `_H_vals` (`spec.H_nodes(grid)`) are for a caller that
-    already has them.
+    -f^{-1/2} hat_u(eta) / W per sigma arclength at the samples of
+    `grid.boundary_geometry`, the bulk integrand is n H (1/W) times the
+    graph area element W f^{-1/2} per sigma area, that is n H f^{-1/2}.
+    `_samples` (`boundary_gradient_samples` of u) and `_H_vals`
+    (`spec.H_nodes(grid)`) are for a caller that already has them.
     """
-    u = grid.check_field(u, "u")
-    if bgeom is None:
-        bgeom = _spec_boundary_geometry(spec, grid)
-
+    u, bgeom = grid.check_field(u, "u"), grid.boundary_geometry
     if _samples is None:
-        _samples = boundary_gradient_samples(spec, grid, u, bgeom)
+        _samples = boundary_gradient_samples(spec, grid, u)
     _, norm_deriv, tang_deriv = _samples
     f_b = spec.chart.f_at(bgeom.points)
     t_unit = bgeom.tangents / bgeom.speed[:, None]
@@ -597,7 +580,7 @@ def flux_balance(spec, grid, u, bgeom=None, _samples=None, _H_vals=None):
     H_vals = spec.H_nodes(grid) if _H_vals is None else _H_vals
     # n H <Y, N> = n H / W times the graph area element W / sqrt(f)
     # relative to sqrt(sigma) dx
-    bulk = integrate(grid, spec.n * H_vals / np.sqrt(_get_operator(grid, spec.n).node_f))
+    bulk = integrate(grid, DIM * H_vals / np.sqrt(grid.operator.node_f))
     return FluxResult(boundary=boundary, bulk=bulk)
 
 
@@ -629,8 +612,7 @@ def theta_field(spec, grid, u, require_pass=True, _state=None, _H_vals=None):
     H_vals = spec.H_nodes(grid) if _H_vals is None else _H_vals
     if not _is_constant(H_vals):
         raise ValueError("theta minimum principle applies to constant H only")
-    u = grid.check_field(u, "u")
-    op = _get_operator(grid, spec.n)
+    u, op = grid.check_field(u, "u"), grid.operator
     W = (op.state(u, spec.phi_links(grid)) if _state is None else _state)[-1]
     theta = 1.0 / W
     theta_scaled = op.node_f / W
@@ -680,12 +662,14 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
 
     The problem data on the grid, the operator state and the boundary
     gradient samples are evaluated once and handed to every check.
+    `newton_tol` must be finite and positive, as the solve's is.
     """
+    _positive(newton_tol, "newton_tol")
     rep = VerifyReport()
     u = grid.check_field(u, "u")
     H_vals = spec.H_nodes(grid)
     phi_vals = spec.phi_links(grid)
-    op = _get_operator(grid, spec.n)
+    op = grid.operator
 
     r = op.residual(u, phi_vals, H_vals)
     res_inf = float(np.max(np.abs(r)))
@@ -710,9 +694,8 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
                   and np.all(ratio <= hi * (1 + 1e-10) + 1e-10))
     rep.items["ellipticity"] = {"passed": ell_ok}
 
-    bgeom = _spec_boundary_geometry(spec, grid)
-    hypo = hypothesis_check(spec, bgeom, grid=grid, _H_vals=H_vals)
-    samples = boundary_gradient_samples(spec, grid, u, bgeom, _phi_vals=phi_vals)
+    hypo = hypothesis_check(spec, grid.boundary_geometry, grid=grid, _H_vals=H_vals)
+    samples = boundary_gradient_samples(spec, grid, u, _phi_vals=phi_vals)
     rep.items["hypothesis"] = dict(hypo.as_dict(), passed=hypo.passed,
                                    advisory=True)
 
@@ -728,8 +711,7 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
         except CertificateFailed as exc:
             rep.items["height_barrier"] = {"passed": False, "reason": str(exc)}
         try:
-            gc = boundary_gradient_certificate(spec, grid, u, bgeom=bgeom,
-                                               _samples=samples)
+            gc = boundary_gradient_certificate(spec, grid, u, _samples=samples)
             rep.items["gradient_barrier"] = {
                 "passed": True, "K": gc.params.K, "C": gc.params.C,
                 "mu": gc.params.mu, "extension": gc.extension,
@@ -742,7 +724,7 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
         try:
             eps_max = 0.3 * float(np.max(grid.dist))
             curve = riccati_evolution(spec.chart, spec.domain, eps_max,
-                                      eps_max / 16.0, samples=64, n=spec.n)
+                                      eps_max / 16.0, samples=64)
             envelope_ok = bool(np.all(curve.H_direct >= curve.H_envelope - 1e-6))
             rep.items["riccati"] = {
                 "passed": curve.monotone() and envelope_ok,
@@ -756,7 +738,7 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
             rep.items[name] = {"passed": False, "skipped": True,
                                "reason": "hypothesis check failed"}
 
-    flux = flux_balance(spec, grid, u, bgeom=bgeom, _samples=samples, _H_vals=H_vals)
+    flux = flux_balance(spec, grid, u, _samples=samples, _H_vals=H_vals)
     flux_tol = max(1e-2, 5.0 * grid.h)
     rep.items["flux"] = {
         "passed": bool(flux.relative <= flux_tol),

@@ -60,8 +60,10 @@ def parse_config(path):
     def number(section, key, positive=False):
         where = f"{path}: [{section}] {key}"
         value = geometry._number(need(section, key), where)
-        if not math.isfinite(value) or (positive and value <= 0):
-            raise InputError(f"{where} must be finite" + (" and positive" if positive else ""))
+        if positive:
+            return geometry._positive(value, where)
+        if not math.isfinite(value):
+            raise InputError(f"{where} must be finite")
         return value
 
     # geometry
@@ -107,7 +109,7 @@ def parse_config(path):
             if key != "newton_tol":
                 raise InputError(f"{path}: [solver] unknown key {key!r}")
         if parser.has_option("solver", "newton_tol"):
-            cfg.newton_tol = number("solver", "newton_tol", positive=True)
+            cfg = solver.SolveConfig(newton_tol=number("solver", "newton_tol", positive=True))
 
     return RunConfig(h=h, spec=spec, solve_config=cfg, source=str(path))
 
@@ -147,8 +149,7 @@ def cmd_solve(config_path, out_dir="."):
 def cmd_check(config_path):
     run = parse_config(config_path)
     grid = _build(run)
-    bgeom = analysis._spec_boundary_geometry(run.spec, grid)
-    verdict = analysis.hypothesis_check(run.spec, bgeom, grid=grid)
+    verdict = analysis.hypothesis_check(run.spec, grid.boundary_geometry, grid=grid)
     print(f"sup|H|    = {verdict.sup_H:.6f}")
     print(f"inf_Hcyl  = {verdict.inf_Hcyl:.6f}")
     print(f"H_cyl > 0:              {'OK' if verdict.cyl_positive else 'FAIL'}")
@@ -156,7 +157,7 @@ def cmd_check(config_path):
           f"(slack {verdict.slack_H:.6f})")
     print(f"Ric lower bound:        {'OK' if verdict.ric_ok else 'FAIL'} "
           f"(ric_lower {verdict.ric_lower:.6f} vs -n inf^2 = "
-          f"{-bgeom.n * verdict.inf_Hcyl ** 2:.6f})")
+          f"{-geometry.DIM * verdict.inf_Hcyl ** 2:.6f})")
     print(f"verdict: {'PASS' if verdict.passed else 'FAIL'}")
     return 0 if verdict.passed else 3
 
@@ -170,12 +171,8 @@ def cmd_verify(config_path, u_csv, out_dir="."):
                              newton_tol=run.solve_config.newton_tol)
     _write_json(os.path.join(out_dir, "verify.json"), report.to_json_dict())
     for name, (nodes, margin) in report.margins.items():
-        path = os.path.join(out_dir, f"margin_{name}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,y,margin\n")
-            for node, m in zip(nodes, margin):
-                x, y = grid.points[node]
-                fh.write(f"{x:.17g},{y:.17g},{m:.17g}\n")
+        write_field_csv(os.path.join(out_dir, f"margin_{name}.csv"), grid, margin,
+                        name="margin", nodes=nodes)
     for name, item in sorted(report.items.items()):
         status = "skip" if item.get("skipped") else ("pass" if item["passed"] else "FAIL")
         note = " (advisory)" if item.get("advisory") else ""

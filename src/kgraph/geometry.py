@@ -28,6 +28,7 @@ from .errors import InputError, NonPositiveDefinite
 from .expr import compile_expression
 
 EIG_FLOOR = 1e-12  # below this, sigma or f counts as degenerate
+DIM = 2            # n, the dimension of the base: charts are planar
 
 
 @dataclass(frozen=True)
@@ -262,6 +263,13 @@ def _number(text, what, kind=float):
         return kind(text)
     except ValueError:
         raise InputError(f"{what}: not a number: {str(text).strip()!r}") from None
+
+
+def _positive(value, what):
+    """value, or an InputError naming `what` unless it is finite and positive."""
+    if not (np.isfinite(value) and value > 0):
+        raise InputError(f"{what} must be finite and positive")
+    return value
 
 
 def make_builtin(name, params=None):

@@ -10,22 +10,23 @@ node along an axis (the slots where Dirichlet data enters stencils).
 The grid holds geometry only: the chart it was built for, lattice
 maps, crossings, the sigma distance field and sigma-area quadrature
 weights.  Derivatives of node fields are the operator's
-(`GraphOperator.Gx`/`Gy` over the ghost-extended field).  The distance
-field to the boundary is analytic for flat metrics and fast-swept
-first-order (by anti-diagonals) for general sigma.  Grids are immutable
-after build.
+(`GraphOperator.Gx`/`Gy` over the ghost-extended field); the grid keeps
+its one operator and one full-sample boundary geometry, each built on
+first read.  The distance field to the boundary is analytic for flat
+metrics and fast-swept first-order (by anti-diagonals) for general
+sigma.  Grids are immutable after build.
 """
 
-import csv
+import functools
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import EmptyDomain, InputError, StencilUnavailable
-from .geometry import _inverse_metric, _sqrt_det, validate_chart_at
+from .geometry import _inverse_metric, _positive, _sqrt_det, validate_chart_at
 
 OUTSIDE = 0
 INTERIOR = 1
@@ -52,8 +53,7 @@ class Disk:
     def __post_init__(self):
         if not np.all(np.isfinite(self.center)):
             raise InputError("disk center must be finite")
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise InputError("disk radius must be finite and positive")
+        _positive(self.radius, "disk radius")
 
     def sdf(self, points):
         points = np.asarray(points, dtype=float)
@@ -177,10 +177,6 @@ class GridDomain:
     outer_mean: object         # (Ng + Ns, N) sparse: each ghost's mean over its
                                # inside axis neighbours, then each sliver's over
                                # its inside axis and diagonal neighbours
-    # GraphOperators built on this grid, and its boundary geometry
-    # (analysis._spec_boundary_geometry), keyed by n; freed with it
-    operators: dict = field(default_factory=dict, repr=False, compare=False)
-    boundaries: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_inside(self):
@@ -193,6 +189,21 @@ class GridDomain:
     @property
     def num_links(self):
         return len(self.link_node)
+
+    @functools.cached_property
+    def operator(self):
+        """The GraphOperator of this grid, built on first read and freed with it."""
+        from .operator import GraphOperator
+        return GraphOperator(self)
+
+    @functools.cached_property
+    def boundary_geometry(self):
+        """`analysis.boundary_geometry` of the grid's chart and domain at
+        one sample per boundary link, at least 64: the one the solve's
+        hypothesis check and the certificates read, computed on first
+        read and freed with the grid."""
+        from .analysis import boundary_geometry
+        return boundary_geometry(self.chart, self.domain, samples=max(64, self.num_links))
 
     @property
     def interior_mask(self):
@@ -247,8 +258,7 @@ def build_grid(domain, h, chart):
     definiteness and f > 0 are checked at every inside and ghost node
     here, before anything else can run.
     """
-    if h <= 0:
-        raise InputError("grid spacing h must be positive")
+    _positive(h, "grid spacing h")
     cls, x_origin, y_origin, nx, ny, P = _classify(domain, h)
 
     inside_mask = (cls == INTERIOR) | (cls == BOUNDARY_ADJACENT)
@@ -533,14 +543,14 @@ def integrate(grid, values):
 # ---------------------------------------------------------------------------
 # field I/O
 
-def write_field_csv(path, grid, values, name="value"):
-    """Write `x,y,<name>` rows over inside nodes; round-trips exactly."""
-    values = grid.check_field(values, name)
+def write_field_csv(path, grid, values, name="value", nodes=None):
+    """Write `x,y,<name>` rows, CRLF-terminated, over the inside nodes, or
+    over the inside ids `nodes` with one value each; round-trips exactly."""
+    if nodes is None:
+        nodes, values = slice(None), grid.check_field(values, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", name])
-        for (x, y), v in zip(grid.points, values):
-            writer.writerow([f"{x:.17g}", f"{y:.17g}", f"{v:.17g}"])
+        np.savetxt(fh, np.column_stack([grid.points[nodes], values]), fmt="%.17g",
+                   delimiter=",", newline="\r\n", header=f"x,y,{name}", comments="")
 
 
 def read_field_csv(path, grid):

@@ -12,11 +12,12 @@ and the operator in divergence form reads
     Q[u] = div_sigma(hat_u / W) - (1/W) kappa_i hat_u^i,
 
 with kappa_i = d_i f / (2 f).  A graph has prescribed mean curvature H
-precisely when Q[u] = n H.  The primary discretization is the flux
-form: face-centered fluxes sqrt(det sigma) hat_u^n / W, n the face
-normal, differenced over each node cell, with Dirichlet data entering
-through ghost values extrapolated across the true boundary crossings
-(equivalent to Shortley-Weller stencils).
+precisely when Q[u] = n H, n = DIM = 2 the dimension of the planar
+base.  The primary discretization is the flux form: face-centered
+fluxes sqrt(det sigma) hat_u^n / W, n the face normal, differenced over
+each node cell, with Dirichlet data entering through ghost values
+extrapolated across the true boundary crossings (equivalent to
+Shortley-Weller stencils).
 
 Sign convention: the graph normal points up the fiber, so over a
 Euclidean base the lower spherical cap u = -sqrt(R^2 - r^2) has
@@ -32,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InputError, KGraphError, SingularJacobian
-from .geometry import _inverse_metric, _sqrt_det, kappa_vector_at
+from .geometry import DIM, _inverse_metric, _sqrt_det, kappa_vector_at
 from .grid import STEP_X, STEP_Y, _lattice_at, integrate
 
 THETA_FLOOR = 1e-6  # ghost extrapolation keeps theta away from zero
@@ -63,9 +64,11 @@ class ProblemSpec:
     domain: object
     H: object = 0.0
     phi: object = 0.0
-    n: int = 2
 
     def __post_init__(self):
+        if not (callable(self.H) or np.asarray(self.H).dtype.kind in "biuf"):
+            raise InputError("H must be a number, a callable over points or a node array, "
+                             f"not {type(self.H).__name__}")
         if not (callable(self.phi) or isinstance(self.phi, numbers.Real)):
             raise InputError("phi must be a number or a callable over boundary points, "
                              f"not {type(self.phi).__name__}")
@@ -118,17 +121,16 @@ class GraphOperator:
     from a fixed set of sparse incidence matrices, so repeated Newton
     calls only pay pointwise nonlinear work.
 
-    The grid owns its operators, one per n (`_get_operator` memoizes
-    them there), and `op.grid` is a weak proxy, so a dropped grid frees
-    them at once.  An operator lives as long as its grid: keep the grid.
+    The grid owns its one operator (`GridDomain.operator` builds it on
+    first read), and `op.grid` is a weak proxy, so a dropped grid frees
+    it at once.  An operator lives as long as its grid: keep the grid.
     It keeps no matrix of a solve: the harmonic lift's Laplacian and each
     solve's multigrid hierarchy (`_solve`) live only as long as the
     caller holds them.
     """
 
-    def __init__(self, grid, n=2):
+    def __init__(self, grid):
         self.grid = weakref.proxy(grid)
-        self.n = n
         self._find_eliminated()
         self._build_extension()
         self._build_gradients()
@@ -342,7 +344,7 @@ class GraphOperator:
         if state["node"] is not None:
             _, _, up1, up2, W_n = state["node"]
             r -= (self.node_kappa[:, 0] * up1 + self.node_kappa[:, 1] * up2) / W_n
-        r -= self.n * np.asarray(H_vals, dtype=float)
+        r -= DIM * np.asarray(H_vals, dtype=float)
         if self._elim_any:
             pinned = self._elim_J @ np.asarray(u, dtype=float) - self._elim_phi @ phi_vals
             r[self.elim_nodes] = pinned[self.elim_nodes]
@@ -660,42 +662,30 @@ def _faces(lo, hi):
     return fx[order], fy[order]
 
 
-def _get_operator(grid, n=2):
-    """The GraphOperator of (grid, n), memoized on the grid."""
-    op = grid.operators.get(n)
-    if op is None:
-        op = grid.operators[n] = GraphOperator(grid, n=n)
-    return op
-
-
 # ---------------------------------------------------------------------------
 # spec-level convenience functions
 
 def residual(spec, grid, u, H=None, phi=None):
     """Q[u] - n H over inside nodes for a problem spec."""
     spec.check_grid(grid)
-    op = _get_operator(grid, spec.n)
     H_vals = spec.H_nodes(grid) if H is None else _eval_data(H, grid.points)
     phi_vals = spec.phi_links(grid) if phi is None else _eval_data(phi, grid.link_points)
-    return op.residual(grid.check_field(u, "u"), phi_vals, H_vals)
+    return grid.operator.residual(grid.check_field(u, "u"), phi_vals, H_vals)
 
 
 def jacobian(spec, grid, u, phi=None):
     """Analytic sparse Jacobian of the residual at u."""
     spec.check_grid(grid)
-    op = _get_operator(grid, spec.n)
     phi_vals = spec.phi_links(grid) if phi is None else _eval_data(phi, grid.link_points)
-    return op.jacobian(grid.check_field(u, "u"), phi_vals)
+    return grid.operator.jacobian(grid.check_field(u, "u"), phi_vals)
 
 
 def operator_state(spec, grid, u):
     """(hat_u_x, hat_u_y, hat_u^x, hat_u^y, W) at every inside node: the
     tilted gradient in both index positions and W."""
-    op = _get_operator(grid, spec.n)
-    return op.state(grid.check_field(u, "u"), spec.phi_links(grid))
+    return grid.operator.state(grid.check_field(u, "u"), spec.phi_links(grid))
 
 
 def area_functional(spec, grid, u):
     """The graph functional integral of W against the sigma area element."""
-    op = _get_operator(grid, spec.n)
-    return op.functional(grid.check_field(u, "u"), spec.phi_links(grid))
+    return grid.operator.functional(grid.check_field(u, "u"), spec.phi_links(grid))

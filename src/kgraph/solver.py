@@ -15,9 +15,10 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .analysis import _spec_boundary_geometry, hypothesis_check
+from .analysis import hypothesis_check
 from .errors import ContinuationStalled, DivergedIterates, KGraphError, SingularJacobian
-from .operator import LINEAR_TOL, _eval_data, _get_operator, _gmres, _relative_residual
+from .geometry import _positive
+from .operator import LINEAR_TOL, _eval_data, _gmres, _relative_residual
 
 SCHEMA_VERSION = 1
 KRYLOV_MAX = 16           # V-cycles a Newton step spends on a reused hierarchy
@@ -35,9 +36,12 @@ DSIGMA_MIN = 2.0 ** -10   # continuation step floor
 DIVERGE_SUP = 1e6         # iterate blow-up guard
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveConfig:
-    newton_tol: float = 1e-10      # sup-norm residual target
+    newton_tol: float = 1e-10      # sup-norm residual target, finite and positive
+
+    def __post_init__(self):
+        _positive(self.newton_tol, "newton_tol")
 
 
 @dataclass
@@ -156,7 +160,7 @@ def minimal_initial_graph(spec, grid, cfg=None, _lu_slot=None):
     """
     cfg = cfg or SolveConfig()
     spec.check_grid(grid)
-    op = _get_operator(grid, spec.n)
+    op = grid.operator
     zeros_nodes = np.zeros(grid.num_inside)
     try:
         u, _, _ = newton_solve(op, zeros_nodes, np.zeros(grid.num_links), zeros_nodes,
@@ -184,10 +188,9 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
     phi_target = spec.phi_links(grid)
     if u0 is not None:
         u0 = grid.check_field(u0, "u0")
-    op = _get_operator(grid, spec.n)
+    op = grid.operator
 
-    verdict = hypothesis_check(spec, _spec_boundary_geometry(spec, grid), grid=grid,
-                               _H_vals=H_target)
+    verdict = hypothesis_check(spec, grid.boundary_geometry, grid=grid, _H_vals=H_target)
     report = SolveReport(h=grid.h, geometry=spec.chart.name,
                          domain=spec.domain.describe(), hypothesis=verdict.as_dict())
 
@@ -270,7 +273,7 @@ def comparison_check(spec, grid, u1, u2, phi1=None, phi2=None,
     violating node is returned as a witness.  phi1/phi2 default to the
     spec's boundary data for both fields.
     """
-    op = _get_operator(grid, spec.n)
+    op = grid.operator
     p_default = spec.phi_links(grid)
     p1 = p_default if phi1 is None else _eval_data(phi1, grid.link_points)
     p2 = p_default if phi2 is None else _eval_data(phi2, grid.link_points)

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from kgraph.analysis import (GEOM_H_FD, RiccatiCurve, _curve_H_cyl, _sigma_normalize,
                              boundary_geometry)
 from kgraph.errors import TubularWidthExceeded
-from kgraph.geometry import _central_partials, _tilt, christoffels_at
+from kgraph.geometry import DIM, _central_partials, _tilt, christoffels_at
 from kgraph.grid import _lattice_at
 
 
@@ -77,7 +77,7 @@ def residual_nondivergence(op, u, phi_vals, H_vals, gamma_mode="full"):
     dt = _central_partials(lambda p: _tilt(op.grid.chart, p), grid.points, h)
 
     idx = np.nonzero(grid.interior_mask)[0]
-    Hv = op.n * np.asarray(H_vals, dtype=float)
+    Hv = DIM * np.asarray(H_vals, dtype=float)
     cx, cy = grid.inside_ij[idx, 0], grid.inside_ij[idx, 1]
 
     def at(sx, sy):
@@ -100,12 +100,12 @@ def residual_nondivergence(op, u, phi_vals, H_vals, gamma_mode="full"):
     return out
 
 
-def riccati_per_stage(chart, domain, eps_max, deps, samples=64, n=2):
+def riccati_per_stage(chart, domain, eps_max, deps, samples=64):
     """`riccati_evolution` the plain way: the normal geodesics, their
     Christoffel symbols from one `christoffels_at` per RK4 stage, and the
     envelope as one tuple, with one `_curve_H_cyl` per depth."""
     ric = chart.ric_lower
-    bg = boundary_geometry(chart, domain, samples=samples, n=n)
+    bg = boundary_geometry(chart, domain, samples=samples)
     nsteps = max(1, int(round(eps_max / deps)))
     eps = np.linspace(0.0, eps_max, nsteps + 1)
     dt = eps_max / nsteps
@@ -118,7 +118,7 @@ def riccati_per_stage(chart, domain, eps_max, deps, samples=64, n=2):
             acc = np.zeros_like(v)
         else:
             acc = -np.einsum("...kij,...i,...j->...k", christoffels_at(chart, p, GEOM_H_FD), v, v)
-        return v, acc, H * H + ric / n
+        return v, acc, H * H + ric / DIM
 
     def shift(y, k, c):
         return tuple(yi + c * ki for yi, ki in zip(y, k))
@@ -143,5 +143,5 @@ def riccati_per_stage(chart, domain, eps_max, deps, samples=64, n=2):
         if not np.all(np.isfinite(H_env[:, k])):
             raise TubularWidthExceeded(f"Riccati envelope blows up before eps = {eps[k]:.4g}")
         eta_eps = _sigma_normalize(chart, p0, v[S:2 * S])
-        H_direct[:, k] = _curve_H_cyl(chart, pm, p0, pp, bg.dt, eta_eps, n=n)[0]
+        H_direct[:, k] = _curve_H_cyl(chart, pm, p0, pp, bg.dt, eta_eps)[0]
     return RiccatiCurve(eps=eps, H_direct=H_direct, H_envelope=H_env)

@@ -9,7 +9,6 @@ import pytest
 
 import kgraph as kg
 from kgraph.cli import main
-from kgraph.operator import _get_operator
 from conftest import cap_trace, saddle, smooth_random_field
 from oracles import residual_nondivergence
 
@@ -133,7 +132,7 @@ class TestCriterion4Ellipticity:
 class TestCriterion5GammaInvariance:
     def test_gamma_term_drops(self, heis):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 1.0 / 16, heis)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         rng = np.random.default_rng(102)
         worst = 0.0
         for _ in range(5):
@@ -158,7 +157,7 @@ class TestCriterion6Jacobian:
         worst = 0.0
         for chart in (euclid, heis, warp):
             grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, chart)
-            op = _get_operator(grid, 2)
+            op = grid.operator
             H0 = np.zeros(grid.num_inside)
             for _ in range(20):
                 u = smooth_random_field(grid.points, rng)
@@ -200,8 +199,7 @@ class TestCriterion8Barriers:
             verdict = kg.hypothesis_check(case.spec, bg, grid=case.grid)
             assert verdict.passed, case.name
             hc = kg.height_barrier_certificate(case.spec, case.grid, case.u)
-            gc = kg.boundary_gradient_certificate(case.spec, case.grid, case.u,
-                                                  bgeom=bg)
+            gc = kg.boundary_gradient_certificate(case.spec, case.grid, case.u)
             assert np.min(hc.margin) >= -1e-12, case.name
             assert np.min(gc.margin) >= -1e-9, case.name
             passing.append(case.name)

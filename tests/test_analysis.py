@@ -12,7 +12,6 @@ import pytest
 import kgraph as kg
 import kgraph.analysis as kan
 from kgraph.errors import CertificateFailed, MinPrincipleViolated, TubularWidthExceeded
-from kgraph.operator import _get_operator
 from conftest import cap_trace, curved_exp_H, curved_exp_u, saddle
 from oracles import riccati_per_stage
 
@@ -420,7 +419,7 @@ class TestVerify:
         # f |xi|^2 <= A xi xi fails once W is shrunk below its value at u
         spec, grid, u = cap_64.spec, cap_64.grid, cap_64.u
         assert kg.verify(spec, grid, u).items["ellipticity"]["passed"] is True
-        op = _get_operator(grid, spec.n)
+        op = grid.operator
         state = op.state
 
         def shrunk(*args):
@@ -447,7 +446,7 @@ class TestVerify:
         # verify hands its one op.state to the flux and theta checks,
         # which give what they give when called on their own
         spec, grid, u = cap_64.spec, cap_64.grid, cap_64.u
-        op = _get_operator(grid, spec.n)
+        op = grid.operator
         calls = []
         state = op.state
         monkeypatch.setattr(op, "state", lambda *a: calls.append(a) or state(*a))
@@ -532,8 +531,9 @@ class TestVerifyEvaluatesOnce:
 
 class TestBoundaryGeometryOnGrid:
     def test_solve_and_verify_share_one(self, euclid, monkeypatch):
-        # the full-sample geometry of (grid, n): computed by the solve's
-        # hypothesis check, read again by verify, freed with the grid
+        # the grid's full-sample geometry: computed by the solve's
+        # hypothesis check, read again by verify and by the gradient and
+        # flux certificates on their own, freed with the grid
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
         spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
         samples = max(64, grid.num_links)
@@ -544,11 +544,13 @@ class TestBoundaryGeometryOnGrid:
                             lambda *a, **kw: calls.append(kw["samples"]) or fresh(*a, **kw))
         u, _ = kg.solve_dirichlet(spec, grid)
         assert kg.verify(spec, grid, u).passed
+        kg.boundary_gradient_certificate(spec, grid, u)
+        kg.flux_balance(spec, grid, u)
         assert calls.count(samples) == 1
         monkeypatch.undo()
 
-        shared = grid.boundaries[spec.n]
-        ref = kg.boundary_geometry(euclid, grid.domain, samples=samples, n=spec.n)
+        shared = grid.boundary_geometry
+        ref = kg.boundary_geometry(euclid, grid.domain, samples=samples)
         for name in ("params", "points", "points_minus", "points_plus", "dt", "tangents",
                      "eta", "eta_minus", "eta_plus", "H_gamma", "kappa", "H_cyl", "speed",
                      "weights", "tilt"):

@@ -195,8 +195,11 @@ class TestVerify:
         # the recomputed residual reproduces the solver's value exactly
         assert abs(verify["items"]["residual"]["residual_inf"]
                    - report["residual_final"]) <= 1e-12
-        assert (vout / "margin_height.csv").exists()
-        assert (vout / "margin_gradient.csv").exists()
+        # the margins are written as u.csv is, CRLF-terminated
+        for name in ("margin_height.csv", "margin_gradient.csv"):
+            text = (vout / name).read_bytes().decode()
+            assert text.startswith("x,y,margin\r\n") and text.endswith("\r\n")
+            assert text.count("\n") == text.count("\r\n")
         # the height barrier is checked at every inside node, in grid order
         run = parse_config(cfg)
         grid = kg.build_grid(run.spec.domain, run.h, run.spec.chart)

@@ -36,7 +36,6 @@ import kgraph as kg
 from kgraph import grid as kgrid
 from kgraph.analysis import boundary_gradient_samples
 from kgraph.geometry import inverse_metric_at
-from kgraph.operator import _get_operator
 from oracles import jacobian_fd, residual_nondivergence
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -364,7 +363,7 @@ def operator_values(case):
     chart = factory()
     grid = kg.build_grid(domain, h, chart)
     spec = kg.ProblemSpec(chart=chart, domain=domain, H=H, phi=phi)
-    op = _get_operator(grid, spec.n)
+    op = grid.operator
     u, v = _fields(grid.points)
     phi_vals = spec.phi_links(grid)
     residual = op.residual(u, phi_vals, spec.H_nodes(grid))
@@ -460,7 +459,7 @@ def _oracle_setup(case, ref=None):
     factory, domain, h, phi = ORACLE_CASES[case]
     chart = factory()
     grid = kg.build_grid(domain, h, chart)
-    op = _get_operator(grid, 2)
+    op = grid.operator
     if ref is None:
         return grid, op, _fields(grid.points)[0], phi(grid.link_points)
     return grid, op, ref["u"], ref["phi"]
@@ -515,9 +514,9 @@ def gather_values(case, ref=None):
     grid = kg.build_grid(domain, h, chart)
     spec = kg.ProblemSpec(chart=chart, domain=domain, H=H, phi=phi)
     u, v = _fields(grid.points) if ref is None else (ref["u"], ref["v"])
-    bgeom = kg.boundary_geometry(chart, domain, samples=max(64, grid.num_links))
-    grad_norm, normal, tangential = boundary_gradient_samples(spec, grid, u, bgeom)
-    Div = _get_operator(grid, 2).Div
+    bgeom = grid.boundary_geometry
+    grad_norm, normal, tangential = boundary_gradient_samples(spec, grid, u)
+    Div = grid.operator.Div
     return {"u": u, "v": v, "grad_norm": grad_norm, "normal": normal,
             "tangential": tangential,
             "integrals": np.array([kg.integrate(grid, w)

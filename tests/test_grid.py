@@ -8,7 +8,7 @@ import pytest
 import kgraph as kg
 from kgraph.errors import EmptyDomain, InputError
 from kgraph.grid import BOUNDARY_ADJACENT, DIRICHLET_GHOST, INTERIOR
-from kgraph.operator import THETA_ELIM, _get_operator, _walk_inward
+from kgraph.operator import THETA_ELIM, _walk_inward
 from test_equivalence import _strip
 
 
@@ -83,6 +83,12 @@ class TestBuild:
     def test_nonfinite_domain_rejected(self, make):
         with pytest.raises(InputError):
             make()
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -0.1],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_bad_spacing_rejected(self, euclid, h):
+        with pytest.raises(InputError, match="^grid spacing h must be finite and positive$"):
+            kg.build_grid(kg.Disk((0.0, 0.0), 0.5), h, euclid)
 
     def test_empty_domain(self, euclid):
         with pytest.raises(EmptyDomain):
@@ -194,7 +200,7 @@ class TestStencils:
 
     @staticmethod
     def gradient(chart, grid, field):
-        op = _get_operator(grid, 2)
+        op = grid.operator
         u_ext = op.extend(field(grid.points), field(grid.link_points))
         return np.stack([op.Gx @ u_ext, op.Gy @ u_ext], axis=-1)
 
@@ -264,7 +270,7 @@ class TestStencils:
             x, y = P[..., 0], P[..., 1]
             return 1.0 + 3.0 * y - 40.0 * y ** 2 + 0.5 * x * y + x ** 2
 
-        u_ext = _get_operator(grid, 2).extend(u(grid.points), u(grid.link_points))
+        u_ext = grid.operator.extend(u(grid.points), u(grid.link_points))
         assert np.abs(u_ext[grid.num_inside + ghost] - u(grid.ghost_points[ghost])).max() <= 1e-11
 
 
@@ -315,6 +321,34 @@ class TestFieldIO:
         kg.write_field_csv(path, grid, vals, name="u")
         back = kg.read_field_csv(path, grid)
         assert np.array_equal(back, vals)
+
+    def test_bytes_as_csv_rows(self, euclid, tmp_path):
+        # the rows csv.writer gives for the %.17g strings: CRLF-terminated,
+        # signed zeros and subnormals spelled as Python spells them
+        import csv
+        import io
+
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.6), 0.1, euclid)
+        vals = np.random.default_rng(12).normal(size=grid.num_inside) * 1e3
+        vals[:4] = [-0.0, 5e-324, 1.0, -1e300]
+        kg.write_field_csv(tmp_path / "field.csv", grid, vals, name="u")
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["x", "y", "u"])
+        for (x, y), v in zip(grid.points, vals):
+            writer.writerow([f"{x:.17g}", f"{y:.17g}", f"{v:.17g}"])
+        assert (tmp_path / "field.csv").read_bytes() == ref.getvalue().encode()
+
+    def test_node_subset(self, euclid, tmp_path):
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.6), 0.1, euclid)
+        nodes = np.array([5, 0, 17])
+        kg.write_field_csv(tmp_path / "m.csv", grid, [0.25, -1.0, 3.0], name="margin",
+                           nodes=nodes)
+        text = (tmp_path / "m.csv").read_bytes().decode()
+        assert text.startswith("x,y,margin\r\n") and text.count("\r\n") == 4
+        rows = np.loadtxt(tmp_path / "m.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, :2], grid.points[nodes])
+        assert np.array_equal(rows[:, 2], [0.25, -1.0, 3.0])
 
     def test_shape_mismatch(self, euclid, tmp_path):
         g1 = kg.build_grid(kg.Disk((0.0, 0.0), 0.6), 0.1, euclid)

@@ -7,7 +7,6 @@ import pytest
 
 import kgraph as kg
 from kgraph.errors import InputError
-from kgraph.operator import _get_operator
 from conftest import cap_trace, smooth_random_field
 from oracles import jacobian_fd, residual_nondivergence
 from test_equivalence import OPERATOR_CASES, _fields
@@ -99,6 +98,13 @@ class TestProblemSpec:
         for phi in (0, 0.5, np.float64(-1.0), CAP):
             assert kg.ProblemSpec(chart=euclid, domain=domain, phi=phi).phi is phi
 
+    @pytest.mark.parametrize("H", ["abc", "0.5", 1j, None], ids=["text", "numeric-text",
+                                                               "complex", "none"])
+    def test_H_not_a_number_is_an_input_error(self, euclid, H):
+        with pytest.raises(InputError, match="^H must be a number, a callable over points "
+                                             "or a node array, not "):
+            kg.ProblemSpec(chart=euclid, domain=kg.Disk((0.0, 0.0), 0.5), H=H)
+
     def test_link_array_override_still_accepted(self, euclid):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
         spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
@@ -127,7 +133,8 @@ class TestProblemSpec:
         assert report.converged
 
     @pytest.mark.parametrize("entry", ["residual", "solve_dirichlet", "minimal_initial_graph",
-                                       "verify", "height_barrier_certificate"])
+                                       "verify", "height_barrier_certificate",
+                                       "boundary_gradient_certificate", "flux_balance"])
     @pytest.mark.parametrize("mismatch", ["chart", "domain"])
     def test_spec_not_of_its_grid_is_an_input_error(self, euclid, curved, mismatch, entry):
         # the grid's distances and cell areas are in its chart's sigma, over
@@ -203,7 +210,7 @@ class TestResidual:
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 1.0 / 16, heis)
         rng = np.random.default_rng(5)
         u = smooth_random_field(grid.points, rng)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         phi = smooth_random_field(grid.link_points.reshape(-1, 2), rng)
         H = np.zeros(grid.num_inside)
         r1 = op.residual(u, phi, H)
@@ -219,7 +226,7 @@ class TestResidual:
         sups = []
         for h in (1.0 / 16, 1.0 / 32):
             grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), h, heis)
-            op = _get_operator(grid, 2)
+            op = grid.operator
             u = field(grid.points)
             phi = field(grid.link_points)
             H0 = np.zeros(grid.num_inside)
@@ -231,7 +238,7 @@ class TestResidual:
 
     def test_gamma_invariance(self, heis):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 1.0 / 16, heis)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         rng = np.random.default_rng(6)
         for _ in range(3):
             u = smooth_random_field(grid.points, rng)
@@ -314,7 +321,7 @@ class TestJacobian:
         # weights (~1/theta) amplify the curvature of the residual past
         # what fp64 forward differencing can certify
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 8, euclid)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         deep = grid.dist >= 3.5 * grid.h
         H0 = np.zeros(grid.num_inside)
         eps = 1e-7
@@ -332,7 +339,7 @@ class TestJacobian:
         rng = np.random.default_rng(19)
         for chart in (kg.euclidean(), heis, warp):
             grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, chart)
-            op = _get_operator(grid, 2)
+            op = grid.operator
             u = smooth_random_field(grid.points, rng)
             phi = smooth_random_field(grid.link_points, rng)
             v = smooth_random_field(grid.points, rng)
@@ -346,7 +353,7 @@ class TestJacobian:
 
     def test_colored_fd_matrix_oracle(self, heis):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.4), 1.0 / 16, heis)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         rng = np.random.default_rng(10)
         u = smooth_random_field(grid.points, rng)
         phi = smooth_random_field(grid.link_points, rng)
@@ -360,7 +367,7 @@ class TestJacobian:
         # measured, and 2.7e-4 without the lower-order terms
         chart = kg.warped("1 + x^2 / 4")
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, chart)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         assert op._kappa_any
         u, _ = _fields(grid.points)
         phi = CAP(grid.link_points)
@@ -375,7 +382,7 @@ class TestJacobian:
         # back in, every result is bitwise the same
         chart = request.getfixturevalue(chart_name)
         grid = kg.build_grid(kg.Disk((0.013, -0.02), 0.5), 1.0 / 40, chart)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         assert not op._kappa_any
         u, v = _fields(grid.points)
         phi, H = CAP(grid.link_points), np.ones(grid.num_inside)
@@ -401,7 +408,7 @@ class TestJacobian:
         rng = np.random.default_rng(11)
         u = smooth_random_field(grid.points, rng)
         phi = smooth_random_field(grid.link_points, rng)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         J = op.jacobian(u, phi)
         ones = np.ones(grid.num_inside)
         Jv = J @ ones
@@ -425,7 +432,7 @@ class TestJacobianAction:
             factory, domain, h, _, phi = OPERATOR_CASES[case]
             chart = factory()
         grid = kg.build_grid(domain, h, chart)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         assert op._kappa_any == (case == "warped32")
         u, v = _fields(grid.points)
         phi_vals = phi(grid.link_points)
@@ -437,18 +444,17 @@ class TestJacobianAction:
 
 
 class TestOperatorMemo:
-    def test_same_object_per_chart_grid_n(self, euclid, heis):
+    def test_same_object_per_grid(self, euclid, heis):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
-        op = _get_operator(grid, 2)
-        assert _get_operator(grid, 2) is op
-        assert _get_operator(grid, 3) is not op
-        # the grid's operators are its chart's: another chart is an input error
+        op = grid.operator
+        assert grid.operator is op
+        # the grid's operator is its chart's: another chart is an input error
         heis_spec = kg.ProblemSpec(chart=heis, domain=grid.domain, H=1.0, phi=CAP)
         with pytest.raises(kg.InputError, match="does not match its grid"):
             kg.residual(heis_spec, grid, np.zeros(grid.num_inside))
         other = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
-        assert _get_operator(other, 2) is not op
-        assert _get_operator(grid, 2) is op
+        assert other.operator is not op
+        assert grid.operator is op
 
     def test_operator_freed_with_grid(self, euclid):
         # no cycle: the grid owns the operator, which refers back weakly
@@ -457,7 +463,7 @@ class TestOperatorMemo:
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
         spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
         kg.residual(spec, grid, np.zeros(grid.num_inside))
-        ref = weakref.ref(_get_operator(grid, 2))
+        ref = weakref.ref(grid.operator)
         assert ref() is not None
         del grid
         assert ref() is None
@@ -481,7 +487,7 @@ class TestAreaFunctional:
         rng = np.random.default_rng(12)
         u = smooth_random_field(grid.points, rng)
         phi_vals = smooth_random_field(grid.link_points, rng)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         val = op.functional(u, phi_vals)
         floor = kg.integrate(grid, np.sqrt(warp.f_at(grid.points)))
         assert val >= floor - 1e-12
@@ -490,7 +496,7 @@ class TestAreaFunctional:
         # discrete gradient of the functional tracks -(H=0 residual)
         # weighted by sqrt(sigma) h^2 when f is constant
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.6), 1.0 / 16, heis)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         rng = np.random.default_rng(13)
         u = smooth_random_field(grid.points, rng)
         phi = smooth_random_field(grid.link_points, rng)
@@ -511,7 +517,7 @@ class TestAreaFunctional:
         # with varying f the fiber-weighted functional is the one whose
         # gradient matches the H = 0 residual
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.6), 1.0 / 16, warp)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         rng = np.random.default_rng(14)
         u = smooth_random_field(grid.points, rng)
         phi = smooth_random_field(grid.link_points, rng)

@@ -1,5 +1,6 @@
 """Newton continuation solver, comparison checks, reports."""
 
+import dataclasses
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ import kgraph as kg
 import kgraph.operator as kop
 import kgraph.solver as ksolver
 from kgraph.errors import ContinuationStalled, KGraphError, SingularJacobian
-from kgraph.operator import _Multigrid, _get_operator
+from kgraph.operator import _Multigrid
 from kgraph.solver import newton_solve
 from conftest import cap_trace, curved_exp_H, curved_exp_u, saddle, smooth_random_field
 from oracles import jacobian_fd
@@ -60,7 +61,7 @@ class TestCapReproduction:
     def test_final_newton_contraction(self, euclid):
         # undamped quadratic convergence near the solution
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 64, euclid)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         phi = CAP(grid.link_points)
         H = np.ones(grid.num_inside)
         cfg = kg.SolveConfig()
@@ -71,7 +72,7 @@ class TestCapReproduction:
 
     def test_accepted_steps_monotone(self, euclid):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         phi = CAP(grid.link_points)
         H = np.ones(grid.num_inside)
         lift = op.laplace_lift(phi)
@@ -117,7 +118,7 @@ class TestMinimalInitialGraph:
     def test_functional_descent(self, heis):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 1.0 / 32, heis)
         spec = kg.ProblemSpec(chart=heis, domain=grid.domain, H=0.0, phi=0.0)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         u = kg.minimal_initial_graph(spec, grid)
         zeros = np.zeros(grid.num_links)
         final = op.functional(u, zeros, fiber_weighted=True)
@@ -164,7 +165,7 @@ class TestLineSearch:
         on its second call, the first trial; returns the residual history
         and the iterates the residual was called at."""
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         calls, residual = [], op.residual
 
         def patched(u, *args, **kwargs):
@@ -261,7 +262,7 @@ class TestContinuation:
 
     def test_diverged_iterates_guard(self, euclid, monkeypatch):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         monkeypatch.setattr(ksolver, "DIVERGE_SUP", 0.5)
         u0 = np.ones(grid.num_inside)   # already beyond the guard
         with pytest.raises(kg.DivergedIterates):
@@ -280,6 +281,22 @@ class TestContinuation:
             sols.append(u)
         for a in sols[1:]:
             assert np.abs(a - sols[0]).max() <= 1e-8
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_bad_newton_tol_is_an_input_error(self, euclid, tol):
+        # the forcing term divides by the previous residual, which is exactly
+        # zero on a flat chart's minimal graph, and a tolerance of zero is
+        # never met: the solve and verify share the CLI's rule
+        message = "^newton_tol must be finite and positive$"
+        with pytest.raises(kg.InputError, match=message):
+            kg.SolveConfig(newton_tol=tol)
+        with pytest.raises(dataclasses.FrozenInstanceError):   # nor set afterwards
+            kg.SolveConfig().newton_tol = tol
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
+        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
+        with pytest.raises(kg.InputError, match=message):
+            kg.verify(spec, grid, CAP(grid.points), newton_tol=tol)
 
     @pytest.mark.parametrize("bad, message", [
         (lambda n: np.zeros(n - 1), "u0 has 192 values, grid has 193 nodes"),
@@ -313,7 +330,7 @@ def _at_lift(request, case):
     chart_name, radius, h, H, phi = LINEAR_CASES[case]
     chart = request.getfixturevalue(chart_name)
     grid = kg.build_grid(kg.Disk((0.0, 0.0), radius), h, chart)
-    op = _get_operator(grid, 2)
+    op = grid.operator
     phi_vals = phi(grid.link_points)
     lift = op.laplace_lift(phi_vals)
     J = op.jacobian(lift, phi_vals)
@@ -351,7 +368,7 @@ class TestLinearSolve:
         # matrix carries the Jacobian's constraint rows, and the lift,
         # which solves them, meets them to solve accuracy
         grid = kg.build_grid(kg.Disk(centre, 0.5), h, euclid)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         phi = CAP(grid.link_points)
         n = op.elim_nodes
         assert len(n) == eliminated
@@ -367,7 +384,7 @@ class TestLinearSolve:
         # GMRES stores the preconditioned vectors in float32, so it must
         # normalize the right-hand side first
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         phi = CAP(grid.link_points)
         assert _rel(op.laplace_lift(scale * phi) / scale, op.laplace_lift(phi)) <= 1e-10
 
@@ -393,7 +410,7 @@ class TestLinearSolve:
     def test_linear_tol_is_read(self, euclid, monkeypatch):
         # healthy solves reach ~1e-14, so a 1e-20 bound must refuse them
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         phi = CAP(grid.link_points)
         lift = op.laplace_lift(phi)
         for module in (kop, ksolver):
@@ -663,7 +680,7 @@ class TestMultigrid:
         per_node = {}
         for n in (128, 256):
             spec, grid = _cap(euclid, n)
-            op = _get_operator(grid, 2)
+            op = grid.operator
             A, _ = op._laplace_system(spec.phi_links(grid))
             mg = _Multigrid(A, grid.inside_ij)
             stored = sum(M.nnz for M in mg.A[1:] + mg.P) + mg._lu.L.nnz + mg._lu.U.nnz
@@ -674,7 +691,7 @@ class TestMultigrid:
         # the V-cycle runs in float32; flexible GMRES applies the float64
         # matrix to what it returns, so the answer keeps direct accuracy
         spec, grid = _cap(euclid, 128)
-        op = _get_operator(grid, 2)
+        op = grid.operator
         A, rhs = op._laplace_system(spec.phi_links(grid))
         slot = {"lu": None}
         x = op._solve(A, rhs, kop.LIFT_TOL, lu_slot=slot)
@@ -754,16 +771,16 @@ class TestReport:
         assert rep.sup_du[-1] == pytest.approx(1.0 / np.sqrt(3.0), abs=5e-3)
         assert len(rep.sup_u) == len(rep.sigma_path)
 
-    def test_hypothesis_matches_verify_for_n3(self, euclid):
-        # the solve and verify sample the boundary cylinder in dimension
-        # n alike: inf H_cyl = (n - 1) H_Gamma / n = 4/3 on the disk of
-        # radius 1/2 for n = 3, not the n = 2 value 1
+    def test_hypothesis_matches_verify(self, euclid):
+        # the solve and verify sample the boundary cylinder alike:
+        # inf H_cyl = (n - 1) H_Gamma / n = 1 on the disk of radius 1/2
+        # for the planar base, n = 2
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 24, euclid)
-        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=0.5, phi=0.0, n=3)
+        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=0.5, phi=0.0)
         u, report = kg.solve_dirichlet(spec, grid)
         checked = kg.verify(spec, grid, u).items["hypothesis"]
         assert report.converged
-        assert report.hypothesis["inf_Hcyl"] == pytest.approx(4.0 / 3.0, rel=1e-4)
+        assert report.hypothesis["inf_Hcyl"] == pytest.approx(1.0, rel=1e-4)
         assert report.hypothesis == {k: checked[k] for k in report.hypothesis}
 
 
@@ -805,7 +822,7 @@ class TestComparison:
         # random nonnegative bumps vanishing at the boundary
         case = cap_64
         grid, spec = case.grid, case.spec
-        op = _get_operator(grid, spec.n)
+        op = grid.operator
         rng = np.random.default_rng(23)
         d = grid.dist
         for _ in range(50):
