@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import (CertificateFailed, MinPrincipleViolated,
+from .errors import (CertificateFailed, InputError, MinPrincipleViolated,
                      TubularWidthExceeded)
 from .geometry import (DIM, _eig_bounds_2x2, _inverse_metric, _positive, _tilt,
                        christoffels_at, inverse_metric_at, kappa_vector_at)
@@ -134,11 +134,7 @@ def boundary_geometry(chart, domain, samples=64):
     ts, dts = _boundary_params(domain, samples)
     period = domain.boundary_period()
     dt = CURVE_DT * period / (2.0 * np.pi)
-    p0 = domain.boundary_point(ts)
-    pm = domain.boundary_point(ts - dt)
-    pp = domain.boundary_point(ts + dt)
-    pmm = domain.boundary_point(ts - 2 * dt)
-    ppp = domain.boundary_point(ts + 2 * dt)
+    pmm, pm, p0, pp, ppp = (domain.boundary_point(ts + k * dt) for k in (-2, -1, 0, 1, 2))
 
     cp = (pp - pm) / (2.0 * dt)
     normals = []
@@ -665,6 +661,8 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
     `newton_tol` must be finite and positive, as the solve's is.
     """
     _positive(newton_tol, "newton_tol")
+    if isinstance(rng_seed, bool) or not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0:
+        raise InputError("rng_seed must be an integer >= 0")
     rep = VerifyReport()
     u = grid.check_field(u, "u")
     H_vals = spec.H_nodes(grid)
@@ -679,17 +677,15 @@ def verify(spec, grid, u, newton_tol=1e-10, rng_seed=7):
         "tolerance": 2.0 * newton_tol,
     }
 
-    # f |xi|^2 <= A xi xi <= W^2 |xi|^2 with A^ij = W^2 sigma^ij - hat_u^i hat_u^j,
-    # in 8 random directions
+    # f |xi|^2 <= A xi xi <= W^2 |xi|^2 with A^ij = W^2 sigma^ij - hat_u^i hat_u^j in 8
+    # random directions; |xi|^2 and hat_u . xi are each one product, a row per direction
     state = op.state(u, phi_vals)
     _, _, up1, up2, W = state
-    rng = np.random.default_rng(rng_seed)
-    xi = rng.normal(size=(8, 2))
-    norm2 = np.einsum("nij,ki,kj->nk", op.node_siginv, xi, xi)
-    hi = (W ** 2)[:, None]
-    quad = hi * norm2 - (up1[:, None] * xi[:, 0] + up2[:, None] * xi[:, 1]) ** 2
-    ratio = quad / norm2
-    lo = op.node_f[:, None]
+    xi = np.random.default_rng(rng_seed).normal(size=(8, 2))
+    norm2 = (xi[:, :, None] * xi[:, None, :]).reshape(8, 4) @ op.node_siginv.reshape(-1, 4).T
+    hi = W ** 2
+    ratio = (hi * norm2 - (xi @ np.stack([up1, up2])) ** 2) / norm2
+    lo = op.node_f
     ell_ok = bool(np.all(ratio >= lo * (1 - 1e-10) - 1e-10)
                   and np.all(ratio <= hi * (1 + 1e-10) + 1e-10))
     rep.items["ellipticity"] = {"passed": ell_ok}

@@ -501,8 +501,8 @@ class _Multigrid:
     """
 
     def __init__(self, A, ij):
-        A = A.tocsr()   # level 0 shares A's index arrays
-        self.A = [sp.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)]
+        A = A.tocsr()   # level 0 copies A's indices: scipy may sort A's own in place
+        self.A = [sp.csr_matrix((A.data, A.indices, A.indptr), A.shape, np.float32, copy=True)]
         self.P, self.R = [], []
         while self.A[-1].shape[0] > COARSE_MAX:
             P, ij = _interpolation(ij)
@@ -542,15 +542,18 @@ def _interpolation(ij):
 
     Each node takes 1/4 from each of the four 2h corners around it,
     counted with repetition: along an even coordinate both corners are
-    the same.  The coarse nodes are the corners some node uses, in
-    row-major lattice order.
+    the same.  The coarse nodes are the corners some node uses, numbered
+    in row-major order by a running count over the marked 2h lattice.
     """
-    corners = (ij[:, None, :] + np.array([[0, 0], [1, 0], [0, 1], [1, 1]])) // 2
-    width = int(corners[..., 0].max()) + 1
-    keys, cols = np.unique(corners[..., 1] * width + corners[..., 0], return_inverse=True)
+    corners = (ij.T[:, None, :] + np.array([[[0], [1], [0], [1]], [[0], [0], [1], [1]]])) // 2
+    width = int(corners[0].max()) + 1
+    keys = corners[1] * width + corners[0]   # (4, n) 2h corners, row-major
+    used = np.bincount(keys.ravel()) > 0
+    cols = np.cumsum(used)[keys] - 1
+    keys = np.flatnonzero(used)
     n = len(ij)
     P = sp.csr_matrix((np.full(4 * n, 0.25, dtype=np.float32),
-                       (np.repeat(np.arange(n), 4), cols.ravel())), shape=(n, len(keys)))
+                       (np.tile(np.arange(n), 4), cols.ravel())), shape=(n, len(keys)))
     return P, np.stack([keys % width, keys // width], axis=1)
 
 

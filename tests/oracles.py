@@ -8,7 +8,9 @@ quasilinear coefficients A^{ij} = W^2 sigma^{ij} - hat_u^i hat_u^j, which
 must agree with the flux form at second order.  Each takes the
 operator it checks as its first argument.  `riccati_per_stage` is the
 Riccati flow stepped stage by stage, the reference for
-`riccati_evolution`.
+`riccati_evolution`.  `interpolation_by_sort` numbers the multigrid's
+coarse nodes with `np.unique`, the reference for `_interpolation`, and
+`ellipticity_einsum` is `verify`'s ellipticity test node by node.
 """
 
 import numpy as np
@@ -145,3 +147,30 @@ def riccati_per_stage(chart, domain, eps_max, deps, samples=64):
         eta_eps = _sigma_normalize(chart, p0, v[S:2 * S])
         H_direct[:, k] = _curve_H_cyl(chart, pm, p0, pp, bg.dt, eta_eps)[0]
     return RiccatiCurve(eps=eps, H_direct=H_direct, H_envelope=H_env)
+
+
+def interpolation_by_sort(ij):
+    """`operator._interpolation` by sorting: the coarse nodes are the
+    sorted distinct row-major keys of the 2h corners (`np.unique`), and
+    each corner's column is its key's rank among them."""
+    corners = (ij[:, None, :] + np.array([[0, 0], [1, 0], [0, 1], [1, 1]])) // 2
+    width = int(corners[..., 0].max()) + 1
+    keys, cols = np.unique(corners[..., 1] * width + corners[..., 0], return_inverse=True)
+    n = len(ij)
+    P = sp.csr_matrix((np.full(4 * n, 0.25, dtype=np.float32),
+                       (np.repeat(np.arange(n), 4), cols.ravel())), shape=(n, len(keys)))
+    return P, np.stack([keys % width, keys // width], axis=1)
+
+
+def ellipticity_einsum(op, state, rng_seed):
+    """`verify`'s ellipticity verdict, f |xi|^2 <= A xi xi <= W^2 |xi|^2 in
+    its 8 random directions: |xi|^2 = sigma^ij xi_i xi_j by one einsum over
+    nodes and directions, hat_u . xi component by component."""
+    _, _, up1, up2, W = state
+    xi = np.random.default_rng(rng_seed).normal(size=(8, 2))
+    norm2 = np.einsum("nij,ki,kj->nk", op.node_siginv, xi, xi)
+    hi = (W ** 2)[:, None]
+    ratio = (hi * norm2 - (up1[:, None] * xi[:, 0] + up2[:, None] * xi[:, 1]) ** 2) / norm2
+    lo = op.node_f[:, None]
+    return bool(np.all(ratio >= lo * (1 - 1e-10) - 1e-10)
+                and np.all(ratio <= hi * (1 + 1e-10) + 1e-10))

@@ -13,7 +13,8 @@ import kgraph as kg
 import kgraph.analysis as kan
 from kgraph.errors import CertificateFailed, MinPrincipleViolated, TubularWidthExceeded
 from conftest import cap_trace, curved_exp_H, curved_exp_u, saddle
-from oracles import riccati_per_stage
+from oracles import ellipticity_einsum, riccati_per_stage
+from test_equivalence import _chart, _sheared
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -429,6 +430,39 @@ class TestVerify:
         monkeypatch.setattr(op, "state", shrunk)
         assert kg.verify(spec, grid, u).items["ellipticity"]["passed"] is False
 
+    @pytest.mark.parametrize("case", ["cap_64", "heis_saddle_32", "sheared"])
+    def test_ellipticity_matches_einsum_oracle(self, request, monkeypatch, case):
+        # the same verdict as the per-node einsum, passing on a solved
+        # field in two sets of directions, and failing once W is scaled
+        # below sqrt(f) at every node
+        spec, grid, u = _ellipticity_case(request, case)
+        op = grid.operator
+        phi_vals = spec.phi_links(grid)
+        for seed in (7, 101):
+            assert kg.verify(spec, grid, u, rng_seed=seed).items["ellipticity"]["passed"] is True
+            assert ellipticity_einsum(op, op.state(u, phi_vals), seed) is True
+        state = op.state
+
+        def below(*args):
+            *gradient, W = state(*args)
+            return (*gradient, 0.9 * W * np.min(np.sqrt(op.node_f) / W))
+
+        monkeypatch.setattr(op, "state", below)
+        assert kg.verify(spec, grid, u).items["ellipticity"]["passed"] is False
+        assert ellipticity_einsum(op, op.state(u, phi_vals), 7) is False
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, 7.0, "abc", None, True, False])
+    def test_rng_seed_not_an_integer_at_least_0_is_an_input_error(self, cap_64, seed):
+        # None would draw fresh OS entropy: the ellipticity directions, and
+        # so its verdict, would not be reproducible
+        with pytest.raises(kg.InputError, match="^rng_seed must be an integer >= 0$"):
+            kg.verify(cap_64.spec, cap_64.grid, cap_64.u, rng_seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self, cap_64):
+        args = (cap_64.spec, cap_64.grid, cap_64.u)
+        assert (kg.verify(*args, rng_seed=np.int64(0)).to_json_dict()
+                == kg.verify(*args, rng_seed=0).to_json_dict())
+
     def test_corrupted_field_fails_residual(self, cap_64):
         u = cap_64.u.copy()
         k = int(np.argmax(cap_64.grid.dist))
@@ -456,6 +490,72 @@ class TestVerify:
         flux = kg.flux_balance(spec, grid, u)
         assert (items["flux"]["boundary"], items["flux"]["bulk"]) == (flux.boundary, flux.bulk)
         assert items["theta"]["min_value"] == kg.theta_field(spec, grid, u).min_value
+
+
+def _ellipticity_case(request, case):
+    """(spec, grid, u) of a solved fixture, or of H = 0 with the saddle's
+    data on a sheared chart (sigma^12 != 0 at every node) at h = 1/32."""
+    if case != "sheared":
+        solved = request.getfixturevalue(case)
+        return solved.spec, solved.grid, solved.u
+    chart, domain = _chart("sheared", _sheared), kg.Disk((0.03, -0.02), 0.45)
+    grid = kg.build_grid(domain, 1.0 / 32, chart)
+    assert np.all(grid.operator.node_siginv[:, 0, 1] != 0)
+    spec = kg.ProblemSpec(chart=chart, domain=domain, H=0.0, phi=saddle)
+    return spec, grid, kg.solve_dirichlet(spec, grid)[0]
+
+
+@pytest.fixture(scope="module")
+def cap_16(euclid):
+    grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
+    spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=1.0, phi=CAP)
+    return spec, grid, kg.solve_dirichlet(spec, grid)[0]
+
+
+class TestVerifyRecordsFailures:
+    """A certificate that fails lands in its item with its reason, and
+    a failed hypothesis check skips the three that assume it."""
+
+    def test_failed_hypothesis_skips_barriers_and_riccati(self, euclid):
+        # sup |H| = 5 above inf H_cyl = 1 on the r = 1/2 disk
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, euclid)
+        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=5.0, phi=0.0)
+        rep = kg.verify(spec, grid, np.zeros(grid.num_inside))
+        assert rep.items["hypothesis"]["passed"] is False
+        for name in ("height_barrier", "gradient_barrier", "riccati"):
+            assert rep.items[name] == {"passed": False, "skipped": True,
+                                       "reason": "hypothesis check failed"}
+
+    def test_riccati_blow_up_fails_riccati(self):
+        chart = kg.warped(1.0, ric_lower=1e4)
+        grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 16, chart)
+        spec = kg.ProblemSpec(chart=chart, domain=grid.domain, H=0.0, phi=0.0)
+        rep = kg.verify(spec, grid, np.zeros(grid.num_inside))
+        assert rep.items["hypothesis"]["passed"] is True
+        assert rep.items["riccati"]["passed"] is False
+        assert rep.items["riccati"]["reason"].startswith("Riccati envelope blows up before eps = ")
+        assert not rep.passed
+
+    def test_boundary_spike_fails_gradient_barrier(self, cap_16):
+        spec, grid, u = cap_16
+        u = u.copy()
+        u[grid.link_node[0]] += 1e7     # a node with a boundary link
+        rep = kg.verify(spec, grid, u)
+        assert rep.items["gradient_barrier"] == {"passed": False,
+                                                 "reason": "gradient barrier ladder exhausted"}
+        assert not rep.passed
+
+    def test_short_ladder_fails_height_barrier(self, cap_16, monkeypatch):
+        # the full ladder encloses any field whose residual stays finite
+        spec, grid, u = cap_16
+        u = u.copy()
+        u[int(np.argmax(grid.dist))] += 10.0
+        assert kg.verify(spec, grid, u).items["height_barrier"]["passed"] is True
+        monkeypatch.setattr(kan, "LADDER", [1.0])
+        rep = kg.verify(spec, grid, u)
+        assert rep.items["height_barrier"] == {"passed": False,
+                                               "reason": "height barrier ladder exhausted"}
+        assert not rep.passed
 
 
 VERIFY_CASES = {   # chart fixture, H, phi; Disk((0, 0), 0.5) at h = 1/64
