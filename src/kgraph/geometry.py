@@ -266,8 +266,8 @@ def _number(text, what, kind=float):
 
 
 def _positive(value, what):
-    """value, or an InputError naming `what` unless it is finite and positive."""
-    if not (np.isfinite(value) and value > 0):
+    """value, or an InputError naming `what` unless it is finite and positive (a bool is not)."""
+    if isinstance(value, bool) or not (np.isfinite(value) and value > 0):
         raise InputError(f"{what} must be finite and positive")
     return value
 

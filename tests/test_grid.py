@@ -84,8 +84,8 @@ class TestBuild:
         with pytest.raises(InputError):
             make()
 
-    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -0.1],
-                             ids=["nan", "inf", "zero", "negative"])
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -0.1, True],
+                             ids=["nan", "inf", "zero", "negative", "bool"])
     def test_bad_spacing_rejected(self, euclid, h):
         with pytest.raises(InputError, match="^grid spacing h must be finite and positive$"):
             kg.build_grid(kg.Disk((0.0, 0.0), 0.5), h, euclid)

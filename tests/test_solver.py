@@ -282,8 +282,8 @@ class TestContinuation:
         for a in sols[1:]:
             assert np.abs(a - sols[0]).max() <= 1e-8
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0],
-                             ids=["nan", "inf", "zero", "negative"])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, True],
+                             ids=["nan", "inf", "zero", "negative", "bool"])
     def test_bad_newton_tol_is_an_input_error(self, euclid, tol):
         # the forcing term divides by the previous residual, which is exactly
         # zero on a flat chart's minimal graph, and a tolerance of zero is
