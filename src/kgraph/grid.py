@@ -3,9 +3,10 @@
 Nodes live on a uniform lattice covering the domain's bounding box.
 Classification: INTERIOR nodes have all four axis neighbors inside;
 BOUNDARY_ADJACENT nodes have at least one axis neighbor outside, with
-the fractional crossing theta in (0, 1] to the true boundary recorded
-per link; DIRICHLET_GHOST nodes are outside nodes touching an inside
-node along an axis (the slots where Dirichlet data enters stencils).
+the fractional crossing theta in (0, 1] to the true boundary, in the
+domain's closed form (`crossing`), recorded per link; DIRICHLET_GHOST
+nodes are outside nodes touching an inside node along an axis (the
+slots where Dirichlet data enters stencils).
 
 The grid holds geometry only: the chart it was built for, lattice
 maps, crossings, the sigma distance field and sigma-area quadrature
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .errors import EmptyDomain, InputError, StencilUnavailable
 from .geometry import _inverse_metric, _positive, _sqrt_det, validate_chart_at
@@ -79,6 +79,20 @@ class Disk:
         x, y = np.asarray(points, dtype=float).T
         return np.mod(np.arctan2(y - self.center[1], x - self.center[0]), 2.0 * np.pi)[None]
 
+    def crossing(self, base, step):
+        """Distance t > 0 from inside points `base` along unit axis steps to
+        the circle, the root of |d + t e| = r with d = base - centre.  With
+        a = d.e, p = d x e and root = sqrt((r - p)(r + p)), t = root - a
+        where a <= 0, else -sdf(base) (|d| + r) / (a + root): no branch
+        cancels, and t > 0 wherever sdf(base) < 0.  |a| in the quotient
+        keeps the lanes it is not taken on finite."""
+        d = np.asarray(base, dtype=float) - self.center
+        a = d[:, 0] * step[:, 0] + d[:, 1] * step[:, 1]
+        p = d[:, 0] * step[:, 1] - d[:, 1] * step[:, 0]
+        r, norm = self.radius, np.hypot(d[:, 0], d[:, 1])
+        root = np.sqrt((r - p) * (r + p))
+        return np.where(a <= 0, root - a, (r - norm) * (norm + r) / (np.abs(a) + root))
+
     def diameter_euclid(self):
         return 2.0 * self.radius
 
@@ -129,6 +143,12 @@ class Rectangle:
         w, h = self.x1 - self.x0, self.y1 - self.y0
         return np.stack([x - self.x0, w + (y - self.y0), w + h + (self.x1 - x),
                          2 * w + h + (self.y1 - y)])
+
+    def crossing(self, base, step):
+        """Distance from inside points `base` along unit axis steps to the
+        side each step faces."""
+        side = np.where(step > 0, (self.x1, self.y1), (self.x0, self.y0))
+        return np.sum(step * (side - base), axis=-1)
 
     def diameter_euclid(self):
         return float(np.hypot(self.x1 - self.x0, self.y1 - self.y0))
@@ -252,11 +272,10 @@ def build_grid(domain, h, chart):
     """Build a classified grid for `domain` at spacing `h` under `chart`,
     which the grid keeps: its distances and cell areas are in its sigma.
 
-    Boundary crossings are located by root-finding the domain's signed
-    distance along grid axes, for all links at once, bit for bit as one
-    scipy `brentq` call per link would (`_brentq_lanes`).  sigma positive-
-    definiteness and f > 0 are checked at every inside and ghost node
-    here, before anything else can run.
+    Each link's crossing is the domain's closed form (`crossing`), capped
+    at h, so theta = t / h is in (0, 1].  sigma positive-definiteness and
+    f > 0 are checked at every inside and ghost node here, before
+    anything else can run.
     """
     _positive(h, "grid spacing h")
     cls, x_origin, y_origin, nx, ny, P = _classify(domain, h)
@@ -289,12 +308,8 @@ def build_grid(domain, h, chart):
     # one link per ghost neighbor, node-major and direction-minor
     link_node, link_dir = np.nonzero(neighbor_ext >= n_inside)
     base, step = points[link_node], np.array(DIR_STEPS, dtype=float)[link_dir]
-    t_cross = np.full(len(link_node), h, dtype=float)
-    fb = domain.sdf(base + t_cross[:, None] * step)
-    cut = np.nonzero(fb > 0.0)[0]
-    _brentq_lanes(lambda t, k: domain.sdf(base[k] + t[:, None] * step[k]),
-                  cut, 0.0, h, fb[cut], t_cross, xtol=1e-13, rtol=1e-15)
-    link_theta = np.minimum(np.maximum(t_cross / h, 1e-12), 1.0)
+    t_cross = np.minimum(domain.crossing(base, step), h)
+    link_theta = t_cross / h
     link_pts = base + t_cross[:, None] * step
 
     dist = _distance_field(domain, chart, points, node_index, inside_ij, h, link_pts, link_node)
@@ -325,46 +340,6 @@ def build_grid(domain, h, chart):
         link_points=link_pts,
         dist=dist, covered=covered, cell_area=cell_area, outer_mean=outer_mean,
     )
-
-
-def _brentq_lanes(f, lanes, xa, xb, fb, out, xtol, rtol, maxiter=100):
-    """Write to out[k] the root in [xa, xb] of f(., k) for each lane k of
-    `lanes`, given f(xa, k) < 0 < f(xb, k) = fb.  A lockstep port of
-    scipy's `brentq.c`: each lane runs its float operations in its order,
-    so the roots are those of `scipy.optimize.brentq(f, xa, xb, xtol, rtol)`."""
-    n = len(lanes)
-    xpre, xcur, xblk, spre, scur = np.full(n, xa), np.full(n, xb), *np.zeros((3, n))
-    fpre, fcur, fblk = f(xpre, lanes), fb, np.zeros(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(maxiter):
-            new = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-            xblk, fblk, spre, scur = np.where(new, [xpre, fpre, xcur - xpre, xcur - xpre],
-                                              [xblk, fblk, spre, scur])
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk, fpre, fcur, fblk = np.where(
-                swap, [xcur, xblk, xcur, fcur, fblk, fcur], [xpre, xcur, xblk, fpre, fcur, fblk])
-            delta = (xtol + rtol * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            done = (fcur == 0) | (np.abs(sbis) < delta)
-            out[lanes[done]] = xcur[done]
-            if done.all():
-                return
-            lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                v[~done] for v in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
-                                   delta, sbis))
-            # secant, or inverse quadratic once xpre has left the bracket
-            # end; bisection unless that step is short enough
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
-                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
-            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                     & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-            spre, scur = np.where(short, [scur, stry], sbis)
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-            fcur = f(xcur, lanes)
-    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations")
 
 
 def _lattice_at(index, ix, iy):
@@ -416,19 +391,21 @@ def _fast_sweep(chart, points, node_index, inside_ij, h, link_pts, link_node):
     siginv = _inverse_metric(chart, sig)
 
     # freeze only boundary-adjacent nodes, at the local chord distance to
-    # crossings within 2h: a padded ball query, then the exact test and
-    # the sigma length per (node, crossing) pair, the least per node
-    frozen = np.zeros(n, dtype=bool)
-    ks = np.unique(link_node)
-    near = cKDTree(link_pts).query_ball_point(points[ks], 2.0 * h * (1.0 + 1e-9))
-    rows = np.repeat(ks, [len(ids) for ids in near])
-    delta = link_pts[np.concatenate(near).astype(int)] - points[rows]
+    # crossings within 2h, which lie on links of nodes at most 3h away:
+    # the 29 lattice offsets i^2 + j^2 <= 9 from each link's node give the
+    # candidate pairs, then the exact test and the sigma length per
+    # (node, crossing) pair, the least per node
+    ix, iy = inside_ij[:, 0], inside_ij[:, 1]
+    frozen = np.bincount(link_node, minlength=n) > 0
+    oy, ox = np.nonzero(np.add.outer(np.arange(-3, 4) ** 2, np.arange(-3, 4) ** 2) <= 9)
+    near = _lattice_at(node_index, ix[link_node, None] + ox - 3, iy[link_node, None] + oy - 3)
+    k, j = np.nonzero((near >= 0) & frozen[near])
+    rows = near[k, j]
+    delta = link_pts[k] - points[rows]
     keep = np.hypot(delta[:, 0], delta[:, 1]) <= 2.0 * h
     rows, dl = rows[keep], delta[keep]
     np.minimum.at(d, rows, np.sqrt(np.einsum("kj,kjl,kl->k", dl, sig[rows], dl)))
-    frozen[ks] = True
 
-    ix, iy = inside_ij[:, 0], inside_ij[:, 1]
     nbr = node_index[iy[:, None] + STEP_Y, ix[:, None] + STEP_X]
     nbr[nbr < 0] = n
     s11, s12, s22 = siginv[:, 0, 0], siginv[:, 0, 1], siginv[:, 1, 1]

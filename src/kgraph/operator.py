@@ -540,21 +540,21 @@ def _interpolation(ij):
     """(P, coarse_ij): bilinear interpolation from the 2h lattice to the
     nodes at lattice coords `ij`, an (n, 2) int array.
 
-    Each node takes 1/4 from each of the four 2h corners around it,
-    counted with repetition: along an even coordinate both corners are
-    the same.  The coarse nodes are the corners some node uses, numbered
-    in row-major order by a running count over the marked 2h lattice.
+    Each node takes equal weights from its distinct 2h corners, 1, 2 or 4
+    as 0, 1 or 2 of its coordinates are odd.  The coarse nodes are the
+    corners some node uses, numbered row-major by a running count over the
+    marked 2h lattice, so each row's columns come sorted in corner order.
     """
-    corners = (ij.T[:, None, :] + np.array([[[0], [1], [0], [1]], [[0], [0], [1], [1]]])) // 2
-    width = int(corners[0].max()) + 1
-    keys = corners[1] * width + corners[0]   # (4, n) 2h corners, row-major
-    used = np.bincount(keys.ravel()) > 0
-    cols = np.cumsum(used)[keys] - 1
-    keys = np.flatnonzero(used)
-    n = len(ij)
-    P = sp.csr_matrix((np.full(4 * n, 0.25, dtype=np.float32),
-                       (np.tile(np.arange(n), 4), cols.ravel())), shape=(n, len(keys)))
-    return P, np.stack([keys % width, keys // width], axis=1)
+    width = int(ij[:, 0].max()) // 2 + 2
+    base = (ij[:, 1] >> 1) * width + (ij[:, 0] >> 1)   # lower-left 2h corner, row-major
+    ox, oy = (ij.T & 1).astype(bool)
+    distinct = np.column_stack([np.ones_like(ox), ox, oy, ox & oy])
+    keys = (base[:, None] + np.array([0, 1, width, width + 1]))[distinct]
+    used = np.bincount(keys) > 0
+    count = (1 + ox) * (1 + oy)
+    P = sp.csr_matrix(((1.0 / np.repeat(count, count)).astype(np.float32),
+                       (np.cumsum(used) - 1)[keys], np.r_[0, np.cumsum(count)]))
+    return P, np.stack(np.divmod(np.flatnonzero(used), width)[::-1], axis=1)
 
 
 def _gmres(A, M, b, tol, maxiter):

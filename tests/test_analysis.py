@@ -14,7 +14,7 @@ import kgraph.analysis as kan
 from kgraph.errors import CertificateFailed, MinPrincipleViolated, TubularWidthExceeded
 from conftest import cap_trace, curved_exp_H, curved_exp_u, saddle
 from oracles import ellipticity_einsum, riccati_per_stage
-from test_equivalence import _chart, _sheared
+from test_equivalence import _chart, _curved_exp, _sheared
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -564,11 +564,11 @@ VERIFY_CASES = {   # chart fixture, H, phi; Disk((0, 0), 0.5) at h = 1/64
 }
 
 
-def _verify_case(request, case):
+def _verify_case(chart, case):
     """(spec, grid, reference): `verify_<case>.npz` holds a solved u and
-    the verify.json the code wrote before verify shared its evaluations."""
-    chart_name, H, phi = VERIFY_CASES[case]
-    chart = request.getfixturevalue(chart_name)
+    verify's JSON for it; run this file as a script to rewrite the JSON
+    from the installed kgraph."""
+    _, H, phi = VERIFY_CASES[case]
     grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 64, chart)
     spec = kg.ProblemSpec(chart=chart, domain=grid.domain, H=H, phi=phi)
     return spec, grid, np.load(DATA / f"verify_{case}.npz")
@@ -594,13 +594,13 @@ def _assert_json_close(got, ref, path="verify"):
 class TestVerifyEvaluatesOnce:
     @pytest.mark.parametrize("case", sorted(VERIFY_CASES))
     def test_json_matches_reference(self, request, case):
-        spec, grid, ref = _verify_case(request, case)
+        spec, grid, ref = _verify_case(request.getfixturevalue(VERIFY_CASES[case][0]), case)
         got = kg.verify(spec, grid, ref["u"]).to_json_dict()
         _assert_json_close(got, json.loads(str(ref["json"])))
 
     @pytest.mark.parametrize("case", sorted(VERIFY_CASES))
     def test_data_and_samples_evaluated_once(self, request, case, monkeypatch):
-        spec, grid, ref = _verify_case(request, case)
+        spec, grid, ref = _verify_case(request.getfixturevalue(VERIFY_CASES[case][0]), case)
         u = ref["u"]
         calls = {"samples": 0, "H_nodes": 0, "phi_links": 0}
 
@@ -659,3 +659,13 @@ class TestBoundaryGeometryOnGrid:
         del grid, shared
         gc.collect()
         assert alive() is None
+
+
+if __name__ == "__main__":
+    charts = {"euclid": kg.euclidean(), "curved": _chart("curved-exp", _curved_exp)}
+    for name in sorted(VERIFY_CASES):
+        spec, grid, ref = _verify_case(charts[VERIFY_CASES[name][0]], name)
+        report = kg.verify(spec, grid, ref["u"]).to_json_dict()
+        np.savez_compressed(DATA / f"verify_{name}.npz", u=ref["u"],
+                            json=json.dumps(report, sort_keys=True))
+        print("verify", name)

@@ -5,8 +5,11 @@ bit, the row-major Gauss-Seidel loop kept below as an oracle, and run one
 pass fewer than it: the oracle's last pass, which changes nothing.  Its
 look-ahead must make fewer kernel calls than the diagonals it relaxes.
 
-Crossings: `link_theta` and `link_points` must equal, bit for bit, those
-of one `scipy.optimize.brentq` call per link, the loop kept below.
+Crossings: `link_theta` and `link_points` must be the domain's closed
+form (`crossing`), within 1e-10 h of the root at 200 bits on every link,
+within brentq's tolerance of one `scipy.optimize.brentq` call per link
+(the loop build_grid ran before, kept below) wherever the link meets the
+boundary at |n.e| >= 1e-2, and on the boundary to rounding.
 
 Operator: the residual and a Jacobian-vector product on a fixed smooth
 field must match `tests/data/operator_*.npz`, which hold the values the
@@ -26,6 +29,7 @@ oracles beside this file.
 
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +162,15 @@ def _rotating(P):
     return out
 
 
+def _slanted(P):
+    """sigma = 0.02 along (2, 1) and 1 across it: chords along (2, 1) are so
+    short that some boundary-adjacent nodes have their nearest crossing on
+    a link of the node two columns and one row away."""
+    u = np.array([2.0, 1.0]) / np.sqrt(5.0)
+    sigma = np.eye(2) - 0.98 * np.outer(u, u)
+    return np.broadcast_to(sigma, np.shape(P)[:-1] + (2, 2)).copy()
+
+
 SWEEP_CASES = {
     "curved-exp-disk": (_curved_exp, kg.Disk((0.0, 0.0), 0.5), 1.0 / 32),
     # its last changing pass moves d by under 1e-7, so a convergence test
@@ -167,6 +180,7 @@ SWEEP_CASES = {
     "sheared-offcentre-disk": (_sheared, kg.Disk((0.03, -0.02), 0.45), 1.0 / 32),
     "rotating-offcentre-disk": (_rotating, kg.Disk((0.03, -0.02), 0.45), 1.0 / 32),
     "rotating-unit-square": (_rotating, kg.Rectangle(0.0, 0.0, 1.0, 1.0), 1.0 / 32),
+    "slanted-small-disk": (_slanted, kg.Disk((0.011, 0.007), 0.3), 1.0 / 32),
 }
 
 
@@ -262,7 +276,8 @@ def test_sweep_matches_row_major_oracle_on_offcentre_disks(n, centre, radius):
 
 
 # ---------------------------------------------------------------------------
-# link crossings: the per-link scipy brentq loop build_grid ran before
+# link crossings: the domains' closed forms against a 200-bit root and
+# against the per-link scipy brentq loop build_grid ran before them
 
 def _strip(rows, top):
     """`rows` lattice rows; the bottom edge lies on a lattice row (theta 1
@@ -270,29 +285,64 @@ def _strip(rows, top):
     return kg.Rectangle(-0.2, 0.1, 0.2, 0.1 + (rows + top) / 48)
 
 
+def _link_rays(grid):
+    """Each link's inside node and unit axis step."""
+    return grid.points[grid.link_node], np.array(kgrid.DIR_STEPS, dtype=float)[grid.link_dir]
+
+
 def brentq_crossings(domain, grid):
+    """Each link's crossing distance by one `scipy.optimize.brentq` call,
+    or h where the sdf at the far end is not positive."""
     h = grid.h
-    theta = np.empty(grid.num_links)
-    points = np.empty((grid.num_links, 2))
-    steps = np.array(((1, 0), (-1, 0), (0, 1), (0, -1)), dtype=float)
-    for k, (n, d) in enumerate(zip(grid.link_node, grid.link_dir)):
-        base, step = grid.points[n], steps[d]
+    t = np.empty(grid.num_links)
+    for k, (base, step) in enumerate(zip(*_link_rays(grid))):
+        def along(s):
+            return float(domain.sdf(base + s * step))
 
-        def along(t):
-            return float(domain.sdf(base + t * step))
-
-        t = h if along(h) <= 0.0 else brentq(along, 0.0, h, xtol=1e-13, rtol=1e-15)
-        theta[k] = min(max(t / h, 1e-12), 1.0)
-        points[k] = base + t * step
-    return theta, points
+        t[k] = h if along(h) <= 0.0 else brentq(along, 0.0, h, xtol=1e-13, rtol=1e-15)
+    return t
 
 
-def _assert_crossings_match_brentq(domain, h):
+def exact_crossings(domain, base, step):
+    """(t, n.e) per link at 200 bits: the positive root t of |d + t e|^2 =
+    r^2 by the quadratic formula, for the float offsets d = base - centre
+    that the disk's sdf classifies by, or the distance to the rectangle
+    side e faces; and the outward normal n at the crossing along e."""
+    t, cos = [], []
+    with mpmath.workprec(200):
+        for b, e in zip(base.tolist(), step.tolist()):
+            if isinstance(domain, kg.Disk):
+                d = [mpmath.mpf(x) for x in np.subtract(b, domain.center)]
+                a = d[0] * e[0] + d[1] * e[1]
+                r2 = mpmath.mpf(domain.radius) ** 2
+                t.append(-a + mpmath.sqrt(a * a - (d[0] ** 2 + d[1] ** 2 - r2)))
+                cos.append((a + t[-1]) / domain.radius)
+            else:
+                side = [domain.x1 if e[0] > 0 else domain.x0, domain.y1 if e[1] > 0 else domain.y0]
+                t.append(sum(e[i] * (mpmath.mpf(side[i]) - mpmath.mpf(b[i])) for i in (0, 1)))
+                cos.append(1)
+    return np.array(t, dtype=float), np.array(cos, dtype=float)
+
+
+def _assert_crossings_exact(domain, h):
     grid = kg.build_grid(domain, h, kg.euclidean())
-    theta, points = brentq_crossings(domain, grid)
+    base, step = _link_rays(grid)
+    t = np.minimum(domain.crossing(base, step), h)
     assert grid.num_links > 0
-    assert np.array_equal(grid.link_theta, theta)
-    assert np.array_equal(grid.link_points, points)
+    assert np.array_equal(grid.link_theta, t / h)
+    assert np.array_equal(grid.link_points, base + t[:, None] * step)
+    assert np.all((grid.link_theta > 0.0) & (grid.link_theta <= 1.0))
+    # within 1e-10 h of the 200-bit root on every link (brentq's roots are
+    # up to 3e-7 h off it where a link grazes the circle), ...
+    exact, cos = exact_crossings(domain, base, step)
+    assert np.max(np.abs(t - np.minimum(exact, h))) <= 1e-10 * h
+    # ... within brentq's tolerance of its root where |n.e| >= 1e-2, so
+    # that the sdf's rounding over the slope, up to 2e-16 / |n.e|, moves
+    # brentq's root by at most a fifth of xtol, ...
+    steep = np.abs(cos) >= 1e-2
+    assert np.allclose(t[steep], brentq_crossings(domain, grid)[steep], rtol=1e-15, atol=1e-13)
+    # ... and on the boundary to rounding
+    assert np.max(np.abs(domain.sdf(grid.link_points))) <= 1e-15
 
 
 CROSSING_CASES = {   # domain, h
@@ -307,7 +357,7 @@ CROSSING_CASES = {   # domain, h
 
 @pytest.mark.parametrize("case", sorted(CROSSING_CASES))
 def test_crossings_match_brentq(case):
-    _assert_crossings_match_brentq(*CROSSING_CASES[case])
+    _assert_crossings_exact(*CROSSING_CASES[case])
 
 
 @settings(max_examples=40, deadline=None)
@@ -319,7 +369,7 @@ def test_crossings_match_brentq(case):
 def test_crossings_match_brentq_near_lattice_radii(n, offset, multiple, nudge):
     h = 1.0 / n
     centre = (offset[0] * h, offset[1] * h)
-    _assert_crossings_match_brentq(kg.Disk(centre, (multiple + nudge) * h), h)
+    _assert_crossings_exact(kg.Disk(centre, (multiple + nudge) * h), h)
 
 
 # ---------------------------------------------------------------------------
