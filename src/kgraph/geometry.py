@@ -38,7 +38,9 @@ class SubmersionChart:
     metric, f and delta are vectorized callables over points of shape
     (..., 2) returning shapes (..., 2, 2), (...,) and (..., 2).
     ric_lower is a caller-supplied lower bound for the ambient Ricci
-    curvature; it is stored, never computed.
+    curvature; it is stored, never computed.  A chart declared
+    `flat_metric` has sigma = I as declared: kgraph never calls its
+    `metric` (`metric_fields`).
     """
 
     name: str
@@ -46,7 +48,7 @@ class SubmersionChart:
     f: Callable
     delta: Callable
     ric_lower: float = 0.0
-    flat_metric: bool = False  # sigma identically the identity
+    flat_metric: bool = False  # sigma identically the identity, never evaluated
 
     def metric_at(self, points):
         points = np.asarray(points, dtype=float)
@@ -72,35 +74,38 @@ def _eig_bounds_2x2(sig):
     return half_tr - disc, half_tr + disc
 
 
-def _sqrt_det(sig):
-    """sqrt(det sigma) pointwise: the sigma area element."""
-    return np.sqrt(sig[..., 0, 0] * sig[..., 1, 1] - sig[..., 0, 1] ** 2)
+# sigma, sigma^ij (-0.0 off the diagonal, as inverted) and sqrt det sigma when flat
+_FLAT_FIELDS = (np.eye(2), np.array([[1.0, -0.0], [-0.0, 1.0]]), np.float64(1.0))
 
 
-def inverse_metric_at(chart, x):
-    """Pointwise inverse metric sigma^ij; raises NonPositiveDefinite."""
-    return _inverse_metric(chart, chart.metric_at(x))
-
-
-def _inverse_metric(chart, sig):
-    """sigma^ij of metric values `sig` of `chart`; raises NonPositiveDefinite.
-
-    For callers that need sigma itself too, so it is evaluated once.
-    """
-    lo, _ = _eig_bounds_2x2(sig)
+def metric_fields(chart, points):
+    """(sigma_ij, sigma^ij, sqrt det sigma) at `points` (..., 2): the one
+    place kgraph evaluates a chart's metric.  A `flat_metric` chart gets
+    the exact constants above as read-only broadcast views, and its
+    `metric` is never called.  Raises NonPositiveDefinite naming the
+    first point where sigma's least eigenvalue is at most EIG_FLOOR."""
+    points = np.asarray(points, dtype=float)
+    if chart.flat_metric:
+        return tuple(np.broadcast_to(c, points.shape[:-1] + c.shape) for c in _FLAT_FIELDS)
+    sig = chart.metric_at(points)
+    lo = np.ravel(_eig_bounds_2x2(sig)[0])
     if np.any(lo <= EIG_FLOOR):
-        bad = np.argwhere(np.atleast_1d(lo) <= EIG_FLOOR)
-        raise NonPositiveDefinite(
-            f"metric eigenvalue {np.min(lo):.3e} <= {EIG_FLOOR} on chart "
-            f"{chart.name!r} (first offending evaluation index {bad[0]})"
-        )
+        k = int(np.argmax(lo <= EIG_FLOOR))
+        x, y = points.reshape(-1, 2)[k]
+        raise NonPositiveDefinite(f"chart {chart.name!r}: metric eigenvalue {lo[k]:.3e} <= "
+                                  f"{EIG_FLOOR} at point ({x:.6g}, {y:.6g})")
     det = sig[..., 0, 0] * sig[..., 1, 1] - sig[..., 0, 1] ** 2
     inv = np.empty_like(sig)
     inv[..., 0, 0] = sig[..., 1, 1] / det
     inv[..., 1, 1] = sig[..., 0, 0] / det
     inv[..., 0, 1] = -sig[..., 0, 1] / det
     inv[..., 1, 0] = inv[..., 0, 1]
-    return inv
+    return sig, inv, np.sqrt(det)
+
+
+def inverse_metric_at(chart, x):
+    """Pointwise inverse metric sigma^ij (`metric_fields`); raises NonPositiveDefinite."""
+    return metric_fields(chart, x)[1]
 
 
 def _central_partials(F, x, h_fd):
@@ -126,7 +131,7 @@ def christoffels_at(chart, x, h_fd):
     Partials are taken by central differences with step h_fd; exactly
     symmetric in (i, j) by construction.
     """
-    dsig = _central_partials(chart.metric_at, x, h_fd)  # [a, i, j] = d_a sigma_ij
+    dsig = _central_partials(lambda p: metric_fields(chart, p)[0], x, h_fd)  # d_a sigma_ij
     inv = inverse_metric_at(chart, x)
     # bracket[l,i,j] = d_i sigma_jl + d_j sigma_il - d_l sigma_ij
     bracket = (np.einsum("...ijl->...lij", dsig)
@@ -158,19 +163,16 @@ def section_gradient_s_at(chart, x):
 
 
 def validate_chart_at(chart, points):
-    """Assert sigma positive definite and f positive at every point.
-
-    Raises NonPositiveDefinite naming the first offending grid node.
-    """
+    """`metric_fields` at `points`, once f > 0 there is checked too: a
+    NonPositiveDefinite names the first offending point, sigma's first."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    sig = chart.metric_at(points)
-    lo, _ = _eig_bounds_2x2(sig)
-    for label, vals in (("metric eigenvalue", lo), ("f =", chart.f_at(points))):
-        if np.any(vals <= EIG_FLOOR):
-            k = int(np.argmax(vals <= EIG_FLOOR))
-            raise NonPositiveDefinite(
-                f"chart {chart.name!r}: {label} {vals[k]:.3e} <= {EIG_FLOOR} "
-                f"at grid node ({points[k, 0]:.6g}, {points[k, 1]:.6g})")
+    fields = metric_fields(chart, points)
+    f = chart.f_at(points)
+    if np.any(f <= EIG_FLOOR):
+        k = int(np.argmax(f <= EIG_FLOOR))
+        raise NonPositiveDefinite(f"chart {chart.name!r}: f = {f[k]:.3e} <= {EIG_FLOOR} "
+                                  f"at point ({points[k, 0]:.6g}, {points[k, 1]:.6g})")
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +340,8 @@ def chart_from_file(path):
     Layout: `name = ...`, `grid = nx ny x0 y0 hx hy`, optionally
     `ric_lower = ...`, then one block per table key (sigma11, sigma12,
     sigma22, f, delta1, delta2) introduced by `[key]` followed by ny
-    rows of nx comma-separated values, row-major from y0 upward.
+    rows of nx comma-separated values, row-major from y0 upward.  The
+    chart is flat only when every sigma entry is within 1e-14 of I.
     """
     name = None
     grid = None
@@ -402,9 +405,8 @@ def chart_from_file(path):
     metric = _BilinearTable(grid, np.stack(sigma, axis=-1).reshape(ny, nx, 2, 2))
     delta = _BilinearTable(grid, np.stack([tables["delta1"], tables["delta2"]], axis=-1))
 
-    flat = (np.allclose(tables["sigma11"], 1.0, atol=1e-14)
-            and np.allclose(tables["sigma12"], 0.0, atol=1e-14)
-            and np.allclose(tables["sigma22"], 1.0, atol=1e-14))
+    flat = all(np.allclose(tables[k], v, rtol=0.0, atol=1e-14)
+               for k, v in (("sigma11", 1.0), ("sigma12", 0.0), ("sigma22", 1.0)))
 
     return SubmersionChart(
         name=name, metric=metric, f=_BilinearTable(grid, tables["f"]), delta=delta,

@@ -9,8 +9,8 @@ nodes are outside nodes touching an inside node along an axis (the
 slots where Dirichlet data enters stencils).
 
 The grid holds geometry only: the chart it was built for, lattice
-maps, crossings, the sigma distance field and sigma-area quadrature
-weights.  Derivatives of node fields are the operator's
+maps, crossings, sigma at the inside nodes, the sigma distance field
+and sigma-area quadrature weights.  Derivatives of node fields are the operator's
 (`GraphOperator.Gx`/`Gy` over the ghost-extended field); the grid keeps
 its one operator and one full-sample boundary geometry, each built on
 first read.  The distance field to the boundary is analytic for flat
@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EmptyDomain, InputError, StencilUnavailable
-from .geometry import _inverse_metric, _positive, _sqrt_det, validate_chart_at
+from .geometry import _positive, metric_fields, validate_chart_at
 
 OUTSIDE = 0
 INTERIOR = 1
@@ -191,6 +191,9 @@ class GridDomain:
     link_theta: np.ndarray     # (L,) fractional crossing distance in (0, 1]
     link_points: np.ndarray    # (L, 2) boundary crossing coordinates
     dist: np.ndarray           # (N,) sigma-distance to the boundary
+    node_sig: np.ndarray       # (N, 2, 2) sigma_ij, (N, 2, 2) sigma^ij and (N,)
+    node_siginv: np.ndarray    # sqrt det sigma at the inside nodes: `metric_fields`,
+    node_sqrt_det: np.ndarray  # read-only constant views for a flat chart
     covered: np.ndarray        # (C,) cells overlapping the domain, indexed over
                                # the inside nodes, then ghosts, then slivers
     cell_area: np.ndarray      # (C,) sigma area of each covered cell's inside part
@@ -275,7 +278,8 @@ def build_grid(domain, h, chart):
     Each link's crossing is the domain's closed form (`crossing`), capped
     at h, so theta = t / h is in (0, 1].  sigma positive-definiteness and
     f > 0 are checked at every inside and ghost node here, before
-    anything else can run.
+    anything else can run, by the one evaluation of sigma there that
+    the sweep and the operator read.
     """
     _positive(h, "grid spacing h")
     cls, x_origin, y_origin, nx, ny, P = _classify(domain, h)
@@ -293,9 +297,9 @@ def build_grid(domain, h, chart):
     ghost_ij = np.stack([gx, gy], axis=1)
     ghost_points = P[gy, gx]
 
-    validate_chart_at(chart, np.vstack([points, ghost_points]))
-
     n_inside = len(ix)
+    sig, siginv, sqrt_det = validate_chart_at(chart, np.vstack([points, ghost_points]))
+    sig, siginv = sig[:n_inside], siginv[:n_inside]     # sqrt_det's ghosts serve their cells
     ext_index = node_index.copy()
     ext_index[gy, gx] = n_inside + np.arange(len(gx))
     neighbor_ext = ext_index[iy[:, None] + STEP_Y, ix[:, None] + STEP_X]
@@ -312,7 +316,8 @@ def build_grid(domain, h, chart):
     link_theta = t_cross / h
     link_pts = base + t_cross[:, None] * step
 
-    dist = _distance_field(domain, chart, points, node_index, inside_ij, h, link_pts, link_node)
+    dist = (-domain.sdf(points) if chart.flat_metric else
+            _fast_sweep(sig, siginv, points, node_index, inside_ij, h, link_pts, link_node))
 
     # corner slivers: outside, non-ghost cells near the boundary, which the
     # domain may touch diagonally; needed so node cells tile it exactly
@@ -322,7 +327,9 @@ def build_grid(domain, h, chart):
     cell_pts = np.vstack([points, P[cells[:, 1], cells[:, 0]]])
     frac = _cell_fractions(domain, cell_pts, h)
     covered = np.nonzero(frac > 0.0)[0]
-    cell_area = _sqrt_det(chart.metric_at(cell_pts[covered])) * frac[covered] * h ** 2
+    known = covered < len(sqrt_det)     # inside and ghost cells; slivers evaluated here
+    cell_area = np.concatenate([sqrt_det[covered[known]], metric_fields(
+        chart, cell_pts[covered[~known]])[2]]) * frac[covered] * h ** 2
     nbrs = np.stack([_lattice_at(node_index, cells[:, 0] + sx, cells[:, 1] + sy)
                      for sx, sy in DIR_STEPS + ((1, 1), (1, -1), (-1, 1), (-1, -1))], axis=1)
     nbrs[:len(ghost_ij), 4:] = -1
@@ -338,7 +345,8 @@ def build_grid(domain, h, chart):
         points=points, ghost_points=ghost_points, neighbor_ext=neighbor_ext,
         link_node=link_node, link_dir=link_dir, link_theta=link_theta,
         link_points=link_pts,
-        dist=dist, covered=covered, cell_area=cell_area, outer_mean=outer_mean,
+        dist=dist, node_sig=sig, node_siginv=siginv, node_sqrt_det=sqrt_det[:n_inside],
+        covered=covered, cell_area=cell_area, outer_mean=outer_mean,
     )
 
 
@@ -349,12 +357,6 @@ def _lattice_at(index, ix, iy):
     out = -np.ones(np.shape(ix), dtype=int)
     out[ok] = index[iy[ok], ix[ok]]
     return out
-
-
-def _distance_field(domain, chart, points, node_index, inside_ij, h, link_pts, link_node):
-    if chart.flat_metric:
-        return -domain.sdf(points)
-    return _fast_sweep(chart, points, node_index, inside_ij, h, link_pts, link_node)
 
 
 def distance_field(grid, chart):
@@ -369,14 +371,17 @@ def distance_field(grid, chart):
     one that changes is applied, since no diagonal before it changed
     anything it reads.
     """
-    return _distance_field(grid.domain, chart, grid.points, grid.node_index,
-                           grid.inside_ij, grid.h, grid.link_points,
-                           grid.link_node)
+    if chart.flat_metric:
+        return -grid.domain.sdf(grid.points)
+    sig, siginv = ((grid.node_sig, grid.node_siginv) if chart == grid.chart
+                   else metric_fields(chart, grid.points)[:2])
+    return _fast_sweep(sig, siginv, grid.points, grid.node_index, grid.inside_ij, grid.h,
+                       grid.link_points, grid.link_node)
 
 
-def _fast_sweep(chart, points, node_index, inside_ij, h, link_pts, link_node):
+def _fast_sweep(sig, siginv, points, node_index, inside_ij, h, link_pts, link_node):
     """Fast-sweeping eikonal distance (Zhao 2005), equal bit for bit to
-    `tests/test_equivalence.row_major_sweep`.
+    `tests/test_equivalence.row_major_sweep`, from sigma and sigma^ij.
 
     Boundary-adjacent nodes are frozen at their sigma chord length to
     the nearest crossing within 2h.  Each pass runs the four orderings
@@ -387,8 +392,6 @@ def _fast_sweep(chart, points, node_index, inside_ij, h, link_pts, link_node):
     """
     n = len(points)
     d = np.full(n + 1, np.inf)      # d[n] stands in for a missing neighbour
-    sig = chart.metric_at(points)
-    siginv = _inverse_metric(chart, sig)
 
     # freeze only boundary-adjacent nodes, at the local chord distance to
     # crossings within 2h, which lie on links of nodes at most 3h away:

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InputError, KGraphError, SingularJacobian
-from .geometry import DIM, _inverse_metric, _sqrt_det, kappa_vector_at
+from .geometry import DIM, kappa_vector_at, metric_fields
 from .grid import STEP_X, STEP_Y, _lattice_at, integrate
 
 THETA_FLOOR = 1e-6  # ghost extrapolation keeps theta away from zero
@@ -286,26 +286,21 @@ class GraphOperator:
         # sigma^{nt}, sigma^{tt}, and the tilt's n and t components
         x_face = np.arange(Fx + Fy) < Fx        # x faces come first
         chart = grid.chart
-        face_sig = chart.metric_at(mid)
-        s = _inverse_metric(chart, face_sig)
+        _, s, self.face_sqrt_det = metric_fields(chart, mid)
         s = np.stack([s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]])
         self.face_sig_nt = np.where(x_face, s, s[::-1])
-        self.face_sqrt_det = _sqrt_det(face_sig)
         self.face_f = chart.f_at(mid)
         t = (np.sqrt(self.face_f)[:, None] * chart.delta_at(mid)).T
         self.face_tilt = np.where(x_face, t, t[::-1])
 
     def _node_geometry(self):
-        grid, chart = self.grid, self.grid.chart
-        pts = grid.points
-        sig = chart.metric_at(pts)
-        self.node_siginv = _inverse_metric(chart, sig)
+        grid, chart, pts = self.grid, self.grid.chart, self.grid.points
+        self.node_siginv, self.node_sqrt_det = grid.node_siginv, grid.node_sqrt_det
         self.node_f = chart.f_at(pts)
         self.node_tilt = (np.sqrt(self.node_f)[:, None] * chart.delta_at(pts)).T.copy()
         self.node_kappa = kappa_vector_at(chart, pts, grid.h)
         # False when f is constant: the lower-order term is then exactly 0
         self._kappa_any = bool(np.any(self.node_kappa))
-        self.node_sqrt_det = _sqrt_det(sig)
 
     # -- pointwise states ------------------------------------------------
 

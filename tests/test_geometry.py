@@ -72,6 +72,33 @@ class TestInverseMetric:
         with pytest.raises(NonPositiveDefinite):
             kg.inverse_metric_at(chart, (0.0, 0.0))
 
+    def test_nonpositive_names_the_point(self):
+        chart = const_metric_chart([[1.0, 2.0], [2.0, 1.0]], name="indefinite")
+        with pytest.raises(NonPositiveDefinite, match=r"^chart 'indefinite': metric eigenvalue "
+                           r"-1\.000e\+00 <= 1e-12 at point \(0\.3, -1\.2\)$"):
+            kg.inverse_metric_at(chart, (0.3, -1.2))
+        # sigma = diag(x, 1) degenerates from x = 0 on: the first such point
+        # in row-major order of a (2, 2) batch is named
+        chart = kg.SubmersionChart(
+            name="diag-x", metric=lambda P: np.asarray(P)[..., :, None] * [[1, 0], [0, 0]]
+            + [[0, 0], [0, 1]], f=lambda P: np.ones(np.shape(P)[:-1]),
+            delta=lambda P: np.zeros(np.shape(P)), ric_lower=0.0)
+        pts = [[(0.25, 0.0), (-0.5, 0.125)], [(-1.0, 1.0), (2.0, 0.0)]]
+        with pytest.raises(NonPositiveDefinite, match=r"-5\.000e-01 .* at point \(-0\.5, 0\.125\)$"):
+            kg.geometry.metric_fields(chart, pts)
+        # the grid names its first inside node, in row-major order, with x <= 0
+        with pytest.raises(NonPositiveDefinite, match=r"at point \(-0\.25, -0\.375\)$"):
+            kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 8, chart)
+
+    def test_flat_chart_constants(self, euclid):
+        pts = np.zeros((3, 5, 2))
+        sig, inv, root = kg.geometry.metric_fields(euclid, pts)
+        assert sig.shape == inv.shape == (3, 5, 2, 2) and root.shape == (3, 5)
+        assert np.array_equal(sig, np.broadcast_to(np.eye(2), sig.shape))
+        assert np.array_equal(inv, sig) and np.all(np.signbit(inv[..., 0, 1]))
+        assert np.all(root == 1.0)
+        assert not (sig.flags.writeable or inv.flags.writeable or root.flags.writeable)
+
 
 class TestChristoffels:
     def test_euclidean_zero(self, euclid):
@@ -251,6 +278,14 @@ class TestChartFile:
         # bilinear between nodes: f varies in y, delta1 in x
         assert chart.f_at((0.25, 0.25)) == pytest.approx(1.5)
         assert chart.delta_at((0.25, 0.75))[0] == pytest.approx(0.05)
+
+    def test_near_identity_table_is_not_flat(self, tmp_path):
+        # flat means every sigma entry within 1e-14 of I, with no relative slack
+        path = tmp_path / "near.geom"
+        for entry, flat in (("1.0", True), ("1.000000000000005", True),
+                            ("1.000001", False), ("1.000005", False)):
+            path.write_text(GEOM_FILE.replace("[sigma11]\n1.0,", f"[sigma11]\n{entry},", 1))
+            assert kg.chart_from_file(path).flat_metric is flat, entry
 
     def test_missing_table_rejected(self, tmp_path):
         path = tmp_path / "broken.geom"

@@ -1,5 +1,6 @@
 """The mean curvature operator: states, residuals, Jacobian, functional."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -467,6 +468,59 @@ class TestOperatorMemo:
         assert ref() is not None
         del grid
         assert ref() is None
+
+
+class TestFlatChart:
+    """A chart declared flat is solved from the constants sigma = I, and its
+    metric callable is never evaluated."""
+
+    OPERATOR_ARRAYS = ("P", "B", "Gx", "Gy", "Mn", "Mt", "Div", "face_sig_nt",
+                       "face_sqrt_det", "face_f", "face_tilt", "node_siginv",
+                       "node_sqrt_det", "node_f", "node_tilt", "node_kappa")
+
+    def test_metric_never_called(self, euclid):
+        def metric(P):
+            raise AssertionError("a flat chart's metric was evaluated")
+
+        chart = dataclasses.replace(euclid, metric=metric, name="flat-raising")
+        runs = []
+        for c in (chart, euclid):
+            spec = kg.ProblemSpec(chart=c, domain=kg.Disk((0.0, 0.0), 0.5), H=1.0, phi=CAP)
+            grid = kg.build_grid(spec.domain, 1.0 / 32, c)
+            u, report = kg.solve_dirichlet(spec, grid)
+            assert report.converged
+            result = kg.verify(spec, grid, u)
+            assert result.passed and not result.items["riccati"].get("skipped")
+            runs.append((grid, u))
+        (grid, u), (grid_e, u_e) = runs
+        assert np.array_equal(u, u_e)
+        assert np.array_equal(grid.dist, grid_e.dist)
+        assert np.array_equal(grid.cell_area, grid_e.cell_area)
+
+    def test_same_operator_when_evaluated(self, euclid):
+        # the identity's fields, evaluated, equal the flat constants bit for bit
+        evaluated = dataclasses.replace(euclid, flat_metric=False, name="identity")
+        cases = []
+        for c in (euclid, evaluated):
+            grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 48, c)
+            spec = kg.ProblemSpec(chart=c, domain=grid.domain, H=1.0, phi=CAP)
+            phi_vals = spec.phi_links(grid)
+            u = CAP(grid.points) + 0.01 * np.sin(3 * grid.points[:, 0])
+            op = grid.operator
+            A, rhs = op._laplace_system(phi_vals)
+            cases.append(dict(
+                grid=grid, op=op, A=A.toarray(), rhs=rhs,
+                residual=op.residual(u, phi_vals, spec.H_nodes(grid)),
+                jacobian=op.jacobian(u, phi_vals).toarray()))
+        flat, full = cases
+        assert np.array_equal(flat["grid"].cell_area, full["grid"].cell_area)
+        for name in self.OPERATOR_ARRAYS:
+            a, b = getattr(flat["op"], name), getattr(full["op"], name)
+            if hasattr(a, "toarray"):
+                a, b = a.toarray(), b.toarray()
+            assert a.shape == b.shape and np.array_equal(a, b), name
+        for key in ("residual", "jacobian", "A", "rhs"):
+            assert np.array_equal(flat[key], full[key]), key
 
 
 class TestAreaFunctional:
