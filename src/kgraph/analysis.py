@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import (CertificateFailed, InputError, MinPrincipleViolated,
                      TubularWidthExceeded)
-from .geometry import (DIM, _eig_bounds_2x2, _positive, _tilt, christoffels_at,
-                       kappa_vector_at, metric_fields)
+from .geometry import (DIM, _eig_bounds_2x2, _fields_of, _positive, _tilt,
+                       christoffels_at, kappa_vector_at, metric_fields)
 from .grid import Rectangle, integrate
 from .operator import _is_constant
 
@@ -257,8 +257,8 @@ def riccati_evolution(chart, domain, eps_max, deps, samples=64):
         p, v = y
         if chart.flat_metric:
             return np.stack([v, np.zeros_like(v)])
-        sig, inv, _ = metric_fields(chart, p + stencil)
-        inv = inv[0]
+        sig = chart.metric_at(p + stencil)
+        inv = _fields_of(chart, sig[0], p)[1]
         dsig = (sig[1:3] - sig[3:]) / (2.0 * GEOM_H_FD)     # [a] = d_a sigma
         v0, v1 = v[:, 0, None], v[:, 1, None]
         dv = dsig[..., 0] * v0 + dsig[..., 1] * v1          # [a, m, l] = d_a sigma_lj v^j
@@ -396,7 +396,7 @@ class HeightCertificate:
 def _sigma_diameter_bound(grid):
     if grid.chart.flat_metric:
         return grid.domain.diameter_euclid()
-    _, lam = _eig_bounds_2x2(grid.node_sig)
+    _, lam = _eig_bounds_2x2(metric_fields(grid.chart, grid.points)[0])
     return grid.domain.diameter_euclid() * float(np.sqrt(np.max(lam)))
 
 

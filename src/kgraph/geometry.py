@@ -79,15 +79,17 @@ _FLAT_FIELDS = (np.eye(2), np.array([[1.0, -0.0], [-0.0, 1.0]]), np.float64(1.0)
 
 
 def metric_fields(chart, points):
-    """(sigma_ij, sigma^ij, sqrt det sigma) at `points` (..., 2): the one
-    place kgraph evaluates a chart's metric.  A `flat_metric` chart gets
-    the exact constants above as read-only broadcast views, and its
-    `metric` is never called.  Raises NonPositiveDefinite naming the
-    first point where sigma's least eigenvalue is at most EIG_FLOOR."""
+    """(sigma_ij, sigma^ij, sqrt det sigma) at `points` (..., 2).  A `flat_metric` chart
+    gets the constants above as read-only views; its `metric` is never called.  Raises
+    NonPositiveDefinite naming the first point whose least sigma eigenvalue is <= EIG_FLOOR."""
     points = np.asarray(points, dtype=float)
     if chart.flat_metric:
         return tuple(np.broadcast_to(c, points.shape[:-1] + c.shape) for c in _FLAT_FIELDS)
-    sig = chart.metric_at(points)
+    return _fields_of(chart, chart.metric_at(points), points)
+
+
+def _fields_of(chart, sig, points):
+    """`metric_fields` of a chart that is not flat, from sigma's values `sig` at `points`."""
     lo = np.ravel(_eig_bounds_2x2(sig)[0])
     if np.any(lo <= EIG_FLOOR):
         k = int(np.argmax(lo <= EIG_FLOOR))
@@ -131,7 +133,8 @@ def christoffels_at(chart, x, h_fd):
     Partials are taken by central differences with step h_fd; exactly
     symmetric in (i, j) by construction.
     """
-    dsig = _central_partials(lambda p: metric_fields(chart, p)[0], x, h_fd)  # d_a sigma_ij
+    metric = (lambda p: metric_fields(chart, p)[0]) if chart.flat_metric else chart.metric_at
+    dsig = _central_partials(metric, x, h_fd)  # [a, i, j] = d_a sigma_ij, 0 when flat
     inv = inverse_metric_at(chart, x)
     # bracket[l,i,j] = d_i sigma_jl + d_j sigma_il - d_l sigma_ij
     bracket = (np.einsum("...ijl->...lij", dsig)

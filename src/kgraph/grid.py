@@ -8,14 +8,14 @@ domain's closed form (`crossing`), recorded per link; DIRICHLET_GHOST
 nodes are outside nodes touching an inside node along an axis (the
 slots where Dirichlet data enters stencils).
 
-The grid holds geometry only: the chart it was built for, lattice
-maps, crossings, sigma at the inside nodes, the sigma distance field
-and sigma-area quadrature weights.  Derivatives of node fields are the operator's
-(`GraphOperator.Gx`/`Gy` over the ghost-extended field); the grid keeps
-its one operator and one full-sample boundary geometry, each built on
-first read.  The distance field to the boundary is analytic for flat
-metrics and fast-swept first-order (by anti-diagonals) for general
-sigma.  Grids are immutable after build.
+The grid holds geometry only: the chart it was built for, lattice maps,
+crossings, sigma^ij and sqrt det sigma at the inside nodes, the sigma
+distance field and sigma-area quadrature weights.  Derivatives of node
+fields are the operator's (`GraphOperator.Gx`/`Gy` over the ghost-
+extended field); the grid keeps its one operator and one full-sample
+boundary geometry, each built on first read.  The distance field to the
+boundary is analytic for flat metrics and fast-swept first-order (by
+anti-diagonals) for general sigma.  Grids are immutable after build.
 """
 
 import functools
@@ -191,9 +191,8 @@ class GridDomain:
     link_theta: np.ndarray     # (L,) fractional crossing distance in (0, 1]
     link_points: np.ndarray    # (L, 2) boundary crossing coordinates
     dist: np.ndarray           # (N,) sigma-distance to the boundary
-    node_sig: np.ndarray       # (N, 2, 2) sigma_ij, (N, 2, 2) sigma^ij and (N,)
-    node_siginv: np.ndarray    # sqrt det sigma at the inside nodes: `metric_fields`,
-    node_sqrt_det: np.ndarray  # read-only constant views for a flat chart
+    node_siginv: np.ndarray    # (N, 2, 2) sigma^ij and (N,) sqrt det sigma at the inside
+    node_sqrt_det: np.ndarray  # nodes: `metric_fields`, constant views for a flat chart
     covered: np.ndarray        # (C,) cells overlapping the domain, indexed over
                                # the inside nodes, then ghosts, then slivers
     cell_area: np.ndarray      # (C,) sigma area of each covered cell's inside part
@@ -345,7 +344,7 @@ def build_grid(domain, h, chart):
         points=points, ghost_points=ghost_points, neighbor_ext=neighbor_ext,
         link_node=link_node, link_dir=link_dir, link_theta=link_theta,
         link_points=link_pts,
-        dist=dist, node_sig=sig, node_siginv=siginv, node_sqrt_det=sqrt_det[:n_inside],
+        dist=dist, node_siginv=siginv, node_sqrt_det=sqrt_det[:n_inside],
         covered=covered, cell_area=cell_area, outer_mean=outer_mean,
     )
 
@@ -373,10 +372,8 @@ def distance_field(grid, chart):
     """
     if chart.flat_metric:
         return -grid.domain.sdf(grid.points)
-    sig, siginv = ((grid.node_sig, grid.node_siginv) if chart == grid.chart
-                   else metric_fields(chart, grid.points)[:2])
-    return _fast_sweep(sig, siginv, grid.points, grid.node_index, grid.inside_ij, grid.h,
-                       grid.link_points, grid.link_node)
+    return _fast_sweep(*metric_fields(chart, grid.points)[:2], grid.points, grid.node_index,
+                       grid.inside_ij, grid.h, grid.link_points, grid.link_node)
 
 
 def _fast_sweep(sig, siginv, points, node_index, inside_ij, h, link_pts, link_node):
