@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (CertificateFailed, InputError, MinPrincipleViolated,
                      TubularWidthExceeded)
 from .geometry import (DIM, _eig_bounds_2x2, _fields_of, _positive, _tilt,
-                       christoffels_at, kappa_vector_at, metric_fields)
+                       christoffels_at, inverse_metric_at, kappa_vector_at)
 from .grid import Rectangle, integrate
 from .operator import _is_constant
 
@@ -83,7 +83,7 @@ def _boundary_params(domain, samples):
 
 
 def _sigma_normalize(chart, points, vectors):
-    sig = metric_fields(chart, points)[0]
+    sig = chart.metric_at(points)
     norm = np.sqrt(np.einsum("...i,...ij,...j->...", vectors, sig, vectors))
     return vectors / norm[..., None]
 
@@ -100,7 +100,7 @@ def _curve_H_cyl(chart, p_minus, p0, p_plus, dt, eta):
     cpp = (p_plus - 2.0 * p0 + p_minus) / dt ** 2
     gam = christoffels_at(chart, p0, GEOM_H_FD)
     acc = cpp + np.einsum("...kij,...i,...j->...k", gam, cp, cp)
-    sig = metric_fields(chart, p0)[0]
+    sig = chart.metric_at(p0)
     speed2 = np.einsum("...i,...ij,...j->...", cp, sig, cp)
     tang = cp / np.sqrt(speed2)[..., None]
     a_dot_t = np.einsum("...i,...ij,...j->...", acc, sig, tang)
@@ -114,7 +114,7 @@ def _inward_sigma_normals(chart, points, m):
     """Inward sigma-unit normals at boundary `points` from the unit
     Euclidean inward covectors `m` there: m raised by sigma^{-1}, which
     is sigma-orthogonal to the boundary, then sigma-normalised."""
-    v = np.einsum("...ij,...j->...i", metric_fields(chart, points)[1], m)
+    v = np.einsum("...ij,...j->...i", inverse_metric_at(chart, points), m)
     norm = np.sqrt(np.einsum("...i,...i->...", m, v))
     return v / norm[..., None]
 
@@ -396,7 +396,7 @@ class HeightCertificate:
 def _sigma_diameter_bound(grid):
     if grid.chart.flat_metric:
         return grid.domain.diameter_euclid()
-    _, lam = _eig_bounds_2x2(metric_fields(grid.chart, grid.points)[0])
+    _, lam = _eig_bounds_2x2(grid.chart.metric_at(grid.points))
     return grid.domain.diameter_euclid() * float(np.sqrt(np.max(lam)))
 
 

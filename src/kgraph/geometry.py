@@ -40,7 +40,7 @@ class SubmersionChart:
     ric_lower is a caller-supplied lower bound for the ambient Ricci
     curvature; it is stored, never computed.  A chart declared
     `flat_metric` has sigma = I as declared: kgraph never calls its
-    `metric` (`metric_fields`).
+    `metric` (`metric_at`, `metric_fields`).
     """
 
     name: str
@@ -52,6 +52,8 @@ class SubmersionChart:
 
     def metric_at(self, points):
         points = np.asarray(points, dtype=float)
+        if self.flat_metric:    # a read-only view of I
+            return np.broadcast_to(_FLAT_FIELDS[0], points.shape[:-1] + (2, 2))
         sig = np.asarray(self.metric(points), dtype=float)
         # symmetrize so downstream symmetry claims hold bitwise
         return 0.5 * (sig + np.swapaxes(sig, -1, -2))
@@ -133,8 +135,7 @@ def christoffels_at(chart, x, h_fd):
     Partials are taken by central differences with step h_fd; exactly
     symmetric in (i, j) by construction.
     """
-    metric = (lambda p: metric_fields(chart, p)[0]) if chart.flat_metric else chart.metric_at
-    dsig = _central_partials(metric, x, h_fd)  # [a, i, j] = d_a sigma_ij, 0 when flat
+    dsig = _central_partials(chart.metric_at, x, h_fd)  # [a, i, j] = d_a sigma_ij
     inv = inverse_metric_at(chart, x)
     # bracket[l,i,j] = d_i sigma_jl + d_j sigma_il - d_l sigma_ij
     bracket = (np.einsum("...ijl->...lij", dsig)

@@ -276,9 +276,8 @@ def build_grid(domain, h, chart):
 
     Each link's crossing is the domain's closed form (`crossing`), capped
     at h, so theta = t / h is in (0, 1].  sigma positive-definiteness and
-    f > 0 are checked at every inside and ghost node here, before
-    anything else can run, by the one evaluation of sigma there that
-    the sweep and the operator read.
+    f > 0 are checked at every inside and ghost node before anything else
+    can run, by the one evaluation of sigma that the sweep and operator read.
     """
     _positive(h, "grid spacing h")
     cls, x_origin, y_origin, nx, ny, P = _classify(domain, h)
