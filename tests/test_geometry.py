@@ -98,6 +98,9 @@ class TestInverseMetric:
         assert np.array_equal(inv, sig) and np.all(np.signbit(inv[..., 0, 1]))
         assert np.all(root == 1.0)
         assert not (sig.flags.writeable or inv.flags.writeable or root.flags.writeable)
+        # metric_at answers I too, without calling the chart's metric
+        never = dataclasses.replace(euclid, metric=lambda P: 1 / 0)
+        assert np.array_equal(never.metric_at(pts), sig) and not never.metric_at(pts).flags.writeable
 
 
 class TestChristoffels:
