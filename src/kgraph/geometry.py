@@ -19,6 +19,7 @@ interpolated bilinearly.  Charts are immutable and all evaluations are
 pure functions of (chart, x), so they are safe to share.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -278,6 +279,14 @@ def _positive(value, what):
     return value
 
 
+def _finite_reals(values, what, n):
+    """values, or an InputError naming `what` unless n finite reals (a bool is not one)."""
+    vals = np.asarray(values, dtype=object)
+    if vals.shape != (n,) or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                     and np.isfinite(v) for v in vals):
+        raise InputError(f"{what} must be {n} finite real numbers")
+
+
 def make_builtin(name, params=None):
     """Instantiate a built-in geometry by name with a parameter map."""
     params = dict(params or {})
@@ -380,8 +389,12 @@ def chart_from_file(path):
                     parts = value.replace(",", " ").split()
                     if len(parts) != 6:
                         raise InputError(f"{path}:{lineno}: grid needs nx ny x0 y0 hx hy")
-                    grid = tuple(_number(p, f"{path}:{lineno}: grid", kind) for p, kind in
+                    what = f"{path}:{lineno}: grid"
+                    grid = tuple(_number(p, what, kind) for p, kind in
                                  zip(parts, (int, int, float, float, float, float)))
+                    _finite_reals(grid[2:4], f"{what}: x0 y0", 2)
+                    _positive(grid[4], f"{what}: hx")
+                    _positive(grid[5], f"{what}: hy")
                 elif key == "ric_lower":
                     ric_lower = _number(value, f"{path}:{lineno}: ric_lower")
                 else:

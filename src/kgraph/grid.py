@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EmptyDomain, InputError, StencilUnavailable
-from .geometry import _positive, metric_fields, validate_chart_at
+from .geometry import _finite_reals, _positive, metric_fields, validate_chart_at
 
 OUTSIDE = 0
 INTERIOR = 1
@@ -51,8 +51,7 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.center)):
-            raise InputError("disk center must be finite")
+        _finite_reals(self.center, "disk center", 2)
         _positive(self.radius, "disk radius")
 
     def sdf(self, points):
@@ -108,8 +107,7 @@ class Rectangle:
     y1: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.x0, self.y0, self.x1, self.y1])):
-            raise InputError("rectangle corners must be finite")
+        _finite_reals((self.x0, self.y0, self.x1, self.y1), "rectangle corners", 4)
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise InputError("rectangle requires x1 > x0 and y1 > y0")
 
@@ -185,7 +183,8 @@ class GridDomain:
     ext_index: np.ndarray      # (ny, nx) -> inside id, N + ghost id, or -1
     points: np.ndarray         # (N, 2) coordinates of inside nodes
     ghost_points: np.ndarray   # (Ng, 2)
-    neighbor_ext: np.ndarray   # (N, 4) extended id (inside id, or N + ghost id)
+    neighbor_ext: np.ndarray   # (N, 4) extended id (inside id, or N + ghost id) per
+                               # direction: the operator's only connectivity
     link_node: np.ndarray      # (L,) inside node id of each boundary link
     link_dir: np.ndarray       # (L,) direction code 0..3
     link_theta: np.ndarray     # (L,) fractional crossing distance in (0, 1]

@@ -34,7 +34,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import InputError, KGraphError, SingularJacobian
 from .geometry import DIM, kappa_vector_at, metric_fields
-from .grid import STEP_X, STEP_Y, _lattice_at, integrate
+from .grid import integrate
 
 THETA_FLOOR = 1e-6  # ghost extrapolation keeps theta away from zero
 THETA_ELIM = 0.05   # below this, a node is pinned to boundary interpolation:
@@ -135,7 +135,7 @@ class GraphOperator:
         self._build_extension()
         self._build_gradients()
         self._node_geometry()
-        self._build_faces()
+        self._face_geometry(*self._build_faces())
 
     def _find_eliminated(self):
         """Nodes hugging the boundary (min link theta < THETA_ELIM).
@@ -218,74 +218,30 @@ class GraphOperator:
         self.Gy = sp.csr_matrix((vals, (rows, ext[:, 2:].ravel())), shape=(N, N + Ng))
 
     def _build_faces(self):
+        """Mn, Mt and Div over the faces `_axis_faces` lists, x faces first;
+        returns the face midpoints and the number of x faces.  By summation
+        by parts, Div is Mn's sign pattern on the inside columns, transposed,
+        negated and scaled by 1/(h sqrt(det sigma))."""
         grid = self.grid
         N, Ng, h = grid.num_inside, grid.num_ghost, grid.h
-        ext = grid.ext_index
-        index = grid.node_index
-
-        # faces are the lattice edges touching an inside node; an x face
-        # (fx, fy) joins lattice points (fx, fy) and (fx + 1, fy), a y face
-        # (fx, fy) joins (fx, fy) and (fx, fy + 1)
-        fx_x, fy_x = _faces(index[:, :-1], index[:, 1:])
-        fx_y, fy_y = _faces(index[:-1, :], index[1:, :])
-        Fx, Fy = len(fx_x), len(fx_y)
-
-        def normal_and_average(fx, fy, sx, sy):
-            """Normal difference and tangential face value per face.
-
-            Both sides inside: midpoint average.  One side a ghost:
-            linear extrapolation from the inside node and the next node
-            behind it (falls back to the inside value alone).
-            """
-            F = len(fx)
-            e_lo, e_hi = ext[fy, fx], ext[fy + sy, fx + sx]
-            D = sp.csr_matrix(
-                (np.tile([1.0 / h, -1.0 / h], F),
-                 (np.repeat(np.arange(F), 2), np.column_stack([e_hi, e_lo]).ravel())),
-                shape=(F, N + Ng))
-            lo_in = e_lo < N
-            both = lo_in & (e_hi < N)
-            near = np.where(lo_in, e_lo, e_hi)
-            back = np.where(lo_in, _lattice_at(index, fx - sx, fy - sy),
-                            _lattice_at(index, fx + 2 * sx, fy + 2 * sy))
-            first = np.where(both, 0.5, np.where(back >= 0, 1.5, 1.0))
-            second = np.where(both, 0.5, -0.5)
-            used = np.column_stack([np.ones(F, dtype=bool), both | (back >= 0)]).ravel()
-            A = sp.csr_matrix(
-                (np.column_stack([first, second]).ravel()[used],
-                 (np.repeat(np.arange(F), 2)[used],
-                  np.column_stack([near, np.where(both, e_hi, back)]).ravel()[used])),
-                shape=(F, N))
-            return D, A
-
-        Dx_norm, Avg_x = normal_and_average(fx_x, fy_x, 1, 0)
-        Dy_norm, Avg_y = normal_and_average(fx_y, fy_y, 0, 1)
+        x, y = _axis_faces(grid, 0), _axis_faces(grid, 1)     # (ends, mid, Avg) each
+        F = len(x[0]) + len(y[0])
         # hat_u_i along each face's normal (Mn) and tangential (Mt) axis
-        self.Mn = sp.vstack([Dx_norm, Dy_norm]).tocsr()
-        self.Mt = sp.vstack([Avg_x @ self.Gy, Avg_y @ self.Gx]).tocsr()
-        mid = np.concatenate([
-            np.column_stack([grid.x_origin + (fx_x + 0.5) * h, grid.y_origin + fy_x * h]),
-            np.column_stack([grid.x_origin + fx_y * h, grid.y_origin + (fy_y + 0.5) * h]),
-        ])
-
-        # divergence: difference of the four face fluxes per node
-        face_x = -np.ones(index.shape, dtype=int)
-        face_x[fy_x, fx_x] = np.arange(Fx)
-        face_y = -np.ones(index.shape, dtype=int)
-        face_y[fy_y, fx_y] = Fx + np.arange(Fy)
-        cx, cy = grid.inside_ij[:, 0], grid.inside_ij[:, 1]
+        self.Mt = sp.vstack([x[2] @ self.Gy, y[2] @ self.Gx]).tocsr()
+        face, ends = np.repeat(np.arange(F), 2), np.vstack([x[0], y[0]]).ravel()
+        sign = np.tile([1.0, -1.0], F)
+        self.Mn = sp.csr_matrix((sign / h, (face, ends)), shape=(F, N + Ng))
+        on = ends < N
         c = 1.0 / (h * self.node_sqrt_det)
-        self.Div = sp.csr_matrix(
-            ((c[:, None] * np.array([1.0, -1.0, 1.0, -1.0])).ravel(),
-             (np.repeat(np.arange(N), 4),
-              np.column_stack([face_x[cy, cx], face_x[cy, cx - 1],
-                               face_y[cy, cx], face_y[cy - 1, cx]]).ravel())),
-            shape=(N, Fx + Fy))
+        self.Div = sp.csr_matrix((-sign[on] * c[ends[on]], (ends[on], face[on])), shape=(N, F))
+        return np.vstack([x[1], y[1]]), len(x[0])
 
-        # face chart data in (n, t) axes, one row per component: sigma^{nn},
-        # sigma^{nt}, sigma^{tt}, and the tilt's n and t components
-        x_face = np.arange(Fx + Fy) < Fx        # x faces come first
-        chart = grid.chart
+    def _face_geometry(self, mid, Fx):
+        """Face chart data in (n, t) axes, one row per component: sigma^{nn},
+        sigma^{nt}, sigma^{tt}, and the tilt's n and t components; evaluated
+        once `_build_faces` has returned and freed its face lists."""
+        x_face = np.arange(len(mid)) < Fx        # x faces come first
+        chart = self.grid.chart
         _, s, self.face_sqrt_det = metric_fields(chart, mid)
         s = np.stack([s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]])
         self.face_sig_nt = np.where(x_face, s, s[::-1])
@@ -634,30 +590,47 @@ def _lagrange_weights(x, used, at):
     return out
 
 
+def _axis_faces(grid, axis):
+    """(ends, mid, Avg) of the faces normal to `axis`, from `grid.neighbor_ext`.
+
+    Each inside node lists its high face, then its low face where the low
+    neighbour is a ghost (an inside one lists it as its own high face).
+    ends holds each face's (hi, lo) ext ids and mid its midpoint.  Avg
+    takes a face value from the inside nodes: the average of both ends
+    when both are inside, else linear extrapolation from the node and the
+    node behind it, or the node alone without one.
+    """
+    N, ext = grid.num_inside, grid.neighbor_ext
+    node, low = np.nonzero(np.column_stack([np.ones(N, dtype=bool), ext[:, 2 * axis + 1] >= N]))
+    F, d = len(node), 2 * axis + low             # the face's link direction
+    far, back = ext[node, d], _walk_inward(grid, node, d, 1)[:, 0]
+    both = far < N
+    other = np.where(both, far, back)
+    used = np.column_stack([np.ones(F, dtype=bool), other >= 0]).ravel()
+    Avg = sp.csr_matrix(
+        (np.column_stack([np.where(both, 0.5, np.where(back >= 0, 1.5, 1.0)),
+                          np.where(both, 0.5, -0.5)]).ravel()[used],
+         (np.repeat(np.arange(F), 2)[used], np.column_stack([node, other]).ravel()[used])),
+        shape=(F, N))
+    ends = np.where(low[:, None], np.column_stack([node, far]), np.column_stack([far, node]))
+    mid = (np.array([grid.x_origin, grid.y_origin])
+           + (grid.inside_ij[node] + np.eye(2)[axis] * (0.5 - low[:, None])) * grid.h)
+    return ends, mid, Avg
+
+
 def _walk_inward(grid, nodes, dirs, depth):
-    """Inside ids 1..depth steps from `nodes` against link directions `dirs`.
+    """Inside ids 1..depth steps from `nodes` against link directions `dirs`,
+    stepping through `grid.neighbor_ext` in the opposite direction (dirs ^ 1).
 
     Column s holds the node s + 1 steps back, or -1 from the first step
     that leaves the inside set on.
     """
-    sx, sy = STEP_X[dirs], STEP_Y[dirs]
-    cx, cy = grid.inside_ij[nodes, 0], grid.inside_ij[nodes, 1]
-    out = np.stack([_lattice_at(grid.node_index, cx - s * sx, cy - s * sy)
-                    for s in range(1, depth + 1)], axis=-1)
-    return np.where(np.cumprod(out >= 0, axis=1) > 0, out, -1)
-
-
-def _faces(lo, hi):
-    """Lattice coords of the faces between index views `lo` and `hi`.
-
-    A face exists where either side is inside.  Faces are numbered in
-    the order a node-by-node scan first meets them: each node names the
-    face on its high side, then the one on its low side.
-    """
-    fy, fx = np.nonzero((lo >= 0) | (hi >= 0))
-    first_seen = np.where(lo[fy, fx] >= 0, 2 * lo[fy, fx], 2 * hi[fy, fx] + 1)
-    order = np.argsort(first_seen)
-    return fx[order], fy[order]
+    steps, node, back = [], np.asarray(nodes), np.asarray(dirs) ^ 1
+    for _ in range(depth):
+        nxt = grid.neighbor_ext[node, back]
+        node = np.where((node >= 0) & (nxt < grid.num_inside), nxt, -1)
+        steps.append(node)
+    return np.stack(steps, axis=-1)
 
 
 # ---------------------------------------------------------------------------

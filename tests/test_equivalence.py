@@ -18,7 +18,8 @@ per-node / per-face loop assembly of `GraphOperator` produced.
 Oracles and boundary gathers: the test oracles `residual_nondivergence`
 and `jacobian_fd` (tests/oracles.py, moved out of `GraphOperator`
 unchanged), `boundary_gradient_samples`, `integrate`, the boundary
-normals and `Div` must match `tests/data/{nondiv,jacfd,boundary}_*.npz`,
+normals and the face layer (`Div`, `Mn`, `Mt` in face order and sqrt det
+sigma per face) must match `tests/data/{nondiv,jacfd,boundary}_*.npz`,
 written by the per-node code these became array code of, together with
 their inputs.
 
@@ -558,7 +559,8 @@ BOUNDARY_CASES = {   # problem factory, h
 
 
 def gather_values(case, ref=None):
-    """Boundary gradient samples, integrals, boundary normals and Div."""
+    """Boundary gradient samples, integrals, boundary normals and the face
+    layer: Div, Mn and Mt in face order, and sqrt(det sigma) per face."""
     make, h = BOUNDARY_CASES[case]
     chart, domain, H, phi = make()
     grid = kg.build_grid(domain, h, chart)
@@ -566,14 +568,16 @@ def gather_values(case, ref=None):
     u, v = _fields(grid.points) if ref is None else (ref["u"], ref["v"])
     bgeom = grid.boundary_geometry
     grad_norm, normal, tangential = boundary_gradient_samples(spec, grid, u)
-    Div = grid.operator.Div
+    op = grid.operator
     return {"u": u, "v": v, "grad_norm": grad_norm, "normal": normal,
             "tangential": tangential,
             "integrals": np.array([kg.integrate(grid, w)
                                    for w in (u, v, np.ones(grid.num_inside))]),
             "bgeom_eta": bgeom.eta, "bgeom_eta_minus": bgeom.eta_minus,
-            "bgeom_eta_plus": bgeom.eta_plus, "div_data": Div.data,
-            "div_indices": Div.indices, "div_indptr": Div.indptr}
+            "bgeom_eta_plus": bgeom.eta_plus, "face_sqrt_det": op.face_sqrt_det,
+            **{f"{name}_{part}": getattr(getattr(op, M), part)
+               for name, M in (("div", "Div"), ("mn", "Mn"), ("mt", "Mt"))
+               for part in ("data", "indices", "indptr")}}
 
 
 @pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
@@ -583,8 +587,9 @@ def test_boundary_gathers_match_reference(case):
     for key in ("grad_norm", "normal", "tangential", "integrals"):
         assert got[key].shape == ref[key].shape
         assert _rel_err(got[key], ref[key]) <= 1e-14, key
-    for key in ("bgeom_eta", "bgeom_eta_minus", "bgeom_eta_plus",
-                "div_data", "div_indices", "div_indptr"):
+    for key in ("bgeom_eta", "bgeom_eta_minus", "bgeom_eta_plus", "face_sqrt_det",
+                *(f"{m}_{part}" for m in ("div", "mn", "mt")
+                  for part in ("data", "indices", "indptr"))):
         assert np.array_equal(got[key], ref[key]), key
 
 

@@ -290,6 +290,16 @@ class TestChartFile:
             path.write_text(GEOM_FILE.replace("[sigma11]\n1.0,", f"[sigma11]\n{entry},", 1))
             assert kg.chart_from_file(path).flat_metric is flat, entry
 
+    @pytest.mark.parametrize("line", ["3 3 0.0 0.0 0 0.5", "3 3 0.0 0.0 -1 0.5",
+                                      "3 3 0.0 0.0 0.5 nan", "3 3 inf 0.0 0.5 0.5"],
+                             ids=["hx-zero", "hx-negative", "hy-nan", "x0-inf"])
+    def test_bad_grid_line_rejected(self, tmp_path, line):
+        # a zero or negative spacing would divide by zero or mirror the table
+        path = tmp_path / "bad.geom"
+        path.write_text(GEOM_FILE.replace("grid = 3 3 0.0 0.0 0.5 0.5", f"grid = {line}"))
+        with pytest.raises(InputError, match=r"bad\.geom:2: grid: (hx|hy|x0 y0) must be"):
+            kg.chart_from_file(path)
+
     def test_missing_table_rejected(self, tmp_path):
         path = tmp_path / "broken.geom"
         path.write_text("name = x\ngrid = 2 2 0 0 1 1\n[sigma11]\n1,1\n1,1\n")

@@ -79,7 +79,13 @@ class TestBuild:
         lambda: kg.Disk((0.0, float("inf")), 0.5),
         lambda: kg.Rectangle(0.0, 0.0, float("inf"), 1.0),
         lambda: kg.Rectangle(float("nan"), 0.0, 1.0, 1.0),
-    ], ids=["radius-nan", "radius-inf", "center-inf", "x1-inf", "x0-nan"])
+        lambda: kg.Disk((0.0, 0.0, 0.0), 0.5),
+        lambda: kg.Disk(0.5, 0.5),
+        lambda: kg.Disk(("a", 0.0), 0.5),
+        lambda: kg.Disk((True, 0.0), 0.5),
+        lambda: kg.Rectangle("a", 0.0, 1.0, 1.0),
+    ], ids=["radius-nan", "radius-inf", "center-inf", "x1-inf", "x0-nan", "center-3d",
+            "center-scalar", "center-text", "center-bool", "x0-text"])
     def test_nonfinite_domain_rejected(self, make):
         with pytest.raises(InputError):
             make()
