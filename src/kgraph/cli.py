@@ -32,8 +32,7 @@ class RunConfig:
 
 def _number_or_expression(value, what):
     try:
-        const = float(value)
-        return const
+        return float(value)
     except ValueError:
         pass
     try:

@@ -60,12 +60,10 @@ class SubmersionChart:
         return 0.5 * (sig + np.swapaxes(sig, -1, -2))
 
     def f_at(self, points):
-        points = np.asarray(points, dtype=float)
-        return np.asarray(self.f(points), dtype=float)
+        return np.asarray(self.f(np.asarray(points, dtype=float)), dtype=float)
 
     def delta_at(self, points):
-        points = np.asarray(points, dtype=float)
-        return np.asarray(self.delta(points), dtype=float)
+        return np.asarray(self.delta(np.asarray(points, dtype=float)), dtype=float)
 
 
 def _eig_bounds_2x2(sig):
@@ -184,10 +182,7 @@ def validate_chart_at(chart, points):
 # built-in geometries
 
 def _identity_metric(points):
-    out = np.zeros(np.shape(points)[:-1] + (2, 2))
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = 1.0
-    return out
+    return np.tile(np.eye(2), np.shape(points)[:-1] + (1, 1))
 
 
 def _zero_covector(points):
@@ -211,11 +206,8 @@ def euclidean():
 
 
 def _heisenberg_delta(points):
-    points = np.asarray(points, dtype=float)
-    out = np.empty(points.shape[:-1] + (2,))
-    out[..., 0] = 0.5 * points[..., 1]
-    out[..., 1] = -0.5 * points[..., 0]
-    return out
+    x, y = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+    return np.stack([0.5 * y, -0.5 * x], axis=-1)
 
 
 def heisenberg():

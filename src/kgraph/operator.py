@@ -239,12 +239,16 @@ class GraphOperator:
     def _face_geometry(self, mid, Fx):
         """Face chart data in (n, t) axes, one row per component: sigma^{nn},
         sigma^{nt}, sigma^{tt}, and the tilt's n and t components; evaluated
-        once `_build_faces` has returned and freed its face lists."""
+        once `_build_faces` has returned and freed its face lists.  A flat
+        chart's sigma rows are a read-only view of I's (1, -0.0, 1)."""
         x_face = np.arange(len(mid)) < Fx        # x faces come first
         chart = self.grid.chart
         _, s, self.face_sqrt_det = metric_fields(chart, mid)
-        s = np.stack([s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]])
-        self.face_sig_nt = np.where(x_face, s, s[::-1])
+        if chart.flat_metric:
+            self.face_sig_nt = np.broadcast_to(s[:1, [0, 0, 1], [0, 1, 1]].T, (3, len(mid)))
+        else:
+            s = np.stack([s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]])
+            self.face_sig_nt = np.where(x_face, s, s[::-1])
         self.face_f = chart.f_at(mid)
         t = (np.sqrt(self.face_f)[:, None] * chart.delta_at(mid)).T
         self.face_tilt = np.where(x_face, t, t[::-1])
@@ -517,14 +521,15 @@ def _gmres(A, M, b, tol, maxiter):
     vector, so A Z = V H holds to rounding whatever M does, and the
     minimized residual is the true one for any M, linear or not.  Z is
     stored in float32, which halves its memory: A sees exactly what is
-    stored, so only the preconditioner's quality is rounded.  The answer
-    is y @ Z, with no further application of M.  Classical Gram-Schmidt,
-    applied twice, orthogonalizes against all earlier vectors with two
-    dense products per pass.  No restarts: it stops once the residual
-    is at most tol |b|, or after `maxiter` applications of M and of A,
-    and then returns its best x, which the caller checks.
+    stored, so only the preconditioner's quality is rounded.  Classical
+    Gram-Schmidt, applied twice, orthogonalizes against all earlier
+    vectors.  Its products, the norms and x = sum_k y_k Z[k] are einsum
+    sums in float64 on this thread, not BLAS: the same bits under any
+    BLAS thread count, and no float64 copy of Z.  No restarts: it stops
+    once the residual is at most tol |b|, or after `maxiter` applications
+    of M and of A, and then returns its best x, which the caller checks.
     """
-    beta = np.linalg.norm(b)
+    beta = _norm(b)
     if not np.isfinite(beta):
         return None
     if beta == 0.0:
@@ -539,10 +544,10 @@ def _gmres(A, M, b, tol, maxiter):
         Z[k] = M(V[k])
         w = A @ Z[k]
         for _ in range(2):
-            c = V[:k + 1] @ w
-            w -= c @ V[:k + 1]
+            c = np.einsum("kn,n->k", V[:k + 1], w)
+            w -= np.einsum("k,kn->n", c, V[:k + 1])
             H[:k + 1, k] += c
-        H[k + 1, k] = np.linalg.norm(w)
+        H[k + 1, k] = _norm(w)
         if not np.isfinite(H[k + 1, k]):
             return None
         y = np.linalg.lstsq(H[:k + 2, :k + 1], g[:k + 2], rcond=None)[0]
@@ -550,7 +555,12 @@ def _gmres(A, M, b, tol, maxiter):
                 or H[k + 1, k] == 0.0):
             break
         V[k + 1] = w / H[k + 1, k]
-    return y @ Z[:k + 1]
+    return np.einsum("k,kn->n", y, Z[:k + 1])
+
+
+def _norm(v):
+    """|v|, summed by `np.einsum` in float64 on this thread, not by BLAS."""
+    return np.sqrt(np.einsum("n,n->", v, v))
 
 
 def _raised(s11, s12, s22, q1, q2, f):
@@ -561,14 +571,13 @@ def _raised(s11, s12, s22, q1, q2, f):
 
 
 def _relative_residual(A, x, rhs):
-    """|A x - rhs| / |rhs|, 0 for a zero rhs; not finite when x is not.
-
-    A is a sparse matrix or a LinearOperator.
+    """|A x - rhs| / |rhs| (`_norm`), 0 for a zero rhs; not finite when x is
+    not.  A is a sparse matrix or a LinearOperator.
     """
-    denom = np.linalg.norm(rhs)
+    denom = _norm(rhs)
     if denom == 0:
         return 0.0
-    return float(np.linalg.norm(A @ x - rhs) / denom)
+    return float(_norm(A @ x - rhs) / denom)
 
 
 def _lagrange_weights(x, used, at):

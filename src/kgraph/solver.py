@@ -114,7 +114,7 @@ def newton_solve(op, u0, phi_vals, H_vals, cfg, _lu_slot=None):
             return u, it, history
         if np.max(np.abs(u)) > DIVERGE_SUP:
             raise DivergedIterates(f"sup|u| exceeded {DIVERGE_SUP:g}")
-        m0 = float(r @ r)
+        m0 = float(np.einsum("n,n->", r, r))    # summed as `_gmres` sums: no BLAS
         eta = LINEAR_TOL if it == 0 else min(ETA_MAX, max(
             ETA_GAMMA * m0 / m_prev, LINEAR_TOL, 0.5 * cfg.newton_tol / np.sqrt(m0)))
         s = _newton_step(op, u, phi_vals, r, state, lu_slot, eta)
@@ -131,7 +131,7 @@ def newton_solve(op, u0, phi_vals, H_vals, cfg, _lu_slot=None):
                 lam *= 0.5
                 continue
             rinf_try = float(np.max(np.abs(r_try)))
-            if float(r_try @ r_try) <= (1.0 - 2.0 * ARMIJO * lam) * m0:
+            if float(np.einsum("n,n->", r_try, r_try)) <= (1.0 - 2.0 * ARMIJO * lam) * m0:
                 if rinf_try < rinf:
                     accepted = (u_try, r_try, trial, rinf_try)
                     break

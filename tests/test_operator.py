@@ -519,8 +519,22 @@ class TestFlatChart:
             if hasattr(a, "toarray"):
                 a, b = a.toarray(), b.toarray()
             assert a.shape == b.shape and np.array_equal(a, b), name
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name   # -0.0 too
         for key in ("residual", "jacobian", "A", "rhs"):
             assert np.array_equal(flat[key], full[key]), key
+            assert np.array_equal(np.signbit(flat[key]), np.signbit(full[key])), key
+
+    def test_face_sigma_is_a_read_only_view(self, euclid):
+        # (1, -0.0, 1) per face, the rows evaluating I gives, in no array
+        # of the faces' length
+        evaluated = dataclasses.replace(euclid, flat_metric=False, name="identity")
+        flat, full = (kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 48, c).operator.face_sig_nt
+                      for c in (euclid, evaluated))
+        assert not flat.flags.writeable and flat.strides[1] == 0 and flat.base is not None
+        assert full.flags.writeable and full.strides[1] != 0
+        assert flat.shape == full.shape and np.array_equal(flat, full)
+        assert np.array_equal(np.signbit(flat), np.signbit(full))
+        assert np.all(np.signbit(flat[1])) and np.all(flat[[0, 2]] == 1.0)
 
 
 class TestAreaFunctional:

@@ -1,7 +1,12 @@
 """Newton continuation solver, comparison checks, reports."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -802,6 +807,84 @@ class TestMultigrid:
             assert report.converged and report.newton_iters == [5]
             assert len(builds) == 1
             assert sum(cycles) <= 34
+
+
+THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+import kgraph as kg
+spec = kg.ProblemSpec(chart=kg.euclidean(), domain=kg.Disk((0.0, 0.0), 0.5), H=1.0,
+                      phi=lambda P: -np.sqrt(1.0 - P[..., 0] ** 2 - P[..., 1] ** 2))
+grid = kg.build_grid(spec.domain, 1.0 / 128, spec.chart)
+u, report = kg.solve_dirichlet(spec, grid)
+print(grid.num_inside, report.newton_iters, hashlib.sha256(u.tobytes()).hexdigest())
+"""
+
+
+class TestGmres:
+    """Flexible GMRES as `_gmres` runs it: the least-squares answer over
+    the vectors M returned, within its two basis buffers, and summed
+    without BLAS, so the same bits under any BLAS thread count."""
+
+    def test_matches_dense_least_squares_and_stops_at_tol(self):
+        # a nonsymmetric system and an M that is not linear: x is Z y for
+        # the y minimizing |A Z y - b| over the float32 vectors Z stored,
+        # and the first iterate at tol ends the loop
+        rng = np.random.default_rng(5)
+        n = 60
+        A = np.diag(np.linspace(1.0, 4.0, n)) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+        b = rng.standard_normal(n)
+        d = np.diag(A)
+
+        def run(maxiter):
+            Z = []
+
+            def M(v):
+                Z.append(((v / d) * (1.0 + 0.1 * np.tanh(v))).astype(np.float32))
+                return Z[-1]
+
+            return kop._gmres(A, M, b, 1e-8, maxiter), np.array(Z, dtype=float)
+
+        x, Z = run(40)
+        k = len(Z)
+        assert 3 <= k < 40
+        y_ref = np.linalg.lstsq(A @ Z.T, b, rcond=None)[0]
+        assert np.linalg.norm(x - Z.T @ y_ref) <= 1e-12 * np.linalg.norm(x)
+        assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
+        x_short, _ = run(k - 1)
+        assert np.linalg.norm(A @ x_short - b) > 1e-8 * np.linalg.norm(b)
+
+    def test_peak_memory_is_its_basis_buffers(self, euclid):
+        # V (float64) and Z (float32) rows for DIRECT_MAX cycles, plus a
+        # few N-vectors: 3.4 float64 N-vectors beyond the buffers as
+        # measured on this lift (9 cycles), where a float64 copy of the
+        # basis for x = y Z took 11.4
+        spec, grid = _cap(euclid, 128)
+        A, rhs = grid.operator._laplace_system(spec.phi_links(grid))
+        mg = _Multigrid(A, grid.inside_ij)
+        N, m = len(rhs), kop.DIRECT_MAX
+        tracemalloc.start()
+        try:
+            x = kop._gmres(A, mg.solve, rhs, kop.LIFT_TOL, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kop._relative_residual(A, x, rhs) <= kop.LIFT_TOL
+        assert peak <= (m + 1) * N * 8 + m * N * 4 + 6 * N * 8
+
+    def test_same_answer_under_any_blas_thread_count(self):
+        # 12,849 nodes, above the size from which OpenBLAS splits a dot
+        # product over its threads: every sum in the loop is an einsum
+        src = str(Path(kg.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                                 capture_output=True, text=True, check=True)
+            runs.append(out.stdout.split("\n")[0])
+        assert runs[0].startswith("12849 ")
+        assert runs[0] == runs[1]
 
 
 class TestReport:
