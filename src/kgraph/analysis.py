@@ -315,26 +315,6 @@ def _bilinear(grid, id_map, values, pts):
     return np.where(complete[:, None], out, mean), complete
 
 
-def _nearest_sample(grid, bgeom, pts):
-    """Index of the nearest sample of `bgeom`, a boundary geometry of the
-    grid's domain, for each point inside the domain.
-
-    From an inside point the squared distance to a boundary piece grows
-    with the parameter's distance from the point's foot on it, so the
-    nearest sample brackets a foot parameter (`domain.foot_params`) on
-    some piece; rounding can only move a foot across a sample, which is
-    then the nearest.  Candidates are compared by exact squared distance,
-    ties to the lowest index as in a dense argmin, except at a disk's
-    centre (to rounding), where every sample is at distance R to an ulp.
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    S = len(bgeom.params)
-    j = np.searchsorted(bgeom.params, grid.domain.foot_params(pts))    # (pieces, M)
-    idx = (j[:, None] + np.arange(-1, 1)[:, None]).reshape(-1, len(pts)) % S
-    d2 = (pts[:, 0] - bgeom.points[idx, 0]) ** 2 + (pts[:, 1] - bgeom.points[idx, 1]) ** 2
-    return np.where(d2 == d2.min(axis=0), idx, S).min(axis=0)
-
-
 def boundary_gradient_samples(spec, grid, u, _phi_vals=None):
     """sup-norm data of grad u at the samples of `grid.boundary_geometry`.
 
@@ -477,13 +457,13 @@ def boundary_gradient_certificate(spec, grid, u, params=None, _samples=None):
     """Logarithmic barrier certificate for the boundary gradient.
 
     Verifies phi_ext + psi(d) >= u and phi_ext - psi(d) <= u on the
-    tubular band, with phi extended constantly along inward normals (a
-    linear tilt is substituted when the strict extension condition
-    fails).  Reports sup |grad u| on the boundary and the bound implied
-    by psi'(0) = mu K.  Searches (K, C) ladders when params is None, on
-    the band d <= 0.3 sup d.  phi is read at the samples of
-    `grid.boundary_geometry`.  `_samples` is `boundary_gradient_samples`
-    of u when the caller already has it.
+    tubular band.  phi_ext extends phi constantly along inward normals
+    from each node's exact Euclidean foot (`domain.foot`); a linear tilt
+    is added when the strict extension condition fails at the samples of
+    `grid.boundary_geometry`.  Reports sup |grad u| there and the bound
+    implied by psi'(0) = mu K.  Searches (K, C) ladders when params is
+    None, on the band d <= 0.3 sup d.  `_samples` is
+    `boundary_gradient_samples` of u when the caller already has it.
     """
     spec.check_grid(grid)
     u, bgeom = grid.check_field(u, "u"), grid.boundary_geometry
@@ -493,17 +473,20 @@ def boundary_gradient_certificate(spec, grid, u, params=None, _samples=None):
     if len(band) == 0:
         raise CertificateFailed("tubular band contains no node")
 
-    # -f^{1/2} delta . eta: strictly positive is what the constant
-    # extension needs
-    threshold = -np.einsum("si,si->s", bgeom.tilt, bgeom.eta)
-    condition_ok = bool(np.all(threshold > 1e-12))
-    feet = _nearest_sample(grid, bgeom, grid.points[band])
-    extension, phi_ext, slope_sup = "constant", spec.phi_at(bgeom.points[feet]), 0.0
+    feet, normals = grid.domain.foot(grid.points[band])
+    S = len(bgeom.points)
+    tilt = np.concatenate([bgeom.tilt, _tilt(spec.chart, feet)])
+    eta = np.concatenate([bgeom.eta, _inward_sigma_normals(spec.chart, feet, normals)])
+    # -f^{1/2} delta . eta at the samples, then at the band's feet:
+    # strictly positive is what the constant extension needs
+    threshold = -np.einsum("si,si->s", tilt, eta)
+    condition_ok = bool(np.all(threshold[:S] > 1e-12))
+    extension, phi_ext, slope_sup = "constant", spec.phi_at(feet), 0.0
     if not condition_ok:
         extension = "linear_tilt"
         slope = np.minimum(threshold, 0.0) - 1e-3
-        phi_ext = phi_ext + slope[feet] * d[band]
-        slope_sup = float(np.max(np.abs(slope)))
+        phi_ext = phi_ext + slope[S:] * d[band]
+        slope_sup = float(np.max(np.abs(slope[:S])))
 
     if _samples is None:
         _samples = boundary_gradient_samples(spec, grid, u)

@@ -73,10 +73,14 @@ class Disk:
         return np.stack([self.center[0] + self.radius * np.cos(t),
                          self.center[1] + self.radius * np.sin(t)], axis=-1)
 
-    def foot_params(self, points):
-        """(1, M) angles about the centre in [0, 2 pi]: `boundary_point` inverted."""
-        x, y = np.asarray(points, dtype=float).T
-        return np.mod(np.arctan2(y - self.center[1], x - self.center[0]), 2.0 * np.pi)[None]
+    def foot(self, points):
+        """Each inside point's foot c + r d/|d| on the circle, d = p - c, and
+        the Euclidean inward unit normal -d/|d| there.  The centre has no
+        unique foot; it takes the one at angle 0."""
+        d = np.asarray(points, dtype=float) - self.center
+        norm = np.hypot(d[..., 0], d[..., 1])[..., None]
+        unit = np.divide(d, norm, out=np.tile((1.0, 0.0), d.shape[:-1] + (1,)), where=norm > 0)
+        return self.center + self.radius * unit, -unit
 
     def crossing(self, base, step):
         """Distance t > 0 from inside points `base` along unit axis steps to
@@ -135,12 +139,14 @@ class Rectangle:
         return np.stack([np.choose(side, [self.x0 + s, self.x1, self.x1 - s, self.x0]),
                          np.choose(side, [self.y0, self.y0 + s, self.y1, self.y1 - s])], axis=-1)
 
-    def foot_params(self, points):
-        """(4, M) each point's foot parameter on the bottom, right, top and left side."""
-        x, y = np.asarray(points, dtype=float).T
-        w, h = self.x1 - self.x0, self.y1 - self.y0
-        return np.stack([x - self.x0, w + (y - self.y0), w + h + (self.x1 - x),
-                         2 * w + h + (self.y1 - y)])
+    def foot(self, points):
+        """Each inside point's projection onto its nearest side, ties to the
+        first of bottom, right, top and left, and that side's inward unit normal."""
+        x, y = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+        side = np.argmin([y - self.y0, self.x1 - x, self.y1 - y, x - self.x0], axis=0)
+        foot = np.stack([np.choose(side, [x, self.x1, x, self.x0]),
+                         np.choose(side, [self.y0, y, self.y1, y])], axis=-1)
+        return foot, np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]])[side]
 
     def crossing(self, base, step):
         """Distance from inside points `base` along unit axis steps to the

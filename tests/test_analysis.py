@@ -305,34 +305,46 @@ class TestGradientBarrier:
         assert err.value.node is not None
 
 
-class TestNearestSample:
-    def test_matches_dense_argmin_with_ties(self, euclid, heis):
-        # (domain, 1/h, boundary samples, or None for the grid's own
-        # full-sample geometry); exact ties fall on the centred disk's axes
-        # and on the unit square's corner bisectors, among others
-        cases = [
-            (kg.Disk((0.0, 0.0), 0.5), 64, None),
-            (kg.Disk((0.0, 0.0), 0.5), 128, None),
-            (kg.Disk((0.013, -0.021), 0.5), 48, None),
-            (kg.Rectangle(-0.3, -0.2, 0.4, 0.3), 48, None),
-            (kg.Rectangle(0.0, 0.0, 1.0, 1.0), 64, None),
-            (kg.Disk((0.0, 0.0), 0.5), 64, 64),
-            (kg.Rectangle(0.0, 0.0, 1.0, 1.0), 64, 64),
-        ]
-        for chart in (euclid, heis):
-            for domain, h_inv, samples in cases:
-                grid = kg.build_grid(domain, 1.0 / h_inv, chart)
-                bgeom = kg.boundary_geometry(chart, domain,
-                                             samples=samples or max(64, grid.num_links))
-                pts = grid.points
-                if isinstance(domain, kg.Disk):
-                    # at the centre every sample is at distance R to an ulp
-                    pts = pts[np.hypot(*(pts - domain.center).T) > 1e-12]
-                d2 = ((pts[:, None, :] - bgeom.points[None, :, :]) ** 2).sum(axis=2)
-                ties = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1) > 1
-                assert ties.sum() >= 20, (domain, h_inv)
-                feet = kan._nearest_sample(grid, bgeom, pts)
-                assert np.array_equal(feet, np.argmin(d2, axis=1)), (chart.name, domain, h_inv)
+def scherk(P):
+    """Scherk's minimal graph log(cos y / cos x): H = 0 on the euclidean chart."""
+    P = np.asarray(P, dtype=float)
+    return np.log(np.cos(P[..., 1]) / np.cos(P[..., 0]))
+
+
+class TestNodesOnTheBoundary:
+    """At h = 1/96 these grids have nodes within 1e-12 h of the boundary,
+    where psi(d) is about 0: the barrier holds there only if phi_ext is
+    phi at the node's own foot, as phi varies along the boundary."""
+
+    @staticmethod
+    def _solved(chart, domain, phi):
+        h = 1.0 / 96
+        grid = kg.build_grid(domain, h, chart)
+        assert np.min(grid.dist) < 1e-12 * h
+        spec = kg.ProblemSpec(chart=chart, domain=domain, H=0.0, phi=phi)
+        u, report = kg.solve_dirichlet(spec, grid)
+        assert report.converged
+        return spec, grid, u
+
+    def test_scherk_on_a_disk_verifies(self, euclid):
+        rep = kg.verify(*self._solved(euclid, kg.Disk((0.0, 0.0), 0.5), scherk))
+        assert all(item["passed"] for item in rep.items.values())
+        assert rep.passed
+
+    @pytest.mark.parametrize("domain", [kg.Disk((0.013, -0.021), 0.5),
+                                        kg.Rectangle(-0.3, -0.2, 0.4, 0.3)])
+    def test_scherk_gradient_barrier(self, euclid, domain):
+        # verify skips the rectangle's barriers: flat sides fail the
+        # hypothesis check, H_cyl = 0 there
+        cert = kg.boundary_gradient_certificate(*self._solved(euclid, domain, scherk))
+        assert np.min(cert.margin) >= -1e-9
+        assert cert.bound >= cert.sup_grad_boundary
+
+    def test_heisenberg_saddle_gradient_barrier(self, heis):
+        cert = kg.boundary_gradient_certificate(*self._solved(heis, kg.Disk((0.0, 0.0), 1.0),
+                                                              saddle))
+        assert cert.extension == "linear_tilt"
+        assert np.min(cert.margin) >= -1e-9
 
 
 class TestFlux:

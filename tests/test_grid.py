@@ -4,6 +4,8 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgraph as kg
 from kgraph.errors import EmptyDomain, InputError
@@ -278,6 +280,51 @@ class TestStencils:
 
         u_ext = grid.operator.extend(u(grid.points), u(grid.link_points))
         assert np.abs(u_ext[grid.num_inside + ghost] - u(grid.ghost_points[ghost])).max() <= 1e-11
+
+
+def _assert_feet(domain, p, support):
+    """`domain.foot` of inside points p: each foot lies on the boundary at
+    distance -sdf(p) from p, which it reaches along a unit normal n, and n
+    points inward: n . q is least over the domain (`support(n)`) at the foot."""
+    foot, n = domain.foot(p)
+    tol = 8 * np.finfo(float).eps * np.abs(domain.bbox()).max()
+    dist = np.hypot(*(p - foot).T)
+    assert np.abs(domain.sdf(foot)).max() <= tol
+    assert np.abs(dist + domain.sdf(p)).max() <= tol
+    assert np.abs(np.hypot(*n.T) - 1.0).max() <= 4 * np.finfo(float).eps
+    assert np.abs(p - foot - dist[:, None] * n).max() <= tol
+    assert np.abs(np.sum(n * foot, axis=1) - support(n)).max() <= tol
+
+
+class TestFoot:
+    # the radial fraction is 0 or at least 1e-9: a lattice node is at a
+    # centre or a normal float's distance from it (d / |d| of a subnormal d
+    # is not a unit vector)
+    @settings(max_examples=60, deadline=None)
+    @given(centre=st.tuples(st.floats(-2, 2), st.floats(-2, 2)), radius=st.floats(0.01, 3),
+           polar=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-9, 1)),
+                                    st.floats(0, 1)), min_size=1, max_size=20))
+    def test_disk(self, centre, radius, polar):
+        disk = kg.Disk(centre, radius)
+        s, a = np.array(polar).T
+        p = centre + radius * s[:, None] * np.stack([np.cos(2 * np.pi * a),
+                                                     np.sin(2 * np.pi * a)], axis=-1)
+        p = np.vstack([p[disk.sdf(p) <= 0], centre])
+        _assert_feet(disk, p, lambda n: n @ centre - radius)
+        # the centre has no unique foot: it takes the one at angle 0
+        foot, n = disk.foot(p[-1:])
+        assert np.array_equal(foot, [[centre[0] + radius, centre[1]]])
+        assert np.array_equal(n, [[-1.0, 0.0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(corner=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+           size=st.tuples(st.floats(0.01, 3), st.floats(0.01, 3)),
+           frac=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=20))
+    def test_rectangle(self, corner, size, frac):
+        lo, hi = np.array(corner), np.array(corner) + size
+        rect = kg.Rectangle(*lo, *hi)
+        p = np.minimum(lo + np.array(frac) * size, hi)
+        _assert_feet(rect, p, lambda n: np.minimum(n @ lo, n @ hi))
 
 
 class TestIntegrate:
