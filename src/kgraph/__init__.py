@@ -3,8 +3,8 @@
 Library layout:
   geometry   charts (sigma, f, delta) and derived pointwise quantities
   grid       curved-boundary finite differences, distance, quadrature
-  operator   the mean curvature operator, Jacobian, area functional
-  solver     damped Newton with continuation, comparison checks
+  operator   the mean curvature operator, its Jacobian, the harmonic lift
+  solver     damped Newton with continuation
   analysis   cylinder curvature, barriers, flux identity, angle function
   cli        the `kgraph` command line front end
 """
@@ -16,20 +16,15 @@ from .errors import (
 )
 from .geometry import (
     SubmersionChart, chart_from_file, christoffels_at, euclidean, gamma_at,
-    heisenberg, inverse_metric_at, kappa_vector_at, make_builtin,
-    section_gradient_s_at, warped,
+    heisenberg, inverse_metric_at, kappa_vector_at, make_builtin, warped,
 )
 from .grid import (
     Disk, GridDomain, Rectangle, build_grid, distance_field, integrate,
     read_field_csv, write_field_csv,
 )
-from .operator import (
-    GraphOperator, ProblemSpec, area_functional, jacobian, operator_state,
-    residual,
-)
+from .operator import GraphOperator, ProblemSpec, jacobian, residual
 from .solver import (
-    ComparisonResult, SolveConfig, SolveReport, comparison_check,
-    minimal_initial_graph, newton_solve, solve_dirichlet,
+    SolveConfig, SolveReport, minimal_initial_graph, newton_solve, solve_dirichlet,
 )
 from .analysis import (
     BarrierParams, BoundaryGeometry, FluxResult, GradientCertificate,

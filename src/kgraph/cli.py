@@ -65,6 +65,15 @@ def parse_config(path):
             raise InputError(f"{where} must be finite")
         return value
 
+    def only(section, *keys):
+        for key in parser.options(section):
+            if key not in keys:
+                raise InputError(f"{path}: [{section}] unknown key {key!r}")
+
+    for section in parser.sections():
+        if section not in ("geometry", "domain", "problem", "solver"):
+            raise InputError(f"{path}: unknown section [{section}]")
+
     # geometry
     if not parser.has_section("geometry"):
         raise InputError(f"{path}: missing [geometry] section")
@@ -87,11 +96,13 @@ def parse_config(path):
             raise InputError(f"{path}: [domain] center needs two finite values")
         domain = gridmod.Disk(center=tuple(center),
                               radius=number("domain", "radius", positive=True))
+        only("domain", "shape", "center", "radius", "h")
     elif shape == "rectangle":
         domain = gridmod.Rectangle(
             x0=number("domain", "x0"), y0=number("domain", "y0"),
             x1=number("domain", "x1"), y1=number("domain", "y1"),
         )
+        only("domain", "shape", "x0", "y0", "x1", "y1", "h")
     else:
         raise InputError(f"{path}: [domain] shape must be disk or rectangle")
     h = number("domain", "h", positive=True)
@@ -99,14 +110,13 @@ def parse_config(path):
     # problem
     H = _number_or_expression(need("problem", "H"), f"{path}: [problem] H")
     phi = _number_or_expression(need("problem", "phi"), f"{path}: [problem] phi")
+    only("problem", "h", "phi")    # configparser lowercases keys: "h" is H
     spec = ProblemSpec(chart=chart, domain=domain, H=H, phi=phi)
 
     # solver overrides: newton_tol is the one key
     cfg = solver.SolveConfig()
     if parser.has_section("solver"):
-        for key in parser.options("solver"):
-            if key != "newton_tol":
-                raise InputError(f"{path}: [solver] unknown key {key!r}")
+        only("solver", "newton_tol")
         if parser.has_option("solver", "newton_tol"):
             cfg = solver.SolveConfig(newton_tol=number("solver", "newton_tol", positive=True))
 

@@ -11,7 +11,7 @@ delta) pointwise:
   Christoffel symbols Gamma^k_ij = 1/2 sigma^kl (d_i sigma_jl + d_j sigma_il - d_l sigma_ij)
   kappa vector        kappa_i = d_i f / (2 f)          (horizontal fiber acceleration)
   bracket twist       gamma_kj = d_j(f^{1/2} delta_k) - d_k(f^{1/2} delta_j)
-  section gradient    D_i(s) = -f^{1/2} delta_i
+  section tilt        f^{1/2} delta_i = -D_i(s), minus the section gradient
 
 Charts are restricted to coordinate base frames, which is what makes
 the gamma formula above valid; user charts supplied as node tables are
@@ -124,7 +124,7 @@ def _central_partials(F, x, h_fd):
 
 
 def _tilt(chart, x):
-    """The section tilt f^{1/2} delta_i pointwise."""
+    """The section tilt f^{1/2} delta_i = -D_i(s) pointwise, exact."""
     return np.sqrt(chart.f_at(x))[..., None] * chart.delta_at(x)
 
 
@@ -158,11 +158,6 @@ def gamma_at(chart, x, h_fd):
     D = _central_partials(lambda p: _tilt(chart, p), x, h_fd)
     # gamma[k, j] = D[j, k] - D[k, j]
     return np.swapaxes(D, -1, -2) - D
-
-
-def section_gradient_s_at(chart, x):
-    """Covector D_i(s) = -f^{1/2} delta_i; exact pointwise, no differencing."""
-    return -_tilt(chart, x)
 
 
 def validate_chart_at(chart, points):

@@ -180,8 +180,6 @@ class GridDomain:
     h: float
     x_origin: float
     y_origin: float
-    nx: int
-    ny: int
     cls: np.ndarray            # (ny, nx) classification codes
     inside_ij: np.ndarray      # (N, 2) lattice coords (ix, iy) of inside nodes
     node_index: np.ndarray     # (ny, nx) -> inside id or -1
@@ -272,7 +270,7 @@ def _classify(domain, h):
     # ghosts: outside with an inside axis neighbor
     nb_inside = (pad[1:-1, 2:] | pad[1:-1, :-2] | pad[2:, 1:-1] | pad[:-2, 1:-1])
     cls[(~inside) & nb_inside] = DIRICHLET_GHOST
-    return cls, x_origin, y_origin, nx, ny, P
+    return cls, x_origin, y_origin, P
 
 
 def build_grid(domain, h, chart):
@@ -285,14 +283,14 @@ def build_grid(domain, h, chart):
     can run, by the one evaluation of sigma that the sweep and operator read.
     """
     _positive(h, "grid spacing h")
-    cls, x_origin, y_origin, nx, ny, P = _classify(domain, h)
+    cls, x_origin, y_origin, P = _classify(domain, h)
 
     inside_mask = (cls == INTERIOR) | (cls == BOUNDARY_ADJACENT)
     iy, ix = np.nonzero(inside_mask)
     if len(ix) == 0:
         raise EmptyDomain(f"no node of spacing {h} falls inside the domain")
     inside_ij = np.stack([ix, iy], axis=1)
-    node_index = -np.ones((ny, nx), dtype=int)
+    node_index = -np.ones(cls.shape, dtype=int)
     node_index[iy, ix] = np.arange(len(ix))
     points = P[iy, ix]
 
@@ -342,7 +340,7 @@ def build_grid(domain, h, chart):
                                shape=(len(cells), n_inside))
 
     return GridDomain(
-        domain=domain, chart=chart, h=h, x_origin=x_origin, y_origin=y_origin, nx=nx, ny=ny,
+        domain=domain, chart=chart, h=h, x_origin=x_origin, y_origin=y_origin,
         cls=cls, inside_ij=inside_ij, node_index=node_index,
         ghost_ij=ghost_ij, ext_index=ext_index,
         points=points, ghost_points=ghost_points, neighbor_ext=neighbor_ext,

@@ -34,7 +34,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import InputError, KGraphError, SingularJacobian
 from .geometry import DIM, kappa_vector_at, metric_fields
-from .grid import integrate
 
 THETA_FLOOR = 1e-6  # ghost extrapolation keeps theta away from zero
 THETA_ELIM = 0.05   # below this, a node is pinned to boundary interpolation:
@@ -171,9 +170,9 @@ class GraphOperator:
         vals = np.concatenate([np.full(len(n), scale), -coefs[:, 1:][used] * scale])
         self._elim_J = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
         self._elim_phi = sp.csr_matrix((coefs[:, 0] * scale, (n, k)), shape=(N, grid.num_links))
+        # applied on every grid: with no node eliminated, all ones and empty
         self._keep = np.ones(N)
         self._keep[self.elim_nodes] = 0.0
-        self._elim_any = len(self.elim_nodes) > 0
 
     # -- assembly of constant sparse operators --------------------------
 
@@ -300,9 +299,8 @@ class GraphOperator:
             _, _, up1, up2, W_n = state["node"]
             r -= (self.node_kappa[:, 0] * up1 + self.node_kappa[:, 1] * up2) / W_n
         r -= DIM * np.asarray(H_vals, dtype=float)
-        if self._elim_any:
-            pinned = self._elim_J @ np.asarray(u, dtype=float) - self._elim_phi @ phi_vals
-            r[self.elim_nodes] = pinned[self.elim_nodes]
+        pinned = self._elim_J @ np.asarray(u, dtype=float) - self._elim_phi @ phi_vals
+        r[self.elim_nodes] = pinned[self.elim_nodes]
         if not np.all(np.isfinite(r)):
             k = int(np.argmax(~np.isfinite(r)))
             x, y = self.grid.points[k]
@@ -350,10 +348,7 @@ class GraphOperator:
         K = self.Div @ (sp.diags(face[0]) @ self.Mn + sp.diags(face[1]) @ self.Mt)
         if low is not None:
             K = K + sp.diags(low[0]) @ self.Gx + sp.diags(low[1]) @ self.Gy
-        A = (K @ self.P).tocsr()
-        if self._elim_any:
-            A = (sp.diags(self._keep) @ A + self._elim_J).tocsr()
-        return A, K
+        return (sp.diags(self._keep) @ (K @ self.P) + self._elim_J).tocsr(), K
 
     def jacobian_action(self, u, phi_vals, _state=None):
         """`jacobian(u, phi_vals)` as a LinearOperator, never assembled.
@@ -369,9 +364,7 @@ class GraphOperator:
             out = self.Div @ (face[0] * (self.Mn @ e) + face[1] * (self.Mt @ e))
             if low is not None:
                 out = out + low[0] * (self.Gx @ e) + low[1] * (self.Gy @ e)
-            if self._elim_any:
-                out = self._keep * out + self._elim_J @ v
-            return out
+            return self._keep * out + self._elim_J @ v
 
         N = self.grid.num_inside
         return spla.LinearOperator((N, N), matvec=matvec, dtype=float)
@@ -397,10 +390,7 @@ class GraphOperator:
         """
         phi_vals = np.asarray(phi_vals, dtype=float)
         A, T = self._assemble(self.face_sqrt_det * self.face_sig_nt[:2])
-        rhs = -(T @ (self.B @ phi_vals))
-        if self._elim_any:
-            rhs = self._keep * rhs + self._elim_phi @ phi_vals
-        return A, rhs
+        return A, self._keep * -(T @ (self.B @ phi_vals)) + self._elim_phi @ phi_vals
 
     def _solve(self, A, rhs, tol, lu_slot=None):
         """x with |A x - rhs| <= tol |rhs|, A sparse over the inside nodes.
@@ -427,17 +417,6 @@ class GraphOperator:
     def state(self, u, phi_vals):
         """(hat_u_x, hat_u_y, hat_u^x, hat_u^y, W) per node at u."""
         return self._node_state(self.extend(u, phi_vals))
-
-    def functional(self, u, phi_vals, fiber_weighted=False):
-        """Integral of W (optionally of W / sqrt(f)) against sqrt(sigma).
-
-        The fiber-weighted variant is the true graph area and is the
-        quantity whose first variation matches the H = 0 residual when
-        f is not constant.
-        """
-        W = self.state(u, phi_vals)[-1]
-        field = W / np.sqrt(self.node_f) if fiber_weighted else W
-        return integrate(self.grid, field)
 
 
 class _Multigrid:
@@ -658,14 +637,3 @@ def jacobian(spec, grid, u, phi=None):
     spec.check_grid(grid)
     phi_vals = spec.phi_links(grid) if phi is None else _eval_data(phi, grid.link_points)
     return grid.operator.jacobian(grid.check_field(u, "u"), phi_vals)
-
-
-def operator_state(spec, grid, u):
-    """(hat_u_x, hat_u_y, hat_u^x, hat_u^y, W) at every inside node: the
-    tilted gradient in both index positions and W."""
-    return grid.operator.state(grid.check_field(u, "u"), spec.phi_links(grid))
-
-
-def area_functional(spec, grid, u):
-    """The graph functional integral of W against the sigma area element."""
-    return grid.operator.functional(grid.check_field(u, "u"), spec.phi_links(grid))

@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import hypothesis_check
 from .errors import ContinuationStalled, DivergedIterates, KGraphError, SingularJacobian
 from .geometry import _positive
-from .operator import LINEAR_TOL, _eval_data, _gmres, _relative_residual
+from .operator import LINEAR_TOL, _gmres, _relative_residual
 
 SCHEMA_VERSION = 1
 KRYLOV_MAX = 16           # V-cycles a Newton step spends on a reused hierarchy
@@ -250,42 +250,3 @@ def solve_dirichlet(spec, grid, cfg=None, u0=None):
         # a raised exception keeps this frame alive; the hierarchy must not
         lu_slot["lu"] = None
 
-
-@dataclass
-class ComparisonResult:
-    premise: bool            # Q[u1] >= Q[u2] + margin and u1 <= u2 on the boundary
-    conclusion: bool         # u1 <= u2 + tol inside
-    witness_node: int = None
-    witness_point: tuple = None
-    witness_gap: float = 0.0
-
-    @property
-    def holds(self):
-        return (not self.premise) or self.conclusion
-
-
-def comparison_check(spec, grid, u1, u2, phi1=None, phi2=None,
-                     margin=1e-8, tol=1e-6):
-    """Order test for the comparison principle.
-
-    If Q[u1] >= Q[u2] + margin at every inside node and u1 <= u2 at the
-    boundary crossings, then u1 <= u2 + tol must hold inside; the first
-    violating node is returned as a witness.  phi1/phi2 default to the
-    spec's boundary data for both fields.
-    """
-    op = grid.operator
-    p_default = spec.phi_links(grid)
-    p1 = p_default if phi1 is None else _eval_data(phi1, grid.link_points)
-    p2 = p_default if phi2 is None else _eval_data(phi2, grid.link_points)
-    u1, u2 = grid.check_field(u1, "u1"), grid.check_field(u2, "u2")
-    q1, q2 = op.residual(u1, p1, 0.0), op.residual(u2, p2, 0.0)
-    premise = bool(np.all(q1 >= q2 + margin) and np.all(p1 <= p2 + 1e-12))
-    gap = u1 - u2
-    bad = gap > tol
-    if np.any(bad):
-        k = int(np.argmax(gap))
-        return ComparisonResult(premise=premise, conclusion=False,
-                                witness_node=k,
-                                witness_point=tuple(grid.points[k]),
-                                witness_gap=float(gap[k]))
-    return ComparisonResult(premise=premise, conclusion=True)

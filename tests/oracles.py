@@ -11,6 +11,9 @@ Riccati flow stepped stage by stage, the reference for
 `riccati_evolution`.  `interpolation_by_sort` numbers the multigrid's
 coarse nodes with `np.unique`, the reference for `_interpolation`, and
 `ellipticity_einsum` is `verify`'s ellipticity test node by node.
+`area_functional` and `graph_area` are the integrals of W whose first
+variations the H = 0 residual tracks, and `comparison` is the discrete
+comparison principle, the paper's uniqueness argument, as one order test.
 """
 
 import numpy as np
@@ -20,7 +23,7 @@ from kgraph.analysis import (GEOM_H_FD, RiccatiCurve, _curve_H_cyl, _sigma_norma
                              boundary_geometry)
 from kgraph.errors import TubularWidthExceeded
 from kgraph.geometry import DIM, _central_partials, _tilt, christoffels_at
-from kgraph.grid import _lattice_at
+from kgraph.grid import _lattice_at, integrate
 
 
 def jacobian_fd(op, u, phi_vals, eps=1e-6):
@@ -174,3 +177,23 @@ def ellipticity_einsum(op, state, rng_seed):
     lo = op.node_f[:, None]
     return bool(np.all(ratio >= lo * (1 - 1e-10) - 1e-10)
                 and np.all(ratio <= hi * (1 + 1e-10) + 1e-10))
+
+
+def area_functional(op, u, phi_vals):
+    """The integral of W against the sigma area element."""
+    return integrate(op.grid, op.state(u, phi_vals)[-1])
+
+
+def graph_area(op, u, phi_vals):
+    """The integral of W / sqrt(f) against the sigma area element: the
+    graph's area, whose first variation is the H = 0 residual for any f."""
+    return integrate(op.grid, op.state(u, phi_vals)[-1] / np.sqrt(op.node_f))
+
+
+def comparison(op, u1, phi1, u2, phi2, margin):
+    """(premise, conclusion) of the comparison principle: the premise is
+    Q[u1] >= Q[u2] + margin at every inside node and phi1 <= phi2 at the
+    boundary crossings, the conclusion u1 <= u2 + 1e-6 inside."""
+    q1, q2 = op.residual(u1, phi1, 0.0), op.residual(u2, phi2, 0.0)
+    premise = bool(np.all(q1 >= q2 + margin) and np.all(phi1 <= phi2 + 1e-12))
+    return premise, bool(np.all(u1 - u2 <= 1e-6))

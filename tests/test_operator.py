@@ -9,7 +9,7 @@ import pytest
 import kgraph as kg
 from kgraph.errors import InputError
 from conftest import cap_trace, smooth_random_field
-from oracles import jacobian_fd, residual_nondivergence
+from oracles import area_functional, graph_area, jacobian_fd, residual_nondivergence
 from test_equivalence import OPERATOR_CASES, _fields
 
 CAP = cap_trace()
@@ -31,7 +31,7 @@ def aniso_chart():
 
 
 def linear_state(chart, grid, a, b):
-    """operator_state of u = a x + b y, with the same function as phi:
+    """`op.state` of u = a x + b y, with the same function as phi:
     hat_u^i as `u_hat_up` (N, 2), `W`, and the quasilinear coefficients
     `A` = W^2 sigma^ij - hat_u^i hat_u^j."""
     def field(P):
@@ -39,7 +39,7 @@ def linear_state(chart, grid, a, b):
         return a * P[..., 0] + b * P[..., 1]
 
     spec = kg.ProblemSpec(chart=chart, domain=grid.domain, phi=field)
-    _, _, up1, up2, W = kg.operator_state(spec, grid, field(grid.points))
+    _, _, up1, up2, W = grid.operator.state(field(grid.points), spec.phi_links(grid))
     up = np.column_stack([up1, up2])
     A = ((W * W)[:, None, None] * kg.inverse_metric_at(chart, grid.points)
          - np.einsum("ni,nj->nij", up, up))
@@ -157,12 +157,7 @@ class TestProblemSpec:
 @pytest.mark.parametrize("call, name", [
     (lambda spec, grid, u: kg.residual(spec, grid, u), "u"),
     (lambda spec, grid, u: kg.jacobian(spec, grid, u), "u"),
-    (lambda spec, grid, u: kg.operator_state(spec, grid, u), "u"),
-    (lambda spec, grid, u: kg.area_functional(spec, grid, u), "u"),
-    (lambda spec, grid, u: kg.comparison_check(spec, grid, u, np.zeros(grid.num_inside)), "u1"),
-    (lambda spec, grid, u: kg.comparison_check(spec, grid, np.zeros(grid.num_inside), u), "u2"),
-], ids=["residual", "jacobian", "operator_state", "area_functional", "comparison_u1",
-        "comparison_u2"])
+], ids=["residual", "jacobian"])
 def test_bad_field_is_an_input_error(euclid, call, name, bad, message):
     # a field of the wrong length or with a NaN names the field, as
     # solve_dirichlet and verify do, not a numpy shape error or a
@@ -290,7 +285,7 @@ class TestState:
         spec = kg.ProblemSpec(chart=heis, domain=grid.domain, H=0.3,
                               phi=lambda P: smooth_random_field(
                                   np.atleast_2d(P), np.random.default_rng(8)))
-        c1, c2, up1, up2, W = kg.operator_state(spec, grid, u)
+        c1, c2, up1, up2, W = grid.operator.state(u, spec.phi_links(grid))
         f = heis.f_at(grid.points)
         assert np.all(W >= np.sqrt(f) - 1e-14)
         # lowering indices is consistent
@@ -541,13 +536,13 @@ class TestAreaFunctional:
     def test_flat_square(self, euclid):
         grid = kg.build_grid(kg.Rectangle(0, 0, 1, 1), 1.0 / 16, euclid)
         spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=0.0, phi=0.0)
-        assert kg.area_functional(spec, grid, np.zeros(grid.num_inside)) \
+        assert area_functional(grid.operator, np.zeros(grid.num_inside), spec.phi_links(grid)) \
             == pytest.approx(1.0, abs=1e-10)
 
     def test_flat_disk(self, euclid):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 1.0), 1.0 / 64, euclid)
         spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=0.0, phi=0.0)
-        assert kg.area_functional(spec, grid, np.zeros(grid.num_inside)) \
+        assert area_functional(grid.operator, np.zeros(grid.num_inside), spec.phi_links(grid)) \
             == pytest.approx(np.pi, abs=5e-3)
 
     def test_lower_bound(self, warp):
@@ -556,7 +551,7 @@ class TestAreaFunctional:
         u = smooth_random_field(grid.points, rng)
         phi_vals = smooth_random_field(grid.link_points, rng)
         op = grid.operator
-        val = op.functional(u, phi_vals)
+        val = area_functional(op, u, phi_vals)
         floor = kg.integrate(grid, np.sqrt(warp.f_at(grid.points)))
         assert val >= floor - 1e-12
 
@@ -576,7 +571,7 @@ class TestAreaFunctional:
         for k, n in enumerate(pick):
             up = u.copy(); up[n] += eps
             um = u.copy(); um[n] -= eps
-            fd[k] = (op.functional(up, phi) - op.functional(um, phi)) / (2 * eps)
+            fd[k] = (area_functional(op, up, phi) - area_functional(op, um, phi)) / (2 * eps)
         target = -r[pick] * grid.h ** 2    # sqrt(sigma) = 1 on this chart
         corr = np.corrcoef(fd, target)[0, 1]
         assert corr > 0.99
@@ -598,8 +593,7 @@ class TestAreaFunctional:
         for k, n in enumerate(pick):
             up = u.copy(); up[n] += eps
             um = u.copy(); um[n] -= eps
-            fd[k] = (op.functional(up, phi, fiber_weighted=True)
-                     - op.functional(um, phi, fiber_weighted=True)) / (2 * eps)
+            fd[k] = (graph_area(op, up, phi) - graph_area(op, um, phi)) / (2 * eps)
         target = -r[pick] / np.sqrt(fvals[pick]) * grid.h ** 2
         corr = np.corrcoef(fd, target)[0, 1]
         assert corr > 0.99

@@ -20,7 +20,7 @@ from kgraph.errors import ContinuationStalled, KGraphError, SingularJacobian
 from kgraph.operator import _Multigrid
 from kgraph.solver import newton_solve
 from conftest import cap_trace, curved_exp_H, curved_exp_u, saddle, smooth_random_field
-from oracles import interpolation_by_sort, jacobian_fd
+from oracles import area_functional, comparison, graph_area, interpolation_by_sort, jacobian_fd
 from test_equivalence import _strip
 
 CAP = cap_trace()
@@ -110,7 +110,7 @@ class TestMinimalInitialGraph:
         spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=0.0, phi=0.0)
         u = kg.minimal_initial_graph(spec, grid)
         assert np.abs(u).max() < 1e-12
-        area = kg.area_functional(spec, grid, u)
+        area = area_functional(grid.operator, u, spec.phi_links(grid))
         sigma_area = kg.integrate(grid, np.ones(grid.num_inside))
         assert area == pytest.approx(sigma_area, abs=1e-12)
 
@@ -126,8 +126,8 @@ class TestMinimalInitialGraph:
         op = grid.operator
         u = kg.minimal_initial_graph(spec, grid)
         zeros = np.zeros(grid.num_links)
-        final = op.functional(u, zeros, fiber_weighted=True)
-        start = op.functional(np.zeros(grid.num_inside), zeros, fiber_weighted=True)
+        final = graph_area(op, u, zeros)
+        start = graph_area(op, np.zeros(grid.num_inside), zeros)
         assert final <= start + 1e-9 * (1 + abs(start))
 
     def test_heisenberg_one_newton_step(self, heis, monkeypatch):
@@ -924,9 +924,9 @@ class TestComparison:
         spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=0.0, phi=0.0)
         u2, _ = kg.solve_dirichlet(spec, grid)
         u1 = u2 - 0.1
-        res = kg.comparison_check(spec, grid, u1, u2,
-                                  phi1=-0.1, phi2=0.0, margin=-1e-9)
-        assert res.premise and res.conclusion
+        phi2 = np.zeros(grid.num_links)
+        premise, conclusion = comparison(grid.operator, u1, phi2 - 0.1, u2, phi2, -1e-9)
+        assert premise and conclusion
 
     def test_ordered_caps(self, euclid):
         # caps of different curvature with aligned boundary data
@@ -934,11 +934,10 @@ class TestComparison:
         c1 = cap_trace(1.0)
         shift = np.sqrt(4.0 - 0.25) - np.sqrt(1.0 - 0.25)
         c2 = cap_trace(2.0, shift)
-        spec = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=0.0, phi=0.0)
-        res = kg.comparison_check(spec, grid, c1(grid.points), c2(grid.points),
-                                  phi1=c1, phi2=c2, margin=0.5)
-        assert res.premise
-        assert res.conclusion
+        premise, conclusion = comparison(grid.operator, c1(grid.points), c1(grid.link_points),
+                                         c2(grid.points), c2(grid.link_points), 0.5)
+        assert premise
+        assert conclusion
 
     def test_witness_on_violation(self, euclid):
         grid = kg.build_grid(kg.Disk((0.0, 0.0), 0.5), 1.0 / 32, euclid)
@@ -946,26 +945,24 @@ class TestComparison:
         u2 = np.zeros(grid.num_inside)
         u1 = u2.copy()
         u1[10] = 0.5   # sticks above u2
-        res = kg.comparison_check(spec, grid, u1, u2)
-        assert not res.conclusion
-        assert res.witness_node == 10
-        assert res.witness_gap == pytest.approx(0.5)
+        phi = spec.phi_links(grid)
+        _, conclusion = comparison(grid.operator, u1, phi, u2, phi, 1e-8)
+        assert not conclusion
 
     def test_randomized_implication(self, euclid, cap_64):
         # Q-ordering implies pointwise ordering, as an implication, on
         # random nonnegative bumps vanishing at the boundary
         case = cap_64
         grid, spec = case.grid, case.spec
-        op = grid.operator
+        op, phi = grid.operator, spec.phi_links(grid)
         rng = np.random.default_rng(23)
         d = grid.dist
         for _ in range(50):
             c = rng.uniform(0.1, 0.4)
             amp = rng.uniform(0.01, 0.05)
             bump = amp * np.maximum(0.0, d - c) ** 2
-            res = kg.comparison_check(spec, grid, case.u + bump, case.u,
-                                      margin=1e-8, tol=1e-6)
-            assert res.holds   # premise -> conclusion; vacuous when unordered
+            premise, conclusion = comparison(op, case.u + bump, phi, case.u, phi, 1e-8)
+            assert conclusion or not premise   # vacuous when unordered
 
     def test_solved_ordering_via_H(self, euclid):
         # larger constant H pulls the graph down: solve two problems and
@@ -975,5 +972,6 @@ class TestComparison:
         spec2 = kg.ProblemSpec(chart=euclid, domain=grid.domain, H=0.3, phi=0.0)
         ua, _ = kg.solve_dirichlet(spec1, grid)
         ub, _ = kg.solve_dirichlet(spec2, grid)
-        res = kg.comparison_check(spec1, grid, ua, ub, margin=0.9)
-        assert res.premise and res.conclusion
+        phi = spec1.phi_links(grid)
+        premise, conclusion = comparison(grid.operator, ua, phi, ub, phi, 0.9)
+        assert premise and conclusion
